@@ -97,6 +97,7 @@ class BatchNormLayer:
     Train mode normalizes with batch statistics (variance floored at 1e-5 so a
     constant feature yields zeros rather than a division blow-up) and updates
     the running stats; eval mode uses the stored stats and mutates nothing.
+    Either way the normalization is one ``batch_norm`` tape node.
     """
 
     def __init__(self, features: int, momentum: float = 0.1):
@@ -108,30 +109,22 @@ class BatchNormLayer:
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
 
-    def _param_shape(self, ndim: int):
-        return (self.features,) if ndim == 2 else (1, self.features, 1, 1)
-
     def forward(self, x: Tensor, train: bool) -> Tensor:
         if x.ndim not in (2, 4):
             raise ShapeError(f"batch norm expects (B, F) or (B, C, H, W), got shape {x.shape}")
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        pshape = self._param_shape(x.ndim)
-        if train:
-            if x.shape[0] < 2:
-                raise ShapeError("train-mode batch norm needs a batch of at least 2")
-            mu = T.tmean(x, axis=axes)
-            xc = x - T.reshape(mu, pshape)
-            var = T.tmean(xc * xc, axis=axes)
-            den = T.sqrt(T.relu(var - BN_VAR_FLOOR) + BN_VAR_FLOOR)  # sqrt(max(var, floor))
-            xhat = xc / T.reshape(den, pshape)
-            n = x.size // self.features
-            unbiased = var.data * (n / (n - 1)) if n > 1 else var.data
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu.data
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
-        else:
-            den_np = np.sqrt(np.maximum(self.running_var, BN_VAR_FLOOR))
-            xhat = (x - Tensor(self.running_mean.reshape(pshape))) / Tensor(den_np.reshape(pshape))
-        return xhat * T.reshape(self.scale, pshape) + T.reshape(self.shift, pshape)
+        if not train:
+            out, _, _ = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR,
+                                     stats=(self.running_mean, self.running_var))
+            return out
+        if x.shape[0] < 2:
+            raise ShapeError("train-mode batch norm needs a batch of at least 2")
+        out, mu, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR)
+        n = x.size // self.features
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
+        return out
 
     def parameters(self):
         return {"scale": self.scale, "shift": self.shift}
@@ -353,7 +346,8 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
     Tokens are '-'-separated: ``C(filters,kernel,stride,padding)`` for a conv
     block (conv + optional batch norm + ReLU, tapped after the ReLU),
     ``P(kernel,stride,padding,max|avg)`` for pooling (``P(.,.,.,avg)`` pools
-    the whole spatial field to 1x1), and ``FC(n)`` for flatten + dense.
+    the whole spatial field to 1x1; pool padding must be 0, anything else
+    raises ``ConfigError``), and ``FC(n)`` for flatten + dense.
     ``input_shape`` is (channels, height, width); FC input sizes are resolved
     by tracing a dummy forward through the layers built so far.
     """
@@ -382,6 +376,8 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
                 if mode != "avg":
                     raise ConfigError("global pooling is only defined for avg mode")
                 layers.append(AvgPool2dLayer(spatial_all=True))
+            elif int(args[2]) != 0:
+                raise ConfigError(f"pool padding is not supported, got {tok!r}")
             elif mode == "max":
                 layers.append(MaxPool2dLayer(int(args[0]), int(args[1])))
             elif mode == "avg":

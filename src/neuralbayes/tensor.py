@@ -453,9 +453,25 @@ def element(x, k: int) -> Tensor:
     return out
 
 
-def _pool_geometry(height: int, width: int, kernel: int, stride: int) -> tuple[int, int, int, int]:
-    kh, kw = min(kernel, height), min(kernel, width)
-    return kh, kw, (height - kh) // stride + 1, (width - kw) // stride + 1
+def _window_views(kh: int, kw: int, oh: int, ow: int, stride: int) -> list[tuple[slice, ...]]:
+    """Index tuples of the kh*kw window offsets of a (B, C, H, W) map, in
+    row-major offset order.  The view of offset (di, dj) is (B, C, oh, ow):
+    at every output position it holds the input element at that offset of
+    the position's window."""
+    return [(slice(None), slice(None), slice(di, di + (oh - 1) * stride + 1, stride),
+             slice(dj, dj + (ow - 1) * stride + 1, stride))
+            for di in range(kh) for dj in range(kw)]
+
+
+def _pool_windows(x: Tensor, op: str, kernel: int, stride: int) -> list[tuple[slice, ...]]:
+    """Window views of a pool; a kernel larger than the map shrinks to the
+    map, and rows or columns past the last full window are cropped."""
+    if x.ndim != 4:
+        raise ShapeError(f"{op} expects (B, C, H, W), got shape {x.shape}")
+    H, W = x.shape[2], x.shape[3]
+    kh, kw = min(kernel, H), min(kernel, W)
+    oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
+    return _window_views(kh, kw, oh, ow, stride)
 
 
 def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
@@ -463,28 +479,22 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
 
     When H (or W) is smaller than the kernel, the kernel shrinks to H (or W),
     so pooling a 1x1 map is the identity and any map can be pooled to 1x1 by
-    passing ``kernel=max(H, W)``.
+    passing ``kernel=max(H, W)``.  Computed as a running sum over the
+    kernel's window offsets, each a strided view of the whole map.
     """
     x = _as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"avg_pool2d expects (B, C, H, W), got shape {x.shape}")
-    B, C, H, W = x.shape
-    kh, kw, oh, ow = _pool_geometry(H, W, kernel, stride)
-    out_data = np.empty((B, C, oh, ow))
-    for i in range(oh):
-        for j in range(ow):
-            win = x.data[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
-            out_data[:, :, i, j] = win.mean(axis=(2, 3))
+    views = _pool_windows(x, "avg_pool2d", kernel, stride)
+    out_data = x.data[views[0]].copy()
+    for view in views[1:]:
+        out_data += x.data[view]
+    out_data /= len(views)
     out = Tensor._from_op(out_data, (x,), "avg_pool2d")
 
     def backward(g):
-        gx = np.zeros((B, C, H, W))
-        scale = 1.0 / (kh * kw)
-        for i in range(oh):
-            for j in range(ow):
-                gx[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw] += (
-                    g[:, :, i, j][:, :, None, None] * scale
-                )
+        share = g / len(views)
+        gx = np.zeros(x.shape)
+        for view in views:
+            gx[view] += share
         _accum(x, gx)
 
     out._backward = backward
@@ -492,30 +502,28 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
 
 
 def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
-    """Spatial max over kernel windows; gradient routes to the first maximum."""
+    """Spatial max over kernel windows; gradient routes to the first maximum.
+
+    "First" is in row-major order within the window.  The forward is a
+    running maximum over the window offsets; the backward scans the offsets
+    in the same order and routes each output's gradient to the first offset
+    that holds its maximum.
+    """
     x = _as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects (B, C, H, W), got shape {x.shape}")
-    B, C, H, W = x.shape
-    kh, kw, oh, ow = _pool_geometry(H, W, kernel, stride)
-    out_data = np.empty((B, C, oh, ow))
-    argmax = np.empty((B, C, oh, ow), dtype=np.intp)
-    for i in range(oh):
-        for j in range(ow):
-            win = x.data[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
-            flat = win.reshape(B, C, kh * kw)
-            idx = flat.argmax(axis=2)
-            out_data[:, :, i, j] = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
-            argmax[:, :, i, j] = idx
+    views = _pool_windows(x, "max_pool2d", kernel, stride)
+    out_data = x.data[views[0]].copy()
+    for view in views[1:]:
+        np.maximum(out_data, x.data[view], out=out_data)
     out = Tensor._from_op(out_data, (x,), "max_pool2d")
 
     def backward(g):
-        gx = np.zeros((B, C, H, W))
-        bb, cc = np.meshgrid(np.arange(B), np.arange(C), indexing="ij")
-        for i in range(oh):
-            for j in range(ow):
-                di, dj = np.divmod(argmax[:, :, i, j], kw)
-                np.add.at(gx, (bb, cc, i * stride + di, j * stride + dj), g[:, :, i, j])
+        gx = np.zeros(x.shape)
+        unrouted = np.ones(out_data.shape, dtype=bool)
+        for view in views:
+            first = np.equal(x.data[view], out_data)
+            first &= unrouted
+            unrouted ^= first
+            gx[view] += g * first
         _accum(x, gx)
 
     out._backward = backward
@@ -523,7 +531,14 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of (B, Cin, H, W) with (Cout, Cin, k, k) kernels."""
+    """2-D cross-correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) kernels.
+
+    Lowered to one GEMM (im2col; Chellapilla et al., 2006): the kh*kw strided
+    views of the padded input are copied into a (Cin*kh*kw, B*oh*ow) patch
+    matrix and multiplied by the kernels as a (Cout, Cin*kh*kw) matrix.  The
+    backward is one GEMM for the kernel gradient and one for the patch
+    gradient, which goes back to the input as kh*kw strided adds (col2im).
+    """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernels, got {x.shape}, {weight.shape}")
@@ -537,36 +552,100 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
     oh = (Hp - kh) // stride + 1
     ow = (Wp - kw) // stride + 1
-    out_data = np.zeros((B, Cout, oh, ow))
-    for di in range(kh):
-        for dj in range(kw):
-            patch = xp[:, :, di : di + oh * stride : stride, dj : dj + ow * stride : stride]
-            out_data += np.einsum("bchw,oc->bohw", patch, weight.data[:, :, di, dj], optimize=True)
+    views = _window_views(kh, kw, oh, ow, stride)
+    cols = np.empty((Cin, kh * kw, B, oh, ow))
+    for k, view in enumerate(views):
+        cols[:, k] = xp[view].transpose(1, 0, 2, 3)
+    cols = cols.reshape(Cin * kh * kw, B * oh * ow)
+    wmat = weight.data.reshape(Cout, Cin * kh * kw)
+    prod = (wmat @ cols).reshape(Cout, B, oh, ow).transpose(1, 0, 2, 3)
+    out_data = np.empty((B, Cout, oh, ow))
     bias_t = None if bias is None else _as_tensor(bias)
-    parents = (x, weight) if bias_t is None else (x, weight, bias_t)
-    if bias_t is not None:
-        out_data += bias_t.data[None, :, None, None]
+    if bias_t is None:
+        out_data[...] = prod
+        parents = (x, weight)
+    else:
+        np.add(prod, bias_t.data[:, None, None], out=out_data)
+        parents = (x, weight, bias_t)
     out = Tensor._from_op(out_data, parents, "conv2d")
-    wdata = weight.data
 
     def backward(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wdata)
-        for di in range(kh):
-            for dj in range(kw):
-                patch = xp[:, :, di : di + oh * stride : stride, dj : dj + ow * stride : stride]
-                gw[:, :, di, dj] = np.einsum("bohw,bchw->oc", g, patch, optimize=True)
-                gxp[:, :, di : di + oh * stride : stride, dj : dj + ow * stride : stride] += np.einsum(
-                    "bohw,oc->bchw", g, wdata[:, :, di, dj], optimize=True
-                )
-        gx = gxp[:, :, padding : padding + H, padding : padding + W] if padding else gxp
-        _accum(x, gx)
-        _accum(weight, gw)
+        g2 = g.transpose(1, 0, 2, 3).reshape(Cout, B * oh * ow)
+        _accum(weight, (g2 @ cols.T).reshape(weight.shape))
         if bias_t is not None:
             _accum(bias_t, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            gcols = (wmat.T @ g2).reshape(Cin, kh * kw, B, oh, ow)
+            gxp = np.zeros(xp.shape)
+            for k, view in enumerate(views):
+                gxp[view] += gcols[:, k].transpose(1, 0, 2, 3)
+            _accum(x, gxp[:, :, padding:padding + H, padding:padding + W] if padding else gxp)
 
     out._backward = backward
     return out
+
+
+def batch_norm(x, scale, shift, axes: Axis, floor: float,
+               stats: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Batch normalization as one node: ``(x - mean) / sqrt(max(var, floor))``
+    per channel, times ``scale`` plus ``shift``.
+
+    Channels are the axes not in ``axes``; ``scale`` and ``shift`` have their
+    shape.  With ``stats=None`` (train mode) mean and variance are the batch's
+    own (the biased variance over ``axes``) and the backward is the closed
+    form through both; where ``var <= floor`` the denominator is the constant
+    ``sqrt(floor)`` and no gradient flows through the variance.  With
+    ``stats=(mean, var)`` (eval mode) they are constants.  Returns the output
+    and the mean and variance it used (Ioffe & Szegedy, arXiv:1502.03167).
+    """
+    x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
+    axes = _norm_axes(axes, x.ndim)
+    keep = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+    channels = tuple(s for i, s in enumerate(x.shape) if i not in axes)
+    if scale.shape != channels or shift.shape != channels:
+        raise ShapeError(f"batch_norm of {x.shape} over axes {axes} needs scale and shift of "
+                         f"shape {channels}, got {scale.shape} and {shift.shape}")
+    # full-size temporaries are few and reused: each fresh one costs page faults
+    if stats is None:
+        mean = x.data.mean(axis=axes)
+        xhat = x.data - mean.reshape(keep)
+        out_data = np.square(xhat)
+        var = out_data.mean(axis=axes)
+    else:
+        mean, var = stats
+        xhat = x.data - mean.reshape(keep)
+        out_data = np.empty(x.shape)
+    den = np.sqrt(np.maximum(var, floor)).reshape(keep)
+    xhat /= den
+    np.multiply(xhat, scale.data.reshape(keep), out=out_data)
+    out_data += shift.data.reshape(keep)
+    out = Tensor._from_op(out_data, (x, scale, shift), "batch_norm")
+    count = int(np.prod([x.shape[a] for a in axes]))  # elements per channel
+
+    def backward(g):
+        gx = g * xhat
+        gscale = gx.sum(axis=axes)
+        gshift = g.sum(axis=axes)
+        _accum(scale, gscale)
+        _accum(shift, gshift)
+        if not x.requires_grad:
+            return
+        coef = scale.data.reshape(keep) / den
+        if stats is None:
+            # remove the components that flow back through the batch mean
+            # and, where the variance is above the floor, the batch variance
+            through_var = np.where(var > floor, gscale, 0.0) / count
+            np.multiply(xhat, through_var.reshape(keep), out=gx)
+            np.subtract(g, gx, out=gx)
+            gx -= (gshift / count).reshape(keep)
+            gx *= coef
+        else:
+            np.multiply(g, coef, out=gx)
+        _accum(x, gx)
+
+    out._backward = backward
+    return out, mean, var
 
 
 def stop_gradient(x) -> Tensor:

@@ -9,7 +9,6 @@ reproduce identical trajectories bitwise.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .nn import Network, build_mlp
 from .report import ObjectiveReport
 from . import tensor as T
@@ -276,18 +275,52 @@ def predict_components(net: Network, points: np.ndarray, batch_size: int = 2000)
     return np.concatenate(preds)
 
 
+def _best_assignment(score: np.ndarray) -> np.ndarray:
+    """Row matched to each column of a square score matrix so that the summed
+    score is maximal: the Hungarian method with potentials (Kuhn, 1955), O(k^3).
+
+    Integer-valued scores keep every potential an integer, so the matching is
+    exact.
+    """
+    k = score.shape[0]
+    cost = score.max() - score
+    u, v = np.zeros(k + 1), np.zeros(k + 1)   # row / column potentials; index 0 is a sentinel
+    match = np.zeros(k + 1, dtype=np.intp)   # match[j]: 1-based row on column j, 0 = none
+    for row in range(1, k + 1):
+        match[0], col = row, 0
+        slack = np.full(k + 1, np.inf)
+        way = np.zeros(k + 1, dtype=np.intp)
+        used = np.zeros(k + 1, dtype=bool)
+        while match[col]:   # grow the alternating tree until it reaches a free column
+            used[col] = True
+            reduced = cost[match[col] - 1] - u[match[col]] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            way[1:][better] = col
+            open_slack = np.where(used, np.inf, slack)
+            col = int(np.argmin(open_slack))
+            delta = open_slack[col]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while col:   # flip the augmenting path
+            prev = way[col]
+            match[col] = match[prev]
+            col = prev
+    return match[1:] - 1
+
+
 def cluster_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
-    """Best label-permutation agreement between predictions and ground truth."""
-    if k > 8:
-        raise ConfigError("brute-force permutation scoring is limited to k <= 8")
+    """Best label-permutation agreement between predictions and ground truth,
+    found exactly by an assignment over the k x k confusion matrix."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
         raise ShapeError("pred and truth must have matching shapes")
     if pred.size == 0:
         raise ShapeError("cannot score an empty prediction")
-    conf = np.zeros((k, k))
-    np.add.at(conf, (pred, truth), 1)
-    best = max(sum(conf[a, sigma[a]] for a in range(k))
-               for sigma in itertools.permutations(range(k)))
-    return float(best / pred.size)
+    if min(pred.min(), truth.min()) < 0 or max(pred.max(), truth.max()) >= k:
+        raise DomainError(f"labels must lie in [0, {k})")
+    conf = np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
+    rows = _best_assignment(conf)
+    return float(conf[rows, np.arange(k)].sum() / pred.size)

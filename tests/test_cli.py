@@ -205,6 +205,21 @@ class TestGradcheckCommand:
         assert code == 0
         assert (out_dir / "checkpoint.bin").exists()
 
+    def test_train_dml_mnist_cnn_preset_on_idx_images(self, tmp_path):
+        # the preset scores k = 10 clusters, beyond any permutation search
+        from neuralbayes import data as D
+        rng = np.random.default_rng(1)
+        images = rng.integers(0, 256, (40, 28, 28), dtype=np.uint8)
+        labels = np.arange(40, dtype=np.uint8) % 10
+        D.write_idx(images, labels, tmp_path / "i.idx", tmp_path / "l.idx")
+        out_dir = tmp_path / "preset"
+        code = run(["train-dml", "--preset", "mnist-cnn", "--data", str(tmp_path / "i.idx"),
+                    "--labels", str(tmp_path / "l.idx"), "--mbs", "20", "--bs", "20",
+                    "--epochs", "1", "--seed", "0", "--out-dir", str(out_dir)])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert 0.1 <= report["cluster_accuracy"] <= 1.0
+
 
 def _write_cfg(tmp_path, cfg):
     p = tmp_path / "mimcfg.json"

@@ -83,6 +83,27 @@ class TestLayerGradients:
         x = Tensor(rng.standard_normal((6, 3)) * 2.0 + 1.0, requires_grad=True)
         self._check(layer, x, train=True)
 
+    def test_batchnorm_train_feature_maps(self):
+        rng = np.random.default_rng(15)
+        layer = nn.BatchNormLayer(3)
+        layer.scale = Tensor(rng.uniform(0.5, 2.0, 3), requires_grad=True)
+        layer.shift = Tensor(rng.standard_normal(3), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 3, 2, 3)) * 2.0 + 1.0, requires_grad=True)
+        self._check(layer, x, train=True)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 3, 2, 2)])
+    @pytest.mark.parametrize("spread", [0.0, 1e-3])
+    def test_batchnorm_train_floored_channel(self, shape, spread):
+        # channel 1 is constant, or varies with a variance (~1e-6) under the
+        # 1e-5 floor: the denominator is sqrt(floor) and no gradient flows
+        # through the variance (only the nonzero spread tells the two apart)
+        rng = np.random.default_rng(16)
+        layer = nn.BatchNormLayer(3)
+        layer.scale = Tensor(rng.uniform(0.5, 2.0, 3), requires_grad=True)
+        data = rng.standard_normal(shape)
+        data[:, 1] = 2.5 + spread * rng.standard_normal(data[:, 1].shape)
+        self._check(layer, Tensor(data, requires_grad=True), train=True)
+
     def test_batchnorm_eval(self):
         rng = np.random.default_rng(3)
         layer = nn.BatchNormLayer(3)
@@ -128,6 +149,17 @@ class TestBatchNorm:
         assert not np.array_equal(layer.running_mean, np.zeros(3))
         eval_out = nn.batchnorm_forward(layer, x, "eval").data
         assert not np.allclose(train_out, eval_out)
+
+    @pytest.mark.parametrize("shape,axes", [((16, 3), (0,)), ((6, 3, 4, 5), (0, 2, 3))])
+    def test_one_train_forward_sets_running_stats(self, shape, axes):
+        rng = np.random.default_rng(17)
+        layer = nn.BatchNormLayer(3, momentum=0.1)
+        x = rng.standard_normal(shape) * 2.0 + 3.0
+        nn.batchnorm_forward(layer, Tensor(x), "train")
+        m, n = 0.1, x.size // 3
+        np.testing.assert_allclose(layer.running_mean, m * x.mean(axis=axes), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.running_var,
+                                   (1 - m) + m * x.var(axis=axes) * n / (n - 1), rtol=0, atol=1e-12)
 
     def test_batch_of_one_rejected(self):
         layer = nn.BatchNormLayer(3)
@@ -192,6 +224,11 @@ class TestForwardWithStates:
     def test_bad_tap_rejected(self):
         with pytest.raises(ConfigError):
             nn.Network([nn.ReluLayer()], taps=[3])
+
+    @pytest.mark.parametrize("arch", ["C(4,3,1,0)-P(2,2,1,max)", "C(4,3,1,0)-P(2,2,1,avg)"])
+    def test_pool_padding_rejected(self, arch):
+        with pytest.raises(ConfigError, match="padding"):
+            nn.build_cnn(arch, (1, 8, 8), seed=0)
 
     def test_malformed_arch_token(self):
         with pytest.raises(ConfigError):

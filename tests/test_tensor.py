@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbayes import oracles
+from neuralbayes import nn, oracles
 from neuralbayes import tensor as T
 from neuralbayes.errors import DomainError, ShapeError
 from neuralbayes.tensor import Tensor
@@ -182,6 +182,42 @@ class TestReductions:
         assert T.mean_all(Tensor([[1.0, 3.0]])).item() == 2.0
 
 
+def loop_pool(x, kernel, stride, mode):
+    """Reference pooling: one window per output position, the max-pool
+    gradient routed by argmax (first maximum in row-major window order) and
+    scattered with ``np.add.at``.  Returns (output, vjp) where ``vjp(g)`` is
+    the input gradient for an output gradient ``g``."""
+    B, C, H, W = x.shape
+    kh, kw = min(kernel, H), min(kernel, W)
+    oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
+    out = np.empty((B, C, oh, ow))
+    argmax = np.empty((B, C, oh, ow), dtype=np.intp)
+    for i in range(oh):
+        for j in range(ow):
+            win = x[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+            flat = win.reshape(B, C, kh * kw)
+            argmax[:, :, i, j] = flat.argmax(axis=2)
+            out[:, :, i, j] = flat.max(axis=2) if mode == "max" else flat.mean(axis=2)
+
+    def vjp(g):
+        gx = np.zeros_like(x)
+        bb, cc = np.meshgrid(np.arange(B), np.arange(C), indexing="ij")
+        for i in range(oh):
+            for j in range(ow):
+                if mode == "max":
+                    di, dj = np.divmod(argmax[:, :, i, j], kw)
+                    np.add.at(gx, (bb, cc, i * stride + di, j * stride + dj), g[:, :, i, j])
+                else:
+                    gx[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw] += (
+                        g[:, :, i, j][:, :, None, None] / (kh * kw))
+        return gx
+
+    return out, vjp
+
+
+POOLS = {"max": T.max_pool2d, "avg": T.avg_pool2d}
+
+
 class TestPooling:
     def test_avg_pool_constant(self):
         x = Tensor(np.full((2, 3, 4, 4), 5.0))
@@ -209,6 +245,73 @@ class TestPooling:
         params = {"x": Tensor(rng.permutation(36).reshape(1, 1, 6, 6) * 1.0, requires_grad=True)}
         fd_check(lambda p: T.tsum(T.max_pool2d(p["x"]) * T.max_pool2d(p["x"])), params)
 
+    # (shape, kernel, stride): overlapping windows, 5x5 maps cropped by k2s2,
+    # a kernel clamped to a 1-row map, and a whole (non-square) map as one window
+    GEOMETRIES = [((2, 3, 6, 6), 3, 1), ((2, 2, 7, 5), 3, 2), ((2, 3, 5, 5), 2, 2),
+                  ((2, 2, 1, 5), 2, 2), ((2, 3, 5, 4), 5, 5)]
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("shape,kernel,stride", GEOMETRIES)
+    def test_matches_window_loop(self, mode, shape, kernel, stride):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal(shape)
+        ref, vjp = loop_pool(x, kernel, stride, mode)
+        xt = Tensor(x, requires_grad=True)
+        out = POOLS[mode](xt, kernel, stride)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+        g = rng.standard_normal(ref.shape)
+        T.tsum(out * Tensor(g)).backward()
+        np.testing.assert_allclose(xt.grad, vjp(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("shape,kernel,stride", GEOMETRIES)
+    def test_gradient_vs_finite_differences(self, mode, shape, kernel, stride):
+        rng = np.random.default_rng(21)
+        # distinct entries at least 1 apart, so no max is tied within a step of h
+        x = rng.permutation(int(np.prod(shape))).reshape(shape) * 1.0
+        w = rng.standard_normal(loop_pool(x, kernel, stride, mode)[0].shape)
+        params = {"x": Tensor(x, requires_grad=True)}
+        fd_check(lambda p: T.tsum(POOLS[mode](p["x"], kernel, stride) * w), params)
+
+    def test_spatial_all_avg_pool_layer(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((3, 4, 5, 3))
+        layer = nn.AvgPool2dLayer(spatial_all=True)
+        out = layer.forward(Tensor(x), train=False)
+        assert out.shape == (3, 4, 1, 1)
+        np.testing.assert_allclose(out.data[:, :, 0, 0], x.mean(axis=(2, 3)), rtol=0, atol=1e-12)
+        params = {"x": Tensor(x, requires_grad=True)}
+        w = rng.standard_normal((3, 4, 1, 1))
+        fd_check(lambda p: T.tsum(layer.forward(p["x"], train=True) * w), params)
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2), (2, 1)])
+    def test_max_pool_ties_route_to_first_maximum(self, kernel, stride):
+        rng = np.random.default_rng(23)
+        x = rng.integers(0, 3, (2, 3, 7, 7)) * 1.0  # many tied maxima per window
+        ref, vjp = loop_pool(x, kernel, stride, "max")
+        xt = Tensor(x, requires_grad=True)
+        out = T.max_pool2d(xt, kernel, stride)
+        np.testing.assert_array_equal(out.data, ref)
+        g = rng.standard_normal(ref.shape)
+        T.tsum(out * Tensor(g)).backward()
+        np.testing.assert_allclose(xt.grad, vjp(g), rtol=0, atol=1e-12)
+
+    def test_max_pool_tie_hand_case(self):
+        # all four entries tie: the whole gradient goes to the top-left one
+        x = Tensor(np.full((1, 1, 2, 2), 7.0), requires_grad=True)
+        T.tsum(T.max_pool2d(x) * 3.0).backward()
+        np.testing.assert_array_equal(x.grad[0, 0], [[3.0, 0.0], [0.0, 0.0]])
+        # the later of two tied maxima in row-major order gets nothing
+        x = Tensor(np.array([[[[0.0, 5.0], [5.0, 1.0]]]]), requires_grad=True)
+        T.tsum(T.max_pool2d(x)).backward()
+        np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_rank_checked(self):
+        with pytest.raises(ShapeError):
+            T.max_pool2d(Tensor(np.ones((2, 4, 4))))
+        with pytest.raises(ShapeError):
+            T.avg_pool2d(Tensor(np.ones((2, 4, 4))))
+
 
 class TestConv:
     @staticmethod
@@ -230,7 +333,40 @@ class TestConv:
                         out[bb, o, i, j] = acc
         return out
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
+    @staticmethod
+    def offset_loop_conv(x, w, b, stride, padding):
+        """Reference: one einsum per kernel offset, forward and gradients.
+        Returns (output, vjp) with ``vjp(g) -> (gx, gw, gb)``."""
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        _, _, kh, kw = w.shape
+        oh = (xp.shape[2] - kh) // stride + 1
+        ow = (xp.shape[3] - kw) // stride + 1
+
+        def window(di, dj):
+            return (slice(None), slice(None), slice(di, di + oh * stride, stride),
+                    slice(dj, dj + ow * stride, stride))
+
+        out = b[None, :, None, None] + sum(
+            np.einsum("bchw,oc->bohw", xp[window(di, dj)], w[:, :, di, dj])
+            for di in range(kh) for dj in range(kw))
+
+        def vjp(g):
+            gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+            for di in range(kh):
+                for dj in range(kw):
+                    gw[:, :, di, dj] = np.einsum("bohw,bchw->oc", g, xp[window(di, dj)])
+                    gxp[window(di, dj)] += np.einsum("bohw,oc->bchw", g, w[:, :, di, dj])
+            gx = gxp[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
+            return gx, gw, g.sum(axis=(0, 2, 3))
+
+        return out, vjp
+
+    # (x shape, kernels shape, stride, padding)
+    CASES = [((2, 3, 5, 5), (4, 3, 3, 3), 1, 0), ((2, 3, 5, 5), (4, 3, 3, 3), 1, 1),
+             ((2, 3, 5, 5), (4, 3, 3, 3), 2, 0), ((2, 3, 5, 5), (4, 3, 3, 3), 2, 1),
+             ((3, 1, 6, 7), (5, 1, 3, 3), 1, 0), ((2, 2, 6, 5), (3, 2, 2, 2), 2, 1)]
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_matches_direct_summation(self, stride, padding):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 3, 5, 5))
@@ -238,6 +374,25 @@ class TestConv:
         b = rng.standard_normal(4)
         out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, self.direct_conv(x, w, b, stride, padding), atol=1e-12)
+
+    def test_single_input_channel_matches_direct_summation(self):
+        rng = np.random.default_rng(12)
+        x, w, b = rng.standard_normal((3, 1, 6, 7)), rng.standard_normal((5, 1, 3, 3)), rng.standard_normal(5)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, self.direct_conv(x, w, b, 1, 0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("xs,ws,stride,padding", CASES)
+    def test_matches_offset_loop(self, xs, ws, stride, padding):
+        rng = np.random.default_rng(24)
+        x, w, b = rng.standard_normal(xs), rng.standard_normal(ws), rng.standard_normal(ws[0])
+        ref, vjp = self.offset_loop_conv(x, w, b, stride, padding)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+        g = rng.standard_normal(ref.shape)
+        T.tsum(out * Tensor(g)).backward()
+        for got, want in zip((xt.grad, wt.grad, bt.grad), vjp(g)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
@@ -251,9 +406,55 @@ class TestConv:
 
         fd_check(build, params, tol=1e-4)
 
+    @pytest.mark.parametrize("xs,ws,stride,padding", [((2, 3, 5, 5), (4, 3, 3, 3), 2, 1),
+                                                      ((2, 1, 6, 5), (3, 1, 3, 3), 1, 0)])
+    def test_gradients_strided_padded_and_single_channel(self, xs, ws, stride, padding):
+        rng = np.random.default_rng(25)
+        params = {"x": Tensor(rng.standard_normal(xs), requires_grad=True),
+                  "w": Tensor(rng.standard_normal(ws), requires_grad=True),
+                  "b": Tensor(rng.standard_normal(ws[0]), requires_grad=True)}
+
+        def build(p):
+            out = T.conv2d(p["x"], p["w"], p["b"], stride=stride, padding=padding)
+            return T.tsum(out * out)
+
+        fd_check(build, params, tol=1e-4)
+
+    def test_without_bias(self):
+        rng = np.random.default_rng(26)
+        x, w = rng.standard_normal((2, 2, 4, 4)), rng.standard_normal((3, 2, 3, 3))
+        out = T.conv2d(Tensor(x), Tensor(w))
+        np.testing.assert_allclose(out.data, self.direct_conv(x, w, np.zeros(3), 1, 0),
+                                   rtol=0, atol=1e-12)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 2, 2))))
+
+    def test_kernel_larger_than_input(self):
+        with pytest.raises(ShapeError):
+            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+
+
+class TestBatchNormOp:
+    def test_scale_shape_checked(self):
+        x = Tensor(np.ones((4, 3)))
+        with pytest.raises(ShapeError):
+            T.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(3)), (0,), 1e-5)
+
+    def test_returns_statistics_used(self):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((5, 2, 3, 3))
+        one, zero = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        out, mean, var = T.batch_norm(Tensor(x), one, zero, (0, 2, 3), 1e-5)
+        np.testing.assert_allclose(mean, x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        assert out.op == "batch_norm"
+        stats = (np.array([0.5, -1.0]), np.array([4.0, 1e-9]))  # second var under the floor
+        out, mean, var = T.batch_norm(Tensor(x), one, zero, (0, 2, 3), 1e-5, stats=stats)
+        assert mean is stats[0] and var is stats[1]
+        want = (x - stats[0][None, :, None, None]) / np.sqrt([4.0, 1e-5])[None, :, None, None]
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
 
 class TestStopGradient:

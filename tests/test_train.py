@@ -1,5 +1,7 @@
 """Optimizer, accumulation schedule, probe, and cluster-scoring contracts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from neuralbayes import bayes, data as D, dml, mim, nn, train
 from neuralbayes import tensor as T
-from neuralbayes.errors import ConfigError, ShapeError
+from neuralbayes.errors import ConfigError, DomainError, ShapeError
 from neuralbayes.tensor import Tensor
 
 
@@ -212,9 +214,32 @@ class TestClusterAccuracy:
         truth = rng.integers(0, 2, 4000)
         assert abs(train.cluster_accuracy(pred, truth, 2) - 0.5) < 0.05
 
-    def test_too_many_clusters(self):
-        with pytest.raises(ConfigError):
-            train.cluster_accuracy(np.zeros(4, dtype=int), np.zeros(4, dtype=int), 9)
+    def test_ten_clusters_known_relabelling(self):
+        rng = np.random.default_rng(11)
+        truth = rng.integers(0, 10, 500)
+        sigma = rng.permutation(10)
+        assert train.cluster_accuracy(sigma[truth], truth, 10) == 1.0
+        wrong = sigma[truth]
+        wrong[:37] = (wrong[:37] + 1) % 10  # 37 of 500 moved to another cluster
+        assert train.cluster_accuracy(wrong, truth, 10) == (500 - 37) / 500
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 9_999))
+    def test_agrees_with_brute_force(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        pred = rng.integers(0, k, n)
+        truth = rng.integers(0, k, n)
+        conf = np.zeros((k, k))
+        np.add.at(conf, (pred, truth), 1)
+        best = max(sum(conf[a, sigma[a]] for a in range(k))
+                   for sigma in itertools.permutations(range(k)))
+        assert train.cluster_accuracy(pred, truth, k) == best / n
+
+    def test_labels_outside_range_rejected(self):
+        with pytest.raises(DomainError):
+            train.cluster_accuracy(np.array([0, 3]), np.array([0, 1]), 3)
+        with pytest.raises(DomainError):
+            train.cluster_accuracy(np.array([0, 1]), np.array([-1, 1]), 3)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 9_999))
