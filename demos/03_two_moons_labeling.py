@@ -32,7 +32,7 @@ def run(ds, tag, epochs=60):
         train_objective(net, ds.points, objective, sched, opt, seed=7000 + chunk)
         pred = predict_components(net, ds.points)
         acc = cluster_accuracy(pred, ds.components, 2)
-        L = net.forward(Tensor(ds.points), train=False).data[:, 0]
+        L = net.forward(Tensor(ds.points), "eval").data[:, 0]
         objective_value = dml.dml_binary_objective(L, float(L.mean()))
         print(f"  {tag}: epoch {(chunk + 1) * 10:3d}  accuracy {acc:.3f}  "
               f"divergence {objective_value:.4f} / log2 = {LOG2:.4f}")
@@ -50,7 +50,7 @@ lo, hi = moons.points.min(axis=0), moons.points.max(axis=0)
 xs, ys = np.linspace(lo[0], hi[0], 120), np.linspace(lo[1], hi[1], 120)
 gx, gy = np.meshgrid(xs, ys, indexing="ij")
 grid = np.column_stack([gx.ravel(), gy.ravel()])
-out = net2d.forward(Tensor(grid), train=False).data
+out = net2d.forward(Tensor(grid), "eval").data
 rows = ["x,y,argmax_label,max_prob"] + [
     f"{p[0]:.6g},{p[1]:.6g},{o.argmax()},{o.max():.6g}" for p, o in zip(grid, out)]
 with open("moons_grid.csv", "w") as fh:

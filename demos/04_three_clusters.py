@@ -25,7 +25,7 @@ for chunk in range(10):
     train_objective(net, ds.points, objective, sched, opt, seed=9000 + chunk)
     pred = predict_components(net, ds.points)
     acc = cluster_accuracy(pred, ds.components, 3)
-    out = net.forward(Tensor(ds.points), train=False).data
+    out = net.forward(Tensor(ds.points), "eval").data
     loss = dml.dml_multi_loss(PosteriorBatch(Tensor(out)), cfg).item()
     print(f"epoch {(chunk + 1) * 10:3d}: accuracy {acc:.3f}  "
           f"loss {loss:.4f} (floor -log2 = {-math.log(2):.4f})")

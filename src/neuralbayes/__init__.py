@@ -14,8 +14,8 @@ from .dml import (DmlConfig, dml_binary_loss, dml_binary_objective, dml_multi_lo
 from .mim import (MimConfig, StateCollection, collect_states, make_mim_objective,
                   mi_closed_form, mim_v1_loss, mim_v2_loss, prior_gradient_strength,
                   uniform_prior_penalty_v1, uniform_prior_penalty_v2)
-from .nn import (BatchNormLayer, Conv2dLayer, DenseLayer, Network, batchnorm_forward,
-                 build_cnn, build_mlp, load_checkpoint, orthogonal_init, save_checkpoint)
+from .nn import (BatchNormLayer, Conv2dLayer, DenseLayer, Network, build_cnn, build_mlp,
+                 load_checkpoint, orthogonal_init, save_checkpoint)
 from .report import ObjectiveReport
 from .tensor import Tensor, gradients, stop_gradient
 from .train import (AccumulationSchedule, AdamState, TrainLog, adam_step, cluster_accuracy,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulationSchedule", "AdamState", "BatchNormLayer", "Conv2dLayer", "DenseLayer",
     "DmlConfig", "MimConfig", "Network", "ObjectiveReport", "PosteriorBatch", "PriorEstimate",
-    "StateCollection", "Tensor", "TrainLog", "adam_step", "batchnorm_forward", "build_cnn",
+    "StateCollection", "Tensor", "TrainLog", "adam_step", "build_cnn",
     "build_mlp", "cluster_accuracy", "collect_states", "conditional_weights", "density_ratio",
     "dml_binary_loss", "dml_binary_objective", "dml_multi_loss", "extract_features",
     "gradients", "linear_probe", "load_checkpoint", "make_dml_objective", "make_mim_objective",

@@ -183,7 +183,7 @@ def cmd_train_dml(args) -> int:
 
     pred = train_mod.predict_components(net, points)
     accuracy = train_mod.cluster_accuracy(pred, ds.components, cfg["k"])
-    out_head = net.forward(Tensor(points[: min(ds.size, 5000)]), train=False).data
+    out_head = net.forward(Tensor(points[: min(ds.size, 5000)]), "eval").data
     if cfg["k"] == 2:
         L = out_head[:, 0]
         final_obj = dml_mod.dml_binary_objective(L, float(L.mean()))
@@ -320,7 +320,7 @@ def cmd_export_grid(args) -> int:
 
     rows = ["x,y,argmax_label,max_prob"]
     for start in range(0, lifted.shape[0], 4096):
-        out = net.forward(Tensor(lifted[start:start + 4096]), train=False).data
+        out = net.forward(Tensor(lifted[start:start + 4096]), "eval").data
         labels = out.argmax(axis=1)
         probs = out.max(axis=1)
         for (x, y), lab, pr in zip(grid[start:start + 4096], labels, probs):
@@ -415,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=200)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--bn-mode", choices=["train", "eval"], default="eval")
+    p.add_argument("--bn-mode", choices=["train", "eval"], default="eval",
+                   help="batch-norm statistics of the features: train = each batch's own "
+                        "(running stats untouched), eval = the running stats")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_probe)
 

@@ -137,7 +137,7 @@ def dml_multi_loss(p: PosteriorBatch, cfg: DmlConfig) -> Tensor:
     return T.tmean(per_entry) * 0.5 - LOG2
 
 
-def smoothness_penalty(net, batch, cfg, rng: np.random.Generator, *,
+def smoothness_penalty(net, batch, y0: Tensor, cfg, rng: np.random.Generator, *,
                        noise: np.ndarray | None = None, zeta: float | None = None) -> Tensor:
     """Finite-difference smoothness of ``net`` under data-spanned perturbations.
 
@@ -145,11 +145,14 @@ def smoothness_penalty(net, batch, cfg, rng: np.random.Generator, *,
     standard normal), unit-normalized; a single scale zeta ~ N(0, sigma^2) is
     drawn per batch (re-drawn while |zeta| < 1e-4, which would blow up the
     1/zeta^2 normalization).  Returns
-    (1/B) sum_i ||net(x_i) - net(x_i + zeta * dhat_i)||^2 / zeta^2.
+    (1/B) sum_i ||y0_i - net(x_i + zeta * dhat_i)||^2 / zeta^2.
 
-    ``net`` is any callable Tensor -> Tensor whose output is (B, d); ``cfg``
-    supplies ``noise_sigma``.  ``noise`` and ``zeta`` override the random draws
-    (used by tests that check the arithmetic against direct evaluation).
+    ``y0`` is the clean output net(batch), which the caller's objective has
+    already computed (and keeps on its tape), so only the perturbed batch is
+    forwarded here.  ``net`` is any callable Tensor -> Tensor whose output is
+    (B, d) or (B,), with ``y0``'s shape; ``cfg`` supplies ``noise_sigma``.
+    ``noise`` and ``zeta`` override the random draws (used by tests that
+    check the arithmetic against direct evaluation).
     """
     xb = batch.data if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
     if xb.ndim < 2 or xb.shape[0] < 2:
@@ -173,10 +176,9 @@ def smoothness_penalty(net, batch, cfg, rng: np.random.Generator, *,
         else:
             raise ConfigError(
                 f"noise_sigma={cfg.noise_sigma!r} cannot produce a usable scale (|zeta| >= 1e-4)")
-    x0 = batch if isinstance(batch, Tensor) else Tensor(xb)
-    x1 = Tensor((flat + zeta * dhat).reshape(xb.shape))
-    y0 = net(x0)
-    y1 = net(x1)
+    y1 = net(Tensor((flat + zeta * dhat).reshape(xb.shape)))
+    if y0.shape != y1.shape:
+        raise ShapeError(f"clean output {y0.shape} does not match the perturbed output {y1.shape}")
     diff = y0 - y1
     if diff.ndim == 1:
         diff = T.reshape(diff, (B, 1))
@@ -197,28 +199,32 @@ def make_dml_objective(cfg: DmlConfig):
     """Build a training closure (net, batch, rng) -> (loss, report).
 
     The network head must be a K-way softmax; for two partitions the loss uses
-    its first column as the scalar label L.
+    its first column as the scalar label L.  One train-mode forward gives the
+    JS term and the smoothness penalty's clean output; the penalty adds one
+    batch-mode forward of the perturbed batch, so batch-norm running stats
+    move once per call.
     """
     from .report import ObjectiveReport
 
     def objective(net, xb: Tensor, rng: np.random.Generator):
-        out = net.forward(xb, train=True)
+        out = net.forward(xb, "train")
         if cfg.partitions == 2:
-            js_loss = dml_binary_loss(T.column(out, 0), cfg)
+            y0 = T.column(out, 0)
+            js_loss = dml_binary_loss(y0, cfg)
 
             def label_fn(t):
-                o = net.forward(t, train=True)
-                return T.reshape(T.column(o, 0), (o.shape[0], 1))
+                return T.column(net.forward(t, "batch"), 0)
         else:
+            y0 = out
             js_loss = dml_multi_loss(PosteriorBatch(out), cfg)
 
             def label_fn(t):
-                return net.forward(t, train=True)
+                return net.forward(t, "batch")
 
         total = js_loss
         smooth_value = 0.0
         if cfg.beta > 0.0:
-            rc = smoothness_penalty(label_fn, xb, cfg, rng)
+            rc = smoothness_penalty(label_fn, xb, y0, cfg, rng)
             smooth = rc * cfg.beta
             total = total + smooth
             smooth_value = smooth.item()

@@ -225,11 +225,8 @@ def mim_v2_loss(sc: StateCollection, cfg: MimConfig, rc=0.0,
     return total, report
 
 
-def pooled_final_state(net, x, train: bool = True) -> Tensor:
-    """The designated smoothness target: last tap, pooled to 1x1 if spatial,
-    flattened to (B, C)."""
-    _, states = net.forward_with_states(x, train=train)
-    s = states[-1]
+def _pooled_vector(s: Tensor) -> Tensor:
+    """A tapped state as (B, C): spatial states average-pooled to 1x1 first."""
     if s.ndim == 4:
         k = max(s.shape[2], s.shape[3])
         s = T.avg_pool2d(s, kernel=k, stride=k)
@@ -237,17 +234,29 @@ def pooled_final_state(net, x, train: bool = True) -> Tensor:
     return s
 
 
+def pooled_final_state(net, x, mode: str) -> Tensor:
+    """The designated smoothness target: last tap of a ``mode`` forward,
+    pooled to 1x1 if spatial, flattened to (B, C)."""
+    _, states = net.forward_with_states(x, mode)
+    return _pooled_vector(states[-1])
+
+
 def make_mim_objective(cfg: MimConfig, *, v1: bool = False):
-    """Build a training closure (net, batch, rng) -> (loss, report)."""
+    """Build a training closure (net, batch, rng) -> (loss, report).
+
+    One train-mode forward gives every state and the smoothness penalty's
+    clean target; the penalty adds one batch-mode forward of the perturbed
+    batch, so batch-norm running stats move once per call.
+    """
     from . import dml  # local import: dml also imports bayes/tensor, no cycle
 
     def objective(net, xb: Tensor, rng: np.random.Generator):
-        _, states = net.forward_with_states(xb, train=True)
+        _, states = net.forward_with_states(xb, "train")
         sc = collect_states(states, cfg)
         rc = 0.0
         if cfg.beta > 0.0:
-            rc = dml.smoothness_penalty(lambda t: pooled_final_state(net, t, train=True),
-                                        xb, cfg, rng)
+            rc = dml.smoothness_penalty(lambda t: pooled_final_state(net, t, "batch"),
+                                        xb, _pooled_vector(states[-1]), cfg, rng)
         return mim_v2_loss(sc, cfg, rc, prior_form="v1" if v1 else "v2")
 
     return objective

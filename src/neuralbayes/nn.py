@@ -3,6 +3,17 @@
 Networks are flat layer lists.  "Taps" mark layers whose post-activation
 output is exported as a hidden state by ``forward_with_states`` (used by the
 multi-state information objective and by probe feature extraction).
+
+Every forward takes one of three modes, which only batch norm tells apart
+(Ioffe & Szegedy, arXiv:1502.03167):
+
+* ``"train"``: normalize with batch statistics and move the running
+  statistics once, the mode of an objective's one clean forward per
+  mini-batch;
+* ``"batch"``: normalize with batch statistics and leave the running
+  statistics alone (perturbed smoothness forwards, batch-statistics
+  evaluation);
+* ``"eval"``: normalize with the running statistics; nothing mutates.
 """
 
 from __future__ import annotations
@@ -18,6 +29,12 @@ from . import tensor as T
 from .tensor import Tensor
 
 BN_VAR_FLOOR = 1e-5
+MODES = ("train", "batch", "eval")
+
+
+def _check_mode(mode) -> None:
+    if mode not in MODES:
+        raise ConfigError(f"unknown forward mode {mode!r}; expected one of {MODES}")
 
 
 def orthogonal_init(rows: int, cols: int, seed: int) -> Tensor:
@@ -49,8 +66,8 @@ class DenseLayer:
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        return T.matmul(x, T.transpose(self.weight)) + self.bias
+    def forward(self, x: Tensor, mode: str) -> Tensor:
+        return T.linear(x, self.weight, self.bias)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -77,7 +94,7 @@ class Conv2dLayer:
         self.kernels = Tensor(w.reshape(out_channels, in_channels, kernel, kernel), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.conv2d(x, self.kernels, self.bias, stride=self.stride, padding=self.padding)
 
     def parameters(self):
@@ -94,10 +111,11 @@ class Conv2dLayer:
 class BatchNormLayer:
     """Feature-wise normalization with running statistics.
 
-    Train mode normalizes with batch statistics (variance floored at 1e-5 so a
-    constant feature yields zeros rather than a division blow-up) and updates
-    the running stats; eval mode uses the stored stats and mutates nothing.
-    Either way the normalization is one ``batch_norm`` tape node.
+    Train and batch mode normalize with batch statistics (variance floored
+    at 1e-5 so a constant feature yields zeros rather than a division
+    blow-up); train mode also folds them into the running stats once.  Eval
+    mode uses the stored stats.  Only train mode mutates anything, and every
+    mode is one ``batch_norm`` tape node.
     """
 
     def __init__(self, features: int, momentum: float = 0.1):
@@ -109,17 +127,20 @@ class BatchNormLayer:
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         if x.ndim not in (2, 4):
             raise ShapeError(f"batch norm expects (B, F) or (B, C, H, W), got shape {x.shape}")
+        _check_mode(mode)
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        if not train:
+        if mode == "eval":
             out, _, _ = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR,
                                      stats=(self.running_mean, self.running_var))
             return out
         if x.shape[0] < 2:
-            raise ShapeError("train-mode batch norm needs a batch of at least 2")
+            raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
         out, mu, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR)
+        if mode == "batch":
+            return out
         n = x.size // self.features
         unbiased = var * (n / (n - 1)) if n > 1 else var
         self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
@@ -140,7 +161,7 @@ class BatchNormLayer:
 
 
 class ReluLayer:
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.relu(x)
 
     def parameters(self):
@@ -154,7 +175,7 @@ class ReluLayer:
 
 
 class TanhLayer:
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.tanh(x)
 
     def parameters(self):
@@ -170,7 +191,7 @@ class TanhLayer:
 class SoftmaxLayer:
     """Softmax along the feature/channel axis (axis 1)."""
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.softmax(x, axis=1)
 
     def parameters(self):
@@ -187,7 +208,7 @@ class MaxPool2dLayer:
     def __init__(self, kernel: int = 2, stride: int = 2):
         self.kernel, self.stride = kernel, stride
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.max_pool2d(x, self.kernel, self.stride)
 
     def parameters(self):
@@ -206,7 +227,7 @@ class AvgPool2dLayer:
     def __init__(self, kernel: int = 2, stride: int = 2, spatial_all: bool = False):
         self.kernel, self.stride, self.spatial_all = kernel, stride, spatial_all
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         if self.spatial_all:
             k = max(x.shape[2], x.shape[3])
             return T.avg_pool2d(x, kernel=k, stride=k)
@@ -224,7 +245,7 @@ class AvgPool2dLayer:
 
 
 class FlattenLayer:
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.reshape(x, (x.shape[0], -1))
 
     def parameters(self):
@@ -261,18 +282,28 @@ class Network:
                 raise ConfigError(f"tap {t} does not reference an existing layer")
         self.taps = tuple(taps)
 
-    def forward_with_states(self, x, train: bool = False) -> tuple[Tensor, list[Tensor]]:
-        """Run the stack, returning the final output and every tapped state in order."""
+    def forward_with_states(self, x, mode: str = "eval", *,
+                            train: bool | None = None) -> tuple[Tensor, list[Tensor]]:
+        """Run the stack in ``mode`` (see the module docstring), returning the
+        final output and every tapped state in order.
+
+        ``train=True`` / ``train=False`` is the boolean spelling of
+        ``"train"`` / ``"eval"``, kept for callers written before the modes
+        (the benchmark's checks).
+        """
+        if train is not None:
+            mode = "train" if train else "eval"
+        _check_mode(mode)
         h = x if isinstance(x, Tensor) else Tensor(x)
         states = {}
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h, train)
+            h = layer.forward(h, mode)
             if i in self.taps:
                 states[i] = h
         return h, [states[i] for i in self.taps]
 
-    def forward(self, x, train: bool = False) -> Tensor:
-        out, _ = self.forward_with_states(x, train)
+    def forward(self, x, mode: str = "eval", *, train: bool | None = None) -> Tensor:
+        out, _ = self.forward_with_states(x, mode, train=train)
         return out
 
     __call__ = forward
@@ -296,14 +327,6 @@ class Network:
 
     def spec(self) -> dict:
         return {"layers": [l.spec() for l in self.layers], "taps": list(self.taps)}
-
-
-def batchnorm_forward(layer: BatchNormLayer, x, mode: str) -> Tensor:
-    """Explicit-mode batch-norm application; ``mode`` is 'train' or 'eval'."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown batch-norm mode {mode!r}")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    return layer.forward(x, train=(mode == "train"))
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -385,7 +408,7 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
             else:
                 raise ConfigError(f"unknown pool mode {mode!r}")
         elif kind == "FC":
-            out = Network(layers).forward(Tensor(probe), train=False).data
+            out = Network(layers).forward(Tensor(probe), "eval").data
             if out.ndim == 4:
                 layers.append(FlattenLayer())
                 flat_dim = out.shape[1] * out.shape[2] * out.shape[3]

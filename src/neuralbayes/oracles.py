@@ -110,7 +110,7 @@ def gradient_equality_check(
     """
     params = net.parameters()
     x = Tensor(np.asarray(batch, dtype=np.float64))
-    posterior = net.forward(x, train=False)
+    posterior = net.forward(x, "eval")
     if np.min(posterior.data) <= 0.0:
         raise DomainError("posterior has zero entries; the guard-free objective is undefined")
 
@@ -128,7 +128,7 @@ def gradient_equality_check(
         for name, p in params.items():
             p.data = np.asarray(values[name], dtype=np.float64)
         try:
-            out = net.forward(Tensor(x.data), train=False)
+            out = net.forward(Tensor(x.data), "eval")
             return -_live_mi_value(out.data)
         finally:
             for name, p in params.items():
@@ -172,7 +172,7 @@ def random_check_case(rng: np.random.Generator) -> tuple["nn.Network", np.ndarra
 def _live_grad(net: "nn.Network", batch: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic gradient of the fully live negative-MI objective (sampler guard)."""
     params = net.parameters()
-    posterior = net.forward(Tensor(batch), train=False)
+    posterior = net.forward(Tensor(batch), "eval")
     prior = tmean(posterior, axis=0)
     objective = neg(tmean(tsum(mul(posterior, log(posterior / prior)), axis=1)))
     return gradients(objective, params)

@@ -12,12 +12,17 @@ Conventions:
   * log guards are always supplied by the caller (``log(x + eps)``), never
     added implicitly,
   * backward closures only reference parent nodes (the output's gradient is
-    passed in), so a dropped tape is reference-count-freed immediately.
+    passed in), so a dropped tape is reference-count-freed immediately; a
+    node that needs no gradient keeps no closure,
+  * inside ``no_tape()`` ops record no parents, so a forward whose output is
+    only read frees every intermediate as soon as the next op has used it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+import contextlib
+import threading
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +31,24 @@ from .errors import DomainError, ShapeError
 Axis = int | tuple[int, ...] | None
 
 BackwardFn = Callable[[np.ndarray], None]
+
+_tape = threading.local()  # per thread: .off is True inside no_tape()
+
+
+@contextlib.contextmanager
+def no_tape() -> Iterator[None]:
+    """Run ops without recording them: every node built inside has no
+    parents and needs no gradient, so nothing can backpropagate through it.
+
+    Forward values are bitwise those of a taped run.  For evaluation-only
+    forwards; leaves created inside still follow their ``requires_grad``.
+    """
+    previous = getattr(_tape, "off", False)
+    _tape.off = True
+    try:
+        yield
+    finally:
+        _tape.off = previous
 
 
 class Tensor:
@@ -46,6 +69,8 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], op: str) -> "Tensor":
+        if getattr(_tape, "off", False):
+            parents = ()
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
@@ -190,7 +215,8 @@ def add(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -201,7 +227,8 @@ def sub(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -212,7 +239,8 @@ def mul(a, b) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -223,7 +251,8 @@ def div(a, b) -> Tensor:
         _accum(a, _unbroadcast(g / b.data, a.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -234,7 +263,8 @@ def neg(x) -> Tensor:
     def backward(g):
         _accum(x, -g)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -248,7 +278,8 @@ def log(x) -> Tensor:
     def backward(g):
         _accum(x, g / x.data)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -260,7 +291,8 @@ def exp(x) -> Tensor:
     def backward(g):
         _accum(x, g * res)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -274,7 +306,8 @@ def sqrt(x) -> Tensor:
     def backward(g):
         _accum(x, g * 0.5 / res)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -285,7 +318,8 @@ def relu(x) -> Tensor:
     def backward(g):
         _accum(x, g * (x.data > 0.0))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -297,7 +331,8 @@ def tanh(x) -> Tensor:
     def backward(g):
         _accum(x, g * (1.0 - res * res))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -313,7 +348,39 @@ def matmul(a, b) -> Tensor:
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
+def linear(x, weight, bias) -> Tensor:
+    """Affine map ``x @ weight.T + bias`` of a (B, in) batch with (out, in)
+    weights, as one node.
+
+    The product reads the weight through its transposed view (BLAS takes
+    the transpose as a flag, so nothing is copied).  The backward is
+    ``g @ weight`` for the input (skipped when the input needs no
+    gradient), ``g.T @ x`` for the weight and the column sums of ``g`` for
+    the bias.
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.ndim != 2 or weight.ndim != 2:
+        raise ShapeError(f"linear expects 2-D input and weight, got {x.shape}, {weight.shape}")
+    if x.shape[1] != weight.shape[1] or bias.shape != (weight.shape[0],):
+        raise ShapeError(f"linear of {x.shape} needs a (out, {x.shape[1]}) weight and (out,) "
+                         f"bias, got {weight.shape} and {bias.shape}")
+    out_data = x.data @ weight.data.T
+    out_data += bias.data
+    out = Tensor._from_op(out_data, (x, weight, bias), "linear")
+
+    def backward(g):
+        if x.requires_grad:
+            _accum(x, g @ weight.data)
+        _accum(weight, g.T @ x.data)
+        _accum(bias, g.sum(axis=0))
+
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -326,7 +393,8 @@ def transpose(x) -> Tensor:
     def backward(g):
         _accum(x, g.T)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -337,7 +405,8 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     def backward(g):
         _accum(x, g.reshape(x.shape))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -359,7 +428,8 @@ def tsum(x, axis: Axis = None) -> Tensor:
             g = np.expand_dims(g, ax)
         _accum(x, np.broadcast_to(g, x.shape).copy())
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -379,7 +449,8 @@ def tmean(x, axis: Axis = None) -> Tensor:
             g = np.expand_dims(g, ax)
         _accum(x, np.broadcast_to(g, x.shape).copy())
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -409,7 +480,8 @@ def softmax(x, axis: int = 1) -> Tensor:
         dot = (g * s).sum(axis=ax, keepdims=True)
         _accum(x, s * (g - dot))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -433,7 +505,8 @@ def column(x, k: int) -> Tensor:
         gx[:, k] = g
         _accum(x, gx)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -449,7 +522,8 @@ def element(x, k: int) -> Tensor:
         gx[k] = g
         _accum(x, gx)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -497,7 +571,8 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
             gx[view] += share
         _accum(x, gx)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -526,7 +601,8 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
             gx[view] += g * first
         _accum(x, gx)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -581,7 +657,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                 gxp[view] += gcols[:, k].transpose(1, 0, 2, 3)
             _accum(x, gxp[:, :, padding:padding + H, padding:padding + W] if padding else gxp)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -644,7 +721,8 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
             np.multiply(g, coef, out=gx)
         _accum(x, gx)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out, mean, var
 
 

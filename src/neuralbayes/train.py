@@ -9,6 +9,7 @@ reproduce identical trajectories bitwise.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import time
 from dataclasses import dataclass, field
@@ -49,7 +50,12 @@ class AdamState:
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update; swaps fresh buffers into the leaves."""
+    """One bias-corrected Adam update; swaps fresh buffers into the leaves.
+
+    The moments are updated in place (they belong to ``state`` alone); the
+    arithmetic is m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+    p - (lr mhat) / (sqrt(vhat) + eps) - (lr wd) p, operation for operation.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
@@ -58,13 +64,24 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} ({name})")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        mhat = state.m[name] / c1
-        vhat = state.v[name] / c2
-        new = p.data - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        step = (1.0 - b1) * g
+        m += step
+        v *= b2
+        np.multiply(1.0 - b2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        vhat = v / c2
+        np.sqrt(vhat, out=vhat)
+        vhat += state.eps
+        step /= vhat
+        new = p.data - step
         if state.weight_decay > 0.0:
-            new = new - state.lr * state.weight_decay * p.data
+            np.multiply(state.lr * state.weight_decay, p.data, out=step)
+            new -= step
         p.data = new
 
 
@@ -120,6 +137,29 @@ class TrainLog:
 ObjectiveFn = Callable[[Network, Tensor, np.random.Generator], tuple[Tensor, ObjectiveReport]]
 
 
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (OSError, TypeError, AttributeError):  # not glibc: nothing to hand back
+    _MALLOC_TRIM = None
+
+
+def release_free_heap() -> None:
+    """Hand the heap pages of freed arrays back to the operating system.
+
+    glibc serves arrays below its mmap threshold from the heap, and the
+    threshold climbs to 32 MB once large arrays have come and gone, so a
+    step's tape leaves hundreds of MB of freed chunks there.  Their pages stay
+    resident, and how many of them later allocations can reuse depends on how
+    the chunks happened to fragment, which changes with the number of steps
+    run.  ``malloc_trim(0)`` returns every free page, so the resident set
+    afterwards is the live arrays.  A no-op where the C library has no
+    ``malloc_trim``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
                     sched: AccumulationSchedule, opt: AdamState, seed: int,
                     epoch_callback: Callable[[int, Network], bool | None] | None = None) -> TrainLog:
@@ -133,6 +173,10 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
 
     ``epoch_callback(epoch, net)`` runs after every epoch; returning True
     stops training early (the hook used for holdout-based early stopping).
+    On return the heap pages the steps freed are handed back
+    (``release_free_heap``), so the caller's resident set is its live
+    arrays.  Not between steps or epochs: the next step would fault the
+    pages straight back in.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -179,6 +223,8 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
         if epoch_callback is not None and epoch_callback(epoch, net):
             break
     log.wall_clock = time.perf_counter() - start
+    del loss  # the last step's tape, so that its pages go back too
+    release_free_heap()
     return log
 
 
@@ -237,10 +283,11 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
         order = rng.permutation(train_idx.size)
         for b in range(train_idx.size // batch_size):
             idx = train_idx[order[b * batch_size:(b + 1) * batch_size]]
-            loss = softmax_cross_entropy(probe.forward(Tensor(features[idx]), train=True),
+            loss = softmax_cross_entropy(probe.forward(Tensor(features[idx]), "train"),
                                          onehot[idx])
             adam_step(params, gradients(loss, params), opt)
-    logits = probe.forward(Tensor(features[test_idx]), train=False).data
+    with T.no_tape():
+        logits = probe.forward(Tensor(features[test_idx]), "eval").data
     return float((logits.argmax(axis=1) == labels[test_idx]).mean())
 
 
@@ -248,18 +295,22 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
                      bn_train_mode: bool = False, batch_size: int = 1000) -> np.ndarray:
     """Frozen hidden-state features at a named tap ('h0'.., 'last', or 'out').
 
-    Batch norm runs in eval mode by default; nothing in the network mutates
-    except (in the non-default train mode) running statistics.
+    Batch norm normalizes with its running statistics by default, or with
+    each chunk's own statistics when ``bn_train_mode`` is set (the "batch"
+    mode); either way nothing in the network mutates.  The forwards record
+    no tape.
     """
     names = net.tap_names()
     if tap == "last":
         tap = names[-1] if names else "out"
     if tap != "out" and tap not in names:
         raise ConfigError(f"unknown tap {tap!r}; available: {names + ['out', 'last']}")
+    mode = "batch" if bn_train_mode else "eval"
     chunks = []
     for start in range(0, points.shape[0], batch_size):
         xb = Tensor(np.asarray(points[start:start + batch_size], dtype=np.float64))
-        out, states = net.forward_with_states(xb, train=bn_train_mode)
+        with T.no_tape():
+            out, states = net.forward_with_states(xb, mode)
         h = out if tap == "out" else states[names.index(tap)]
         chunks.append(h.data.reshape(h.shape[0], -1))
     return np.vstack(chunks)
@@ -267,10 +318,11 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
 
 def predict_components(net: Network, points: np.ndarray, batch_size: int = 2000) -> np.ndarray:
     """Hard labels from the network head: argmax over states (0.5 threshold
-    for a two-column head)."""
+    for a two-column head), from eval-mode forwards that record no tape."""
     preds = []
     for start in range(0, points.shape[0], batch_size):
-        out = net.forward(Tensor(points[start:start + batch_size]), train=False).data
+        with T.no_tape():
+            out = net.forward(Tensor(points[start:start + batch_size]), "eval").data
         preds.append(out.argmax(axis=1))
     return np.concatenate(preds)
 

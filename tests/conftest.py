@@ -14,6 +14,42 @@ from neuralbayes.tensor import Tensor
 MNIST_ENV = "NB_MNIST_DIR"
 
 
+class CountingNet:
+    """Network proxy that counts forwards through either entry point; the
+    mode is passed positionally, as the objectives call it."""
+
+    def __init__(self, net: nn.Network):
+        self.net, self.calls = net, 0
+
+    def forward(self, x, mode="eval"):
+        self.calls += 1
+        return self.net.forward(x, mode)
+
+    __call__ = forward
+
+    def forward_with_states(self, x, mode="eval"):
+        self.calls += 1
+        return self.net.forward_with_states(x, mode)
+
+
+def assert_moved_once(net: nn.Network, fresh: nn.Network, x: Tensor) -> None:
+    """Every batch-norm buffer of ``net`` holds exactly one momentum update
+    from its initial value toward the statistics of the clean batch ``x``,
+    whose layer inputs are replayed through ``fresh`` (an untouched copy)."""
+    h = x
+    for layer, used in zip(fresh.layers, net.layers):
+        if isinstance(layer, nn.BatchNormLayer):
+            axes = (0,) if h.ndim == 2 else (0, 2, 3)
+            m, n = layer.momentum, h.size // layer.features
+            mean = h.data.mean(axis=axes)
+            var = np.square(h.data - h.data.mean(axis=axes, keepdims=True)).mean(axis=axes)
+            want_mean = (1 - m) * layer.running_mean + m * mean
+            want_var = (1 - m) * layer.running_var + m * (var * (n / (n - 1)))
+            assert used.running_mean.tobytes() == want_mean.tobytes()
+            assert used.running_var.tobytes() == want_var.tobytes()
+        h = layer.forward(h, "batch")
+
+
 def find_mnist() -> tuple[Path, Path] | None:
     """Locate the standard train IDX pair under $NB_MNIST_DIR or data/mnist."""
     base = Path(os.environ.get(MNIST_ENV, Path(__file__).parent.parent / "data" / "mnist"))

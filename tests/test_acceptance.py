@@ -91,7 +91,7 @@ def _train_labeling(ds, partitions, beta, net_seed, shuffle_seed, mbs, bs,
                               seed=shuffle_seed + chunk)
         pred = train.predict_components(net, ds.points)
         acc = train.cluster_accuracy(pred, ds.components, partitions)
-        out = net.forward(Tensor(ds.points), train=False).data
+        out = net.forward(Tensor(ds.points), "eval").data
         if partitions == 2:
             L = out[:, 0]
             value = dml.dml_binary_objective(L, float(L.mean()))

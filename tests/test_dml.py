@@ -12,6 +12,8 @@ from neuralbayes import tensor as T
 from neuralbayes.errors import ConfigError, DegeneratePriorError, ShapeError
 from neuralbayes.tensor import Tensor
 
+from conftest import CountingNet, assert_moved_once
+
 LOG2 = math.log(2.0)
 CFG = dml.DmlConfig(partitions=2, beta=0.0)
 
@@ -150,7 +152,8 @@ class TestSmoothnessPenalty:
         def const(t):
             return Tensor(np.ones((t.shape[0], 2)))
 
-        v = dml.smoothness_penalty(const, batch, CFG, np.random.default_rng(1))
+        v = dml.smoothness_penalty(const, batch, const(Tensor(batch)), CFG,
+                                   np.random.default_rng(1))
         assert v.item() == 0.0
 
     def test_linear_map_matches_direct_evaluation(self):
@@ -162,9 +165,10 @@ class TestSmoothnessPenalty:
             return T.matmul(t, Tensor(W))
 
         noise = rng.standard_normal((12, 12))
-        got1 = dml.smoothness_penalty(linear, batch, CFG, np.random.default_rng(0),
+        y0 = linear(Tensor(batch))
+        got1 = dml.smoothness_penalty(linear, batch, y0, CFG, np.random.default_rng(0),
                                       noise=noise, zeta=0.05).item()
-        got2 = dml.smoothness_penalty(linear, batch, CFG, np.random.default_rng(0),
+        got2 = dml.smoothness_penalty(linear, batch, y0, CFG, np.random.default_rng(0),
                                       noise=noise, zeta=0.8).item()
         delta = batch.T @ noise
         dhat = (delta / np.linalg.norm(delta, axis=0)).T
@@ -183,8 +187,9 @@ class TestSmoothnessPenalty:
             captured.setdefault("batches", []).append(t.data.copy())
             return Tensor(np.zeros((t.shape[0], 1)))
 
-        dml.smoothness_penalty(probe, batch, CFG, np.random.default_rng(4), zeta=0.07)
-        perturbed = captured["batches"][1]
+        dml.smoothness_penalty(probe, batch, Tensor(np.zeros((6, 1))), CFG,
+                               np.random.default_rng(4), zeta=0.07)
+        [perturbed] = captured["batches"]  # the clean output is the caller's
         directions = perturbed - batch
         # each perturbation is zeta times a unit vector
         np.testing.assert_allclose(np.linalg.norm(directions, axis=1), 0.07, atol=1e-9)
@@ -195,15 +200,17 @@ class TestSmoothnessPenalty:
 
     def test_zero_batch_rejected(self):
         with pytest.raises(ShapeError):
-            dml.smoothness_penalty(lambda t: t, np.zeros((4, 2)), CFG, np.random.default_rng(0))
+            dml.smoothness_penalty(lambda t: t, np.zeros((4, 2)), Tensor(np.zeros((4, 2))), CFG,
+                                   np.random.default_rng(0))
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(5)
         batch = rng.standard_normal((7, 3))
         net = nn.build_mlp(3, [5], 2, seed=0)
-        a = dml.smoothness_penalty(lambda t: net.forward(t), batch, CFG,
+        y0 = net.forward(Tensor(batch))
+        a = dml.smoothness_penalty(lambda t: net.forward(t), batch, y0, CFG,
                                    np.random.default_rng(11)).item()
-        b = dml.smoothness_penalty(lambda t: net.forward(t), batch, CFG,
+        b = dml.smoothness_penalty(lambda t: net.forward(t), batch, y0, CFG,
                                    np.random.default_rng(11)).item()
         assert a == b
 
@@ -212,13 +219,21 @@ class TestSmoothnessPenalty:
         batch = rng.standard_normal((5, 2))
         # sigma around the 1e-4 floor: several redraws happen, then a usable draw
         near = dml.DmlConfig(partitions=2, noise_sigma=2e-4)
-        v = dml.smoothness_penalty(lambda t: t, batch, near, np.random.default_rng(7))
+        v = dml.smoothness_penalty(lambda t: t, batch, Tensor(batch), near,
+                                   np.random.default_rng(7))
         assert np.isfinite(v.item())
         # a sigma so tiny that no draw can clear the floor is a config error
         with pytest.raises(ConfigError):
-            dml.smoothness_penalty(lambda t: t, batch,
+            dml.smoothness_penalty(lambda t: t, batch, Tensor(batch),
                                    dml.DmlConfig(partitions=2, noise_sigma=1e-7),
                                    np.random.default_rng(8))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (4, 2)])
+    def test_clean_output_shape_checked(self, shape):
+        batch = np.random.default_rng(9).standard_normal((5, 2))
+        with pytest.raises(ShapeError, match="clean output"):
+            dml.smoothness_penalty(lambda t: t, batch, Tensor(np.zeros(shape)), CFG,
+                                   np.random.default_rng(10))
 
 
 class TestObjectiveClosure:
@@ -246,3 +261,64 @@ class TestObjectiveClosure:
             dml.DmlConfig(partitions=2, epsilon=0.0)
         with pytest.raises(ConfigError):
             dml.DmlConfig(partitions=2, noise_sigma=0.0)
+
+
+def three_forward_dml(cfg):
+    """The objective as written before it reused its clean forward: the
+    smoothness penalty's clean output came from a second train-mode forward
+    of the same batch (a test-only reference)."""
+
+    def objective(net, xb, rng):
+        out = net.forward(xb, "train")
+        if cfg.partitions == 2:
+            js_loss = dml.dml_binary_loss(T.column(out, 0), cfg)
+
+            def label_fn(t):
+                o = net.forward(t, "train")
+                return T.reshape(T.column(o, 0), (o.shape[0], 1))
+        else:
+            js_loss = dml.dml_multi_loss(bayes.PosteriorBatch(out), cfg)
+
+            def label_fn(t):
+                return net.forward(t, "train")
+
+        if cfg.beta == 0.0:
+            return js_loss, None
+        rc = dml.smoothness_penalty(label_fn, xb, label_fn(xb), cfg, rng)
+        return js_loss + rc * cfg.beta, None
+
+    return objective
+
+
+class TestCleanForwardReuse:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("beta,forwards", [(1.5, 2), (0.0, 1)])
+    def test_forwards_per_call(self, k, beta, forwards):
+        net = CountingNet(nn.build_mlp(4, [8], k, seed=1, batchnorm=True, softmax_head=True))
+        objective = dml.make_dml_objective(dml.DmlConfig(partitions=k, beta=beta))
+        objective(net, Tensor(np.random.default_rng(2).standard_normal((16, 4))),
+                  np.random.default_rng(3))
+        assert net.calls == forwards
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_three_forward_reference(self, k):
+        cfg = dml.DmlConfig(partitions=k, beta=2.0)
+        xb = Tensor(np.random.default_rng(4).standard_normal((20, 5)))
+        results = []
+        for build in (dml.make_dml_objective, three_forward_dml):
+            net = nn.build_mlp(5, [12, 12], k, seed=5, batchnorm=True, softmax_head=True)
+            loss, _ = build(cfg)(net, xb, np.random.default_rng(6))
+            results.append((loss, T.gradients(loss, net.parameters())))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_running_stats_move_once(self, k):
+        net = nn.build_mlp(4, [8, 6], k, seed=7, batchnorm=True, softmax_head=True)
+        xb = Tensor(np.random.default_rng(8).standard_normal((16, 4)) + 1.0)
+        dml.make_dml_objective(dml.DmlConfig(partitions=k, beta=2.0))(
+            net, xb, np.random.default_rng(9))
+        assert_moved_once(net, nn.build_mlp(4, [8, 6], k, seed=7, batchnorm=True,
+                                            softmax_head=True), xb)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbayes import bayes, mim, nn, oracles
+from neuralbayes import bayes, dml, mim, nn, oracles
 from neuralbayes import tensor as T
 from neuralbayes.errors import ConfigError, DomainError
 from neuralbayes.tensor import Tensor
+
+from conftest import CountingNet, assert_moved_once
 
 LOG2 = math.log(2.0)
 
@@ -249,3 +251,63 @@ class TestV2Loss:
             mim.MimConfig(epsilon=0.0)
         with pytest.raises(ConfigError):
             mim.MimConfig(alpha=-1.0)
+
+
+def three_forward_mim(cfg):
+    """The objective as written before it reused its clean forward: the
+    smoothness target of the clean batch came from a second train-mode
+    forward (a test-only reference)."""
+
+    def objective(net, xb, rng):
+        _, states = net.forward_with_states(xb, "train")
+        rc = 0.0
+        if cfg.beta > 0.0:
+            def target(t):
+                return mim.pooled_final_state(net, t, "train")
+
+            rc = dml.smoothness_penalty(target, xb, target(xb), cfg, rng)
+        return mim.mim_v2_loss(mim.collect_states(states, cfg), cfg, rc)[0]
+
+    return objective
+
+
+CNN_ARCH = "C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)"
+
+
+def small_cnn():
+    return nn.build_cnn(CNN_ARCH, (1, 10, 10), seed=3, batchnorm=True)
+
+
+def small_mlp():
+    return nn.build_mlp(5, [7, 6], None, seed=4, batchnorm=True)
+
+
+class TestCleanForwardReuse:
+    @pytest.mark.parametrize("beta,forwards", [(4.0, 2), (0.0, 1)])
+    def test_forwards_per_call(self, beta, forwards):
+        net = CountingNet(small_cnn())
+        objective = mim.make_mim_objective(mim.MimConfig(alpha=1.0, beta=beta, use_scales=True))
+        objective(net, Tensor(np.random.default_rng(0).standard_normal((6, 1, 10, 10))),
+                  np.random.default_rng(1))
+        assert net.calls == forwards
+
+    @pytest.mark.parametrize("make_net,shape", [(small_cnn, (8, 1, 10, 10)),
+                                                (small_mlp, (8, 5))])
+    def test_matches_three_forward_reference(self, make_net, shape):
+        cfg = mim.MimConfig(alpha=2.0, beta=4.0, use_scales=True)
+        net = make_net()
+        xb = Tensor(np.random.default_rng(2).standard_normal(shape))
+        loss, _ = mim.make_mim_objective(cfg)(net, xb, np.random.default_rng(3))
+        ref_net = make_net()
+        ref_loss = three_forward_mim(cfg)(ref_net, xb, np.random.default_rng(3))
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        grads = T.gradients(loss, net.parameters())
+        ref_grads = T.gradients(ref_loss, ref_net.parameters())
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_running_stats_move_once(self):
+        net = small_cnn()
+        xb = Tensor(np.random.default_rng(5).standard_normal((6, 1, 10, 10)) + 0.5)
+        mim.make_mim_objective(mim.MimConfig(beta=4.0))(net, xb, np.random.default_rng(6))
+        assert_moved_once(net, small_cnn(), xb)

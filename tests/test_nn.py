@@ -41,7 +41,7 @@ class TestOrthogonalInit:
 
 
 class TestLayerGradients:
-    def _check(self, layer, x, train=True, tol=1e-4):
+    def _check(self, layer, x, mode="train", tol=1e-4):
         """Finite-difference check of d(sum(out^2))/d(params, input)."""
         params = dict(layer.parameters())
         params["x"] = x
@@ -51,7 +51,7 @@ class TestLayerGradients:
             for name, t in p.items():
                 if name != "x":
                     setattr(layer, name, t)
-            out = layer.forward(p["x"], train)
+            out = layer.forward(p["x"], mode)
             for name, v in saved_stats.items():  # keep running stats fixed across evals
                 layer.set_buffer(name, v.copy())
             return T.tsum(out * out)
@@ -81,7 +81,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(2)
         layer = nn.BatchNormLayer(3)
         x = Tensor(rng.standard_normal((6, 3)) * 2.0 + 1.0, requires_grad=True)
-        self._check(layer, x, train=True)
+        self._check(layer, x)
 
     def test_batchnorm_train_feature_maps(self):
         rng = np.random.default_rng(15)
@@ -89,7 +89,7 @@ class TestLayerGradients:
         layer.scale = Tensor(rng.uniform(0.5, 2.0, 3), requires_grad=True)
         layer.shift = Tensor(rng.standard_normal(3), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 3, 2, 3)) * 2.0 + 1.0, requires_grad=True)
-        self._check(layer, x, train=True)
+        self._check(layer, x)
 
     @pytest.mark.parametrize("shape", [(6, 3), (3, 3, 2, 2)])
     @pytest.mark.parametrize("spread", [0.0, 1e-3])
@@ -102,7 +102,7 @@ class TestLayerGradients:
         layer.scale = Tensor(rng.uniform(0.5, 2.0, 3), requires_grad=True)
         data = rng.standard_normal(shape)
         data[:, 1] = 2.5 + spread * rng.standard_normal(data[:, 1].shape)
-        self._check(layer, Tensor(data, requires_grad=True), train=True)
+        self._check(layer, Tensor(data, requires_grad=True))
 
     def test_batchnorm_eval(self):
         rng = np.random.default_rng(3)
@@ -110,7 +110,7 @@ class TestLayerGradients:
         layer.running_mean = rng.standard_normal(3)
         layer.running_var = rng.uniform(0.5, 2.0, 3)
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        self._check(layer, x, train=False)
+        self._check(layer, x, "eval")
 
 
 class TestBatchNorm:
@@ -118,7 +118,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         layer = nn.BatchNormLayer(5)
         x = Tensor(rng.standard_normal((64, 5)) * 3.0 + 7.0)
-        out = nn.batchnorm_forward(layer, x, "train").data
+        out = layer.forward(x, "train").data
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
@@ -126,7 +126,7 @@ class TestBatchNorm:
         layer = nn.BatchNormLayer(2)
         layer.shift = Tensor(np.array([3.0, -1.0]), requires_grad=True)
         x = Tensor(np.full((8, 2), 5.0))
-        out = nn.batchnorm_forward(layer, x, "train").data
+        out = layer.forward(x, "train").data
         np.testing.assert_allclose(out, np.tile([3.0, -1.0], (8, 1)), atol=1e-12)
 
     def test_eval_is_pure(self):
@@ -136,8 +136,8 @@ class TestBatchNorm:
         layer.running_var = rng.uniform(0.5, 2.0, 3)
         rm, rv = layer.running_mean.copy(), layer.running_var.copy()
         x = Tensor(rng.standard_normal((4, 3)))
-        a = nn.batchnorm_forward(layer, x, "eval").data
-        b = nn.batchnorm_forward(layer, x, "eval").data
+        a = layer.forward(x, "eval").data
+        b = layer.forward(x, "eval").data
         assert np.array_equal(a, b)
         assert np.array_equal(layer.running_mean, rm) and np.array_equal(layer.running_var, rv)
 
@@ -145,9 +145,9 @@ class TestBatchNorm:
         rng = np.random.default_rng(6)
         layer = nn.BatchNormLayer(3)
         x = Tensor(rng.standard_normal((16, 3)) + 4.0)
-        train_out = nn.batchnorm_forward(layer, x, "train").data
+        train_out = layer.forward(x, "train").data
         assert not np.array_equal(layer.running_mean, np.zeros(3))
-        eval_out = nn.batchnorm_forward(layer, x, "eval").data
+        eval_out = layer.forward(x, "eval").data
         assert not np.allclose(train_out, eval_out)
 
     @pytest.mark.parametrize("shape,axes", [((16, 3), (0,)), ((6, 3, 4, 5), (0, 2, 3))])
@@ -155,27 +155,41 @@ class TestBatchNorm:
         rng = np.random.default_rng(17)
         layer = nn.BatchNormLayer(3, momentum=0.1)
         x = rng.standard_normal(shape) * 2.0 + 3.0
-        nn.batchnorm_forward(layer, Tensor(x), "train")
+        layer.forward(Tensor(x), "train")
         m, n = 0.1, x.size // 3
         np.testing.assert_allclose(layer.running_mean, m * x.mean(axis=axes), rtol=0, atol=1e-12)
         np.testing.assert_allclose(layer.running_var,
                                    (1 - m) + m * x.var(axis=axes) * n / (n - 1), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16, 3), (6, 3, 4, 5)])
+    def test_batch_mode_normalizes_like_train_and_moves_nothing(self, shape):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal(shape) * 2.0 + 3.0)
+        layer = nn.BatchNormLayer(3)
+        layer.running_mean = rng.standard_normal(3)
+        layer.running_var = rng.uniform(0.5, 2.0, 3)
+        rm, rv = layer.running_mean.copy(), layer.running_var.copy()
+        out = layer.forward(x, "batch").data
+        assert layer.running_mean.tobytes() == rm.tobytes()
+        assert layer.running_var.tobytes() == rv.tobytes()
+        assert np.array_equal(out, layer.forward(x, "train").data)
+
     def test_batch_of_one_rejected(self):
         layer = nn.BatchNormLayer(3)
-        with pytest.raises(ShapeError):
-            nn.batchnorm_forward(layer, Tensor(np.ones((1, 3))), "train")
+        for mode in ("train", "batch"):
+            with pytest.raises(ShapeError):
+                layer.forward(Tensor(np.ones((1, 3))), mode)
 
     def test_conv_featuremaps(self):
         rng = np.random.default_rng(7)
         layer = nn.BatchNormLayer(4)
         x = Tensor(rng.standard_normal((8, 4, 3, 3)) * 2.0 - 1.0)
-        out = nn.batchnorm_forward(layer, x, "train").data
+        out = layer.forward(x, "train").data
         np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
-            nn.batchnorm_forward(nn.BatchNormLayer(2), Tensor(np.ones((4, 2))), "warmup")
+            nn.BatchNormLayer(2).forward(Tensor(np.ones((4, 2))), "warmup")
 
 
 class TestForwardWithStates:
@@ -216,10 +230,26 @@ class TestForwardWithStates:
     def test_cnn_with_global_pool_and_head(self):
         arch = "C(8,3,1,0)-P(2,2,0,max)-C(12,3,1,0)-P(.,.,.,avg)-FC(10)"
         net = nn.build_cnn(arch, (1, 12, 12), seed=3, batchnorm=True, softmax_head=True)
-        out, states = net.forward_with_states(Tensor(np.random.default_rng(12).standard_normal((2, 1, 12, 12))), train=True)
+        out, states = net.forward_with_states(Tensor(np.random.default_rng(12).standard_normal((2, 1, 12, 12))), "train")
         assert out.shape == (2, 10)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
         assert len(states) == 2
+
+    def test_modes_and_train_keyword(self):
+        x = Tensor(np.random.default_rng(19).standard_normal((6, 3)) + 2.0)
+
+        def net():
+            return nn.build_mlp(3, [4], 2, seed=5, batchnorm=True)
+
+        a, b = net(), net()
+        assert np.array_equal(a.forward(x).data, a.forward(x, "eval").data)
+        assert np.array_equal(a.forward(x, train=False).data, a.forward(x, "eval").data)
+        assert np.array_equal(a.forward(x, "train").data, b.forward(x, train=True).data)
+        assert all(np.array_equal(a.buffers()[k], b.buffers()[k]) for k in a.buffers())
+        with pytest.raises(ConfigError):
+            a.forward(x, "warmup")
+        with pytest.raises(ConfigError):
+            nn.build_mlp(3, [4], 2, seed=5).forward(x, True)
 
     def test_bad_tap_rejected(self):
         with pytest.raises(ConfigError):
@@ -238,7 +268,7 @@ class TestForwardWithStates:
 class TestCheckpoint:
     def _train_a_little(self, net, x):
         params = net.parameters()
-        loss = T.tsum(net.forward(Tensor(x), train=True))
+        loss = T.tsum(net.forward(Tensor(x), "train"))
         grads = T.gradients(loss, params)
         for name, p in params.items():
             p.data = p.data - 0.01 * grads[name]

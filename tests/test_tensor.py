@@ -122,6 +122,65 @@ class TestMatmul:
         fd_check(lambda p: T.tsum(T.reshape(T.transpose(p["a"]), (2, 6)) * 3.0), params)
 
 
+class TestLinear:
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(30)
+        x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((3, 4)), rng.standard_normal(3)
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+        assert out.op == "linear" and out.shape == (6, 3)
+        np.testing.assert_allclose(out.data, x @ w.T + b, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_gradient_vs_finite_differences(self, x_grad):
+        rng = np.random.default_rng(31)
+        params = {"w": Tensor(rng.standard_normal((3, 5)), requires_grad=True),
+                  "b": Tensor(rng.standard_normal(3), requires_grad=True)}
+        x = Tensor(rng.standard_normal((7, 5)), requires_grad=x_grad)
+        if x_grad:
+            params["x"] = x
+        wgt = rng.standard_normal((7, 3))
+        fd_check(lambda p: T.tsum(T.linear(p.get("x", x), p["w"], p["b"]) * wgt), params)
+
+    def test_shapes_checked(self):
+        x, w = Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            T.linear(x, Tensor(np.ones((3, 5))), Tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            T.linear(x, w, Tensor(np.ones(4)))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones(4)), w, Tensor(np.ones(3)))
+
+
+class TestNoTape:
+    def _forward(self, net, x):
+        out, states = net.forward_with_states(Tensor(x), "eval")
+        return [out] + states
+
+    def test_forward_bitwise_equal_and_unrecorded(self):
+        net = nn.build_cnn("C(4,3,1,1)-P(2,2,0,max)-C(5,3,1,0)-FC(3)", (2, 8, 8), seed=4,
+                           softmax_head=True)
+        x = np.random.default_rng(32).standard_normal((3, 2, 8, 8))
+        taped = self._forward(net, x)
+        with T.no_tape():
+            bare = self._forward(net, x)
+        for a, b in zip(taped, bare):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert a._parents and a.requires_grad
+            assert b._parents == () and not b.requires_grad
+
+    def test_recording_resumes_after_exit_and_exception(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with T.no_tape():
+            assert (w * 2.0)._parents == ()
+        assert (w * 2.0)._parents
+        with pytest.raises(DomainError):
+            with T.no_tape():
+                T.log(w - 1.0)
+        out = T.tsum(T.log(w * 2.0))
+        out.backward()
+        np.testing.assert_allclose(w.grad, np.ones((2, 2)), rtol=0, atol=1e-15)
+
+
 class TestSoftmax:
     def test_uniform_row(self):
         out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
@@ -277,12 +336,12 @@ class TestPooling:
         rng = np.random.default_rng(22)
         x = rng.standard_normal((3, 4, 5, 3))
         layer = nn.AvgPool2dLayer(spatial_all=True)
-        out = layer.forward(Tensor(x), train=False)
+        out = layer.forward(Tensor(x), "eval")
         assert out.shape == (3, 4, 1, 1)
         np.testing.assert_allclose(out.data[:, :, 0, 0], x.mean(axis=(2, 3)), rtol=0, atol=1e-12)
         params = {"x": Tensor(x, requires_grad=True)}
         w = rng.standard_normal((3, 4, 1, 1))
-        fd_check(lambda p: T.tsum(layer.forward(p["x"], train=True) * w), params)
+        fd_check(lambda p: T.tsum(layer.forward(p["x"], "train") * w), params)
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2), (2, 1)])
     def test_max_pool_ties_route_to_first_maximum(self, kernel, stride):

@@ -1,6 +1,10 @@
 """Optimizer, accumulation schedule, probe, and cluster-scoring contracts."""
 
 import itertools
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -42,6 +46,32 @@ class TestAdam:
         with pytest.raises(ShapeError):
             train.adam_step(p, {"w": np.zeros(4)}, state)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_moments_match_reference_formula(self, weight_decay):
+        rng = np.random.default_rng(7)
+        shapes = {"w": (5, 4), "b": (4,)}
+        params = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        state = train.AdamState.for_params(params, lr=0.01, weight_decay=weight_decay)
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            train.adam_step(params, grads, state)
+            for k, g in grads.items():  # the allocating formula, term for term
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                mhat = m[k] / (1.0 - b1**step)
+                vhat = v[k] / (1.0 - b2**step)
+                new = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+                if weight_decay > 0.0:
+                    new = new - lr * weight_decay * ref[k]
+                ref[k] = new
+                assert params[k].data.tobytes() == ref[k].tobytes()
+                assert state.m[k].tobytes() == m[k].tobytes()
+                assert state.v[k].tobytes() == v[k].tobytes()
+
 
 class TestSchedule:
     def test_validation(self):
@@ -66,7 +96,7 @@ def constant_prior_objective(prior):
     """Per-sample decomposable loss (prior held constant) for linearity checks."""
 
     def objective(net, xb, rng):
-        out = net.forward(xb, train=False)
+        out = net.forward(xb, "eval")
         loss = T.neg(T.tmean(T.tsum(out * T.log(out / Tensor(prior) + 1e-8), axis=1)))
         from neuralbayes.report import ObjectiveReport
         return loss, ObjectiveReport(mi_term=loss.item(), total=loss.item())
@@ -99,7 +129,7 @@ class TestAccumulation:
         points = rng.standard_normal((64, 3))
 
         def live(net, xb):
-            out = net.forward(xb, train=False)
+            out = net.forward(xb, "eval")
             p = bayes.PosteriorBatch(out)
             return mim.mim_v1_loss(p)
 
@@ -161,6 +191,79 @@ class TestDeterminism:
                    for name, p in net_a.parameters().items())
 
 
+
+# A fresh interpreter, so the heap state does not depend on the tests run before.
+# Freeing a 30 MB mmapped array raises glibc's mmap threshold above 1 MB; the 1 MB
+# arrays then come from the heap, below a pinned one that keeps them off its top.
+HEAP_SCRIPT = """
+import os
+import numpy as np
+from neuralbayes.train import release_free_heap
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+big = np.ones(30 * 2**20 // 8)
+del big
+chunks = [np.ones(2**20 // 8) for _ in range(64)]
+pin = np.ones(2**20 // 8)
+del chunks
+before = rss()
+release_free_heap()
+print(before - rss())
+"""
+
+
+class TestMemory:
+    def _train(self, objective, epochs=2, callback=None):
+        ds = D.standardize(D.make_two_moons(32, seed=1))
+        net = nn.build_mlp(2, [8], 2, seed=2, batchnorm=True)
+        sched = train.AccumulationSchedule(mbs=16, bs=32, epochs=epochs)
+        opt = train.AdamState.for_params(net.parameters())
+        return train.train_objective(net, ds.points, objective, sched, opt, seed=3,
+                                     epoch_callback=callback)
+
+    def test_no_tape_alive_when_heap_released(self, monkeypatch):
+        inner = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=1.0))
+        tapes, alive = [], []
+
+        def objective(net, xb, rng):
+            loss, report = inner(net, xb, rng)
+            largest = max((node.data for node in T._toposort(loss) if node.op != "leaf"),
+                          key=np.size)
+            tapes.append(weakref.ref(largest))  # an array only the tape holds
+            return loss, report
+
+        monkeypatch.setattr(train, "release_free_heap",
+                            lambda: alive.append(sum(ref() is not None for ref in tapes)))
+        self._train(objective)
+        assert len(tapes) == 8  # 2 epochs of 4 mini-batches
+        assert alive == [0]
+
+    @pytest.mark.parametrize("stop_after", [None, 0])
+    def test_free_heap_released_once_on_return(self, monkeypatch, stop_after):
+        events = []
+        monkeypatch.setattr(train, "release_free_heap", lambda: events.append("release"))
+
+        def callback(epoch, net):
+            events.append(f"callback {epoch}")
+            return epoch == stop_after
+
+        self._train(dml.make_dml_objective(dml.DmlConfig(partitions=2)), callback=callback)
+        expected = ["callback 0", "release"] if stop_after == 0 else \
+            ["callback 0", "callback 1", "release"]
+        assert events == expected
+
+    @pytest.mark.skipif(train._MALLOC_TRIM is None or not os.path.exists("/proc/self/statm"),
+                        reason="needs glibc malloc_trim and /proc")
+    def test_release_free_heap_returns_freed_pages(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(train.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert int(done.stdout) >= 32 * 2**20  # at least half of the 64 MB freed below the pin
+
 class TestLinearProbe:
     def test_separable_features(self):
         rng = np.random.default_rng(3)
@@ -187,6 +290,25 @@ class TestLinearProbe:
         train.linear_probe(feats, rng.integers(0, 3, 100), hidden_units=8, epochs=3, seed=2)
         for name, p in net.parameters().items():
             assert np.array_equal(p.data, before[name]), name
+
+    @pytest.mark.parametrize("bn_train_mode", [False, True])
+    def test_extract_features_moves_no_buffer(self, bn_train_mode):
+        net = nn.build_cnn("C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)", (1, 8, 8), seed=3)
+        for layer in net.layers:
+            if isinstance(layer, nn.BatchNormLayer):
+                layer.running_mean = np.full(layer.features, 0.3)
+                layer.running_var = np.full(layer.features, 2.0)
+        before = {k: b.copy() for k, b in net.buffers().items()}
+        points = np.random.default_rng(10).standard_normal((12, 1, 8, 8))
+        feats = train.extract_features(net, points, bn_train_mode=bn_train_mode, batch_size=5)
+        for name, b in net.buffers().items():
+            assert b.tobytes() == before[name].tobytes(), name
+        mode = "batch" if bn_train_mode else "eval"
+        want = []
+        for s in range(0, 12, 5):  # chunk by chunk, as the extraction batches them
+            h = net.forward_with_states(Tensor(points[s:s + 5]), mode)[1][-1].data
+            want.append(h.reshape(h.shape[0], -1))
+        assert np.array_equal(feats, np.vstack(want))
 
     def test_tap_selection(self):
         net = nn.build_mlp(3, [7, 9], 2, seed=8)
