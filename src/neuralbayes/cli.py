@@ -24,7 +24,7 @@ from . import dml as dml_mod
 from . import mim as mim_mod
 from . import nn, oracles, train as train_mod
 from .errors import ConfigError
-from .tensor import Tensor
+from .tensor import Tensor, no_tape
 
 DML_ARCH_HIDDEN = [400, 400, 400, 400]   # 4-layer MLP, 400 units, batch norm, softmax head
 MNIST_CNN_ARCH = "C(100,3,1,0)-P(2,2,0,max)-C(100,3,1,0)-C(200,3,1,0)-P(2,2,0,max)-C(500,3,1,0)-P(.,.,.,avg)-FC(10)"
@@ -112,7 +112,9 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int):
 
     Returns (training points, epoch callback or None).  The callback evaluates
     the training objective on the held-out points and stops after
-    ``--patience`` epochs without improvement.
+    ``--patience`` epochs without improvement.  The evaluation runs in batch
+    mode and records no tape, so it leaves the model's running statistics
+    alone.
     """
     fraction = getattr(args, "stop_split", 0.0) or 0.0
     if fraction <= 0.0:
@@ -126,7 +128,8 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int):
     hold_t = Tensor(hold)
 
     def evaluate(net) -> float:
-        loss, _ = objective(net, hold_t, np.random.default_rng(0))
+        with no_tape():
+            loss, _ = objective(net, hold_t, np.random.default_rng(0), mode="batch")
         return loss.item()
 
     return keep, train_mod.holdout_early_stopper(evaluate, patience=args.patience)

@@ -202,12 +202,13 @@ def make_dml_objective(cfg: DmlConfig):
     its first column as the scalar label L.  One train-mode forward gives the
     JS term and the smoothness penalty's clean output; the penalty adds one
     batch-mode forward of the perturbed batch, so batch-norm running stats
-    move once per call.
+    move once per call.  ``mode="batch"`` runs the clean forward in batch
+    mode too, so the call moves nothing (holdout evaluation).
     """
     from .report import ObjectiveReport
 
-    def objective(net, xb: Tensor, rng: np.random.Generator):
-        out = net.forward(xb, "train")
+    def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
+        out = net.forward(xb, mode)
         if cfg.partitions == 2:
             y0 = T.column(out, 0)
             js_loss = dml_binary_loss(y0, cfg)

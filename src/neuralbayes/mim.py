@@ -246,12 +246,14 @@ def make_mim_objective(cfg: MimConfig, *, v1: bool = False):
 
     One train-mode forward gives every state and the smoothness penalty's
     clean target; the penalty adds one batch-mode forward of the perturbed
-    batch, so batch-norm running stats move once per call.
+    batch, so batch-norm running stats move once per call.  ``mode="batch"``
+    runs the clean forward in batch mode too, so the call moves nothing
+    (holdout evaluation).
     """
     from . import dml  # local import: dml also imports bayes/tensor, no cycle
 
-    def objective(net, xb: Tensor, rng: np.random.Generator):
-        _, states = net.forward_with_states(xb, "train")
+    def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
+        _, states = net.forward_with_states(xb, mode)
         sc = collect_states(states, cfg)
         rc = 0.0
         if cfg.beta > 0.0:

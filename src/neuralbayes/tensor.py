@@ -15,7 +15,16 @@ Conventions:
     passed in), so a dropped tape is reference-count-freed immediately; a
     node that needs no gradient keeps no closure,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
-    only read frees every intermediate as soon as the next op has used it.
+    only read frees every intermediate as soon as the next op has used it,
+  * backward closures only read their incoming gradient, which may be a
+    read-only broadcast view shared with other nodes,
+  * 4-D tensors are logically (B, C, H, W), and ``conv2d`` and the pools
+    store their outputs batch-innermost: a C-contiguous (C, H, W, B) buffer
+    seen through ``transpose(3, 0, 1, 2)``.  They read any input through that
+    layout (free for their own outputs, one copy otherwise), and the
+    elementwise ops, ``softmax`` and ``batch_norm`` keep it because numpy
+    allocates outputs in their inputs' memory order.  Values never depend
+    on the layout.
 """
 
 from __future__ import annotations
@@ -426,7 +435,7 @@ def tsum(x, axis: Axis = None) -> Tensor:
     def backward(g):
         for ax in sorted(axes):
             g = np.expand_dims(g, ax)
-        _accum(x, np.broadcast_to(g, x.shape).copy())
+        _accum(x, np.broadcast_to(g, x.shape))
 
     if out.requires_grad:
         out._backward = backward
@@ -447,7 +456,7 @@ def tmean(x, axis: Axis = None) -> Tensor:
         g = g / count
         for ax in sorted(axes):
             g = np.expand_dims(g, ax)
-        _accum(x, np.broadcast_to(g, x.shape).copy())
+        _accum(x, np.broadcast_to(g, x.shape))
 
     if out.requires_grad:
         out._backward = backward
@@ -527,25 +536,36 @@ def element(x, k: int) -> Tensor:
     return out
 
 
-def _window_views(kh: int, kw: int, oh: int, ow: int, stride: int) -> list[tuple[slice, ...]]:
-    """Index tuples of the kh*kw window offsets of a (B, C, H, W) map, in
-    row-major offset order.  The view of offset (di, dj) is (B, C, oh, ow):
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """A (B, C, H, W) array's memory as a C-contiguous (C, H, W, B) array:
+    a view when it is already stored batch-innermost, else one copy."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
+def _windows(H: int, W: int, kh: int, kw: int, stride: int
+             ) -> tuple[int, int, list[tuple[slice, slice, slice]]]:
+    """Output size and window offsets of a kh x kw window sliding with
+    ``stride`` over a (C, H, W, B) map: (oh, ow, views), the views in
+    row-major offset order.  The view of offset (di, dj) is (C, oh, ow, B):
     at every output position it holds the input element at that offset of
-    the position's window."""
-    return [(slice(None), slice(None), slice(di, di + (oh - 1) * stride + 1, stride),
-             slice(dj, dj + (ow - 1) * stride + 1, stride))
-            for di in range(kh) for dj in range(kw)]
+    the position's window.  Rows or columns past the last full window are
+    cropped."""
+    oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
+    views = [(slice(None), slice(di, di + (oh - 1) * stride + 1, stride),
+              slice(dj, dj + (ow - 1) * stride + 1, stride))
+             for di in range(kh) for dj in range(kw)]
+    return oh, ow, views
 
 
-def _pool_windows(x: Tensor, op: str, kernel: int, stride: int) -> list[tuple[slice, ...]]:
-    """Window views of a pool; a kernel larger than the map shrinks to the
-    map, and rows or columns past the last full window are cropped."""
+def _pool_input(x: Tensor, op: str, kernel: int, stride: int):
+    """A pool's input as (C, H, W, B) and its window views; a kernel larger
+    than the map shrinks to the map."""
     if x.ndim != 4:
         raise ShapeError(f"{op} expects (B, C, H, W), got shape {x.shape}")
-    H, W = x.shape[2], x.shape[3]
-    kh, kw = min(kernel, H), min(kernel, W)
-    oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
-    return _window_views(kh, kw, oh, ow, stride)
+    xb = _batch_last(x.data)
+    H, W = xb.shape[1], xb.shape[2]
+    _, _, views = _windows(H, W, min(kernel, H), min(kernel, W), stride)
+    return xb, views
 
 
 def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
@@ -554,22 +574,22 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     When H (or W) is smaller than the kernel, the kernel shrinks to H (or W),
     so pooling a 1x1 map is the identity and any map can be pooled to 1x1 by
     passing ``kernel=max(H, W)``.  Computed as a running sum over the
-    kernel's window offsets, each a strided view of the whole map.
+    kernel's window offsets, each a strided view of the whole batch-last map.
     """
     x = _as_tensor(x)
-    views = _pool_windows(x, "avg_pool2d", kernel, stride)
-    out_data = x.data[views[0]].copy()
+    xb, views = _pool_input(x, "avg_pool2d", kernel, stride)
+    out_b = xb[views[0]].copy()
     for view in views[1:]:
-        out_data += x.data[view]
-    out_data /= len(views)
-    out = Tensor._from_op(out_data, (x,), "avg_pool2d")
+        out_b += xb[view]
+    out_b /= len(views)
+    out = Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "avg_pool2d")
 
     def backward(g):
-        share = g / len(views)
-        gx = np.zeros(x.shape)
+        share = _batch_last(g) / len(views)
+        gx = np.zeros(xb.shape)
         for view in views:
             gx[view] += share
-        _accum(x, gx)
+        _accum(x, gx.transpose(3, 0, 1, 2))
 
     if out.requires_grad:
         out._backward = backward
@@ -585,21 +605,22 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     that holds its maximum.
     """
     x = _as_tensor(x)
-    views = _pool_windows(x, "max_pool2d", kernel, stride)
-    out_data = x.data[views[0]].copy()
+    xb, views = _pool_input(x, "max_pool2d", kernel, stride)
+    out_b = xb[views[0]].copy()
     for view in views[1:]:
-        np.maximum(out_data, x.data[view], out=out_data)
-    out = Tensor._from_op(out_data, (x,), "max_pool2d")
+        np.maximum(out_b, xb[view], out=out_b)
+    out = Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "max_pool2d")
 
     def backward(g):
-        gx = np.zeros(x.shape)
-        unrouted = np.ones(out_data.shape, dtype=bool)
+        gb = _batch_last(g)
+        gx = np.zeros(xb.shape)
+        unrouted = np.ones(out_b.shape, dtype=bool)
         for view in views:
-            first = np.equal(x.data[view], out_data)
+            first = np.equal(xb[view], out_b)
             first &= unrouted
             unrouted ^= first
-            gx[view] += g * first
-        _accum(x, gx)
+            gx[view] += gb * first
+        _accum(x, gx.transpose(3, 0, 1, 2))
 
     if out.requires_grad:
         out._backward = backward
@@ -610,9 +631,10 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) kernels.
 
     Lowered to one GEMM (im2col; Chellapilla et al., 2006): the kh*kw strided
-    views of the padded input are copied into a (Cin*kh*kw, B*oh*ow) patch
-    matrix and multiplied by the kernels as a (Cout, Cin*kh*kw) matrix.  The
-    backward is one GEMM for the kernel gradient and one for the patch
+    views of the padded batch-last input are copied into a (Cin*kh*kw,
+    oh*ow*B) patch matrix and multiplied by the kernels as a (Cout,
+    Cin*kh*kw) matrix; the (Cout, oh*ow*B) product is the batch-last output.
+    The backward is one GEMM for the kernel gradient and one for the patch
     gradient, which goes back to the input as kh*kw strided adds (col2im).
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
@@ -622,40 +644,40 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     Cout, Cw, kh, kw = weight.shape
     if Cw != Cin:
         raise ShapeError(f"conv2d channel mismatch: input has {Cin}, kernels expect {Cw}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    Hp, Wp = xp.shape[2], xp.shape[3]
+    xp = _batch_last(x.data)
+    if padding:
+        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    Hp, Wp = xp.shape[1], xp.shape[2]
     if Hp < kh or Wp < kw:
         raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
-    oh = (Hp - kh) // stride + 1
-    ow = (Wp - kw) // stride + 1
-    views = _window_views(kh, kw, oh, ow, stride)
-    cols = np.empty((Cin, kh * kw, B, oh, ow))
+    oh, ow, views = _windows(Hp, Wp, kh, kw, stride)
+    cols = np.empty((Cin, kh * kw, oh, ow, B))
     for k, view in enumerate(views):
-        cols[:, k] = xp[view].transpose(1, 0, 2, 3)
-    cols = cols.reshape(Cin * kh * kw, B * oh * ow)
+        cols[:, k] = xp[view]
+    cols = cols.reshape(Cin * kh * kw, oh * ow * B)
     wmat = weight.data.reshape(Cout, Cin * kh * kw)
-    prod = (wmat @ cols).reshape(Cout, B, oh, ow).transpose(1, 0, 2, 3)
-    out_data = np.empty((B, Cout, oh, ow))
+    out_b = wmat @ cols
     bias_t = None if bias is None else _as_tensor(bias)
     if bias_t is None:
-        out_data[...] = prod
         parents = (x, weight)
     else:
-        np.add(prod, bias_t.data[:, None, None], out=out_data)
+        out_b += bias_t.data[:, None]
         parents = (x, weight, bias_t)
-    out = Tensor._from_op(out_data, parents, "conv2d")
+    out = Tensor._from_op(out_b.reshape(Cout, oh, ow, B).transpose(3, 0, 1, 2), parents, "conv2d")
 
     def backward(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(Cout, B * oh * ow)
+        g2 = _batch_last(g).reshape(Cout, oh * ow * B)
         _accum(weight, (g2 @ cols.T).reshape(weight.shape))
         if bias_t is not None:
-            _accum(bias_t, g.sum(axis=(0, 2, 3)))
+            _accum(bias_t, g2.sum(axis=1))
         if x.requires_grad:
-            gcols = (wmat.T @ g2).reshape(Cin, kh * kw, B, oh, ow)
+            gcols = (wmat.T @ g2).reshape(Cin, kh * kw, oh, ow, B)
             gxp = np.zeros(xp.shape)
             for k, view in enumerate(views):
-                gxp[view] += gcols[:, k].transpose(1, 0, 2, 3)
-            _accum(x, gxp[:, :, padding:padding + H, padding:padding + W] if padding else gxp)
+                gxp[view] += gcols[:, k]
+            if padding:
+                gxp = gxp[:, padding:padding + H, padding:padding + W]
+            _accum(x, gxp.transpose(3, 0, 1, 2))
 
     if out.requires_grad:
         out._backward = backward
@@ -692,7 +714,7 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
     else:
         mean, var = stats
         xhat = x.data - mean.reshape(keep)
-        out_data = np.empty(x.shape)
+        out_data = np.empty_like(xhat)
     den = np.sqrt(np.maximum(var, floor)).reshape(keep)
     xhat /= den
     np.multiply(xhat, scale.data.reshape(keep), out=out_data)

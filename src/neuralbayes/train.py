@@ -160,6 +160,16 @@ def release_free_heap() -> None:
         _MALLOC_TRIM(0)
 
 
+def _check_finite(loss: Tensor, grads: Mapping[str, np.ndarray], step: int,
+                  epoch: int, batch: int) -> None:
+    where = f"update step {step} (epoch {epoch}, mini-batch {batch})"
+    if not np.isfinite(loss.item()):
+        raise DomainError(f"loss is {loss.item()} at {where}")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise DomainError(f"gradient of {name} is not finite at {where}")
+
+
 def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
                     sched: AccumulationSchedule, opt: AdamState, seed: int,
                     epoch_callback: Callable[[int, Network], bool | None] | None = None) -> TrainLog:
@@ -173,6 +183,10 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
 
     ``epoch_callback(epoch, net)`` runs after every epoch; returning True
     stops training early (the hook used for holdout-based early stopping).
+    A mini-batch whose loss or any gradient is not finite raises
+    ``DomainError`` before Adam or any caller sees it, naming the update
+    step (numbered as in the log), the epoch and mini-batch (from 0) and
+    the parameter.
     On return the heap pages the steps freed are handed back
     (``release_free_heap``), so the caller's resident set is its live
     arrays.  Not between steps or epochs: the next step would fault the
@@ -211,6 +225,7 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
             xb = Tensor(points[idx])
             loss, report = objective(net, xb, rng)
             grads = gradients(loss, params)
+            _check_finite(loss, grads, step + 1, epoch, b)
             if accum is None:
                 accum = {name: g.copy() for name, g in grads.items()}
             else:

@@ -111,6 +111,63 @@ class TestTrainDml:
         assert len(records) < 160
 
 
+    def test_non_finite_loss_exits_1_before_any_artifact(self, tmp_path, tiny_run, monkeypatch,
+                                                          capsys):
+        from neuralbayes import dml
+        from neuralbayes.tensor import Tensor
+        make = dml.make_dml_objective
+
+        def make_poisoned(cfg):
+            objective, calls = make(cfg), [0]
+
+            def poisoned(net, xb, rng, mode="train"):
+                loss, report = objective(net, xb, rng, mode)
+                calls[0] += 1
+                if calls[0] == 2:
+                    loss = Tensor._from_op(np.array(np.inf), (loss,), "poison")
+                    loss._backward = lambda g: None
+                return loss, report
+
+            return poisoned
+
+        monkeypatch.setattr(dml, "make_dml_objective", make_poisoned)
+        data, _ = tiny_run
+        out = tmp_path / "nan"
+        code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "40",
+                    "--epochs", "3", "--seed", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert "loss is inf at update step 2" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("kind", ["dml", "mim"])
+    def test_holdout_evaluation_moves_nothing(self, kind):
+        import argparse
+        from neuralbayes import dml, mim, nn
+        points = np.random.default_rng(2).standard_normal((60, 3))
+        net = nn.build_mlp(3, [6, 5], 2 if kind == "dml" else None, seed=3, batchnorm=True)
+        for layer in net.layers:
+            if isinstance(layer, nn.BatchNormLayer):
+                layer.running_mean = np.full(layer.features, 0.3)
+                layer.running_var = np.full(layer.features, 2.0)
+        base = (dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=1.0)) if kind == "dml"
+                else mim.make_mim_objective(mim.MimConfig(alpha=1.0, beta=1.0)))
+        seen = []
+
+        def spy(net, xb, rng, mode="train"):
+            loss, report = base(net, xb, rng, mode)
+            seen.append((mode, loss.requires_grad))
+            return loss, report
+
+        args = argparse.Namespace(stop_split=0.25, patience=3)
+        keep, callback = cli._stopping_split(args, points, spy, seed=4)
+        assert keep.shape == (45, 3)
+        before = {k: b.copy() for k, b in net.buffers().items()}
+        assert callback(0, net) is False
+        assert seen == [("batch", False)]  # batch statistics, nothing recorded
+        for name, b in net.buffers().items():
+            assert b.tobytes() == before[name].tobytes(), name
+
+
 class TestProbeAndGrid:
     def test_probe_runs_and_leaves_checkpoint(self, tiny_run, capsys):
         data, out_dir = tiny_run

@@ -235,6 +235,28 @@ class TestForwardWithStates:
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
         assert len(states) == 2
 
+    @pytest.mark.parametrize("mode", ["train", "batch", "eval"])
+    def test_cnn_states_stored_batch_last(self, mode):
+        # every 4-D activation keeps its (C, H, W, B) memory from layer to layer
+        net = nn.build_cnn("C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,1)-P(2,1,0,avg)-C(5,2,1,0)",
+                           (2, 11, 11), seed=4, batchnorm=True)
+        x = Tensor(np.random.default_rng(13).standard_normal((3, 2, 11, 11)))
+        out, states = net.forward_with_states(x, mode)
+        assert len(states) == 3
+        for s in states + [out]:
+            assert s.ndim == 4 and s.data.transpose(1, 2, 3, 0).flags.c_contiguous, s.shape
+
+    def test_extract_features_rows_in_logical_order(self):
+        from neuralbayes import train
+        net = nn.build_cnn("C(3,3,1,0)-P(2,2,0,max)", (1, 8, 8), seed=5, batchnorm=True)
+        points = np.random.default_rng(14).standard_normal((7, 1, 8, 8))
+        feats = train.extract_features(net, points, tap="h0")
+        state = net.forward_with_states(Tensor(points), "eval")[1][0].data
+        assert feats.shape == (7, 3 * 6 * 6)
+        for i in range(7):  # row i is sample i's (C, H, W) map, channel-major
+            np.testing.assert_array_equal(feats[i], [state[i, c, h, w] for c in range(3)
+                                                     for h in range(6) for w in range(6)])
+
     def test_modes_and_train_keyword(self):
         x = Tensor(np.random.default_rng(19).standard_normal((6, 3)) + 2.0)
 

@@ -495,6 +495,71 @@ class TestConv:
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
 
 
+def batch_last(x):
+    """The same (B, C, H, W) values stored batch-innermost: a (C, H, W, B)
+    C-contiguous buffer seen through ``transpose(3, 0, 1, 2)``."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def is_batch_last(a):
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+class TestBatchLastLayout:
+    """The kernels give the same bits whichever way a 4-D input is stored,
+    and hand back batch-last outputs and input gradients."""
+
+    def _run(self, op, x, params, g):
+        xt = Tensor(x, requires_grad=True)
+        ps = [Tensor(p, requires_grad=True) for p in params]
+        out = op(xt, *ps)
+        T.tsum(out * Tensor(g)).backward()
+        return out.data, [xt.grad] + [p.grad for p in ps]
+
+    def _check_layouts(self, op, x, params, g):
+        results = [self._run(op, layout, params, g) for layout in (x, batch_last(x))]
+        (out_c, grads_c), (out_b, grads_b) = results
+        np.testing.assert_array_equal(out_c, out_b)
+        for a, b in zip(grads_c, grads_b):
+            np.testing.assert_array_equal(a, b)
+        assert is_batch_last(out_c) and is_batch_last(out_b)
+        assert grads_b[0].strides[0] == 8  # batch innermost (a padded conv's is cropped)
+        return out_b, grads_b
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("shape,kernel,stride", TestPooling.GEOMETRIES)
+    def test_pools(self, mode, shape, kernel, stride):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal(shape)
+        ref, vjp = loop_pool(x, kernel, stride, mode)
+        g = rng.standard_normal(ref.shape)
+        out, (gx,) = self._check_layouts(lambda t: POOLS[mode](t, kernel, stride), x, [], g)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx, vjp(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2)])
+    def test_max_pool_tied_maxima(self, kernel, stride):
+        rng = np.random.default_rng(29)
+        x = rng.integers(0, 3, (2, 3, 7, 7)) * 1.0
+        ref, vjp = loop_pool(x, kernel, stride, "max")
+        g = rng.standard_normal(ref.shape)
+        out, (gx,) = self._check_layouts(lambda t: T.max_pool2d(t, kernel, stride), x, [], g)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_allclose(gx, vjp(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("xs,ws,stride,padding", TestConv.CASES)
+    def test_conv(self, xs, ws, stride, padding):
+        rng = np.random.default_rng(30)
+        x, w, b = rng.standard_normal(xs), rng.standard_normal(ws), rng.standard_normal(ws[0])
+        ref, vjp = TestConv.offset_loop_conv(x, w, b, stride, padding)
+        g = rng.standard_normal(ref.shape)
+        out, grads = self._check_layouts(
+            lambda t, wt, bt: T.conv2d(t, wt, bt, stride=stride, padding=padding), x, [w, b], g)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for got, want in zip(grads, vjp(g)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestBatchNormOp:
     def test_scale_shape_checked(self):
         x = Tensor(np.ones((4, 3)))
@@ -572,6 +637,66 @@ class TestBackward:
         y = x * x  # dy/dx = 2x
         (y + y).backward()
         np.testing.assert_array_equal(x.grad, [12.0])
+
+
+def _leaf(rng, shape, positive=False):
+    a = rng.standard_normal(shape)
+    return Tensor(np.abs(a) + 0.5 if positive else a, requires_grad=True)
+
+
+# every op kind with a backward, built from leaves that need a gradient
+BACKWARD_OPS = {
+    "add": lambda r: T.add(_leaf(r, (3, 4)), _leaf(r, (4,))),
+    "sub": lambda r: T.sub(_leaf(r, (3, 4)), _leaf(r, (3, 1))),
+    "mul": lambda r: T.mul(_leaf(r, (3, 4)), _leaf(r, (3, 4))),
+    "div": lambda r: T.div(_leaf(r, (3, 4)), _leaf(r, (3, 4), positive=True)),
+    "neg": lambda r: T.neg(_leaf(r, (3, 4))),
+    "log": lambda r: T.log(_leaf(r, (3, 4), positive=True)),
+    "exp": lambda r: T.exp(_leaf(r, (3, 4))),
+    "sqrt": lambda r: T.sqrt(_leaf(r, (3, 4), positive=True)),
+    "relu": lambda r: T.relu(_leaf(r, (3, 4))),
+    "tanh": lambda r: T.tanh(_leaf(r, (3, 4))),
+    "matmul": lambda r: T.matmul(_leaf(r, (3, 4)), _leaf(r, (4, 2))),
+    "linear": lambda r: T.linear(_leaf(r, (3, 4)), _leaf(r, (2, 4)), _leaf(r, (2,))),
+    "transpose": lambda r: T.transpose(_leaf(r, (3, 4))),
+    "reshape": lambda r: T.reshape(_leaf(r, (3, 4)), (4, 3)),
+    "sum": lambda r: T.tsum(_leaf(r, (2, 3, 4)), axis=(0, 2)),
+    "mean": lambda r: T.tmean(_leaf(r, (2, 3, 4)), axis=1),
+    "softmax": lambda r: T.softmax(_leaf(r, (2, 3, 2, 2)), axis=1),
+    "column": lambda r: T.column(_leaf(r, (3, 4)), 1),
+    "element": lambda r: T.element(_leaf(r, (4,)), 2),
+    "avg_pool2d": lambda r: T.avg_pool2d(_leaf(r, (2, 3, 5, 5)), 2, 2),
+    "max_pool2d": lambda r: T.max_pool2d(_leaf(r, (2, 3, 5, 5)), 3, 1),
+    "conv2d": lambda r: T.conv2d(_leaf(r, (2, 3, 5, 5)), _leaf(r, (4, 3, 3, 3)),
+                                 _leaf(r, (4,)), stride=2, padding=1),
+    "batch_norm": lambda r: T.batch_norm(_leaf(r, (4, 3, 2, 2)), _leaf(r, (3,)),
+                                         _leaf(r, (3,)), (0, 2, 3), 1e-5)[0],
+    "batch_norm_eval": lambda r: T.batch_norm(_leaf(r, (4, 3)), _leaf(r, (3,)), _leaf(r, (3,)),
+                                              (0,), 1e-5, stats=(np.zeros(3), np.ones(3)))[0],
+}
+
+
+class TestReadOnlyGradients:
+    """Backward closures only read their incoming gradient, so broadcast
+    (read-only, possibly aliased) gradient views are safe to hand on."""
+
+    @pytest.mark.parametrize("op", sorted(BACKWARD_OPS))
+    def test_backward_never_writes_its_gradient(self, op):
+        rng = np.random.default_rng(31)
+        out = BACKWARD_OPS[op](rng)
+        assert out.requires_grad and out._parents
+        g = rng.standard_normal(out.shape)
+        before = g.copy()
+        g.flags.writeable = False  # any in-place write raises
+        out._backward(g)
+        np.testing.assert_array_equal(g, before)
+        assert any(p.grad is not None for p in out._parents)
+
+    def test_reductions_hand_on_broadcast_views(self):
+        x = Tensor(np.ones((3, 4)), requires_grad=True)
+        T.tsum(T.tmean(x, axis=0)).backward()
+        np.testing.assert_array_equal(x.grad, np.full((3, 4), 1.0 / 3.0))
+        assert not x.grad.flags.writeable  # a view of the (4,) gradient, not a copy
 
 
 class TestDeterminism:

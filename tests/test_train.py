@@ -166,6 +166,58 @@ class TestAccumulation:
         assert len(log.records) == 1  # 4 mini-batches accumulated into one update
 
 
+def poisoned(objective, at_call, *, param=None):
+    """``objective`` whose ``at_call``-th call (1-based) returns a NaN loss,
+    or, with ``param``, a finite loss whose gradient of that leaf is NaN."""
+    calls = [0]
+
+    def wrapped(net, xb, rng):
+        loss, report = objective(net, xb, rng)
+        calls[0] += 1
+        if calls[0] != at_call:
+            return loss, report
+        if param is None:
+            nan = Tensor._from_op(np.array(np.nan), (loss,), "poison")  # NaN, on the tape
+            nan._backward = lambda g: T._accum(loss, g)
+            return nan, report
+        leaf = net.parameters()[param]
+        bad = Tensor._from_op(leaf.data, (leaf,), "poison")  # identity, NaN backward
+        bad._backward = lambda g: T._accum(leaf, np.full(leaf.shape, np.nan))
+        return loss + T.tsum(bad) * 0.0, report
+
+    return wrapped
+
+
+class TestNonFinite:
+    def _train(self, objective, bs=16):
+        ds = D.standardize(D.make_two_moons(32, seed=3))
+        net = nn.build_mlp(2, [8], 2, seed=4, batchnorm=True)
+        sched = train.AccumulationSchedule(mbs=16, bs=bs, epochs=3)
+        opt = train.AdamState.for_params(net.parameters())
+        return net, opt, lambda: train.train_objective(net, ds.points, objective, sched, opt, seed=5)
+
+    def test_nan_loss_raises_at_its_step(self):
+        base = dml.make_dml_objective(dml.DmlConfig(partitions=2))
+        net, opt, run = self._train(poisoned(base, 3))
+        before = {n: p.data.copy() for n, p in net.parameters().items()}
+        with pytest.raises(DomainError, match=r"loss is nan at update step 3 \(epoch 0, mini-batch 2\)"):
+            run()
+        assert opt.step == 2  # the two clean mini-batches were applied, the third was not
+        assert all(np.isfinite(p.data).all() for p in net.parameters().values())
+        assert any(not np.array_equal(p.data, before[n]) for n, p in net.parameters().items())
+
+    def test_nan_gradient_names_the_parameter(self):
+        base = dml.make_dml_objective(dml.DmlConfig(partitions=2))
+        # 64 points: four mini-batches per epoch, two per update; the fifth
+        # call is update 3's first half
+        net, opt, run = self._train(poisoned(base, 5, param="layer3.weight"), bs=32)
+        with pytest.raises(DomainError, match=r"gradient of layer3.weight is not finite "
+                                              r"at update step 3 \(epoch 1, mini-batch 0\)"):
+            run()
+        assert opt.step == 2
+        assert all(np.isfinite(p.data).all() for p in net.parameters().values())
+
+
 class TestDeterminism:
     def _run(self, seed):
         ds = D.standardize(D.make_two_moons(40, seed=1))
