@@ -88,9 +88,9 @@ def _guarded_log(t: Tensor, eps: float) -> Tensor:
     """log(t + eps) where entries that are exactly zero are masked to keep the
     log defined; callers only ever multiply those entries by the zero they
     came from, so the convention 0*log(0) = 0 holds exactly."""
-    fill = (t.data <= 0.0).astype(np.float64)
-    if fill.any():
-        t = t + Tensor(fill)
+    zero = t.data <= 0.0
+    if zero.any():
+        t = t + Tensor(zero.astype(np.float64))
     return T.log(t + eps) if eps else T.log(t)
 
 

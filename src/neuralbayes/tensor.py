@@ -14,6 +14,12 @@ Conventions:
   * backward closures only reference parent nodes (the output's gradient is
     passed in), so a dropped tape is reference-count-freed immediately; a
     node that needs no gradient keeps no closure,
+  * backward closures keep only what cannot be cheaply rebuilt from their
+    parents: ``batch_norm`` recomputes x-hat and ``conv2d`` its patch matrix
+    in the backward, with the forward's operations, so the values are
+    bitwise those a kept copy would give,
+  * ``backward()`` frees each non-leaf node's gradient as soon as that
+    node's backward has run; only leaves keep ``.grad``,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
     only read frees every intermediate as soon as the next op has used it,
   * backward closures only read their incoming gradient, which may be a
@@ -146,7 +152,9 @@ class Tensor:
         """Backpropagate from this scalar through the tape.
 
         Gradients of every visited node are reset first, so repeated calls on
-        the same record are deterministic and bitwise equal.
+        the same record are deterministic and bitwise equal.  A non-leaf
+        node's gradient is dropped once its backward has pushed it to the
+        parents, so afterwards only leaves hold a ``.grad``.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -159,6 +167,8 @@ class Tensor:
         for node in reversed(order):
             if node.grad is not None:
                 node._backward(node.grad)
+                if node._parents:
+                    node.grad = None
 
 
 def _noop(_g: np.ndarray) -> None:
@@ -245,8 +255,10 @@ def mul(a, b) -> Tensor:
     a, b, out = _broadcast_binary(a, b, "mul", np.multiply)
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     if out.requires_grad:
         out._backward = backward
@@ -257,8 +269,10 @@ def div(a, b) -> Tensor:
     a, b, out = _broadcast_binary(a, b, "div", np.divide)
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     if out.requires_grad:
         out._backward = backward
@@ -558,14 +572,19 @@ def _windows(H: int, W: int, kh: int, kw: int, stride: int
 
 
 def _pool_input(x: Tensor, op: str, kernel: int, stride: int):
-    """A pool's input as (C, H, W, B) and its window views; a kernel larger
-    than the map shrinks to the map."""
+    """A pool's input as (C, H, W, B), its window views, and whether the
+    windows tile the map (every element in exactly one window: no overlap,
+    no cropped rows or columns); a kernel larger than the map shrinks to the
+    map."""
     if x.ndim != 4:
         raise ShapeError(f"{op} expects (B, C, H, W), got shape {x.shape}")
     xb = _batch_last(x.data)
     H, W = xb.shape[1], xb.shape[2]
-    _, _, views = _windows(H, W, min(kernel, H), min(kernel, W), stride)
-    return xb, views
+    kh, kw = min(kernel, H), min(kernel, W)
+    oh, ow, views = _windows(H, W, kh, kw, stride)
+    tiles = all(n * k == size and (n == 1 or k == stride)
+                for n, k, size in ((oh, kh, H), (ow, kw, W)))
+    return xb, views, tiles
 
 
 def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
@@ -575,9 +594,11 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     so pooling a 1x1 map is the identity and any map can be pooled to 1x1 by
     passing ``kernel=max(H, W)``.  Computed as a running sum over the
     kernel's window offsets, each a strided view of the whole batch-last map.
+    When the windows tile the map, the backward writes each offset's share
+    straight into its view; otherwise it adds the shares onto zeros.
     """
     x = _as_tensor(x)
-    xb, views = _pool_input(x, "avg_pool2d", kernel, stride)
+    xb, views, tiles = _pool_input(x, "avg_pool2d", kernel, stride)
     out_b = xb[views[0]].copy()
     for view in views[1:]:
         out_b += xb[view]
@@ -586,9 +607,12 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
 
     def backward(g):
         share = _batch_last(g) / len(views)
-        gx = np.zeros(xb.shape)
+        gx = np.empty(xb.shape) if tiles else np.zeros(xb.shape)
         for view in views:
-            gx[view] += share
+            if tiles:
+                gx[view] = share
+            else:
+                gx[view] += share
         _accum(x, gx.transpose(3, 0, 1, 2))
 
     if out.requires_grad:
@@ -602,10 +626,12 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     "First" is in row-major order within the window.  The forward is a
     running maximum over the window offsets; the backward scans the offsets
     in the same order and routes each output's gradient to the first offset
-    that holds its maximum.
+    that holds its maximum.  When the windows tile the map, each offset's
+    routed gradient is written straight into its view; otherwise it is
+    added onto zeros.
     """
     x = _as_tensor(x)
-    xb, views = _pool_input(x, "max_pool2d", kernel, stride)
+    xb, views, tiles = _pool_input(x, "max_pool2d", kernel, stride)
     out_b = xb[views[0]].copy()
     for view in views[1:]:
         np.maximum(out_b, xb[view], out=out_b)
@@ -613,13 +639,17 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
 
     def backward(g):
         gb = _batch_last(g)
-        gx = np.zeros(xb.shape)
+        gx = np.empty(xb.shape) if tiles else np.zeros(xb.shape)
         unrouted = np.ones(out_b.shape, dtype=bool)
+        first = np.empty(out_b.shape, dtype=bool)
         for view in views:
-            first = np.equal(xb[view], out_b)
+            np.equal(xb[view], out_b, out=first)
             first &= unrouted
             unrouted ^= first
-            gx[view] += gb * first
+            if tiles:
+                np.multiply(gb, first, out=gx[view])
+            else:
+                gx[view] += gb * first
         _accum(x, gx.transpose(3, 0, 1, 2))
 
     if out.requires_grad:
@@ -636,6 +666,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     Cin*kh*kw) matrix; the (Cout, oh*ow*B) product is the batch-last output.
     The backward is one GEMM for the kernel gradient and one for the patch
     gradient, which goes back to the input as kh*kw strided adds (col2im).
+    The node keeps no patch matrix: the backward rebuilds it from the
+    padded batch-last input (a view of the input when that is batch-last and
+    unpadded) for the kernel-gradient GEMM and drops it before the col2im.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -651,12 +684,15 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     if Hp < kh or Wp < kw:
         raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
     oh, ow, views = _windows(Hp, Wp, kh, kw, stride)
-    cols = np.empty((Cin, kh * kw, oh, ow, B))
-    for k, view in enumerate(views):
-        cols[:, k] = xp[view]
-    cols = cols.reshape(Cin * kh * kw, oh * ow * B)
+
+    def patches():
+        cols = np.empty((Cin, kh * kw, oh, ow, B))
+        for k, view in enumerate(views):
+            cols[:, k] = xp[view]
+        return cols.reshape(Cin * kh * kw, oh * ow * B)
+
     wmat = weight.data.reshape(Cout, Cin * kh * kw)
-    out_b = wmat @ cols
+    out_b = wmat @ patches()
     bias_t = None if bias is None else _as_tensor(bias)
     if bias_t is None:
         parents = (x, weight)
@@ -667,7 +703,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def backward(g):
         g2 = _batch_last(g).reshape(Cout, oh * ow * B)
-        _accum(weight, (g2 @ cols.T).reshape(weight.shape))
+        _accum(weight, (g2 @ patches().T).reshape(weight.shape))
         if bias_t is not None:
             _accum(bias_t, g2.sum(axis=1))
         if x.requires_grad:
@@ -697,6 +733,8 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
     ``sqrt(floor)`` and no gradient flows through the variance.  With
     ``stats=(mean, var)`` (eval mode) they are constants.  Returns the output
     and the mean and variance it used (Ioffe & Szegedy, arXiv:1502.03167).
+    The node keeps no x-hat: the backward recomputes it from the input with
+    the forward's operations.
     """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     axes = _norm_axes(axes, x.ndim)
@@ -705,24 +743,25 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
     if scale.shape != channels or shift.shape != channels:
         raise ShapeError(f"batch_norm of {x.shape} over axes {axes} needs scale and shift of "
                          f"shape {channels}, got {scale.shape} and {shift.shape}")
-    # full-size temporaries are few and reused: each fresh one costs page faults
+    # full-size temporaries are few: each fresh one costs page faults.  The
+    # output is formed in x-hat's buffer, in the input's memory order.
     if stats is None:
         mean = x.data.mean(axis=axes)
-        xhat = x.data - mean.reshape(keep)
-        out_data = np.square(xhat)
-        var = out_data.mean(axis=axes)
+        out_data = x.data - mean.reshape(keep)
+        var = np.square(out_data).mean(axis=axes)
     else:
         mean, var = stats
-        xhat = x.data - mean.reshape(keep)
-        out_data = np.empty_like(xhat)
+        out_data = x.data - mean.reshape(keep)
     den = np.sqrt(np.maximum(var, floor)).reshape(keep)
-    xhat /= den
-    np.multiply(xhat, scale.data.reshape(keep), out=out_data)
+    out_data /= den
+    out_data *= scale.data.reshape(keep)
     out_data += shift.data.reshape(keep)
     out = Tensor._from_op(out_data, (x, scale, shift), "batch_norm")
     count = int(np.prod([x.shape[a] for a in axes]))  # elements per channel
 
     def backward(g):
+        xhat = x.data - mean.reshape(keep)
+        xhat /= den
         gx = g * xhat
         gscale = gx.sum(axis=axes)
         gshift = g.sum(axis=axes)
@@ -735,8 +774,8 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
             # remove the components that flow back through the batch mean
             # and, where the variance is above the floor, the batch variance
             through_var = np.where(var > floor, gscale, 0.0) / count
-            np.multiply(xhat, through_var.reshape(keep), out=gx)
-            np.subtract(g, gx, out=gx)
+            xhat *= through_var.reshape(keep)
+            np.subtract(g, xhat, out=gx)
             gx -= (gshift / count).reshape(keep)
             gx *= coef
         else:

@@ -177,7 +177,8 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
 
     Each mini-batch's loss uses its own batch statistics (the prior estimate
     is the MBS-batch mean inside the objective); gradients are averaged over
-    the accumulation window before each Adam update.  The last incomplete
+    the accumulation window before each Adam update (a window of one
+    mini-batch hands its gradients to Adam as they are).  The last incomplete
     mini-batch of an epoch is dropped so every prior estimate sees a full MBS
     samples; a trailing partial *window* still triggers an update.
 
@@ -213,9 +214,10 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
             nonlocal accum, reports, step
             if not reports:
                 return
-            scale = 1.0 / len(reports)
-            averaged = {name: g * scale for name, g in accum.items()}
-            adam_step(params, averaged, opt)
+            if len(reports) > 1:
+                scale = 1.0 / len(reports)
+                accum = {name: g * scale for name, g in accum.items()}
+            adam_step(params, accum, opt)
             step += 1
             log.append(step, ObjectiveReport.average(reports))
             accum, reports = None, []
@@ -226,11 +228,11 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
             loss, report = objective(net, xb, rng)
             grads = gradients(loss, params)
             _check_finite(loss, grads, step + 1, epoch, b)
-            if accum is None:
-                accum = {name: g.copy() for name, g in grads.items()}
+            if accum is None:  # held, not copied: backward never writes into a gradient
+                accum = dict(grads)
             else:
                 for name, g in grads.items():
-                    accum[name] += g
+                    accum[name] = accum[name] + g
             reports.append(report)
             if len(reports) == window:
                 flush()
@@ -313,7 +315,7 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     Batch norm normalizes with its running statistics by default, or with
     each chunk's own statistics when ``bn_train_mode`` is set (the "batch"
     mode); either way nothing in the network mutates.  The forwards record
-    no tape.
+    no tape.  The result is a C-ordered (N, D) array, filled chunk by chunk.
     """
     names = net.tap_names()
     if tap == "last":
@@ -321,14 +323,20 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     if tap != "out" and tap not in names:
         raise ConfigError(f"unknown tap {tap!r}; available: {names + ['out', 'last']}")
     mode = "batch" if bn_train_mode else "eval"
-    chunks = []
-    for start in range(0, points.shape[0], batch_size):
+    n = points.shape[0]
+    if n == 0:
+        raise ShapeError("cannot extract features of an empty point set")
+    features = None
+    for start in range(0, n, batch_size):
         xb = Tensor(np.asarray(points[start:start + batch_size], dtype=np.float64))
         with T.no_tape():
             out, states = net.forward_with_states(xb, mode)
         h = out if tap == "out" else states[names.index(tap)]
-        chunks.append(h.data.reshape(h.shape[0], -1))
-    return np.vstack(chunks)
+        rows = h.data.reshape(h.shape[0], -1)
+        if features is None:
+            features = np.empty((n, rows.shape[1]))
+        features[start:start + rows.shape[0]] = rows
+    return features
 
 
 def predict_components(net: Network, points: np.ndarray, batch_size: int = 2000) -> np.ndarray:

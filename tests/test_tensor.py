@@ -1,11 +1,13 @@
 """Differentiation-core contracts: forward values, gradients, stop-gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbayes import nn, oracles
+from neuralbayes import mim, nn, oracles
 from neuralbayes import tensor as T
 from neuralbayes.errors import DomainError, ShapeError
 from neuralbayes.tensor import Tensor
@@ -365,6 +367,29 @@ class TestPooling:
         T.tsum(T.max_pool2d(x)).backward()
         np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
 
+    # windows that tile the map, which the backward writes straight into an
+    # uninitialised buffer: k2 s2, k3 s3 on a non-square map, a kernel
+    # clamped to a one-row map, a whole map; and near misses that must add
+    # onto zeros: overlapping windows whose count times size still equals
+    # the map (k3 s2 on 6), a cropped last row and column, and gaps (k2 s3)
+    TILINGS = [((2, 3, 6, 6), 2, 2), ((2, 2, 6, 9), 3, 3), ((2, 2, 1, 4), 2, 2),
+               ((2, 3, 5, 4), 5, 5)]
+    NEAR_MISSES = [((2, 3, 6, 6), 3, 2), ((2, 3, 5, 5), 2, 2), ((2, 2, 7, 6), 2, 3)]
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("shape,kernel,stride", TILINGS + NEAR_MISSES)
+    def test_backward_on_tilings_and_near_misses(self, mode, shape, kernel, stride):
+        rng = np.random.default_rng(32)
+        x = rng.integers(0, 3, shape) * 1.0 if mode == "max" else rng.standard_normal(shape)
+        ref, vjp = loop_pool(x, kernel, stride, mode)
+        xt = Tensor(x, requires_grad=True)
+        out = POOLS[mode](xt, kernel, stride)
+        g = rng.standard_normal(ref.shape)
+        poison = np.full(x.shape, np.nan)  # freed memory of the gradient's size,
+        del poison                         # which a fresh buffer most likely reuses
+        out._backward(g)
+        np.testing.assert_allclose(xt.grad, vjp(g), rtol=0, atol=1e-12)
+
     def test_rank_checked(self):
         with pytest.raises(ShapeError):
             T.max_pool2d(Tensor(np.ones((2, 4, 4))))
@@ -579,6 +604,111 @@ class TestBatchNormOp:
         assert mean is stats[0] and var is stats[1]
         want = (x - stats[0][None, :, None, None]) / np.sqrt([4.0, 1e-5])[None, :, None, None]
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+
+def traced_bytes(build):
+    """(result of ``build()``, bytes it left allocated while the result lives)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeMemory:
+    """A taped node holds its output and nothing else activation-sized: the
+    backward rebuilds batch norm's x-hat and conv2d's patch matrix."""
+
+    def test_train_batch_norm_keeps_no_xhat(self):
+        rng = np.random.default_rng(40)
+        x = Tensor(batch_last(rng.standard_normal((32, 8, 10, 10))), requires_grad=True)
+        scale, shift = _leaf(rng, (8,)), _leaf(rng, (8,))
+        (out, _, _), held = traced_bytes(lambda: T.batch_norm(x, scale, shift, (0, 2, 3), 1e-5))
+        assert out.requires_grad
+        assert held < out.data.nbytes + x.data.nbytes // 2, held
+
+    def test_conv2d_keeps_no_patch_matrix(self):
+        rng = np.random.default_rng(41)
+        x = Tensor(batch_last(rng.standard_normal((16, 8, 10, 10))), requires_grad=True)
+        w, b = _leaf(rng, (12, 8, 3, 3)), _leaf(rng, (12,))
+        out, held = traced_bytes(lambda: T.conv2d(x, w, b))
+        assert out.requires_grad
+        assert held < out.data.nbytes + x.data.nbytes // 2, held
+
+
+def keep_all_backward(loss):
+    """The backward loop without freeing: every visited node keeps its gradient."""
+    order = T._toposort(loss)
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestFreedGradients:
+    """backward() drops every non-leaf gradient once it has been pushed on;
+    the leaves' gradients are those of a backward that keeps everything."""
+
+    def _mim_loss(self):
+        net = nn.build_cnn("C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)", (1, 10, 10), seed=3,
+                           batchnorm=True)
+        x = Tensor(np.random.default_rng(42).standard_normal((8, 1, 10, 10)))
+        objective = mim.make_mim_objective(mim.MimConfig(alpha=2.0, beta=4.0, use_scales=True))
+        loss, _ = objective(net, x, np.random.default_rng(43))
+        return loss, net.parameters()
+
+    def test_only_leaves_keep_gradients(self):
+        loss, params = self._mim_loss()
+        keep_all_backward(loss)
+        nodes = T._toposort(loss)
+        inner = [node for node in nodes if node._parents]
+        assert len(inner) > 20 and all(node.grad is not None for node in inner)
+        kept = {name: p.grad.copy() for name, p in params.items()}
+        for _ in range(2):  # a repeated backward gives the same bits
+            loss.backward()
+            assert all(node.grad is None for node in inner)
+            for name, p in params.items():
+                assert p.grad.tobytes() == kept[name].tobytes(), name
+
+
+class Untouchable(np.ndarray):
+    """An array that raises if any ufunc reads it."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("a backward computed a product nobody reads")
+
+
+class TestSkippedProducts:
+    """mul and div compute an operand's gradient product only when that
+    operand needs a gradient; the other operand's gradient is unchanged."""
+
+    @pytest.mark.parametrize("op,trap", [(T.mul, 0), (T.mul, 1), (T.div, 0)])
+    def test_no_product_for_an_operand_without_gradient(self, op, trap):
+        rng = np.random.default_rng(44)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=trap == 0)
+        b = Tensor(np.abs(rng.standard_normal((3, 4))) + 0.5, requires_grad=trap == 1)
+        out = op(a, b)
+        live = (a, b)[trap]
+        live.data = live.data.view(Untouchable)  # read only by the other operand's product
+        T.tsum(out).backward()
+        assert live.grad is not None
+
+    @pytest.mark.parametrize("op", [T.mul, T.div])
+    def test_gradient_bitwise_equal_with_and_without_skip(self, op):
+        # v op log(sg(v) + eps), the MIM loss's term, against the same
+        # expression with a leaf that needs a gradient in place of sg(v)
+        rng = np.random.default_rng(45)
+        data = np.abs(rng.standard_normal((6, 5))) + 0.1
+        grads = []
+        for second in (lambda v: T.stop_gradient(v), lambda v: Tensor(data, requires_grad=True)):
+            v = Tensor(data, requires_grad=True)
+            T.tsum(op(v, T.log(second(v) + 1e-7))).backward()
+            grads.append(v.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestStopGradient:

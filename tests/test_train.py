@@ -165,6 +165,42 @@ class TestAccumulation:
                                     sched, opt, seed=8)
         assert len(log.records) == 1  # 4 mini-batches accumulated into one update
 
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_adam_sees_copying_accumulation_bitwise(self, monkeypatch, window):
+        # reference: copy the first mini-batch's gradients, add the others in
+        # place, scale by 1/count; a window of one passes the gradients as they are
+        computed, received = [], []
+        real_gradients, real_adam = train.gradients, train.adam_step
+
+        def spy_gradients(loss, params):
+            grads = real_gradients(loss, params)
+            computed.append(grads)
+            return grads
+
+        def spy_adam(params, grads, state):
+            received.append(dict(grads))
+            real_adam(params, grads, state)
+
+        monkeypatch.setattr(train, "gradients", spy_gradients)
+        monkeypatch.setattr(train, "adam_step", spy_adam)
+        ds = D.standardize(D.make_two_moons(32, seed=6))
+        net = nn.build_mlp(2, [8], 2, seed=7, batchnorm=True)
+        sched = train.AccumulationSchedule(mbs=8, bs=8 * window, epochs=2)
+        opt = train.AdamState.for_params(net.parameters())
+        train.train_objective(net, ds.points, dml.make_dml_objective(dml.DmlConfig(partitions=2)),
+                              sched, opt, seed=8)
+        assert len(computed) == 16 and len(received) == 16 // window  # 2 epochs of 64 points
+        for update, grads in enumerate(received):
+            window_grads = computed[update * window:(update + 1) * window]
+            for name, g in grads.items():
+                want = window_grads[0][name].copy()
+                for other in window_grads[1:]:
+                    want += other[name]
+                want = want * (1.0 / window)
+                assert g.tobytes() == want.tobytes(), (update, name)
+                if window == 1:
+                    assert g is window_grads[0][name]  # held, not copied
+
 
 def poisoned(objective, at_call, *, param=None):
     """``objective`` whose ``at_call``-th call (1-based) returns a NaN loss,
