@@ -13,13 +13,13 @@ from neuralbayes import (PosteriorBatch, Tensor, conditional_weights, density_ra
                          mi_closed_form, prior_estimate, prior_gradient_strength,
                          uniform_prior_penalty_v1, uniform_prior_penalty_v2)
 from neuralbayes import oracles
-from neuralbayes.tensor import softmax_rows
+from neuralbayes.tensor import softmax
 
 rng = np.random.default_rng(0)
 
 print("== posterior batch and its implied quantities ==")
 logits = rng.standard_normal((6, 3))
-p = PosteriorBatch(softmax_rows(Tensor(logits)))
+p = PosteriorBatch(softmax(Tensor(logits), axis=1))
 prior = prior_estimate(p)
 print("posterior rows:\n", np.round(p.values.data, 3))
 print("prior (column means):", np.round(prior.values.data, 3))
@@ -36,7 +36,7 @@ print("state-0 conditional weights: mean f =", round(float(f1.data.mean()), 12),
 print("\n== closed-form mutual information vs. brute force ==")
 for b, k in [(8, 2), (32, 5), (64, 8)]:
     logits = rng.standard_normal((b, k))
-    batch = PosteriorBatch(softmax_rows(Tensor(logits)))
+    batch = PosteriorBatch(softmax(Tensor(logits), axis=1))
     fast = mi_closed_form(batch).item()
     slow = oracles.brute_force_mi(batch.values.data)
     print(f"B={b:3d} K={k}: closed form {fast:.12f}  oracle {slow:.12f}  "

@@ -68,7 +68,7 @@ def prior_estimate(p: PosteriorBatch) -> PriorEstimate:
     The result stays on the tape, so gradients flow through it unless the
     caller wraps it in ``stop_gradient``.
     """
-    return PriorEstimate(T.mean_rows(p.values), sample_count=p.batch_size)
+    return PriorEstimate(T.tmean(p.values, axis=0), sample_count=p.batch_size)
 
 
 def _check_interior(prior_value: float, what: str) -> None:

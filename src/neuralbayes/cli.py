@@ -23,6 +23,7 @@ from . import data as D
 from . import dml as dml_mod
 from . import mim as mim_mod
 from . import nn, oracles, train as train_mod
+from .bayes import PosteriorBatch
 from .errors import ConfigError
 from .tensor import Tensor, no_tape
 
@@ -66,12 +67,6 @@ def _write_manifest(out_dir: Path, paths: list[Path]) -> None:
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         arts.append({"path": p.name, "sha256": digest, "bytes": p.stat().st_size})
     (out_dir / "MANIFEST.json").write_text(json.dumps({"artifacts": arts}, indent=1) + "\n")
-
-
-def _emit_config(out_dir: Path, resolved: dict) -> Path:
-    path = out_dir / "resolved_config.json"
-    path.write_text(json.dumps(resolved, indent=1, sort_keys=True) + "\n")
-    return path
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -146,120 +141,126 @@ def _load_dataset(args) -> D.ManifoldDataset:
     return D.load_csv(data_path, meta=meta)
 
 
-# --- train-dml ---
+def _load_standardized(args) -> D.ManifoldDataset:
+    ds = _load_dataset(args)
+    return ds if ds.meta.get("standardized") else D.standardize(ds)
+
+
+# --- train-dml, train-mim ---
+
+def _train_command(args, command: str, defaults: dict, flags: list[str], build, finish,
+                   **recorded) -> int:
+    """Resolve the config, load and standardize the data, build ``(net,
+    objective) = build(cfg, input_shape, seed)`` (input shape (D,) for an
+    MLP, (1, S, S) for a CNN on square images) and train with the schedule,
+    Adam and the stopping split.  Then ``finish(run)`` evaluates and writes
+    the command's own artifacts, returning their paths, so a failure there
+    leaves no checkpoint; the checkpoint, log, metrics, resolved config
+    (plus ``recorded``) and manifest come last."""
+    seed = _resolve_seed(args)
+    cfg = _merge_config(defaults, _load_config(args.config, defaults), args, flags)
+    ds = _load_standardized(args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    points = ds.points
+    if cfg["arch"] == "cnn":
+        side = int(round(np.sqrt(ds.dim)))
+        points = points.reshape(ds.size, 1, side, side)
+    net, objective = build(cfg, points.shape[1:], seed)
+    sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
+    opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
+                                         weight_decay=cfg["weight-decay"])
+    train_points, callback = _stopping_split(args, points, objective, seed)
+    log = train_mod.train_objective(net, train_points, objective, sched, opt, seed=seed,
+                                    epoch_callback=callback)
+
+    run = argparse.Namespace(cfg=cfg, ds=ds, points=points, net=net, log=log, seed=seed,
+                             out_dir=out_dir)
+    paths = [*finish(run), *nn.save_checkpoint(net, out_dir / "checkpoint")]
+    log_path, metrics_path = out_dir / "train_log.jsonl", out_dir / "metrics.csv"
+    log.write_jsonl(log_path)
+    log.write_metrics_csv(metrics_path)
+    cfg_path = out_dir / "resolved_config.json"
+    cfg_path.write_text(json.dumps({**cfg, **recorded, "seed": seed, "command": command,
+                                    "data": str(args.data)}, indent=1, sort_keys=True) + "\n")
+    _write_manifest(out_dir, [*paths, log_path, metrics_path, cfg_path])
+    return 0
+
+
+def _dml_config(cfg: dict) -> dml_mod.DmlConfig:
+    return dml_mod.DmlConfig(partitions=cfg["k"], beta=cfg["beta"])
+
+
+def _dml_build(cfg: dict, shape: tuple, seed: int):
+    print(f"smoothness weight beta={cfg['beta']} (useful sweep range: 0.5 to 6)")
+    if len(shape) == 3:
+        net = nn.build_cnn(MNIST_CNN_ARCH, shape, seed=seed, batchnorm=True, softmax_head=True)
+    else:
+        net = nn.build_mlp(shape[0], DML_ARCH_HIDDEN, cfg["k"], seed=seed,
+                           batchnorm=True, softmax_head=True)
+    return net, dml_mod.make_dml_objective(_dml_config(cfg))
+
+
+def _dml_report(run) -> list[Path]:
+    """Predicted labels, cluster accuracy, and the head's loss and objective
+    on up to 5000 points."""
+    k, dml_cfg = run.cfg["k"], _dml_config(run.cfg)
+    pred = train_mod.predict_components(run.net, run.points)
+    accuracy = train_mod.cluster_accuracy(pred, run.ds.components, k)
+    with no_tape():
+        out_head = run.net.forward(Tensor(run.points[:5000]), "eval").data
+    if k == 2:
+        L = out_head[:, 0]
+        final_obj = dml_mod.dml_binary_objective(L, float(L.mean()))
+        final_loss = float(dml_mod.dml_binary_loss(Tensor(L), dml_cfg).item())
+    else:
+        final_obj = None
+        final_loss = float(dml_mod.dml_multi_loss(PosteriorBatch(Tensor(out_head)), dml_cfg).item())
+    labels_path = run.out_dir / "predicted_labels.csv"
+    labels_path.write_text("\n".join(["index,predicted,truth"] +
+                                     [f"{i},{p},{t}" for i, (p, t) in
+                                      enumerate(zip(pred, run.ds.components))]) + "\n")
+    report = {"cluster_accuracy": accuracy, "final_loss": final_loss,
+              "final_objective": final_obj, "updates": len(run.log.records), "seed": run.seed}
+    report_path = run.out_dir / "report.json"
+    report_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(f"cluster accuracy {accuracy:.4f}; loss {final_loss:.6f}; objective {final_obj}")
+    return [labels_path, report_path]
+
 
 def cmd_train_dml(args) -> int:
-    seed = _resolve_seed(args)
     defaults = {"k": 2, "beta": 2.0, "mbs": 400, "bs": 400, "lr": 1e-3,
                 "epochs": 300, "weight-decay": 0.0, "arch": "mlp"}
     if args.preset == "mnist-cnn":
         defaults.update({"k": 10, "beta": 1.0, "mbs": 5000, "bs": 5000,
                          "epochs": 100, "arch": "cnn"})
-    cfg = _merge_config(defaults, _load_config(args.config, defaults), args,
-                        ["k", "beta", "mbs", "bs", "lr", "epochs"])
-    print(f"smoothness weight beta={cfg['beta']} (useful sweep range: 0.5 to 6)")
+    return _train_command(args, "train-dml", defaults, ["k", "beta", "mbs", "bs", "lr", "epochs"],
+                          _dml_build, _dml_report)
 
-    ds = _load_dataset(args)
-    if not ds.meta.get("standardized"):
-        ds = D.standardize(ds)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if cfg["arch"] == "cnn":
-        side = int(round(np.sqrt(ds.dim)))
-        net = nn.build_cnn(MNIST_CNN_ARCH, (1, side, side), seed=seed, batchnorm=True,
-                           softmax_head=True)
-        points = ds.points.reshape(ds.size, 1, side, side)
-    else:
-        net = nn.build_mlp(ds.dim, DML_ARCH_HIDDEN, cfg["k"], seed=seed,
-                           batchnorm=True, softmax_head=True)
-        points = ds.points
-
-    dml_cfg = dml_mod.DmlConfig(partitions=cfg["k"], beta=cfg["beta"])
-    sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
-    opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
-                                         weight_decay=cfg["weight-decay"])
-    objective = dml_mod.make_dml_objective(dml_cfg)
-    train_points, callback = _stopping_split(args, points, objective, seed)
-    log = train_mod.train_objective(net, train_points, objective, sched, opt, seed=seed,
-                                    epoch_callback=callback)
-
-    pred = train_mod.predict_components(net, points)
-    accuracy = train_mod.cluster_accuracy(pred, ds.components, cfg["k"])
-    out_head = net.forward(Tensor(points[: min(ds.size, 5000)]), "eval").data
-    if cfg["k"] == 2:
-        L = out_head[:, 0]
-        final_obj = dml_mod.dml_binary_objective(L, float(L.mean()))
-        final_loss = float(dml_mod.dml_binary_loss(Tensor(L), dml_cfg).item())
-    else:
-        from .bayes import PosteriorBatch
-        final_obj = None
-        final_loss = float(dml_mod.dml_multi_loss(PosteriorBatch(Tensor(out_head)), dml_cfg).item())
-
-    ckpt_json, ckpt_bin = nn.save_checkpoint(net, out_dir / "checkpoint")
-    log_path = out_dir / "train_log.jsonl"
-    log.write_jsonl(log_path)
-    metrics_path = out_dir / "metrics.csv"
-    log.write_metrics_csv(metrics_path)
-    labels_path = out_dir / "predicted_labels.csv"
-    labels_path.write_text("\n".join(["index,predicted,truth"] +
-                                     [f"{i},{p},{t}" for i, (p, t) in
-                                      enumerate(zip(pred, ds.components))]) + "\n")
-    report = {"cluster_accuracy": accuracy, "final_loss": final_loss,
-              "final_objective": final_obj, "updates": len(log.records), "seed": seed}
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    cfg_path = _emit_config(out_dir, {**cfg, "seed": seed, "command": "train-dml",
-                                      "data": str(args.data)})
-    _write_manifest(out_dir, [ckpt_json, ckpt_bin, log_path, metrics_path, labels_path,
-                              report_path, cfg_path])
-    print(f"cluster accuracy {accuracy:.4f}; loss {final_loss:.6f}; objective {final_obj}")
-    return 0
-
-
-# --- train-mim ---
 
 def cmd_train_mim(args) -> int:
-    seed = _resolve_seed(args)
     defaults = {"alpha": 2.0, "beta": 4.0, "mbs": 500, "bs": 2000, "lr": 1e-3,
                 "epochs": 20, "weight-decay": 0.0, "hidden": [500, 500, 500],
                 "scales": "off", "arch": "mlp",
                 "cnn-arch": "C(64,3,1,0)-P(2,2,0,max)-C(128,3,1,0)"}
-    cfg = _merge_config(defaults, _load_config(args.config, defaults), args,
-                        ["alpha", "beta", "mbs", "bs", "lr", "epochs", "scales"])
-    ds = _load_dataset(args)
-    if not ds.meta.get("standardized"):
-        ds = D.standardize(ds)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg["arch"] == "cnn":
-        side = int(round(np.sqrt(ds.dim)))
-        net = nn.build_cnn(cfg["cnn-arch"], (1, side, side), seed=seed, batchnorm=True)
-        points = ds.points.reshape(ds.size, 1, side, side)
-    else:
-        net = nn.build_mlp(ds.dim, list(cfg["hidden"]), out_units=None, seed=seed)
-        points = ds.points
-    mim_cfg = mim_mod.MimConfig(alpha=cfg["alpha"], beta=cfg["beta"],
-                                use_scales=(cfg["scales"] == "on"))
-    sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
-    opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
-                                         weight_decay=cfg["weight-decay"])
-    objective = mim_mod.make_mim_objective(mim_cfg, v1=args.v1)
-    train_points, callback = _stopping_split(args, points, objective, seed)
-    log = train_mod.train_objective(net, train_points, objective, sched, opt, seed=seed,
-                                    epoch_callback=callback)
+    def build(cfg, shape, seed):
+        if len(shape) == 3:
+            net = nn.build_cnn(cfg["cnn-arch"], shape, seed=seed, batchnorm=True)
+        else:
+            net = nn.build_mlp(shape[0], list(cfg["hidden"]), out_units=None, seed=seed)
+        mim_cfg = mim_mod.MimConfig(alpha=cfg["alpha"], beta=cfg["beta"],
+                                    use_scales=(cfg["scales"] == "on"))
+        return net, mim_mod.make_mim_objective(mim_cfg, v1=args.v1)
 
-    ckpt_json, ckpt_bin = nn.save_checkpoint(net, out_dir / "checkpoint")
-    log_path = out_dir / "train_log.jsonl"
-    log.write_jsonl(log_path)
-    metrics_path = out_dir / "metrics.csv"
-    log.write_metrics_csv(metrics_path)
-    cfg_path = _emit_config(out_dir, {**cfg, "seed": seed, "v1": bool(args.v1),
-                                      "command": "train-mim", "data": str(args.data)})
-    _write_manifest(out_dir, [ckpt_json, ckpt_bin, log_path, metrics_path, cfg_path])
-    print(f"trained {len(log.records)} updates; final total {log.records[-1]['total']:.6f}")
-    return 0
+    def summary(run):
+        print(f"trained {len(run.log.records)} updates; "
+              f"final total {run.log.records[-1]['total']:.6f}")
+        return []
+
+    return _train_command(args, "train-mim", defaults,
+                          ["alpha", "beta", "mbs", "bs", "lr", "epochs", "scales"],
+                          build, summary, v1=bool(args.v1))
 
 
 # --- probe ---
@@ -267,9 +268,7 @@ def cmd_train_mim(args) -> int:
 def cmd_probe(args) -> int:
     seed = _resolve_seed(args)
     net = nn.load_checkpoint(args.checkpoint)
-    ds = _load_dataset(args)
-    if not ds.meta.get("standardized"):
-        ds = D.standardize(ds)
+    ds = _load_standardized(args)
     features = train_mod.extract_features(net, ds.points, tap=args.layer,
                                           bn_train_mode=(args.bn_mode == "train"))
     accuracy = train_mod.linear_probe(features, ds.components, hidden_units=args.hidden,
@@ -323,7 +322,8 @@ def cmd_export_grid(args) -> int:
 
     rows = ["x,y,argmax_label,max_prob"]
     for start in range(0, lifted.shape[0], 4096):
-        out = net.forward(Tensor(lifted[start:start + 4096]), "eval").data
+        with no_tape():
+            out = net.forward(Tensor(lifted[start:start + 4096]), "eval").data
         labels = out.argmax(axis=1)
         probs = out.max(axis=1)
         for (x, y), lab, pr in zip(grid[start:start + 4096], labels, probs):
@@ -351,6 +351,26 @@ def _run_sweep(args, runner) -> int:
     return code
 
 
+def _training_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
+    """A training command's parser with the flags both commands share."""
+    t = sub.add_parser(name, help=summary)
+    t.add_argument("--data", required=True)
+    t.add_argument("--labels", default=None, help="IDX label file (treats --data as IDX images)")
+    for flag in ("--beta", "--lr"):
+        t.add_argument(flag, type=float, default=None)
+    for flag in ("--mbs", "--bs", "--epochs", "--seed"):
+        t.add_argument(flag, type=int, default=None)
+    t.add_argument("--out-dir", required=True)
+    t.add_argument("--config", default=None, help="JSON config; flags override")
+    t.add_argument("--stop-split", type=float, default=0.0,
+                   help="hold out this fraction as the early-stopping split (0 = off)")
+    t.add_argument("--patience", type=int, default=10,
+                   help="epochs without holdout improvement before stopping")
+    t.add_argument("--sweep", default=None, help="JSON list of configs, run sequentially")
+    t.set_defaults(func=func)
+    return t
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neuralbayes",
@@ -368,47 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    t = sub.add_parser("train-dml", help="train the manifold-labeling objective")
-    t.add_argument("--data", required=True)
-    t.add_argument("--labels", default=None, help="IDX label file (treats --data as IDX images)")
+    t = _training_parser(sub, "train-dml", "train the manifold-labeling objective", cmd_train_dml)
     t.add_argument("--k", type=int, default=None)
-    t.add_argument("--beta", type=float, default=None)
-    t.add_argument("--mbs", type=int, default=None)
-    t.add_argument("--bs", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--out-dir", required=True)
-    t.add_argument("--config", default=None, help="JSON config; flags override")
     t.add_argument("--preset", choices=["default", "mnist-cnn"], default="default")
-    t.add_argument("--stop-split", type=float, default=0.0,
-                   help="hold out this fraction as the early-stopping split (0 = off)")
-    t.add_argument("--patience", type=int, default=10,
-                   help="epochs without holdout improvement before stopping")
-    t.add_argument("--sweep", default=None, help="JSON list of configs, run sequentially")
-    t.set_defaults(func=cmd_train_dml)
 
-    m = sub.add_parser("train-mim", help="train the information-maximization objective")
-    m.add_argument("--data", required=True)
-    m.add_argument("--labels", default=None, help="IDX label file (treats --data as IDX images)")
+    m = _training_parser(sub, "train-mim", "train the information-maximization objective",
+                         cmd_train_mim)
     m.add_argument("--alpha", type=float, default=None)
-    m.add_argument("--beta", type=float, default=None)
-    m.add_argument("--mbs", type=int, default=None)
-    m.add_argument("--bs", type=int, default=None)
     m.add_argument("--scales", choices=["on", "off"], default=None)
-    m.add_argument("--lr", type=float, default=None)
-    m.add_argument("--epochs", type=int, default=None)
-    m.add_argument("--seed", type=int, default=None)
-    m.add_argument("--out-dir", required=True)
-    m.add_argument("--config", default=None)
     m.add_argument("--v1", action="store_true",
                    help="use the negative-entropy prior penalty (side-by-side comparison mode)")
-    m.add_argument("--stop-split", type=float, default=0.0,
-                   help="hold out this fraction as the early-stopping split (0 = off)")
-    m.add_argument("--patience", type=int, default=10,
-                   help="epochs without holdout improvement before stopping")
-    m.add_argument("--sweep", default=None)
-    m.set_defaults(func=cmd_train_mim)
 
     p = sub.add_parser("probe", help="train a classifier on frozen checkpoint features")
     p.add_argument("--checkpoint", required=True)

@@ -100,7 +100,7 @@ def dml_binary_loss(labels, cfg: DmlConfig, prior: float | None = None) -> Tenso
     L = _label_tensor(labels)
     if L.shape[0] < 2:
         raise ShapeError("binary loss needs a batch of at least 2")
-    prior = T.mean_all(L) if prior is None else Tensor(np.asarray(prior))
+    prior = T.tmean(L) if prior is None else Tensor(np.asarray(prior))
     pv = float(prior.data)
     if not 0.0 < pv < 1.0:
         raise DegeneratePriorError(f"batch-mean prior hit {pv!r}; labels are degenerate")
@@ -124,7 +124,7 @@ def dml_multi_loss(p: PosteriorBatch, cfg: DmlConfig) -> Tensor:
         raise ShapeError("multi-partition loss needs K >= 2 states")
     if B < 2:
         raise ShapeError("multi-partition loss needs a batch of at least 2")
-    prior = T.mean_rows(v)
+    prior = T.tmean(v, axis=0)
     pv = prior.data
     if np.min(pv) <= 0.0 or np.max(pv) >= 1.0:
         bad = int(np.argmin(np.minimum(pv, 1.0 - pv)))

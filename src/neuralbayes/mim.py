@@ -69,20 +69,6 @@ class StateCollection:
     def __len__(self) -> int:
         return len(self.states)
 
-    def location_posteriors(self) -> list[tuple[str, PosteriorBatch]]:
-        """Flatten into per-location posterior batches (diagnostic view)."""
-        out = []
-        for st in self.states:
-            if st.spatial:
-                _, _, H, W = st.values.shape
-                for h in range(H):
-                    for w in range(W):
-                        out.append((f"{st.state_id}@{h},{w}",
-                                    PosteriorBatch(Tensor(st.values.data[:, :, h, w]))))
-            else:
-                out.append((st.state_id, PosteriorBatch(Tensor(st.values.data))))
-        return out
-
 
 def _guarded_log(t: Tensor, eps: float) -> Tensor:
     """log(t + eps) where entries that are exactly zero are masked to keep the
@@ -102,7 +88,7 @@ def mi_closed_form(p: PosteriorBatch, eps: float = 0.0) -> Tensor:
     oracle comparisons; zero posterior entries contribute exactly zero.
     """
     v = p.values
-    prior = T.mean_rows(v)
+    prior = T.tmean(v, axis=0)
     terms = v * (_guarded_log(v, eps) - _guarded_log(prior, eps))
     return T.tmean(T.tsum(terms, axis=1))
 
@@ -111,13 +97,10 @@ def mim_v1_loss(p: PosteriorBatch, eps: float = 1e-7) -> Tensor:
     """Decoupled negative-MI loss with stop-gradient logs.
 
     Forward value equals -MI (up to the guard); its gradient equals the full
-    gradient of -MI because blocked log-argument terms cancel exactly.
+    gradient of -MI because blocked log-argument terms cancel exactly.  It is
+    the single-state MI term plus the negative-entropy prior penalty.
     """
-    v = p.values
-    prior = T.mean_rows(v)
-    entropy_term = T.neg(T.tmean(T.tsum(v * _guarded_log(stop_gradient(v), eps), axis=1)))
-    prior_term = T.tsum(prior * _guarded_log(stop_gradient(prior), eps))
-    return entropy_term + prior_term
+    return _state_mi_term(p.values, eps) + _state_prior_penalty(p.values, eps, "v1")
 
 
 def uniform_prior_penalty_v1(prior: PriorEstimate, eps: float = 0.0) -> Tensor:
@@ -133,11 +116,7 @@ def uniform_prior_penalty_v2(prior: PriorEstimate, eps: float = 0.0) -> Tensor:
     at p_k = 1/K and with gradients that blow up as any p_k approaches 1,
     unlike the negative-entropy form whose gradients vanish there.
     """
-    pv = prior.values
-    K = pv.shape[0]
-    a = T.tsum(T.log(pv + eps) if eps else T.log(pv))
-    b = T.tsum(T.log((1.0 - pv) + eps) if eps else T.log(1.0 - pv))
-    return T.neg(a * (1.0 / K) + b * ((K - 1.0) / K))
+    return _prior_penalty(prior.values, eps, "v2")
 
 
 def prior_gradient_strength(prior_k: float, K: int) -> tuple[float, float]:
@@ -174,9 +153,9 @@ def _state_mi_term(v: Tensor, eps: float) -> Tensor:
     return T.neg(T.tmean(T.tsum(v * _guarded_log(stop_gradient(v), eps), axis=1)))
 
 
-def _state_prior_penalty(v: Tensor, eps: float, form: str) -> Tensor:
-    K = v.shape[1]
-    prior = T.tmean(v, axis=0)  # (K,) or (K, H, W); the per-location batch mean
+def _prior_penalty(prior: Tensor, eps: float, form: str) -> Tensor:
+    # a (K,) prior, or (K, H, W) per location with the penalty averaged over locations
+    K = prior.shape[0]
     if form == "v1":
         penalty = T.tsum(prior * _guarded_log(stop_gradient(prior), eps), axis=0)
     else:
@@ -184,6 +163,11 @@ def _state_prior_penalty(v: Tensor, eps: float, form: str) -> Tensor:
         b = T.tsum(T.log((1.0 - prior) + eps), axis=0)
         penalty = T.neg(a * (1.0 / K) + b * ((K - 1.0) / K))
     return penalty if penalty.ndim == 0 else T.tmean(penalty)
+
+
+def _state_prior_penalty(v: Tensor, eps: float, form: str) -> Tensor:
+    # the prior is the batch mean, per location for spatial states
+    return _prior_penalty(T.tmean(v, axis=0), eps, form)
 
 
 def mim_v2_loss(sc: StateCollection, cfg: MimConfig, rc=0.0,

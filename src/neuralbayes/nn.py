@@ -4,6 +4,13 @@ Networks are flat layer lists.  "Taps" mark layers whose post-activation
 output is exported as a hidden state by ``forward_with_states`` (used by the
 multi-state information objective and by probe feature extraction).
 
+Every layer follows one protocol (``Layer``): a class names its checkpoint
+type in ``TYPE`` and the constructor arguments its spec records in ``ARGS``,
+and implements ``forward(x, mode)``; layers with trainable tensors or
+running statistics also return them from ``parameters()`` and
+``buffers()``.  Checkpoints rebuild each layer from its spec through the
+``{TYPE: class}`` registry.
+
 Every forward takes one of three modes, which only batch norm tells apart
 (Ioffe & Szegedy, arXiv:1502.03167):
 
@@ -18,6 +25,7 @@ Every forward takes one of three modes, which only batch norm tells apart
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Sequence
@@ -54,8 +62,30 @@ def orthogonal_init(rows: int, cols: int, seed: int) -> Tensor:
     return Tensor(q[:rows, :cols].copy())
 
 
-class DenseLayer:
+class Layer:
+    """Base of every layer (see the module docstring); each name in ``ARGS``
+    is also an attribute, which ``spec()`` records."""
+
+    TYPE = ""
+    ARGS: tuple[str, ...] = ()
+
+    def forward(self, x: Tensor, mode: str) -> Tensor:
+        raise NotImplementedError
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {}
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def spec(self) -> dict:
+        return {"type": self.TYPE, **{name: getattr(self, name) for name in self.ARGS}}
+
+
+class DenseLayer(Layer):
     """Affine map x -> x Wt + b with orthogonally initialized weight (out, in)."""
+
+    TYPE, ARGS = "dense", ("in_dim", "out_dim", "seed")
 
     def __init__(self, in_dim: int, out_dim: int, seed: int | None = 0):
         self.in_dim, self.out_dim, self.seed = in_dim, out_dim, seed
@@ -72,15 +102,11 @@ class DenseLayer:
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def buffers(self):
-        return {}
 
-    def spec(self):
-        return {"type": "dense", "in_dim": self.in_dim, "out_dim": self.out_dim, "seed": self.seed}
-
-
-class Conv2dLayer:
+class Conv2dLayer(Layer):
     """2-D convolution with (out, in, k, k) kernels, orthogonal across the fan-in."""
+
+    TYPE, ARGS = "conv", ("in_channels", "out_channels", "kernel", "stride", "padding", "seed")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, seed: int | None = 0):
@@ -100,15 +126,8 @@ class Conv2dLayer:
     def parameters(self):
         return {"kernels": self.kernels, "bias": self.bias}
 
-    def buffers(self):
-        return {}
 
-    def spec(self):
-        return {"type": "conv", "in_channels": self.in_channels, "out_channels": self.out_channels,
-                "kernel": self.kernel, "stride": self.stride, "padding": self.padding, "seed": self.seed}
-
-
-class BatchNormLayer:
+class BatchNormLayer(Layer):
     """Feature-wise normalization with running statistics.
 
     Train and batch mode normalize with batch statistics (variance floored
@@ -117,6 +136,8 @@ class BatchNormLayer:
     mode uses the stored stats.  Only train mode mutates anything, and every
     mode is one ``batch_norm`` tape node.
     """
+
+    TYPE, ARGS = "batchnorm", ("features", "momentum")
 
     def __init__(self, features: int, momentum: float = 0.1):
         if not 0.0 < momentum < 1.0:
@@ -156,73 +177,44 @@ class BatchNormLayer:
     def set_buffer(self, name: str, value: np.ndarray) -> None:
         setattr(self, name, value)
 
-    def spec(self):
-        return {"type": "batchnorm", "features": self.features, "momentum": self.momentum}
 
+class ReluLayer(Layer):
+    TYPE = "relu"
 
-class ReluLayer:
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.relu(x)
 
-    def parameters(self):
-        return {}
 
-    def buffers(self):
-        return {}
+class TanhLayer(Layer):
+    TYPE = "tanh"
 
-    def spec(self):
-        return {"type": "relu"}
-
-
-class TanhLayer:
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.tanh(x)
 
-    def parameters(self):
-        return {}
 
-    def buffers(self):
-        return {}
-
-    def spec(self):
-        return {"type": "tanh"}
-
-
-class SoftmaxLayer:
+class SoftmaxLayer(Layer):
     """Softmax along the feature/channel axis (axis 1)."""
+
+    TYPE = "softmax"
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.softmax(x, axis=1)
 
-    def parameters(self):
-        return {}
 
-    def buffers(self):
-        return {}
+class MaxPool2dLayer(Layer):
+    TYPE, ARGS = "maxpool", ("kernel", "stride")
 
-    def spec(self):
-        return {"type": "softmax"}
-
-
-class MaxPool2dLayer:
     def __init__(self, kernel: int = 2, stride: int = 2):
         self.kernel, self.stride = kernel, stride
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.max_pool2d(x, self.kernel, self.stride)
 
-    def parameters(self):
-        return {}
 
-    def buffers(self):
-        return {}
-
-    def spec(self):
-        return {"type": "maxpool", "kernel": self.kernel, "stride": self.stride}
-
-
-class AvgPool2dLayer:
+class AvgPool2dLayer(Layer):
     """Average pooling; ``spatial_all=True`` pools the whole map to 1x1."""
+
+    TYPE, ARGS = "avgpool", ("kernel", "stride", "spatial_all")
 
     def __init__(self, kernel: int = 2, stride: int = 2, spatial_all: bool = False):
         self.kernel, self.stride, self.spatial_all = kernel, stride, spatial_all
@@ -233,43 +225,15 @@ class AvgPool2dLayer:
             return T.avg_pool2d(x, kernel=k, stride=k)
         return T.avg_pool2d(x, self.kernel, self.stride)
 
-    def parameters(self):
-        return {}
 
-    def buffers(self):
-        return {}
+class FlattenLayer(Layer):
+    TYPE = "flatten"
 
-    def spec(self):
-        return {"type": "avgpool", "kernel": self.kernel, "stride": self.stride,
-                "spatial_all": self.spatial_all}
-
-
-class FlattenLayer:
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.reshape(x, (x.shape[0], -1))
 
-    def parameters(self):
-        return {}
 
-    def buffers(self):
-        return {}
-
-    def spec(self):
-        return {"type": "flatten"}
-
-
-_LAYER_TYPES = {
-    "dense": lambda s: DenseLayer(s["in_dim"], s["out_dim"], seed=None),
-    "conv": lambda s: Conv2dLayer(s["in_channels"], s["out_channels"], s["kernel"],
-                                  s["stride"], s["padding"], seed=None),
-    "batchnorm": lambda s: BatchNormLayer(s["features"], s["momentum"]),
-    "relu": lambda s: ReluLayer(),
-    "tanh": lambda s: TanhLayer(),
-    "softmax": lambda s: SoftmaxLayer(),
-    "maxpool": lambda s: MaxPool2dLayer(s["kernel"], s["stride"]),
-    "avgpool": lambda s: AvgPool2dLayer(s["kernel"], s["stride"], s["spatial_all"]),
-    "flatten": lambda s: FlattenLayer(),
-}
+_LAYER_TYPES = {cls.TYPE: cls for cls in Layer.__subclasses__()}
 
 
 class Network:
@@ -427,36 +391,53 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
 CHECKPOINT_FORMAT = "nb-checkpoint-v1"
 
 
-def _entry_order(net: Network) -> list[tuple[str, str]]:
-    """(name, kind) pairs in declaration order; kind is 'param' or 'buffer'."""
+def _entries(net: Network) -> list[tuple[str, str, np.ndarray]]:
+    """(name, kind, array) in declaration order; kind is 'param' or 'buffer'."""
     entries = []
     for i, layer in enumerate(net.layers):
-        for name in layer.parameters():
-            entries.append((f"layer{i}.{name}", "param"))
-        for name in layer.buffers():
-            entries.append((f"layer{i}.{name}", "buffer"))
+        entries += [(f"layer{i}.{name}", "param", p.data) for name, p in layer.parameters().items()]
+        entries += [(f"layer{i}.{name}", "buffer", b) for name, b in layer.buffers().items()]
     return entries
 
 
 def save_checkpoint(net: Network, stem: str | Path) -> tuple[Path, Path]:
     """Write ``<stem>.json`` + ``<stem>.bin``; the round trip is bit-exact."""
     stem = Path(stem)
-    params, buffers = net.parameters(), net.buffers()
-    entries, blobs = [], []
-    for name, kind in _entry_order(net):
-        arr = params[name].data if kind == "param" else buffers[name]
-        entries.append({"name": name, "kind": kind, "shape": list(arr.shape)})
-        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    manifest = {"format": CHECKPOINT_FORMAT, "dtype": "<f8",
-                "architecture": net.spec(), "entries": entries}
+    entries = _entries(net)
+    manifest = {"format": CHECKPOINT_FORMAT, "dtype": "<f8", "architecture": net.spec(),
+                "entries": [{"name": name, "kind": kind, "shape": list(arr.shape)}
+                            for name, kind, arr in entries]}
     json_path = stem.with_suffix(".json")
     bin_path = stem.with_suffix(".bin")
     json_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    bin_path.write_bytes(b"".join(blobs))
+    bin_path.write_bytes(b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                                  for _, _, arr in entries))
     return json_path, bin_path
 
 
+def _layer_from_spec(spec: dict) -> Layer:
+    """Rebuild a layer from its spec without its seeded init (the stored arrays
+    overwrite it), then put back the recorded seed so re-saves are
+    byte-identical."""
+    cls = _LAYER_TYPES.get(spec["type"])
+    if cls is None:
+        raise FormatError(f"unknown layer type {spec['type']!r} in checkpoint")
+    args = {name: spec[name] for name in cls.ARGS}
+    if "seed" not in args:
+        return cls(**args)
+    layer = cls(**{**args, "seed": None})
+    layer.seed = args["seed"]
+    return layer
+
+
 def load_checkpoint(stem: str | Path) -> Network:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The manifest is checked against the network its architecture builds:
+    every entry's name, kind and shape must be the one ``save_checkpoint``
+    would write there, and the binary must hold exactly their bytes; anything
+    else raises ``FormatError``.
+    """
     stem = Path(stem)
     json_path = stem if stem.suffix == ".json" else stem.with_suffix(".json")
     bin_path = json_path.with_suffix(".bin")
@@ -464,34 +445,33 @@ def load_checkpoint(stem: str | Path) -> Network:
         manifest = json.loads(json_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"checkpoint manifest {json_path} is not valid JSON: {exc}") from exc
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError(f"unsupported checkpoint format {manifest.get('format')!r}")
-    arch = manifest["architecture"]
-    layers = []
-    for lspec in arch["layers"]:
-        kind = lspec["type"]
-        if kind not in _LAYER_TYPES:
-            raise FormatError(f"unknown layer type {kind!r} in checkpoint")
-        layer = _LAYER_TYPES[kind](lspec)
-        if hasattr(layer, "seed"):  # keep the recorded init seed so re-saves are byte-identical
-            layer.seed = lspec.get("seed")
-        layers.append(layer)
-    net = Network(layers, arch["taps"])
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise FormatError(f"unsupported checkpoint format {fmt!r}")
+    try:
+        arch = manifest["architecture"]
+        net = Network([_layer_from_spec(spec) for spec in arch["layers"]], arch["taps"])
+        listed = [(e["name"], e["kind"], tuple(e["shape"])) for e in manifest["entries"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"checkpoint manifest {json_path} is malformed: "
+                          f"{type(exc).__name__} {exc}") from exc
+    expected = [(name, kind, arr.shape) for name, kind, arr in _entries(net)]
+    for i, (got, want) in enumerate(itertools.zip_longest(listed, expected)):
+        if got != want:
+            raise FormatError(f"checkpoint entry {i} is {got}; the architecture needs {want}")
     raw = bin_path.read_bytes()
     offset = 0
-    params, buffers = net.parameters(), net.buffers()
-    for entry in manifest["entries"]:
-        shape = tuple(entry["shape"])
+    params = net.parameters()
+    for name, kind, shape in expected:
         n = int(np.prod(shape)) if shape else 1
         nbytes = n * 8
         if offset + nbytes > len(raw):
             raise FormatError(
-                f"checkpoint binary truncated at byte {len(raw)}: entry {entry['name']} "
+                f"checkpoint binary truncated at byte {len(raw)}: entry {name} "
                 f"needs bytes [{offset}, {offset + nbytes})")
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
         offset += nbytes
-        name = entry["name"]
-        if entry["kind"] == "param":
+        if kind == "param":
             params[name].data = arr
         else:
             layer_idx, buf_name = name.split(".", 1)

@@ -145,9 +145,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self) -> None:
         """Backpropagate from this scalar through the tape.
 
@@ -306,34 +303,6 @@ def log(x) -> Tensor:
     return out
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    res = np.exp(x.data)
-    out = Tensor._from_op(res, (x,), "exp")
-
-    def backward(g):
-        _accum(x, g * res)
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
-
-
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.size and np.min(x.data) <= 0.0:
-        raise DomainError("sqrt requires strictly positive inputs")
-    res = np.sqrt(x.data)
-    out = Tensor._from_op(res, (x,), "sqrt")
-
-    def backward(g):
-        _accum(x, g * 0.5 / res)
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out = Tensor._from_op(np.maximum(x.data, 0.0), (x,), "relu")
@@ -353,23 +322,6 @@ def tanh(x) -> Tensor:
 
     def backward(g):
         _accum(x, g * (1.0 - res * res))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = Tensor._from_op(a.data @ b.data, (a, b), "matmul")
-
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
 
     if out.requires_grad:
         out._backward = backward
@@ -401,20 +353,6 @@ def linear(x, weight, bias) -> Tensor:
             _accum(x, g @ weight.data)
         _accum(weight, g.T @ x.data)
         _accum(bias, g.sum(axis=0))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
-
-
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {x.shape}")
-    out = Tensor._from_op(x.data.T.copy(), (x,), "transpose")
-
-    def backward(g):
-        _accum(x, g.T)
 
     if out.requires_grad:
         out._backward = backward
@@ -477,19 +415,6 @@ def tmean(x, axis: Axis = None) -> Tensor:
     return out
 
 
-def mean_rows(x) -> Tensor:
-    """Mean over the batch (leading) axis: (B, K) -> (K,)."""
-    x = _as_tensor(x)
-    if x.shape[0] < 1:
-        raise ShapeError("mean_rows needs at least one row")
-    return tmean(x, axis=0)
-
-
-def mean_all(x) -> Tensor:
-    """Mean over every element, as a scalar tensor."""
-    return tmean(x, axis=None)
-
-
 def softmax(x, axis: int = 1) -> Tensor:
     """Row-stochastic softmax along ``axis``, computed with max subtraction."""
     x = _as_tensor(x)
@@ -506,14 +431,6 @@ def softmax(x, axis: int = 1) -> Tensor:
     if out.requires_grad:
         out._backward = backward
     return out
-
-
-def softmax_rows(x) -> Tensor:
-    """Softmax over each row of a (B, K) matrix."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a (B, K) tensor, got shape {x.shape}")
-    return softmax(x, axis=1)
 
 
 def column(x, k: int) -> Tensor:

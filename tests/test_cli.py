@@ -195,6 +195,19 @@ class TestProbeAndGrid:
         assert lines[0] == "x,y,argmax_label,max_prob"
         assert len(lines) == 401
 
+    @pytest.mark.parametrize("command", ["probe", "export-grid"])
+    def test_malformed_checkpoint_exits_1(self, tiny_run, tmp_path, capsys, command):
+        data, out_dir = tiny_run
+        manifest = json.loads((out_dir / "checkpoint.json").read_text())
+        del manifest["architecture"]["layers"][0]["out_dim"]
+        (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
+        (tmp_path / "checkpoint.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
+        extra = ["--out", str(tmp_path / "grid.csv")] if command == "export-grid" else []
+        code = run([command, "--checkpoint", str(tmp_path / "checkpoint"), "--data", str(data),
+                    *extra])
+        assert code == 1
+        assert "checkpoint manifest" in capsys.readouterr().err
+
     def test_export_grid_handles_lifted_data(self, tmp_path):
         data = tmp_path / "lift.csv"
         run(["gen-data", "--kind", "moons", "--n", "40", "--dim", "8", "--seed", "2",

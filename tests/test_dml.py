@@ -101,7 +101,7 @@ class TestBinaryLoss:
 
     def test_gradient_flows(self):
         logits = Tensor(np.random.default_rng(0).standard_normal((16, 2)), requires_grad=True)
-        L = T.column(T.softmax_rows(logits), 0)
+        L = T.column(T.softmax(logits, axis=1), 0)
         dml.dml_binary_loss(L, CFG).backward()
         assert logits.grad is not None and np.abs(logits.grad).max() > 0
 
@@ -134,7 +134,7 @@ class TestMultiLoss:
     @given(st.integers(2, 40), st.integers(2, 6), st.integers(0, 99_999))
     def test_range(self, b, k, seed):
         logits = np.random.default_rng(seed).standard_normal((b, k))
-        p = bayes.PosteriorBatch(T.softmax_rows(Tensor(logits)))
+        p = bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
         v = dml.dml_multi_loss(p, dml.DmlConfig(partitions=k)).item()
         assert -LOG2 - 1e-9 <= v <= 1e-3
 
@@ -162,7 +162,7 @@ class TestSmoothnessPenalty:
         W = rng.standard_normal((4, 3))
 
         def linear(t):
-            return T.matmul(t, Tensor(W))
+            return T.linear(t, Tensor(W.T), Tensor(np.zeros(3)))
 
         noise = rng.standard_normal((12, 12))
         y0 = linear(Tensor(batch))

@@ -19,7 +19,7 @@ LOG2 = math.log(2.0)
 
 def random_posterior(b, k, seed):
     logits = np.random.default_rng(seed).standard_normal((b, k))
-    return bayes.PosteriorBatch(T.softmax_rows(Tensor(logits)))
+    return bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
 
 
 class TestClosedFormMI:
@@ -190,8 +190,13 @@ class TestCollectStates:
         rng = np.random.default_rng(1)
         states = [Tensor(rng.standard_normal((3, 4, 2, 2))), Tensor(rng.standard_normal((3, 5)))]
         sc = mim.collect_states(states, mim.MimConfig(use_scales=True))
-        for _, pb in sc.location_posteriors():
-            assert abs(pb.values.data.sum(axis=1) - 1.0).max() <= 1e-9
+        for st in sc:
+            v = st.values.data
+            locations = [v]
+            if st.spatial:
+                locations = [v[:, :, h, w] for h in range(v.shape[2]) for w in range(v.shape[3])]
+            for posterior in locations:
+                assert abs(posterior.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 class TestV2Loss:

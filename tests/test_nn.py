@@ -1,5 +1,8 @@
 """Layer, architecture, and checkpoint contracts."""
 
+import inspect
+import json
+
 import numpy as np
 import pytest
 
@@ -342,3 +345,89 @@ class TestCheckpoint:
         jp.write_text(jp.read_text().replace("nb-checkpoint-v1", "other"))
         with pytest.raises(FormatError):
             nn.load_checkpoint(tmp_path / "u")
+
+    def test_every_layer_type_round_trips(self, tmp_path):
+        net = nn.Network([
+            nn.Conv2dLayer(1, 3, 3, stride=1, padding=1, seed=4), nn.BatchNormLayer(3, momentum=0.2),
+            nn.ReluLayer(), nn.MaxPool2dLayer(2, 2), nn.AvgPool2dLayer(2, 1),
+            nn.AvgPool2dLayer(spatial_all=True), nn.FlattenLayer(), nn.DenseLayer(3, 4, seed=6),
+            nn.TanhLayer(), nn.SoftmaxLayer()], taps=[2, 8])
+        assert {layer.TYPE for layer in net.layers} == set(nn._LAYER_TYPES)
+        x = np.random.default_rng(15).standard_normal((5, 1, 6, 6))
+        self._train_a_little(net, x)
+        jp, bp = nn.save_checkpoint(net, tmp_path / "all")
+        loaded = nn.load_checkpoint(tmp_path / "all")
+        assert loaded.spec() == net.spec()
+        nn.save_checkpoint(loaded, tmp_path / "again")
+        assert (tmp_path / "again.json").read_bytes() == jp.read_bytes()
+        assert (tmp_path / "again.bin").read_bytes() == bp.read_bytes()
+        for mode in ("eval", "batch"):
+            (out, states), (out2, states2) = (m.forward_with_states(Tensor(x), mode)
+                                              for m in (net, loaded))
+            assert out.data.tobytes() == out2.data.tobytes(), mode
+            assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in states2]
+
+    def test_registry_covers_every_layer_class(self):
+        classes = nn.Layer.__subclasses__()
+        assert sorted(nn._LAYER_TYPES) == sorted(cls.TYPE for cls in classes)
+        assert set(nn._LAYER_TYPES.values()) == set(classes)
+        for cls in classes:
+            assert set(cls.ARGS) <= set(inspect.signature(cls).parameters), cls.__name__
+
+
+class TestCheckpointManifest:
+    """A manifest that disagrees with the network its architecture builds is
+    rejected, entry by entry."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        net = nn.build_mlp(3, [4, 5], 2, seed=1, batchnorm=True)
+        jp, bp = nn.save_checkpoint(net, tmp_path / "c")
+        return jp, bp, json.loads(jp.read_text())
+
+    def _load_edited(self, saved, edit):
+        jp, _, manifest = saved
+        edit(manifest)
+        jp.write_text(json.dumps(manifest))
+        return nn.load_checkpoint(jp)
+
+    def test_missing_last_entry_rejected(self, saved):
+        jp, bp, manifest = saved
+        last = manifest["entries"][-1]
+        bp.write_bytes(bp.read_bytes()[:-8 * int(np.prod(last["shape"]))])
+        with pytest.raises(FormatError, match="layer6.bias"):
+            self._load_edited(saved, lambda m: m["entries"].pop())
+
+    def test_transposed_shape_rejected(self, saved):
+        def transpose_first(m):
+            assert m["entries"][0]["shape"] == [4, 3]
+            m["entries"][0]["shape"] = [3, 4]
+        with pytest.raises(FormatError, match="entry 0"):
+            self._load_edited(saved, transpose_first)
+
+    def test_renamed_entry_rejected(self, saved):
+        def rename(m):
+            m["entries"][1]["name"] = "layer0.offset"
+        with pytest.raises(FormatError, match="layer0.offset"):
+            self._load_edited(saved, rename)
+
+    def test_wrong_kind_rejected(self, saved):
+        def as_param(m):
+            running = [e for e in m["entries"] if e["kind"] == "buffer"][0]
+            running["kind"] = "param"
+        with pytest.raises(FormatError):
+            self._load_edited(saved, as_param)
+
+    @pytest.mark.parametrize("key", ["in_dim", "momentum", "type"])
+    def test_layer_spec_missing_key_rejected(self, saved, key):
+        def drop(m):
+            for spec in m["architecture"]["layers"]:
+                spec.pop(key, None)
+        with pytest.raises(FormatError, match="malformed"):
+            self._load_edited(saved, drop)
+
+    def test_unknown_layer_type_rejected(self, saved):
+        def retype(m):
+            m["architecture"]["layers"][2]["type"] = "gelu"
+        with pytest.raises(FormatError, match="gelu"):
+            self._load_edited(saved, retype)

@@ -45,9 +45,6 @@ class TestElementwise:
     def test_log_of_one(self):
         np.testing.assert_array_equal(T.log(Tensor([1.0])).data, [0.0])
 
-    def test_exp_of_zero(self):
-        np.testing.assert_array_equal(T.exp(Tensor([0.0, 0.0])).data, [1.0, 1.0])
-
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
             T.log(Tensor([0.0]))
@@ -88,7 +85,7 @@ class TestElementwise:
                   "b": Tensor(rng.uniform(0.5, 2.0, (4, 3)), requires_grad=True)}
         fd_check(lambda p: T.tsum(op(p["a"], p["b"]) * op(p["a"], p["b"])), params)
 
-    @pytest.mark.parametrize("op", [T.neg, T.log, T.exp, T.sqrt, T.tanh])
+    @pytest.mark.parametrize("op", [T.neg, T.log, T.tanh])
     def test_unary_gradients(self, op):
         rng = np.random.default_rng(4)
         params = {"x": Tensor(rng.uniform(0.5, 2.0, (5,)), requires_grad=True)}
@@ -97,31 +94,6 @@ class TestElementwise:
     def test_relu_gradient_away_from_kink(self):
         params = {"x": Tensor([-2.0, -0.5, 0.5, 2.0], requires_grad=True)}
         fd_check(lambda p: T.tsum(T.relu(p["x"]) * T.relu(p["x"])), params)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(T.matmul(Tensor(np.eye(2)), a).data, a.data)
-
-    def test_annihilation(self):
-        out = T.matmul(Tensor([[1.0, 0.0]]), Tensor([[0.0], [5.0]]))
-        np.testing.assert_array_equal(out.data, [[0.0]])
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-    def test_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(0)
-        params = {"a": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
-                  "b": Tensor(rng.standard_normal((4, 2)), requires_grad=True)}
-        fd_check(lambda p: T.tsum(T.matmul(p["a"], p["b"])), params, tol=1e-5)
-
-    def test_transpose_reshape_gradients(self):
-        rng = np.random.default_rng(1)
-        params = {"a": Tensor(rng.standard_normal((3, 4)), requires_grad=True)}
-        fd_check(lambda p: T.tsum(T.reshape(T.transpose(p["a"]), (2, 6)) * 3.0), params)
 
 
 class TestLinear:
@@ -185,62 +157,62 @@ class TestNoTape:
 
 class TestSoftmax:
     def test_uniform_row(self):
-        out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
+        out = T.softmax(Tensor([[0.0, 0.0, 0.0]]), axis=1)
         np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_extreme_logits_no_overflow(self):
-        out = T.softmax_rows(Tensor([[1000.0, 0.0]]))
+        out = T.softmax(Tensor([[1000.0, 0.0]]), axis=1)
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
-        out = T.softmax_rows(Tensor(rng.standard_normal((16, 7))))
+        out = T.softmax(Tensor(rng.standard_normal((16, 7))), axis=1)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal((4, 5))
-        a = T.softmax_rows(Tensor(logits)).data
-        b = T.softmax_rows(Tensor(logits + 7.3)).data
+        a = T.softmax(Tensor(logits), axis=1).data
+        b = T.softmax(Tensor(logits + 7.3), axis=1).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_jacobian_vs_finite_differences(self):
         rng = np.random.default_rng(7)
         params = {"x": Tensor(rng.standard_normal((1, 4)), requires_grad=True)}
         w = rng.standard_normal((1, 4))
-        fd_check(lambda p: T.tsum(T.softmax_rows(p["x"]) * w), params, tol=1e-5)
+        fd_check(lambda p: T.tsum(T.softmax(p["x"], axis=1) * w), params, tol=1e-5)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 10_000))
     def test_rows_sum_property(self, b, k, seed):
         logits = np.random.default_rng(seed).uniform(-30, 30, (b, k))
-        out = T.softmax_rows(Tensor(logits))
+        out = T.softmax(Tensor(logits), axis=1)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestReductions:
     def test_mean_rows_constant(self):
-        out = T.mean_rows(Tensor([[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]]))
+        out = T.tmean(Tensor([[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]]), axis=0)
         np.testing.assert_array_equal(out.data, [2.0, 3.0])
 
     def test_mean_rows_swap(self):
-        out = T.mean_rows(Tensor([[0.0, 1.0], [1.0, 0.0]]))
+        out = T.tmean(Tensor([[0.0, 1.0], [1.0, 0.0]]), axis=0)
         np.testing.assert_array_equal(out.data, [0.5, 0.5])
 
     def test_mean_backward_is_one_over_b(self):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        T.tsum(T.mean_rows(x)).backward()
+        T.tsum(T.tmean(x, axis=0)).backward()
         np.testing.assert_allclose(x.grad, np.full((3, 2), 1 / 3), atol=1e-15)
         params = {"x": Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)}
-        fd_check(lambda p: T.tsum(T.mean_rows(p["x"]) * T.mean_rows(p["x"])), params)
+        fd_check(lambda p: T.tsum(T.tmean(p["x"], axis=0) * T.tmean(p["x"], axis=0)), params)
 
     def test_empty_mean_rejected(self):
         with pytest.raises(ShapeError):
             T.tmean(Tensor(np.zeros((0, 2))))
 
     def test_mean_all_scalar(self):
-        assert T.mean_all(Tensor([[1.0, 3.0]])).item() == 2.0
+        assert T.tmean(Tensor([[1.0, 3.0]])).item() == 2.0
 
 
 def loop_pool(x, kernel, stride, mode):
@@ -741,15 +713,16 @@ class TestBackward:
         rng = np.random.default_rng(13)
         params = {"w": Tensor(rng.standard_normal((3, 4)), requires_grad=True)}
         x = rng.standard_normal((4, 2))
-        fd_check(lambda p: T.tsum(T.matmul(p["w"], Tensor(x))), params, tol=1e-5)
+        zero = Tensor(np.zeros(3))
+        fd_check(lambda p: T.tsum(T.linear(Tensor(x.T), p["w"], zero)), params, tol=1e-5)
         # analytic structure: d sum(Wx) / dW = outer(ones, row sums of x)
-        grads = T.gradients(T.tsum(T.matmul(params["w"], Tensor(x))), params)
+        grads = T.gradients(T.tsum(T.linear(Tensor(x.T), params["w"], zero)), params)
         np.testing.assert_allclose(grads["w"], np.tile(x.sum(axis=1), (3, 1)), atol=1e-12)
 
     def test_repeated_backward_bitwise_equal(self):
         rng = np.random.default_rng(14)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        loss = T.tsum(T.softmax_rows(x) * T.log(T.softmax_rows(x) + 1e-7))
+        loss = T.tsum(T.softmax(x, axis=1) * T.log(T.softmax(x, axis=1) + 1e-7))
         loss.backward()
         first = x.grad.copy()
         loss.backward()
@@ -761,6 +734,12 @@ class TestBackward:
             (x * x).backward()
         with pytest.raises(ShapeError):
             T.gradients(x * x, {"x": x})
+
+    def test_reshape_gradients(self):
+        rng = np.random.default_rng(1)
+        params = {"a": Tensor(rng.standard_normal((3, 4)), requires_grad=True)}
+        w = rng.standard_normal((2, 6))
+        fd_check(lambda p: T.tsum(T.reshape(p["a"], (2, 6)) * w), params)
 
     def test_shared_subexpression_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
@@ -782,13 +761,9 @@ BACKWARD_OPS = {
     "div": lambda r: T.div(_leaf(r, (3, 4)), _leaf(r, (3, 4), positive=True)),
     "neg": lambda r: T.neg(_leaf(r, (3, 4))),
     "log": lambda r: T.log(_leaf(r, (3, 4), positive=True)),
-    "exp": lambda r: T.exp(_leaf(r, (3, 4))),
-    "sqrt": lambda r: T.sqrt(_leaf(r, (3, 4), positive=True)),
     "relu": lambda r: T.relu(_leaf(r, (3, 4))),
     "tanh": lambda r: T.tanh(_leaf(r, (3, 4))),
-    "matmul": lambda r: T.matmul(_leaf(r, (3, 4)), _leaf(r, (4, 2))),
     "linear": lambda r: T.linear(_leaf(r, (3, 4)), _leaf(r, (2, 4)), _leaf(r, (2,))),
-    "transpose": lambda r: T.transpose(_leaf(r, (3, 4))),
     "reshape": lambda r: T.reshape(_leaf(r, (3, 4)), (4, 3)),
     "sum": lambda r: T.tsum(_leaf(r, (2, 3, 4)), axis=(0, 2)),
     "mean": lambda r: T.tmean(_leaf(r, (2, 3, 4)), axis=1),
@@ -836,7 +811,8 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             x = Tensor(data, requires_grad=True)
-            loss = T.tmean(T.tsum(T.softmax_rows(T.matmul(x, T.transpose(x))), axis=1))
+            gram = T.linear(x, x, Tensor(np.zeros(8)))
+            loss = T.tmean(T.tsum(T.softmax(gram, axis=1), axis=1))
             loss.backward()
             runs.append((loss.item(), x.grad.copy()))
         assert runs[0][0] == runs[1][0]
