@@ -28,7 +28,8 @@ from .errors import ConfigError
 from .tensor import Tensor, no_tape
 
 DML_ARCH_HIDDEN = [400, 400, 400, 400]   # 4-layer MLP, 400 units, batch norm, softmax head
-MNIST_CNN_ARCH = "C(100,3,1,0)-P(2,2,0,max)-C(100,3,1,0)-C(200,3,1,0)-P(2,2,0,max)-C(500,3,1,0)-P(.,.,.,avg)-FC(10)"
+# the --preset mnist-cnn network; its head has one output per partition k
+MNIST_CNN_ARCH = "C(100,3,1,0)-P(2,2,0,max)-C(100,3,1,0)-C(200,3,1,0)-P(2,2,0,max)-C(500,3,1,0)-P(.,.,.,avg)-FC({k})"
 
 
 def _resolve_seed(args) -> int:
@@ -194,7 +195,8 @@ def _dml_config(cfg: dict) -> dml_mod.DmlConfig:
 def _dml_build(cfg: dict, shape: tuple, seed: int):
     print(f"smoothness weight beta={cfg['beta']} (useful sweep range: 0.5 to 6)")
     if len(shape) == 3:
-        net = nn.build_cnn(MNIST_CNN_ARCH, shape, seed=seed, batchnorm=True, softmax_head=True)
+        net = nn.build_cnn(MNIST_CNN_ARCH.format(k=cfg["k"]), shape, seed=seed, batchnorm=True,
+                           softmax_head=True)
     else:
         net = nn.build_mlp(shape[0], DML_ARCH_HIDDEN, cfg["k"], seed=seed,
                            batchnorm=True, softmax_head=True)

@@ -207,25 +207,18 @@ def make_dml_objective(cfg: DmlConfig):
     """
     from .report import ObjectiveReport
 
+    binary = cfg.partitions == 2
+
+    def head(out: Tensor) -> Tensor:
+        return T.column(out, 0) if binary else out
+
     def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
-        out = net.forward(xb, mode)
-        if cfg.partitions == 2:
-            y0 = T.column(out, 0)
-            js_loss = dml_binary_loss(y0, cfg)
-
-            def label_fn(t):
-                return T.column(net.forward(t, "batch"), 0)
-        else:
-            y0 = out
-            js_loss = dml_multi_loss(PosteriorBatch(out), cfg)
-
-            def label_fn(t):
-                return net.forward(t, "batch")
-
+        y0 = head(net.forward(xb, mode))
+        js_loss = dml_binary_loss(y0, cfg) if binary else dml_multi_loss(PosteriorBatch(y0), cfg)
         total = js_loss
         smooth_value = 0.0
         if cfg.beta > 0.0:
-            rc = smoothness_penalty(label_fn, xb, y0, cfg, rng)
+            rc = smoothness_penalty(lambda t: head(net.forward(t, "batch")), xb, y0, cfg, rng)
             smooth = rc * cfg.beta
             total = total + smooth
             smooth_value = smooth.item()

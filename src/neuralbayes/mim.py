@@ -36,8 +36,6 @@ class MimConfig:
     beta: float = 0.0
     epsilon: float = 1e-7
     use_scales: bool = False
-    pool_kernel: int = 2
-    pool_stride: int = 2
     noise_sigma: float = 0.1
 
     def __post_init__(self):
@@ -53,21 +51,6 @@ class SoftmaxState:
 
     state_id: str
     values: Tensor
-
-    @property
-    def spatial(self) -> bool:
-        return self.values.ndim == 4
-
-
-@dataclass(frozen=True)
-class StateCollection:
-    states: tuple[SoftmaxState, ...]
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def _guarded_log(t: Tensor, eps: float) -> Tensor:
@@ -132,7 +115,7 @@ def prior_gradient_strength(prior_k: float, K: int) -> tuple[float, float]:
     return v1, v2
 
 
-def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> StateCollection:
+def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> tuple[SoftmaxState, ...]:
     """Softmax every tapped state along its feature/channel axis.
 
     With ``use_scales`` each spatial state also contributes an average-pooled
@@ -143,9 +126,9 @@ def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> StateCollection:
     if cfg.use_scales:
         for i, s in enumerate(states):
             if s.ndim == 4:
-                pooled = T.avg_pool2d(s, cfg.pool_kernel, cfg.pool_stride)
+                pooled = T.avg_pool2d(s, 2, 2)
                 collected.append(SoftmaxState(f"h{i}_pooled", T.softmax(pooled, axis=1)))
-    return StateCollection(tuple(collected))
+    return tuple(collected)
 
 
 def _state_mi_term(v: Tensor, eps: float) -> Tensor:
@@ -170,14 +153,15 @@ def _state_prior_penalty(v: Tensor, eps: float, form: str) -> Tensor:
     return _prior_penalty(T.tmean(v, axis=0), eps, form)
 
 
-def mim_v2_loss(sc: StateCollection, cfg: MimConfig, rc=0.0,
+def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig, rc: Tensor | None = None,
                 prior_form: str = "v2") -> tuple[Tensor, ObjectiveReport]:
     """Full multi-state objective: state-averaged negative MI term plus
     (1 + alpha) times the state-averaged uniform-prior penalty plus beta
     times the supplied smoothness penalty.
 
     ``rc`` is the smoothness penalty computed by the caller (typically
-    :func:`neuralbayes.dml.smoothness_penalty` on the pooled final state).
+    :func:`neuralbayes.dml.smoothness_penalty` on the pooled final state),
+    or ``None`` for none.
     ``prior_form='v1'`` swaps in the negative-entropy penalty for side-by-side
     comparisons; everything else stays identical.
     """
@@ -197,13 +181,10 @@ def mim_v2_loss(sc: StateCollection, cfg: MimConfig, rc=0.0,
     rp_total = rp_total * ((1.0 + cfg.alpha) / n)
     total = mi_total + rp_total
     smooth_value = 0.0
-    if isinstance(rc, Tensor):
+    if rc is not None:
         smooth = rc * cfg.beta
         total = total + smooth
         smooth_value = smooth.item()
-    elif rc:
-        smooth_value = cfg.beta * float(rc)
-        total = total + smooth_value
     report = ObjectiveReport(mi_term=mi_total.item(), prior_term=rp_total.item(),
                              smooth_term=smooth_value, total=total.item())
     return total, report
@@ -239,7 +220,7 @@ def make_mim_objective(cfg: MimConfig, *, v1: bool = False):
     def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
         _, states = net.forward_with_states(xb, mode)
         sc = collect_states(states, cfg)
-        rc = 0.0
+        rc = None
         if cfg.beta > 0.0:
             rc = dml.smoothness_penalty(lambda t: pooled_final_state(net, t, "batch"),
                                         xb, _pooled_vector(states[-1]), cfg, rng)

@@ -11,9 +11,14 @@ Conventions:
     between tapes instead of writing into them),
   * log guards are always supplied by the caller (``log(x + eps)``), never
     added implicitly,
+  * an op is its value plus a ``backward(g)`` that pushes ``g`` into its
+    parents with ``_accum``; it returns ``Tensor._from_op(value, parents,
+    op, backward)``, which owns the tape rule: a node that needs no gradient
+    (every node built inside ``no_tape()``) keeps no closure.  ``_unary``
+    and ``_binary`` build one-input and broadcasting two-input ops from just
+    the value and the local gradient,
   * backward closures only reference parent nodes (the output's gradient is
-    passed in), so a dropped tape is reference-count-freed immediately; a
-    node that needs no gradient keeps no closure,
+    passed in), so a dropped tape is reference-count-freed immediately,
   * backward closures keep only what cannot be cheaply rebuilt from their
     parents: ``batch_norm`` recomputes x-hat and ``conv2d`` its patch matrix
     in the backward, with the forward's operations, so the values are
@@ -36,6 +41,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -83,7 +89,9 @@ class Tensor:
         self.op = "leaf"
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], op: str) -> "Tensor":
+    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], op: str,
+                 backward: BackwardFn | None = None) -> "Tensor":
+        """An op's output node; it keeps ``backward`` only if it needs a gradient."""
         if getattr(_tape, "off", False):
             parents = ()
         out = cls.__new__(cls)
@@ -91,7 +99,7 @@ class Tensor:
         out.grad = None
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = parents
-        out._backward = _noop
+        out._backward = backward if out.requires_grad and backward is not None else _noop
         out.op = op
         return out
 
@@ -215,77 +223,56 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast_binary(a, b, op: str, fwd) -> tuple[Tensor, Tensor, Tensor]:
+def _binary(a, b, op: str, fwd, grad_a, grad_b) -> Tensor:
+    """A broadcasting elementwise op with value ``fwd(a, b)`` of the operand
+    arrays.  The backward sums ``grad_a(g, a, b)`` (``grad_b``) over the
+    broadcast axes into ``a`` (``b``), computing it only when that operand
+    needs a gradient."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = fwd(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    return a, b, Tensor._from_op(data, (a, b), op)
+
+    def backward(g):
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                _accum(t, _unbroadcast(grad(g, a.data, b.data), t.shape))
+
+    return Tensor._from_op(data, (a, b), op, backward)
 
 
 def add(a, b) -> Tensor:
-    a, b, out = _broadcast_binary(a, b, "add", np.add)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _binary(a, b, "add", np.add, lambda g, a, b: g, lambda g, a, b: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b, out = _broadcast_binary(a, b, "sub", np.subtract)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _binary(a, b, "sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b, out = _broadcast_binary(a, b, "mul", np.multiply)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _binary(a, b, "mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
 
 def div(a, b) -> Tensor:
-    a, b, out = _broadcast_binary(a, b, "div", np.divide)
+    return _binary(a, b, "div", np.divide,
+                   lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+
+
+def _unary(x, op: str, fwd, grad) -> Tensor:
+    """A one-input op with value ``y = fwd(x)`` of the input array.  The
+    backward pushes ``grad(g, x, y)`` into the input."""
+    x = _as_tensor(x)
+    y = fwd(x.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        _accum(x, grad(g, x.data, y))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(y, (x,), op, backward)
 
 
 def neg(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._from_op(-x.data, (x,), "neg")
-
-    def backward(g):
-        _accum(x, -g)
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _unary(x, "neg", np.negative, lambda g, x, y: -g)
 
 
 def log(x) -> Tensor:
@@ -293,39 +280,15 @@ def log(x) -> Tensor:
     x = _as_tensor(x)
     if x.data.size and np.min(x.data) <= 0.0:
         raise DomainError("log requires strictly positive inputs; add a guard constant")
-    out = Tensor._from_op(np.log(x.data), (x,), "log")
-
-    def backward(g):
-        _accum(x, g / x.data)
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _unary(x, "log", np.log, lambda g, x, y: g / x)
 
 
 def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._from_op(np.maximum(x.data, 0.0), (x,), "relu")
-
-    def backward(g):
-        _accum(x, g * (x.data > 0.0))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _unary(x, "relu", lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
 
 
 def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    res = np.tanh(x.data)
-    out = Tensor._from_op(res, (x,), "tanh")
-
-    def backward(g):
-        _accum(x, g * (1.0 - res * res))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _unary(x, "tanh", np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -346,7 +309,6 @@ def linear(x, weight, bias) -> Tensor:
                          f"bias, got {weight.shape} and {bias.shape}")
     out_data = x.data @ weight.data.T
     out_data += bias.data
-    out = Tensor._from_op(out_data, (x, weight, bias), "linear")
 
     def backward(g):
         if x.requires_grad:
@@ -354,21 +316,11 @@ def linear(x, weight, bias) -> Tensor:
         _accum(weight, g.T @ x.data)
         _accum(bias, g.sum(axis=0))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_data, (x, weight, bias), "linear", backward)
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._from_op(x.data.reshape(shape), (x,), "reshape")
-
-    def backward(g):
-        _accum(x, g.reshape(x.shape))
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _unary(x, "reshape", lambda x: x.reshape(shape), lambda g, x, y: g.reshape(x.shape))
 
 
 def _norm_axes(axis: Axis, ndim: int) -> tuple[int, ...]:
@@ -379,19 +331,20 @@ def _norm_axes(axis: Axis, ndim: int) -> tuple[int, ...]:
     return tuple(a % ndim for a in axis)
 
 
+def _unreduce(g: np.ndarray, axes: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """A reduction's gradient spread back over the reduced axes, as a
+    read-only broadcast view."""
+    return np.broadcast_to(np.expand_dims(g, axes), shape)
+
+
 def tsum(x, axis: Axis = None) -> Tensor:
     x = _as_tensor(x)
     axes = _norm_axes(axis, x.ndim)
-    out = Tensor._from_op(x.data.sum(axis=axes), (x,), "sum")
 
     def backward(g):
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-        _accum(x, np.broadcast_to(g, x.shape))
+        _accum(x, _unreduce(g, axes, x.shape))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(x.data.sum(axis=axes), (x,), "sum", backward)
 
 
 def tmean(x, axis: Axis = None) -> Tensor:
@@ -399,20 +352,12 @@ def tmean(x, axis: Axis = None) -> Tensor:
     if x.data.size == 0:
         raise ShapeError("mean of an empty tensor")
     axes = _norm_axes(axis, x.ndim)
-    count = 1
-    for ax in axes:
-        count *= x.shape[ax]
-    out = Tensor._from_op(x.data.mean(axis=axes), (x,), "mean")
+    count = math.prod(x.shape[ax] for ax in axes)
 
     def backward(g):
-        g = g / count
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-        _accum(x, np.broadcast_to(g, x.shape))
+        _accum(x, _unreduce(g / count, axes, x.shape))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(x.data.mean(axis=axes), (x,), "mean", backward)
 
 
 def softmax(x, axis: int = 1) -> Tensor:
@@ -422,49 +367,37 @@ def softmax(x, axis: int = 1) -> Tensor:
     z = x.data - x.data.max(axis=ax, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=ax, keepdims=True)
-    out = Tensor._from_op(s, (x,), "softmax")
 
     def backward(g):
         dot = (g * s).sum(axis=ax, keepdims=True)
         _accum(x, s * (g - dot))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(s, (x,), "softmax", backward)
+
+
+def _select(x, index, op: str, ndim: int) -> Tensor:
+    """``x[index]`` of an ``ndim``-D tensor as a new array; the backward
+    scatters the gradient into zeros at ``index``."""
+    x = _as_tensor(x)
+    if x.ndim != ndim:
+        raise ShapeError(f"{op} expects a {ndim}-D tensor, got shape {x.shape}")
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[index] = g
+        _accum(x, gx)
+
+    return Tensor._from_op(np.array(x.data[index]), (x,), op, backward)
 
 
 def column(x, k: int) -> Tensor:
     """Extract column ``k`` of a (B, K) tensor as a (B,) tensor."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"column expects a 2-D tensor, got shape {x.shape}")
-    out = Tensor._from_op(x.data[:, k].copy(), (x,), "column")
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[:, k] = g
-        _accum(x, gx)
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _select(x, (slice(None), k), "column", 2)
 
 
 def element(x, k: int) -> Tensor:
     """Extract element ``k`` of a 1-D tensor as a scalar tensor."""
-    x = _as_tensor(x)
-    if x.ndim != 1:
-        raise ShapeError(f"element expects a 1-D tensor, got shape {x.shape}")
-    out = Tensor._from_op(np.asarray(x.data[k]), (x,), "element")
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[k] = g
-        _accum(x, gx)
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _select(x, k, "element", 1)
 
 
 def _batch_last(a: np.ndarray) -> np.ndarray:
@@ -520,7 +453,6 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     for view in views[1:]:
         out_b += xb[view]
     out_b /= len(views)
-    out = Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "avg_pool2d")
 
     def backward(g):
         share = _batch_last(g) / len(views)
@@ -532,9 +464,7 @@ def avg_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
                 gx[view] += share
         _accum(x, gx.transpose(3, 0, 1, 2))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "avg_pool2d", backward)
 
 
 def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
@@ -552,7 +482,6 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     out_b = xb[views[0]].copy()
     for view in views[1:]:
         np.maximum(out_b, xb[view], out=out_b)
-    out = Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "max_pool2d")
 
     def backward(g):
         gb = _batch_last(g)
@@ -569,9 +498,7 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
                 gx[view] += gb * first
         _accum(x, gx.transpose(3, 0, 1, 2))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "max_pool2d", backward)
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -616,7 +543,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     else:
         out_b += bias_t.data[:, None]
         parents = (x, weight, bias_t)
-    out = Tensor._from_op(out_b.reshape(Cout, oh, ow, B).transpose(3, 0, 1, 2), parents, "conv2d")
 
     def backward(g):
         g2 = _batch_last(g).reshape(Cout, oh * ow * B)
@@ -632,9 +558,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                 gxp = gxp[:, padding:padding + H, padding:padding + W]
             _accum(x, gxp.transpose(3, 0, 1, 2))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_b.reshape(Cout, oh, ow, B).transpose(3, 0, 1, 2), parents,
+                           "conv2d", backward)
 
 
 def batch_norm(x, scale, shift, axes: Axis, floor: float,
@@ -673,8 +598,7 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
     out_data /= den
     out_data *= scale.data.reshape(keep)
     out_data += shift.data.reshape(keep)
-    out = Tensor._from_op(out_data, (x, scale, shift), "batch_norm")
-    count = int(np.prod([x.shape[a] for a in axes]))  # elements per channel
+    count = math.prod(x.shape[a] for a in axes)  # elements per channel
 
     def backward(g):
         xhat = x.data - mean.reshape(keep)
@@ -699,9 +623,7 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
             np.multiply(g, coef, out=gx)
         _accum(x, gx)
 
-    if out.requires_grad:
-        out._backward = backward
-    return out, mean, var
+    return Tensor._from_op(out_data, (x, scale, shift), "batch_norm", backward), mean, var
 
 
 def stop_gradient(x) -> Tensor:

@@ -277,7 +277,7 @@ def test_optional_image_dml_probe(mnist_pair):
     full = D.load_idx(images, labels)
     ds = D.standardize(full)
     side = int(round(math.sqrt(ds.dim)))
-    net = nn.build_cnn(cli.MNIST_CNN_ARCH, (1, side, side), seed=0, batchnorm=True,
+    net = nn.build_cnn(cli.MNIST_CNN_ARCH.format(k=10), (1, side, side), seed=0, batchnorm=True,
                        softmax_head=True)
     cfg = dml.DmlConfig(partitions=10, beta=1.0)
     sched = train.AccumulationSchedule(mbs=5000, bs=5000, epochs=100)

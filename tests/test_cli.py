@@ -290,6 +290,22 @@ class TestGradcheckCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert 0.1 <= report["cluster_accuracy"] <= 1.0
 
+    def test_mnist_cnn_preset_head_follows_k(self, tmp_path):
+        from neuralbayes import data as D
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, (30, 24, 24), dtype=np.uint8)
+        labels = np.arange(30, dtype=np.uint8) % 3
+        D.write_idx(images, labels, tmp_path / "i.idx", tmp_path / "l.idx")
+        out_dir = tmp_path / "preset"
+        code = run(["train-dml", "--preset", "mnist-cnn", "--k", "3",
+                    "--data", str(tmp_path / "i.idx"), "--labels", str(tmp_path / "l.idx"),
+                    "--mbs", "15", "--bs", "15", "--epochs", "1", "--seed", "0",
+                    "--out-dir", str(out_dir)])
+        assert code == 0
+        layers = json.loads((out_dir / "checkpoint.json").read_text())["architecture"]["layers"]
+        dense = [layer for layer in layers if layer["type"] == "dense"]
+        assert dense[-1]["out_dim"] == 3
+
 
 def _write_cfg(tmp_path, cfg):
     p = tmp_path / "mimcfg.json"

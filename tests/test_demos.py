@@ -1,6 +1,7 @@
 """The fast narrative demos run end to end as scripts.
 
-Demos 02 (about 6 s) and 03 (about 31 s) are left to be run by hand.
+Demos 02 (about 6 s), 03 (about 31 s) and 04 (4 to 16 s) are left to be
+run by hand.
 """
 
 import os

@@ -1,5 +1,6 @@
 """Differentiation-core contracts: forward values, gradients, stop-gradient."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -655,7 +656,7 @@ class Untouchable(np.ndarray):
 
 
 class TestSkippedProducts:
-    """mul and div compute an operand's gradient product only when that
+    """The binary ops compute an operand's gradient product only when that
     operand needs a gradient; the other operand's gradient is unchanged."""
 
     @pytest.mark.parametrize("op,trap", [(T.mul, 0), (T.mul, 1), (T.div, 0)])
@@ -748,37 +749,73 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [12.0])
 
 
-def _leaf(rng, shape, positive=False):
+def _leaf(rng, shape, positive=False, grad=True):
     a = rng.standard_normal(shape)
-    return Tensor(np.abs(a) + 0.5 if positive else a, requires_grad=True)
+    return Tensor(np.abs(a) + 0.5 if positive else a, requires_grad=grad)
 
 
-# every op kind with a backward, built from leaves that need a gradient
+def _leaves(rng, grad=True):
+    """A leaf factory for the builders below: leaf(shape, positive=False)."""
+    return lambda shape, positive=False: _leaf(rng, shape, positive, grad)
+
+
+# every op kind with a backward, built from leaves that need a gradient (or,
+# with _leaves(rng, grad=False), from leaves that need none)
 BACKWARD_OPS = {
-    "add": lambda r: T.add(_leaf(r, (3, 4)), _leaf(r, (4,))),
-    "sub": lambda r: T.sub(_leaf(r, (3, 4)), _leaf(r, (3, 1))),
-    "mul": lambda r: T.mul(_leaf(r, (3, 4)), _leaf(r, (3, 4))),
-    "div": lambda r: T.div(_leaf(r, (3, 4)), _leaf(r, (3, 4), positive=True)),
-    "neg": lambda r: T.neg(_leaf(r, (3, 4))),
-    "log": lambda r: T.log(_leaf(r, (3, 4), positive=True)),
-    "relu": lambda r: T.relu(_leaf(r, (3, 4))),
-    "tanh": lambda r: T.tanh(_leaf(r, (3, 4))),
-    "linear": lambda r: T.linear(_leaf(r, (3, 4)), _leaf(r, (2, 4)), _leaf(r, (2,))),
-    "reshape": lambda r: T.reshape(_leaf(r, (3, 4)), (4, 3)),
-    "sum": lambda r: T.tsum(_leaf(r, (2, 3, 4)), axis=(0, 2)),
-    "mean": lambda r: T.tmean(_leaf(r, (2, 3, 4)), axis=1),
-    "softmax": lambda r: T.softmax(_leaf(r, (2, 3, 2, 2)), axis=1),
-    "column": lambda r: T.column(_leaf(r, (3, 4)), 1),
-    "element": lambda r: T.element(_leaf(r, (4,)), 2),
-    "avg_pool2d": lambda r: T.avg_pool2d(_leaf(r, (2, 3, 5, 5)), 2, 2),
-    "max_pool2d": lambda r: T.max_pool2d(_leaf(r, (2, 3, 5, 5)), 3, 1),
-    "conv2d": lambda r: T.conv2d(_leaf(r, (2, 3, 5, 5)), _leaf(r, (4, 3, 3, 3)),
-                                 _leaf(r, (4,)), stride=2, padding=1),
-    "batch_norm": lambda r: T.batch_norm(_leaf(r, (4, 3, 2, 2)), _leaf(r, (3,)),
-                                         _leaf(r, (3,)), (0, 2, 3), 1e-5)[0],
-    "batch_norm_eval": lambda r: T.batch_norm(_leaf(r, (4, 3)), _leaf(r, (3,)), _leaf(r, (3,)),
-                                              (0,), 1e-5, stats=(np.zeros(3), np.ones(3)))[0],
+    "add": lambda leaf: T.add(leaf((3, 4)), leaf((4,))),
+    "sub": lambda leaf: T.sub(leaf((3, 4)), leaf((3, 1))),
+    "mul": lambda leaf: T.mul(leaf((3, 4)), leaf((3, 4))),
+    "div": lambda leaf: T.div(leaf((3, 4)), leaf((3, 4), positive=True)),
+    "neg": lambda leaf: T.neg(leaf((3, 4))),
+    "log": lambda leaf: T.log(leaf((3, 4), positive=True)),
+    "relu": lambda leaf: T.relu(leaf((3, 4))),
+    "tanh": lambda leaf: T.tanh(leaf((3, 4))),
+    "linear": lambda leaf: T.linear(leaf((3, 4)), leaf((2, 4)), leaf((2,))),
+    "reshape": lambda leaf: T.reshape(leaf((3, 4)), (4, 3)),
+    "sum": lambda leaf: T.tsum(leaf((2, 3, 4)), axis=(0, 2)),
+    "mean": lambda leaf: T.tmean(leaf((2, 3, 4)), axis=1),
+    "softmax": lambda leaf: T.softmax(leaf((2, 3, 2, 2)), axis=1),
+    "column": lambda leaf: T.column(leaf((3, 4)), 1),
+    "element": lambda leaf: T.element(leaf((4,)), 2),
+    "avg_pool2d": lambda leaf: T.avg_pool2d(leaf((2, 3, 5, 5)), 2, 2),
+    "max_pool2d": lambda leaf: T.max_pool2d(leaf((2, 3, 5, 5)), 3, 1),
+    "conv2d": lambda leaf: T.conv2d(leaf((2, 3, 5, 5)), leaf((4, 3, 3, 3)), leaf((4,)),
+                                    stride=2, padding=1),
+    "batch_norm": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
+                                            (0, 2, 3), 1e-5)[0],
+    "batch_norm_eval": lambda leaf: T.batch_norm(leaf((4, 3)), leaf((3,)), leaf((3,)), (0,),
+                                                 1e-5, stats=(np.zeros(3), np.ones(3)))[0],
 }
+
+
+class TestNodeConstruction:
+    """Tensor._from_op keeps an op's backward only when the node needs a
+    gradient, and inside no_tape() records no parents."""
+
+    @pytest.mark.parametrize("op", sorted(BACKWARD_OPS))
+    def test_no_closure_without_gradient(self, op):
+        out = BACKWARD_OPS[op](_leaves(np.random.default_rng(33), grad=False))
+        assert out._parents and not out.requires_grad
+        assert out._backward is T._noop
+
+    @pytest.mark.parametrize("op", sorted(BACKWARD_OPS))
+    def test_no_tape_records_nothing_and_keeps_values(self, op):
+        taped = BACKWARD_OPS[op](_leaves(np.random.default_rng(34)))
+        with T.no_tape():
+            bare = BACKWARD_OPS[op](_leaves(np.random.default_rng(34)))
+        assert taped._parents and taped._backward is not T._noop
+        assert bare._parents == () and not bare.requires_grad and bare._backward is T._noop
+        assert bare.op == taped.op and bare.shape == taped.shape
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_backward_ops_cover_every_public_op(self):
+        # the public functions of tensor that build no node with a backward
+        not_ops = {"no_tape", "gradients", "stop_gradient"}
+        public = {name for name, f in vars(T).items() if inspect.isfunction(f)
+                  and f.__module__ == T.__name__ and not name.startswith("_")}
+        op_names = {"tsum": "sum", "tmean": "mean"}
+        built = {build(_leaves(np.random.default_rng(35))).op for build in BACKWARD_OPS.values()}
+        assert {op_names.get(name, name) for name in public - not_ops} == built
 
 
 class TestReadOnlyGradients:
@@ -788,7 +825,7 @@ class TestReadOnlyGradients:
     @pytest.mark.parametrize("op", sorted(BACKWARD_OPS))
     def test_backward_never_writes_its_gradient(self, op):
         rng = np.random.default_rng(31)
-        out = BACKWARD_OPS[op](rng)
+        out = BACKWARD_OPS[op](_leaves(rng))
         assert out.requires_grad and out._parents
         g = rng.standard_normal(out.shape)
         before = g.copy()
