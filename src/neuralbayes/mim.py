@@ -5,6 +5,9 @@ K-state latent implied by a row-stochastic posterior batch.  The trainable
 losses replace the log's argument with a stop-gradient so that mini-batch
 gradients stay unbiased, add a uniform-prior penalty that keeps states alive,
 and optionally average over several hidden states at two spatial scales.
+Each state's MI term and prior penalty are one closed-form tape node,
+:func:`neuralbayes.tensor.state_objective`; ``mi_closed_form`` and
+``uniform_prior_penalty_v1`` keep the fully live elementwise forms.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .bayes import PosteriorBatch, PriorEstimate
 from .errors import ConfigError, DomainError
 from .report import ObjectiveReport
 from . import tensor as T
-from .tensor import Tensor, stop_gradient
+from .tensor import Tensor
 
 
 @dataclass
@@ -43,6 +46,8 @@ class MimConfig:
             raise ConfigError("epsilon must be positive")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ConfigError("alpha and beta must be nonnegative")
+        if self.noise_sigma <= 0.0:
+            raise ConfigError("noise_sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,10 @@ def mim_v1_loss(p: PosteriorBatch, eps: float = 1e-7) -> Tensor:
 
     Forward value equals -MI (up to the guard); its gradient equals the full
     gradient of -MI because blocked log-argument terms cancel exactly.  It is
-    the single-state MI term plus the negative-entropy prior penalty.
+    the single-state MI term plus the negative-entropy prior penalty, one
+    :func:`neuralbayes.tensor.state_objective` node.
     """
-    return _state_mi_term(p.values, eps) + _state_prior_penalty(p.values, eps, "v1")
+    return T.state_objective(p.values, "v1", eps)[0]
 
 
 def uniform_prior_penalty_v1(prior: PriorEstimate, eps: float = 0.0) -> Tensor:
@@ -97,9 +103,12 @@ def uniform_prior_penalty_v2(prior: PriorEstimate, eps: float = 0.0) -> Tensor:
 
     -sum_k [ (1/K) log(p_k + eps) + ((K-1)/K) log(1 - p_k + eps) ], minimized
     at p_k = 1/K and with gradients that blow up as any p_k approaches 1,
-    unlike the negative-entropy form whose gradients vanish there.
+    unlike the negative-entropy form whose gradients vanish there.  It is
+    the v2 penalty of :func:`neuralbayes.tensor.state_objective` on a
+    one-row batch, whose batch-mean prior is that row.
     """
-    return _prior_penalty(prior.values, eps, "v2")
+    pv = prior.values
+    return T.state_objective(T.reshape(pv, (1, pv.shape[0])), "v2", eps, mi_weight=0.0)[0]
 
 
 def prior_gradient_strength(prior_k: float, K: int) -> tuple[float, float]:
@@ -131,33 +140,13 @@ def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> tuple[SoftmaxSta
     return tuple(collected)
 
 
-def _state_mi_term(v: Tensor, eps: float) -> Tensor:
-    # -(1/B) sum_bk v log<v + eps>, spatial states averaged over locations too
-    return T.neg(T.tmean(T.tsum(v * _guarded_log(stop_gradient(v), eps), axis=1)))
-
-
-def _prior_penalty(prior: Tensor, eps: float, form: str) -> Tensor:
-    # a (K,) prior, or (K, H, W) per location with the penalty averaged over locations
-    K = prior.shape[0]
-    if form == "v1":
-        penalty = T.tsum(prior * _guarded_log(stop_gradient(prior), eps), axis=0)
-    else:
-        a = T.tsum(T.log(prior + eps), axis=0)
-        b = T.tsum(T.log((1.0 - prior) + eps), axis=0)
-        penalty = T.neg(a * (1.0 / K) + b * ((K - 1.0) / K))
-    return penalty if penalty.ndim == 0 else T.tmean(penalty)
-
-
-def _state_prior_penalty(v: Tensor, eps: float, form: str) -> Tensor:
-    # the prior is the batch mean, per location for spatial states
-    return _prior_penalty(T.tmean(v, axis=0), eps, form)
-
-
 def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig, rc: Tensor | None = None,
                 prior_form: str = "v2") -> tuple[Tensor, ObjectiveReport]:
     """Full multi-state objective: state-averaged negative MI term plus
     (1 + alpha) times the state-averaged uniform-prior penalty plus beta
-    times the supplied smoothness penalty.
+    times the supplied smoothness penalty.  Each state adds one
+    :func:`neuralbayes.tensor.state_objective` node carrying both weights;
+    the report's terms are the nodes' own MI and penalty values.
 
     ``rc`` is the smoothness penalty computed by the caller (typically
     :func:`neuralbayes.dml.smoothness_penalty` on the pooled final state),
@@ -167,25 +156,21 @@ def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig, rc: Tensor | None = 
     """
     if len(sc) == 0:
         raise ConfigError("state collection is empty")
-    if prior_form not in ("v1", "v2"):
-        raise ConfigError(f"unknown prior penalty form {prior_form!r}")
     n = len(sc)
-    mi_total = None
-    rp_total = None
+    mi_weight, prior_weight = 1.0 / n, (1.0 + cfg.alpha) / n
+    total, mis, rps = None, [], []
     for st in sc:
-        mi = _state_mi_term(st.values, cfg.epsilon)
-        rp = _state_prior_penalty(st.values, cfg.epsilon, prior_form)
-        mi_total = mi if mi_total is None else mi_total + mi
-        rp_total = rp if rp_total is None else rp_total + rp
-    mi_total = mi_total * (1.0 / n)
-    rp_total = rp_total * ((1.0 + cfg.alpha) / n)
-    total = mi_total + rp_total
+        node, mi, rp = T.state_objective(st.values, prior_form, cfg.epsilon, mi_weight,
+                                         prior_weight)
+        total = node if total is None else total + node
+        mis.append(mi)
+        rps.append(rp)
     smooth_value = 0.0
     if rc is not None:
         smooth = rc * cfg.beta
         total = total + smooth
         smooth_value = smooth.item()
-    report = ObjectiveReport(mi_term=mi_total.item(), prior_term=rp_total.item(),
+    report = ObjectiveReport(mi_term=sum(mis) * mi_weight, prior_term=sum(rps) * prior_weight,
                              smooth_term=smooth_value, total=total.item())
     return total, report
 

@@ -14,7 +14,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import nn
+from .bayes import PosteriorBatch
 from .errors import DomainError, ShapeError
+from .mim import mim_v1_loss
 from .tensor import Tensor, gradients, log, mul, neg, stop_gradient, tmean, tsum
 
 
@@ -103,7 +105,8 @@ def gradient_equality_check(
     """Compare the stop-gradient objective's analytic gradient with finite
     differences of the fully live negative-MI objective on one batch.
 
-    The stop-gradient form blocks backpropagation through the log's argument
+    The analytic side is the library's own :func:`neuralbayes.mim.mim_v1_loss`
+    without a guard, which blocks backpropagation through the log's argument
     (the posterior/prior ratio); with ``wrong_branch=True`` the *live* factor
     is blocked instead, which breaks the equality and serves as a negative
     control.  Returns the max elementwise difference relative to max(1, |g|).
@@ -114,12 +117,11 @@ def gradient_equality_check(
     if np.min(posterior.data) <= 0.0:
         raise DomainError("posterior has zero entries; the guard-free objective is undefined")
 
-    prior = tmean(posterior, axis=0)
-    ratio = posterior / prior
     if wrong_branch:
+        ratio = posterior / tmean(posterior, axis=0)
         objective = neg(tmean(tsum(mul(stop_gradient(posterior), log(ratio)), axis=1)))
     else:
-        objective = neg(tmean(tsum(mul(posterior, log(stop_gradient(ratio))), axis=1)))
+        objective = mim_v1_loss(PosteriorBatch(posterior), eps=0.0)
     analytic = gradients(objective, params)
 
     originals = {name: p.data for name, p in params.items()}

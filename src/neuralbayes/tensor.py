@@ -10,7 +10,8 @@ Conventions:
   * op outputs are never mutated (optimizers swap leaf ``.data`` buffers
     between tapes instead of writing into them),
   * log guards are always supplied by the caller (``log(x + eps)``), never
-    added implicitly,
+    added implicitly; ``state_objective`` takes its guard as an argument and
+    masks exact zeros, whose terms are 0*log(1 + eps) = 0,
   * an op is its value plus a ``backward(g)`` that pushes ``g`` into its
     parents with ``_accum``; it returns ``Tensor._from_op(value, parents,
     op, backward)``, which owns the tape rule: a node that needs no gradient
@@ -22,7 +23,8 @@ Conventions:
   * backward closures keep only what cannot be cheaply rebuilt from their
     parents: ``batch_norm`` recomputes x-hat and ``conv2d`` its patch matrix
     in the backward, with the forward's operations, so the values are
-    bitwise those a kept copy would give,
+    bitwise those a kept copy would give; ``state_objective`` keeps the log
+    of its posterior, a transcendental per entry,
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
@@ -47,7 +49,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 Axis = int | tuple[int, ...] | None
 
@@ -275,12 +277,30 @@ def neg(x) -> Tensor:
     return _unary(x, "neg", np.negative, lambda g, x, y: -g)
 
 
+def _checked_log(a: np.ndarray) -> np.ndarray:
+    if a.size and np.min(a) <= 0.0:
+        raise DomainError("log requires strictly positive inputs; add a guard constant")
+    return np.log(a)
+
+
+def _guarded_log(a: np.ndarray, eps: float) -> np.ndarray:
+    """log(a + eps) with the entries that are exactly zero masked to one: the
+    callers multiply those logs by the zero they came from, so the
+    convention 0*log(0) = 0 holds exactly.  Without a mask and with eps >= 0
+    the argument is positive, so only the other cases check the domain."""
+    masked = a.size and np.min(a) <= 0.0
+    if masked:
+        a = a + (a <= 0.0)
+    arg = np.add(a, eps)  # a fresh buffer, logged in place
+    if masked or eps < 0.0:
+        return _checked_log(arg)
+    return np.log(arg, out=arg)
+
+
 def log(x) -> Tensor:
     """Natural log. The input must be strictly positive; guards are the caller's job."""
     x = _as_tensor(x)
-    if x.data.size and np.min(x.data) <= 0.0:
-        raise DomainError("log requires strictly positive inputs; add a guard constant")
-    return _unary(x, "log", np.log, lambda g, x, y: g / x)
+    return _unary(x, "log", _checked_log, lambda g, x, y: g / x)
 
 
 def relu(x) -> Tensor:
@@ -361,16 +381,22 @@ def tmean(x, axis: Axis = None) -> Tensor:
 
 
 def softmax(x, axis: int = 1) -> Tensor:
-    """Row-stochastic softmax along ``axis``, computed with max subtraction."""
+    """Row-stochastic softmax along ``axis``, computed with max subtraction.
+
+    The forward and the backward each allocate one full-size buffer and work
+    in it in place."""
     x = _as_tensor(x)
     ax = axis % x.ndim
-    z = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=ax, keepdims=True)
+    s = x.data - x.data.max(axis=ax, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=ax, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=ax, keepdims=True)
-        _accum(x, s * (g - dot))
+        gx = s * g
+        dot = gx.sum(axis=ax, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= s
+        _accum(x, gx)
 
     return Tensor._from_op(s, (x,), "softmax", backward)
 
@@ -624,6 +650,63 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
         _accum(x, gx)
 
     return Tensor._from_op(out_data, (x, scale, shift), "batch_norm", backward), mean, var
+
+
+def state_objective(v, form: str, eps: float, mi_weight: float = 1.0,
+                    prior_weight: float = 1.0) -> tuple[Tensor, float, float]:
+    """One softmax state's MI term and uniform-prior penalty as one node,
+    ``mi_weight * mi + prior_weight * rp``.
+
+    ``v`` is the state's posterior, (B, K) or spatially (B, K, H, W): N =
+    B*H*W rows over K states.  With <.> a stopped log whose exact zeros are
+    masked (their terms are 0*log(1 + eps) = 0):
+      * ``mi = -(1/N) sum v log<v + eps>``, the stop-gradient MI term;
+      * ``rp`` is the penalty of the batch-mean prior p, per location for
+        spatial states and averaged over locations: for ``form="v1"`` the
+        negative entropy ``sum_k p log<p + eps>``, for ``"v2"`` the
+        cross-entropy ``-sum_k [(1/K) log(p + eps) + ((K-1)/K) log(1 - p +
+        eps)]``, whose logs are live and need positive arguments.
+    The stopped log and the batch-mean prior make the gradient closed form
+    (Neural Bayes, arXiv:2002.09046): ``(-mi_weight * log<v + eps> +
+    prior_weight * dR/dp) / N`` per entry, with ``dR/dp = log<p + eps>`` for
+    v1.  Returns the node, ``mi`` and ``rp``.  The node keeps the prior and
+    the log of ``v``, which would cost an add and a log per entry to rebuild.
+    """
+    v = _as_tensor(v)
+    if form not in ("v1", "v2"):
+        raise ConfigError(f"unknown prior penalty form {form!r}")
+    if v.ndim not in (2, 4) or v.size == 0:
+        raise ShapeError(f"state_objective expects a nonempty (B, K) or (B, K, H, W) "
+                         f"posterior, got shape {v.shape}")
+    B, K = v.shape[:2]
+    rows = v.size // K
+    spatial = v.ndim == 4
+    # v's values C-contiguous: (K, H, W, B) if spatial (a view of a batch-last
+    # state), else (B, K); the log and the gradient are laid out the same way
+    vb = _batch_last(v.data) if spatial else np.ascontiguousarray(v.data)
+    lg = _guarded_log(vb, eps)
+    mi = -float(np.dot(lg.ravel(), vb.ravel())) / rows
+    ones = np.ones(B)
+    p = (vb @ ones if spatial else ones @ vb) / B
+    if form == "v1":
+        penalty = (p * _guarded_log(p, eps)).sum(axis=0)
+    else:
+        penalty = -(_checked_log(p + eps).sum(axis=0) * (1.0 / K)
+                    + _checked_log((1.0 - p) + eps).sum(axis=0) * ((K - 1.0) / K))
+    rp = float(penalty.mean())
+
+    def backward(g):
+        if form == "v1":
+            dp = _guarded_log(p, eps)
+        else:
+            dp = ((K - 1.0) / K) / ((1.0 - p) + eps) - (1.0 / K) / (p + eps)
+        share = float(g) / rows
+        gv = lg * (-mi_weight * share)
+        gv += (dp[..., None] if spatial else dp) * (prior_weight * share)
+        _accum(v, gv.transpose(3, 0, 1, 2) if spatial else gv)
+
+    value = np.asarray(mi_weight * mi + prior_weight * rp)
+    return Tensor._from_op(value, (v,), "state_objective", backward), mi, rp
 
 
 def stop_gradient(x) -> Tensor:

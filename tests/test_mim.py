@@ -1,6 +1,7 @@
 """Information-maximization objective contracts and oracle agreements."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from neuralbayes import bayes, dml, mim, nn, oracles
 from neuralbayes import tensor as T
-from neuralbayes.errors import ConfigError, DomainError
+from neuralbayes.errors import ConfigError, DomainError, ShapeError
 from neuralbayes.tensor import Tensor
 
 from conftest import CountingNet, assert_moved_once
@@ -125,6 +126,13 @@ class TestPriorPenalties:
             prior = bayes.PriorEstimate(values, sample_count=10)
             mim.uniform_prior_penalty_v2(prior).backward()
             assert np.abs(values.grad).max() <= 1e-9, k
+
+    def test_v2_boundary_prior_unguarded_is_domain_error(self):
+        # log(0) at p = 0 and log(1 - p) at p = 1: a typed error, not a NaN
+        prior = bayes.PriorEstimate(Tensor([1.0, 0.0]), sample_count=1)
+        with pytest.raises(DomainError):
+            mim.uniform_prior_penalty_v2(prior)
+        assert math.isfinite(mim.uniform_prior_penalty_v2(prior, eps=1e-7).item())
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 99_999))
@@ -256,6 +264,159 @@ class TestV2Loss:
             mim.MimConfig(epsilon=0.0)
         with pytest.raises(ConfigError):
             mim.MimConfig(alpha=-1.0)
+        for sigma in (-0.1, 0.0):
+            with pytest.raises(ConfigError):
+                mim.MimConfig(beta=1.0, noise_sigma=sigma)
+
+
+def chain_state_terms(v, eps, form):
+    """A state's MI term and prior penalty as the elementwise tape chain the
+    loss was once built from (a test-only reference for state_objective)."""
+    mi = T.neg(T.tmean(T.tsum(v * mim._guarded_log(T.stop_gradient(v), eps), axis=1)))
+    prior = T.tmean(v, axis=0)
+    K = prior.shape[0]
+    if form == "v1":
+        penalty = T.tsum(prior * mim._guarded_log(T.stop_gradient(prior), eps), axis=0)
+    else:
+        a = T.tsum(T.log(prior + eps), axis=0)
+        b = T.tsum(T.log((1.0 - prior) + eps), axis=0)
+        penalty = T.neg(a * (1.0 / K) + b * ((K - 1.0) / K))
+    return mi, penalty if penalty.ndim == 0 else T.tmean(penalty)
+
+
+def chain_mim_v2_loss(sc, cfg, rc=None, prior_form="v2"):
+    """mim_v2_loss over chain_state_terms, summed term by term (reference)."""
+    pairs = [chain_state_terms(st.values, cfg.epsilon, prior_form) for st in sc]
+    mi_total, rp_total = pairs[0]
+    for mi, rp in pairs[1:]:
+        mi_total, rp_total = mi_total + mi, rp_total + rp
+    mi_total = mi_total * (1.0 / len(sc))
+    rp_total = rp_total * ((1.0 + cfg.alpha) / len(sc))
+    total = mi_total + rp_total
+    smooth = 0.0
+    if rc is not None:
+        smooth = (rc * cfg.beta).item()
+        total = total + rc * cfg.beta
+    return total, (mi_total.item(), rp_total.item(), smooth)
+
+
+def state_posterior(rng, b, k, spatial, zeros):
+    """A softmax posterior, (b, k) or batch-last (b, k, 3, 2), optionally with
+    exact zeros (the rows renormalized)."""
+    shape = (b, k, 3, 2) if spatial else (b, k)
+    v = np.exp(rng.standard_normal(shape))
+    if zeros:
+        v[rng.random(shape) < 0.2] = 0.0
+        v[:, 0] += 0.1  # every row keeps some mass
+    v /= v.sum(axis=1, keepdims=True)
+    if spatial:
+        v = np.ascontiguousarray(v.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    return v
+
+
+def max_grad_gap(grads, ref_grads):
+    """Largest gradient difference relative to the largest reference |g| over
+    all tensors (a per-tensor relative check is meaningless for rounding-noise
+    gradients, such as a conv bias in front of batch norm)."""
+    scale = max(float(np.abs(g).max()) for g in ref_grads.values())
+    return max(float(np.abs(grads[n] - g).max()) for n, g in ref_grads.items()) / scale
+
+
+class TestStateObjective:
+    WEIGHTS = ((1.0, 1.0), (0.25, 1.75), (0.0, 1.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize("form", ["v1", "v2"])
+    @pytest.mark.parametrize("spatial", [False, True])
+    @pytest.mark.parametrize("eps", [0.0, 1e-7])
+    def test_matches_reference_chain(self, form, spatial, eps):
+        rng = np.random.default_rng([int(form[1]), int(spatial), int(eps > 0.0)])
+        for k in range(2, 11):
+            for zeros in (False, True):
+                data = state_posterior(rng, 7, k, spatial, zeros)
+                for mw, pw in self.WEIGHTS:
+                    v = Tensor(data, requires_grad=True)
+                    node, mi, rp = T.state_objective(v, form, eps, mw, pw)
+                    node.backward()
+                    ref_v = Tensor(data, requires_grad=True)
+                    ref_mi, ref_rp = chain_state_terms(ref_v, eps, form)
+                    ref = ref_mi * mw + ref_rp * pw
+                    ref.backward()
+                    case = (k, zeros, mw, pw)
+                    for got, want in ((node.item(), ref.item()), (mi, ref_mi.item()),
+                                      (rp, ref_rp.item())):
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), case
+                    assert v.grad.shape == data.shape
+                    gap = np.abs(v.grad - ref_v.grad).max() / max(1e-300, np.abs(ref_v.grad).max())
+                    assert gap <= 1e-12, case
+
+    def test_v2_boundary_prior_unguarded_is_domain_error(self):
+        v = Tensor([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(DomainError):
+            T.state_objective(v, "v2", 0.0)
+        T.state_objective(v, "v1", 0.0)  # v1's logs are guarded at exact zeros
+
+    def test_rejects_unknown_form_and_shape(self):
+        with pytest.raises(ConfigError):
+            T.state_objective(Tensor(np.full((2, 2), 0.5)), "v3", 1e-7)
+        with pytest.raises(ConfigError):
+            mim.mim_v2_loss((mim.SoftmaxState("h0", Tensor(np.full((2, 2), 0.5))),),
+                            mim.MimConfig(), prior_form="v3")
+        with pytest.raises(ShapeError):
+            T.state_objective(Tensor(np.full((2, 2, 2), 0.5)), "v1", 1e-7)
+
+    def test_one_row_batch_is_its_prior(self):
+        # uniform_prior_penalty_v2 is the node on a one-row batch: its gradient
+        # is the v2 penalty's derivative -(1/K)/p + ((K-1)/K)/(1-p)
+        p = np.array([0.2, 0.3, 0.5])
+        values = Tensor(p, requires_grad=True)
+        mim.uniform_prior_penalty_v2(bayes.PriorEstimate(values, 1)).backward()
+        np.testing.assert_allclose(values.grad, -(1 / 3) / p + (2 / 3) / (1 - p),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("v1", [False, True])
+    @pytest.mark.parametrize("make_net,shape", [(lambda: small_cnn(), (8, 1, 10, 10)),
+                                                (lambda: small_mlp(), (8, 5))],
+                             ids=["cnn", "mlp"])
+    def test_objective_matches_reference_chain(self, v1, make_net, shape):
+        cfg = mim.MimConfig(alpha=2.0, beta=4.0, use_scales=True)
+        net, ref_net = make_net(), make_net()
+        xb = Tensor(np.random.default_rng(7).standard_normal(shape))
+        loss, report = mim.make_mim_objective(cfg, v1=v1)(net, xb, np.random.default_rng(8))
+
+        _, states = ref_net.forward_with_states(xb, "train")
+        rc = dml.smoothness_penalty(lambda t: mim.pooled_final_state(ref_net, t, "batch"), xb,
+                                    mim._pooled_vector(states[-1]), cfg, np.random.default_rng(8))
+        ref, ref_parts = chain_mim_v2_loss(mim.collect_states(states, cfg), cfg, rc,
+                                           "v1" if v1 else "v2")
+        assert abs(loss.item() - ref.item()) <= 1e-12 * max(1.0, abs(ref.item()))
+        for got, want in zip((report.mi_term, report.prior_term, report.smooth_term), ref_parts):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        grads = T.gradients(loss, net.parameters())
+        assert max_grad_gap(grads, T.gradients(ref, ref_net.parameters())) <= 1e-12
+
+
+def tape_ops(loss):
+    """Op counts of every node reachable from ``loss`` through its parents."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return Counter(node.op for node in seen.values())
+
+
+def test_one_tape_node_per_state():
+    cfg = mim.MimConfig(alpha=2.0, beta=4.0, use_scales=True)
+    net = small_cnn()
+    xb = Tensor(np.random.default_rng(9).standard_normal((6, 1, 10, 10)))
+    loss, _ = mim.make_mim_objective(cfg)(net, xb, np.random.default_rng(10))
+    with T.no_tape():
+        states = mim.collect_states(net.forward_with_states(xb, "batch")[1], cfg)
+    ops = tape_ops(loss)
+    assert len(states) == 4
+    assert ops["state_objective"] == ops["softmax"] == len(states)
+    assert not {"log", "stop_gradient", "neg"} & set(ops), ops
 
 
 def three_forward_mim(cfg):

@@ -592,7 +592,8 @@ def traced_bytes(build):
 
 class TestTapeMemory:
     """A taped node holds its output and nothing else activation-sized: the
-    backward rebuilds batch norm's x-hat and conv2d's patch matrix."""
+    backward rebuilds batch norm's x-hat and conv2d's patch matrix.  The
+    one exception is state_objective, which keeps the log of its input."""
 
     def test_train_batch_norm_keeps_no_xhat(self):
         rng = np.random.default_rng(40)
@@ -609,6 +610,13 @@ class TestTapeMemory:
         out, held = traced_bytes(lambda: T.conv2d(x, w, b))
         assert out.requires_grad
         assert held < out.data.nbytes + x.data.nbytes // 2, held
+
+    def test_state_objective_keeps_one_log(self):
+        rng = np.random.default_rng(42)
+        v = Tensor(batch_last(rng.uniform(0.1, 1.0, (32, 8, 10, 10))), requires_grad=True)
+        (out, _, _), held = traced_bytes(lambda: T.state_objective(v, "v2", 1e-7))
+        assert out.requires_grad and out.shape == ()
+        assert held < v.data.nbytes * 3 // 2, held
 
 
 def keep_all_backward(loss):
@@ -785,6 +793,8 @@ BACKWARD_OPS = {
                                             (0, 2, 3), 1e-5)[0],
     "batch_norm_eval": lambda leaf: T.batch_norm(leaf((4, 3)), leaf((3,)), leaf((3,)), (0,),
                                                  1e-5, stats=(np.zeros(3), np.ones(3)))[0],
+    "state_objective": lambda leaf: T.state_objective(leaf((4, 3, 2, 2), positive=True), "v1",
+                                                      1e-7, 0.5, 2.0)[0],
 }
 
 
