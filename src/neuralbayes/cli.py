@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -161,12 +162,15 @@ def _train_command(args, command: str, defaults: dict, flags: list[str], build, 
     seed = _resolve_seed(args)
     cfg = _merge_config(defaults, _load_config(args.config, defaults), args, flags)
     ds = _load_standardized(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     points = ds.points
     if cfg["arch"] == "cnn":
-        side = int(round(np.sqrt(ds.dim)))
+        side = math.isqrt(ds.dim)
+        if side * side != ds.dim:
+            raise ConfigError(f"arch cnn needs square images; dimension {ds.dim} is not a "
+                              f"perfect square")
         points = points.reshape(ds.size, 1, side, side)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     net, objective = build(cfg, points.shape[1:], seed)
     sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
     opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],

@@ -288,7 +288,10 @@ def load_csv(path: str | Path, meta: dict | None = None) -> ManifoldDataset:
         if not header or header[-1] != "component":
             raise FormatError(f"{path}: expected header ending in 'component', got {header[-3:]}")
         dim = len(header) - 1
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = fh.readlines()
+    if not any(row.strip() for row in rows):
+        raise FormatError(f"{path}: no data rows")
+    raw = np.loadtxt(rows, delimiter=",", ndmin=2)
     if raw.shape[1] != dim + 1:
         raise FormatError(f"{path}: rows have {raw.shape[1]} columns, header implies {dim + 1}")
     return ManifoldDataset(raw[:, :dim], raw[:, dim].astype(np.int64), meta=meta or {})

@@ -21,6 +21,12 @@ Every forward takes one of three modes, which only batch norm tells apart
   statistics alone (perturbed smoothness forwards, batch-statistics
   evaluation);
 * ``"eval"``: normalize with the running statistics; nothing mutates.
+
+``Network.forward_with_states`` runs each ``BatchNormLayer`` that a
+``ReluLayer`` directly follows as one ``batch_norm(..., relu=True)`` node,
+the pair rule, unless the batch norm's own index is a tap (that state stays
+pre-ReLU).  The values are bitwise those of the layer-by-layer forward; the
+layers, their specs, parameter names, taps and checkpoints do not change.
 """
 
 from __future__ import annotations
@@ -148,18 +154,19 @@ class BatchNormLayer(Layer):
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
+    def forward(self, x: Tensor, mode: str, relu: bool = False) -> Tensor:
+        """``relu=True`` also applies the ReLU that follows, in the same node."""
         if x.ndim not in (2, 4):
             raise ShapeError(f"batch norm expects (B, F) or (B, C, H, W), got shape {x.shape}")
         _check_mode(mode)
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
         if mode == "eval":
             out, _, _ = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR,
-                                     stats=(self.running_mean, self.running_var))
+                                     stats=(self.running_mean, self.running_var), relu=relu)
             return out
         if x.shape[0] < 2:
             raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
-        out, mu, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR)
+        out, mu, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR, relu=relu)
         if mode == "batch":
             return out
         n = x.size // self.features
@@ -259,12 +266,24 @@ class Network:
             mode = "train" if train else "eval"
         _check_mode(mode)
         h = x if isinstance(x, Tensor) else Tensor(x)
+        fused = self._fused_batch_norms()
         states = {}
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h, mode)
+            if i in fused:
+                h = layer.forward(h, mode, relu=True)
+            elif i - 1 not in fused:  # else the ReLU already ran in batch norm's node
+                h = layer.forward(h, mode)
             if i in self.taps:
                 states[i] = h
         return h, [states[i] for i in self.taps]
+
+    def _fused_batch_norms(self) -> set[int]:
+        """Indices of the batch norms that run with their ReLU as one node:
+        each one directly followed by a ``ReluLayer`` whose input is not a
+        tapped state."""
+        return {i for i, (layer, after) in enumerate(zip(self.layers, self.layers[1:]))
+                if isinstance(layer, BatchNormLayer) and isinstance(after, ReluLayer)
+                and i not in self.taps}
 
     def forward(self, x, mode: str = "eval", *, train: bool | None = None) -> Tensor:
         out, _ = self.forward_with_states(x, mode, train=train)

@@ -66,10 +66,13 @@ def finite_diff_grad(
     params: Mapping[str, np.ndarray],
     h: float = 1e-5,
 ) -> dict[str, np.ndarray]:
-    """Central-difference gradient of ``loss_fn`` w.r.t. every parameter entry."""
+    """Central-difference gradient of ``loss_fn`` w.r.t. every parameter entry.
+
+    Each parameter is perturbed through a flat view of a C-ordered copy, so
+    any memory layout of the inputs is perturbed entry by entry."""
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    work = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
+    work = {name: np.array(value, dtype=np.float64, order="C") for name, value in params.items()}
     grads: dict[str, np.ndarray] = {}
     for name, value in work.items():
         g = np.zeros_like(value)

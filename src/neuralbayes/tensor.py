@@ -21,10 +21,12 @@ Conventions:
   * backward closures only reference parent nodes (the output's gradient is
     passed in), so a dropped tape is reference-count-freed immediately,
   * backward closures keep only what cannot be cheaply rebuilt from their
-    parents: ``batch_norm`` recomputes x-hat and ``conv2d`` its patch matrix
-    in the backward, with the forward's operations, so the values are
-    bitwise those a kept copy would give; ``state_objective`` keeps the log
-    of its posterior, a transcendental per entry,
+    parents: ``batch_norm`` recomputes its centred input and ``conv2d`` its
+    patch matrix in the backward, with the forward's operations, so the
+    values are bitwise those a kept copy would give; batch norm fused with
+    its ReLU (``batch_norm(..., relu=True)``) keeps only its clamped output,
+    which is also the ReLU's mask; ``state_objective`` keeps the log of its
+    posterior, a transcendental per entry,
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
@@ -588,11 +590,20 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                            "conv2d", backward)
 
 
+def _channel_dot(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Per channel, the sum over ``axes`` of ``a * b``, without forming the
+    product array."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
+    kept = "".join(c for i, c in enumerate(letters) if i not in axes)
+    return np.einsum(f"{letters},{letters}->{kept}", a, b)
+
+
 def batch_norm(x, scale, shift, axes: Axis, floor: float,
-               stats: tuple[np.ndarray, np.ndarray] | None = None
+               stats: tuple[np.ndarray, np.ndarray] | None = None, relu: bool = False
                ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Batch normalization as one node: ``(x - mean) / sqrt(max(var, floor))``
-    per channel, times ``scale`` plus ``shift``.
+    per channel, times ``scale`` plus ``shift``; with ``relu=True``, clamped
+    at 0 (a ReLU after the normalization).
 
     Channels are the axes not in ``axes``; ``scale`` and ``shift`` have their
     shape.  With ``stats=None`` (train mode) mean and variance are the batch's
@@ -601,8 +612,12 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
     ``sqrt(floor)`` and no gradient flows through the variance.  With
     ``stats=(mean, var)`` (eval mode) they are constants.  Returns the output
     and the mean and variance it used (Ioffe & Szegedy, arXiv:1502.03167).
-    The node keeps no x-hat: the backward recomputes it from the input with
-    the forward's operations.
+
+    The node keeps its output and no x-hat: the backward rebuilds the
+    centred input with the forward's operation and divides by the
+    denominator per channel.  Fused with the ReLU it keeps no pre-ReLU copy
+    either: the output is non-negative, so ``out > 0`` is the ReLU's mask,
+    and the value is bitwise ``relu`` of the unfused output.
     """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     axes = _norm_axes(axes, x.ndim)
@@ -611,43 +626,48 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
     if scale.shape != channels or shift.shape != channels:
         raise ShapeError(f"batch_norm of {x.shape} over axes {axes} needs scale and shift of "
                          f"shape {channels}, got {scale.shape} and {shift.shape}")
+    count = math.prod(x.shape[a] for a in axes)  # elements per channel
     # full-size temporaries are few: each fresh one costs page faults.  The
-    # output is formed in x-hat's buffer, in the input's memory order.
+    # output is formed in the centred input's buffer, in the input's memory
+    # order, and the variance is a dot product of that buffer with itself.
     if stats is None:
         mean = x.data.mean(axis=axes)
         out_data = x.data - mean.reshape(keep)
-        var = np.square(out_data).mean(axis=axes)
+        var = _channel_dot(out_data, out_data, axes) / count
     else:
         mean, var = stats
         out_data = x.data - mean.reshape(keep)
-    den = np.sqrt(np.maximum(var, floor)).reshape(keep)
-    out_data /= den
-    out_data *= scale.data.reshape(keep)
+    den = np.sqrt(np.maximum(var, floor))
+    coef = (scale.data / den).reshape(keep)
+    out_data *= coef
     out_data += shift.data.reshape(keep)
-    count = math.prod(x.shape[a] for a in axes)  # elements per channel
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def backward(g):
-        xhat = x.data - mean.reshape(keep)
-        xhat /= den
-        gx = g * xhat
-        gscale = gx.sum(axis=axes)
+        if relu:
+            g = g * (out_data > 0.0)
+        # x-hat is the centred input over den; the centred input is rebuilt
+        # with the forward's operation and den is applied per channel
+        centred = x.data - mean.reshape(keep)
+        gscale = _channel_dot(g, centred, axes) / den
         gshift = g.sum(axis=axes)
         _accum(scale, gscale)
         _accum(shift, gshift)
         if not x.requires_grad:
             return
-        coef = scale.data.reshape(keep) / den
+        # the input's gradient is formed in the centred input's buffer
         if stats is None:
             # remove the components that flow back through the batch mean
             # and, where the variance is above the floor, the batch variance
-            through_var = np.where(var > floor, gscale, 0.0) / count
-            xhat *= through_var.reshape(keep)
-            np.subtract(g, xhat, out=gx)
-            gx -= (gshift / count).reshape(keep)
-            gx *= coef
+            through_var = np.where(var > floor, gscale, 0.0) / (count * den)
+            centred *= through_var.reshape(keep)
+            np.subtract(g, centred, out=centred)
+            centred -= (gshift / count).reshape(keep)
+            centred *= coef
         else:
-            np.multiply(g, coef, out=gx)
-        _accum(x, gx)
+            np.multiply(g, coef, out=centred)
+        _accum(x, centred)
 
     return Tensor._from_op(out_data, (x, scale, shift), "batch_norm", backward), mean, var
 

@@ -35,14 +35,18 @@ class CountingNet:
 def assert_moved_once(net: nn.Network, fresh: nn.Network, x: Tensor) -> None:
     """Every batch-norm buffer of ``net`` holds exactly one momentum update
     from its initial value toward the statistics of the clean batch ``x``,
-    whose layer inputs are replayed through ``fresh`` (an untouched copy)."""
+    whose layer inputs are replayed through ``fresh`` (an untouched copy).
+    The batch variance is the per-channel dot product of the centred input
+    with itself, the arithmetic of ``T.batch_norm``, so the comparison is
+    bitwise."""
     h = x
     for layer, used in zip(fresh.layers, net.layers):
         if isinstance(layer, nn.BatchNormLayer):
             axes = (0,) if h.ndim == 2 else (0, 2, 3)
             m, n = layer.momentum, h.size // layer.features
             mean = h.data.mean(axis=axes)
-            var = np.square(h.data - h.data.mean(axis=axes, keepdims=True)).mean(axis=axes)
+            centred = h.data - h.data.mean(axis=axes, keepdims=True)
+            var = np.einsum("ab,ab->b" if h.ndim == 2 else "abcd,abcd->b", centred, centred) / n
             want_mean = (1 - m) * layer.running_mean + m * mean
             want_var = (1 - m) * layer.running_var + m * (var * (n / (n - 1)))
             assert used.running_mean.tobytes() == want_mean.tobytes()

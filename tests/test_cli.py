@@ -275,6 +275,19 @@ class TestGradcheckCommand:
         assert code == 0
         assert (out_dir / "checkpoint.bin").exists()
 
+    def test_cnn_arch_on_non_square_data_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--dim", "10",
+             "--seed", "4", "--out", str(data)])
+        out_dir = tmp_path / "cnn"
+        code = run(["train-mim", "--data", str(data), "--mbs", "20", "--bs", "20",
+                    "--epochs", "1", "--seed", "0", "--out-dir", str(out_dir),
+                    "--config", str(_write_cfg(tmp_path, {"arch": "cnn"}))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "arch cnn needs square images; dimension 10 is not a perfect square" in err
+        assert not out_dir.exists()
+
     def test_train_dml_mnist_cnn_preset_on_idx_images(self, tmp_path):
         # the preset scores k = 10 clusters, beyond any permutation search
         from neuralbayes import data as D

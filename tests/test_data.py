@@ -1,5 +1,7 @@
 """Dataset generation, lifting, normalization, and file-format contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,12 @@ class TestCsv:
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(FormatError):
             D.load_csv(p)
+
+    @pytest.mark.parametrize("text", ["x0,x1,component\n", "x0,x1,component", "x0,component\n\n"])
+    def test_header_only_names_missing_rows(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" would raise
+            with pytest.raises(FormatError, match="empty.csv: no data rows$"):
+                D.load_csv(p)

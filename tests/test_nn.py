@@ -2,14 +2,17 @@
 
 import inspect
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from neuralbayes import nn, oracles
+from neuralbayes import dml, mim, nn, oracles
 from neuralbayes import tensor as T
 from neuralbayes.errors import ConfigError, FormatError, ShapeError
 from neuralbayes.tensor import Tensor
+
+from conftest import assert_moved_once
 
 ENCODER_ARCH = "C(200,3,1,0)-P(2,2,0,max)-C(500,3,1,0)-C(700,3,1,0)-P(2,2,0,max)-C(1000,3,1,0)"
 
@@ -299,6 +302,126 @@ class TestForwardWithStates:
     def test_malformed_arch_token(self):
         with pytest.raises(ConfigError):
             nn.build_cnn("C(8,3,1,0)-Q(2)", (1, 8, 8), seed=0)
+
+
+def layer_by_layer(net, x, mode):
+    """``net``'s forward one layer at a time, with no batch norm fused."""
+    h, states = x, []
+    for i, layer in enumerate(net.layers):
+        h = layer.forward(h, mode)
+        if i in net.taps:
+            states.append(h)
+    return h, states
+
+
+def tape_ops(loss):
+    """Op kind -> node count over the whole tape behind ``loss``."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node.op
+            stack.extend(node._parents)
+    return Counter(seen.values())
+
+
+def small_nets():
+    return {"mlp": (lambda: nn.build_mlp(4, [8, 6], 3, seed=7, batchnorm=True), (16, 4)),
+            "cnn": (lambda: nn.build_cnn("C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)", (1, 10, 10),
+                                         seed=3, batchnorm=True), (6, 1, 10, 10))}
+
+
+class TestBatchNormReluPairs:
+    """``forward_with_states`` runs each batch norm that a ReLU directly
+    follows as one fused node, unless the batch norm's own output is a
+    tapped state; values, gradients, running statistics, spec and
+    checkpoints are those of the layer-by-layer forward."""
+
+    @pytest.mark.parametrize("mode", ["train", "batch", "eval"])
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_matches_layer_by_layer(self, kind, mode):
+        make, shape = small_nets()[kind]
+        x = Tensor(np.random.default_rng(20).standard_normal(shape) + 0.5)
+        weights = {}
+        runs = []
+        for forward in (lambda net: net.forward_with_states(x, mode),
+                        lambda net: layer_by_layer(net, x, mode)):
+            net = make()
+            out, states = forward(net)
+            rng = np.random.default_rng(21)
+            loss = T.tsum(out * weights.setdefault("out", rng.standard_normal(out.shape)))
+            for j, s in enumerate(states):
+                loss = loss + T.tsum(s * weights.setdefault(j, rng.standard_normal(s.shape)))
+            runs.append((net, out, states, tape_ops(loss), T.gradients(loss, net.parameters())))
+        (net, out, states, ops, grads), (ref_net, ref_out, ref_states, ref_ops, ref_grads) = runs
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in ref_states]
+        assert ops["relu"] == 0 and ref_ops["relu"] == ops["batch_norm"] == 2
+        for name, g in grads.items():
+            want = ref_grads[name]
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), name
+        for name, b in net.buffers().items():
+            assert b.tobytes() == ref_net.buffers()[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_running_stats_move_once_per_train_forward(self, kind):
+        make, shape = small_nets()[kind]
+        net, x = make(), Tensor(np.random.default_rng(22).standard_normal(shape) + 1.0)
+        net.forward(x, "train")
+        assert_moved_once(net, make(), x)
+
+    def test_objective_tapes_have_no_relu(self):
+        rng = np.random.default_rng(23)
+        mlp = nn.build_mlp(4, [8, 6], 2, seed=7, batchnorm=True, softmax_head=True)
+        dml_loss, _ = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=2.0))(
+            mlp, Tensor(rng.standard_normal((16, 4))), rng)
+        cnn = small_nets()["cnn"][0]()
+        mim_loss, _ = mim.make_mim_objective(mim.MimConfig(alpha=2.0, beta=4.0, use_scales=True))(
+            cnn, Tensor(rng.standard_normal((6, 1, 10, 10))), rng)
+        for loss in (dml_loss, mim_loss):
+            ops = tape_ops(loss)
+            assert ops["relu"] == 0 and ops["batch_norm"] > 0, ops
+
+    @pytest.mark.parametrize("mode", ["train", "batch", "eval"])
+    def test_tapped_batch_norm_stays_pre_relu(self, mode):
+        def make():
+            return nn.Network([nn.DenseLayer(3, 5, seed=1), nn.BatchNormLayer(5), nn.ReluLayer(),
+                               nn.DenseLayer(5, 4, seed=2), nn.BatchNormLayer(4), nn.ReluLayer()],
+                              taps=[1, 2, 5])
+        x = Tensor(np.random.default_rng(24).standard_normal((8, 3)))
+        out, states = make().forward_with_states(x, mode)
+        ref_out, ref_states = layer_by_layer(make(), x, mode)
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in ref_states]
+        assert states[0].op == "batch_norm" and np.any(states[0].data < 0.0)
+        assert states[1].op == "relu" and states[2].op == "batch_norm"  # the second pair fused
+        assert np.all(states[2].data >= 0.0)
+
+    def test_batch_norm_then_tanh_stays_unfused(self):
+        net = nn.build_mlp(3, [5, 4], 2, seed=8, batchnorm=True, activation="tanh")
+        x = Tensor(np.random.default_rng(25).standard_normal((8, 3)))
+        out = net.forward(x, "train")
+        ops = tape_ops(T.tsum(out))
+        assert ops["tanh"] == ops["batch_norm"] == 2
+        ref = layer_by_layer(nn.build_mlp(3, [5, 4], 2, seed=8, batchnorm=True,
+                                          activation="tanh"), x, "train")[0]
+        assert out.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_spec_and_checkpoint_bytes_match_layer_by_layer(self, kind, tmp_path):
+        make, shape = small_nets()[kind]
+        x = Tensor(np.random.default_rng(26).standard_normal(shape))
+        files = []
+        for name, forward in (("fused", lambda net: net.forward(x, "train")),
+                              ("plain", lambda net: layer_by_layer(net, x, "train")[0])):
+            net = make()
+            params = net.parameters()
+            grads = T.gradients(T.tsum(forward(net)), params)
+            for key, p in params.items():
+                p.data = p.data - 0.01 * grads[key]
+            files.append((net.spec(), *(f.read_bytes()
+                                        for f in nn.save_checkpoint(net, tmp_path / name))))
+        assert files[0] == files[1]
 
 
 class TestCheckpoint:

@@ -90,6 +90,15 @@ class TestFiniteDifferences:
         analytic = (s - onehot) / 3
         np.testing.assert_allclose(numeric["logits"], analytic, atol=1e-5)
 
+    @pytest.mark.parametrize("layout", ["transposed", "fortran"])
+    def test_any_memory_layout(self, layout):
+        # a non-C-ordered input is perturbed entry by entry, not through a copy
+        base = np.arange(12.0).reshape(3, 4)
+        t = base.T if layout == "transposed" else np.asfortranarray(base)
+        weights = np.arange(1.0, 1.0 + t.size).reshape(t.shape)
+        g = oracles.finite_diff_grad(lambda p: float((p["t"] * weights).sum()), {"t": t})
+        np.testing.assert_allclose(g["t"], weights, rtol=0, atol=1e-8)
+
     def test_nonfinite_loss_names_coordinate(self):
         def bad(p):
             return float("inf") if p["t"][1] > 1.0 else 0.0

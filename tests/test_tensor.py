@@ -579,6 +579,72 @@ class TestBatchNormOp:
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
 
+class TestBatchNormRelu:
+    """``batch_norm(..., relu=True)`` is ``relu(batch_norm(...))`` as one node:
+    the same value bit for bit and the same gradients."""
+
+    @staticmethod
+    def _case(shape, eval_stats, seed=46):
+        # channel 1's spread is far under the variance floor; channel 2 sits
+        # on its mean with a zero shift, so its pre-ReLU values are exactly 0
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) + 0.3
+        x[:, 1] = 0.5 + 1e-4 * x[:, 1]
+        x[:, 2] = 2.0
+        scale = rng.standard_normal(shape[1]) + 1.0
+        shift = rng.standard_normal(shape[1]) * 0.5
+        shift[2] = 0.0
+        stats = None
+        if eval_stats:
+            mean, var = rng.standard_normal(shape[1]), rng.uniform(0.5, 2.0, shape[1])
+            mean[1:3], var[1] = (0.5, 2.0), 1e-8
+            stats = (mean, var)
+        weights = rng.standard_normal(shape)
+        return (batch_last(x) if len(shape) == 4 else x), scale, shift, stats, weights
+
+    def _run(self, shape, eval_stats, fused):
+        x, scale, shift, stats, weights = self._case(shape, eval_stats)
+        leaves = {"x": Tensor(x, requires_grad=True), "scale": Tensor(scale, requires_grad=True),
+                  "shift": Tensor(shift, requires_grad=True)}
+        axes = (0,) if len(shape) == 2 else (0, 2, 3)
+        out, mean, var = T.batch_norm(leaves["x"], leaves["scale"], leaves["shift"], axes,
+                                      1e-5, stats=stats, relu=fused)
+        if not fused:
+            out = T.relu(out)
+        grads = T.gradients(T.tsum(out * weights), leaves)
+        return out, mean, var, grads
+
+    @pytest.mark.parametrize("shape", [(16, 4), (6, 4, 5, 5)])
+    @pytest.mark.parametrize("eval_stats", [False, True])
+    def test_matches_relu_of_batch_norm(self, shape, eval_stats):
+        out, mean, var, grads = self._run(shape, eval_stats, fused=True)
+        ref, ref_mean, ref_var, ref_grads = self._run(shape, eval_stats, fused=False)
+        assert out.op == "batch_norm" and len(out._parents) == 3
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
+        if len(shape) == 4:
+            assert is_batch_last(out.data)
+        pre = np.moveaxis(out.data, 1, 0)
+        assert np.all(pre[2] == 0.0) and np.any(pre[0] == 0.0) and np.any(pre[0] > 0.0)
+        if not eval_stats:
+            assert var[1] < 1e-5 < var[0]
+        for name, g in grads.items():
+            want = ref_grads[name]
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), name
+        # no gradient through exact zeros: channel 2's scale and shift get none
+        assert grads["scale"][2] == 0.0 and grads["shift"][2] == 0.0
+
+    def test_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(47)
+        x = batch_last(rng.standard_normal((5, 3, 3, 3)))
+        params = {"x": Tensor(x, requires_grad=True),
+                  "scale": Tensor(rng.standard_normal(3) + 1.0, requires_grad=True),
+                  "shift": Tensor(rng.standard_normal(3) * 0.3, requires_grad=True)}
+        weights = rng.standard_normal(x.shape)
+        fd_check(lambda p: T.tsum(T.batch_norm(p["x"], p["scale"], p["shift"], (0, 2, 3),
+                                               1e-5, relu=True)[0] * weights), params)
+
+
 def traced_bytes(build):
     """(result of ``build()``, bytes it left allocated while the result lives)."""
     tracemalloc.start()
@@ -592,14 +658,25 @@ def traced_bytes(build):
 
 class TestTapeMemory:
     """A taped node holds its output and nothing else activation-sized: the
-    backward rebuilds batch norm's x-hat and conv2d's patch matrix.  The
-    one exception is state_objective, which keeps the log of its input."""
+    backward rebuilds batch norm's centred input and conv2d's patch matrix,
+    and batch norm fused with its ReLU masks with its own output.  The one exception
+    is state_objective, which keeps the log of its input."""
 
     def test_train_batch_norm_keeps_no_xhat(self):
         rng = np.random.default_rng(40)
         x = Tensor(batch_last(rng.standard_normal((32, 8, 10, 10))), requires_grad=True)
         scale, shift = _leaf(rng, (8,)), _leaf(rng, (8,))
         (out, _, _), held = traced_bytes(lambda: T.batch_norm(x, scale, shift, (0, 2, 3), 1e-5))
+        assert out.requires_grad
+        assert held < out.data.nbytes + x.data.nbytes // 2, held
+
+    def test_fused_batch_norm_relu_keeps_only_its_output(self):
+        # no pre-ReLU copy and no x-hat: the unfused pair holds two outputs
+        rng = np.random.default_rng(43)
+        x = Tensor(batch_last(rng.standard_normal((32, 8, 10, 10))), requires_grad=True)
+        scale, shift = _leaf(rng, (8,)), _leaf(rng, (8,))
+        (out, _, _), held = traced_bytes(
+            lambda: T.batch_norm(x, scale, shift, (0, 2, 3), 1e-5, relu=True))
         assert out.requires_grad
         assert held < out.data.nbytes + x.data.nbytes // 2, held
 
@@ -793,6 +870,11 @@ BACKWARD_OPS = {
                                             (0, 2, 3), 1e-5)[0],
     "batch_norm_eval": lambda leaf: T.batch_norm(leaf((4, 3)), leaf((3,)), leaf((3,)), (0,),
                                                  1e-5, stats=(np.zeros(3), np.ones(3)))[0],
+    "batch_norm_relu": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
+                                                 (0, 2, 3), 1e-5, relu=True)[0],
+    "batch_norm_relu_eval": lambda leaf: T.batch_norm(
+        leaf((4, 3)), leaf((3,)), leaf((3,)), (0,), 1e-5, stats=(np.zeros(3), np.ones(3)),
+        relu=True)[0],
     "state_objective": lambda leaf: T.state_objective(leaf((4, 3, 2, 2), positive=True), "v1",
                                                       1e-7, 0.5, 2.0)[0],
 }
