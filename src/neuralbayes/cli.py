@@ -37,9 +37,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("NB_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ConfigError(f"NB_SEED must be an integer, got {env!r}") from None
 
 
 def _load_config(path: str | None, known: dict) -> dict:

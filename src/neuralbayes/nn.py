@@ -345,6 +345,30 @@ def build_mlp(in_dim: int, hidden: Sequence[int], out_units: int | None, seed: i
     return Network(layers, taps)
 
 
+_TOKEN_ARITY = {"C": 4, "P": 4, "FC": 1}
+
+
+def _parse_token(tok: str) -> tuple[str, list[str]]:
+    """A ``kind(a,b,...)`` architecture token as its kind and argument strings."""
+    kind, _, rest = tok.partition("(")
+    if not rest.endswith(")"):
+        raise ConfigError(f"malformed architecture token {tok!r}")
+    if kind not in _TOKEN_ARITY:
+        raise ConfigError(f"unknown layer token {tok!r}")
+    args = [a.strip() for a in rest[:-1].split(",")]
+    if len(args) != _TOKEN_ARITY[kind]:
+        raise ConfigError(f"architecture token {tok!r} takes {_TOKEN_ARITY[kind]} "
+                          f"arguments, got {len(args)}")
+    return kind, args
+
+
+def _int_args(tok: str, args: list[str]) -> list[int]:
+    try:
+        return [int(a) for a in args]
+    except ValueError:
+        raise ConfigError(f"architecture token {tok!r} needs integer arguments") from None
+
+
 def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
               batchnorm: bool = True, softmax_head: bool = False) -> Network:
     """Build a convolutional encoder from a compact layer string.
@@ -353,7 +377,9 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
     block (conv + optional batch norm + ReLU, tapped after the ReLU),
     ``P(kernel,stride,padding,max|avg)`` for pooling (``P(.,.,.,avg)`` pools
     the whole spatial field to 1x1; pool padding must be 0, anything else
-    raises ``ConfigError``), and ``FC(n)`` for flatten + dense.
+    raises ``ConfigError``), and ``FC(n)`` for flatten + dense.  A token
+    with the wrong number of arguments or a non-integer one raises a
+    ``ConfigError`` that names it.
     ``input_shape`` is (channels, height, width); FC input sizes are resolved
     by tracing a dummy forward through the layers built so far.
     """
@@ -364,12 +390,9 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
     channels = c
     probe = np.zeros((1, c, h, w))
     for i, tok in enumerate(tokens):
-        kind, _, rest = tok.partition("(")
-        if not rest.endswith(")"):
-            raise ConfigError(f"malformed architecture token {tok!r}")
-        args = [a.strip() for a in rest[:-1].split(",")]
+        kind, args = _parse_token(tok)
         if kind == "C":
-            f, k, s, p = (int(a) for a in args)
+            f, k, s, p = _int_args(tok, args)
             layers.append(Conv2dLayer(channels, f, k, s, p, seed=seeds[i]))
             if batchnorm:
                 layers.append(BatchNormLayer(f))
@@ -382,12 +405,14 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
                 if mode != "avg":
                     raise ConfigError("global pooling is only defined for avg mode")
                 layers.append(AvgPool2dLayer(spatial_all=True))
-            elif int(args[2]) != 0:
+                continue
+            k, s, p = _int_args(tok, args[:3])
+            if p != 0:
                 raise ConfigError(f"pool padding is not supported, got {tok!r}")
-            elif mode == "max":
-                layers.append(MaxPool2dLayer(int(args[0]), int(args[1])))
+            if mode == "max":
+                layers.append(MaxPool2dLayer(k, s))
             elif mode == "avg":
-                layers.append(AvgPool2dLayer(int(args[0]), int(args[1])))
+                layers.append(AvgPool2dLayer(k, s))
             else:
                 raise ConfigError(f"unknown pool mode {mode!r}")
         elif kind == "FC":
@@ -397,9 +422,7 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
                 flat_dim = out.shape[1] * out.shape[2] * out.shape[3]
             else:
                 flat_dim = out.shape[1]
-            layers.append(DenseLayer(flat_dim, int(args[0]), seed=seeds[i]))
-        else:
-            raise ConfigError(f"unknown layer token {tok!r}")
+            layers.append(DenseLayer(flat_dim, *_int_args(tok, args), seed=seeds[i]))
     if softmax_head:
         layers.append(SoftmaxLayer())
     return Network(layers, taps)

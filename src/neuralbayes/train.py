@@ -137,34 +137,68 @@ class TrainLog:
 ObjectiveFn = Callable[[Network, Tensor, np.random.Generator], tuple[Tensor, ObjectiveReport]]
 
 
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
-except (OSError, TypeError, AttributeError):  # not glibc: nothing to hand back
-    _MALLOC_TRIM = None
+def _libc(name: str, argtypes: list):
+    try:
+        fn = getattr(ctypes.CDLL(None), name)
+    except (OSError, TypeError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    return fn
+
+
+_MALLOC_TRIM = _libc("malloc_trim", [ctypes.c_size_t])   # glibc only
+# mallopt's parameter numbers are glibc's (<malloc.h>), so only where glibc is
+_MALLOPT = _libc("mallopt", [ctypes.c_int, ctypes.c_int]) if _MALLOC_TRIM else None
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEPT_MMAP_THRESHOLD = 32 * 2**20   # glibc's 64-bit cap for its dynamic threshold
+_KEPT_TRIM_THRESHOLD = 2**30        # far above one step's freed tape
+
+
+def _keep_freed_heap() -> None:
+    """Keep the heap pages that freed arrays leave, for the next step to reuse.
+
+    By default glibc trims free memory off the top of its heap as soon as it
+    exceeds a threshold that tracks the largest mmapped array freed so far,
+    so a step that frees its whole tape hands the pages back and the next
+    step faults every one of them in again.  This fixes the mmap threshold at
+    32 MiB, where glibc's dynamic one stops climbing, and the trim threshold
+    at 1 GiB.  The setting is process-wide and stays after training: glibc
+    cannot restore its dynamic thresholds.  ``release_free_heap`` still
+    returns every free page.  A no-op where the C library is not glibc.
+    """
+    if _MALLOPT is not None:
+        _MALLOPT(_M_MMAP_THRESHOLD, _KEPT_MMAP_THRESHOLD)
+        _MALLOPT(_M_TRIM_THRESHOLD, _KEPT_TRIM_THRESHOLD)
 
 
 def release_free_heap() -> None:
     """Hand the heap pages of freed arrays back to the operating system.
 
-    glibc serves arrays below its mmap threshold from the heap, and the
-    threshold climbs to 32 MB once large arrays have come and gone, so a
-    step's tape leaves hundreds of MB of freed chunks there.  Their pages stay
+    glibc serves arrays below its mmap threshold from the heap (32 MiB once
+    ``_keep_freed_heap`` has run, or once large arrays have come and gone), so
+    training leaves hundreds of MB of freed chunks there.  Their pages stay
     resident, and how many of them later allocations can reuse depends on how
     the chunks happened to fragment, which changes with the number of steps
-    run.  ``malloc_trim(0)`` returns every free page, so the resident set
-    afterwards is the live arrays.  A no-op where the C library has no
-    ``malloc_trim``.
+    run.  ``malloc_trim(0)`` returns every free page, whatever the trim
+    threshold, so the resident set afterwards is the live arrays.  A no-op
+    where the C library has no ``malloc_trim``.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
 
 
-def _check_finite(loss: Tensor, grads: Mapping[str, np.ndarray], step: int,
+def _release_grads(params: Mapping[str, Tensor]) -> None:
+    for p in params.values():
+        p.grad = None
+
+
+def _check_finite(loss: float, grads: Mapping[str, np.ndarray], step: int,
                   epoch: int, batch: int) -> None:
+    # takes the loss value, not its tensor: a raised error's traceback keeps
+    # this frame, and with a tensor argument the whole tape
     where = f"update step {step} (epoch {epoch}, mini-batch {batch})"
-    if not np.isfinite(loss.item()):
-        raise DomainError(f"loss is {loss.item()} at {where}")
+    if not np.isfinite(loss):
+        raise DomainError(f"loss is {loss} at {where}")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise DomainError(f"gradient of {name} is not finite at {where}")
@@ -188,10 +222,16 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     ``DomainError`` before Adam or any caller sees it, naming the update
     step (numbered as in the log), the epoch and mini-batch (from 0) and
     the parameter.
-    On return the heap pages the steps freed are handed back
-    (``release_free_heap``), so the caller's resident set is its live
-    arrays.  Not between steps or epochs: the next step would fault the
-    pages straight back in.
+    One tape is alive at a time: each mini-batch's loss, and with it its
+    tape, is dropped once its gradients are checked, and no parameter keeps
+    a ``.grad`` past the mini-batch that made it, so the next forward sees
+    only the parameters, the Adam moments, the batch-norm running stats and
+    the log, and after training no parameter holds a ``.grad``.  The freed
+    pages stay in the heap for the next step (``_keep_freed_heap``); that
+    setting is process-wide and persists after the first call, because glibc
+    cannot restore its dynamic thresholds.  On every exit, an error
+    included, the free pages are handed back (``release_free_heap``), so the
+    caller's resident set is its live arrays.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -202,46 +242,52 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     log = TrainLog(seed=seed, config={"mbs": sched.mbs, "bs": sched.bs, "epochs": sched.epochs,
                                       "lr": opt.lr, "weight_decay": opt.weight_decay})
     window = sched.bs // sched.mbs
+    _keep_freed_heap()
     start = time.perf_counter()
     step = 0
-    for epoch in range(sched.epochs):
-        perm = rng.permutation(n)
-        batches = n // sched.mbs
-        accum: dict[str, np.ndarray] | None = None
-        reports: list[ObjectiveReport] = []
+    try:
+        for epoch in range(sched.epochs):
+            perm = rng.permutation(n)
+            batches = n // sched.mbs
+            accum: dict[str, np.ndarray] | None = None
+            reports: list[ObjectiveReport] = []
 
-        def flush():
-            nonlocal accum, reports, step
-            if not reports:
-                return
-            if len(reports) > 1:
-                scale = 1.0 / len(reports)
-                accum = {name: g * scale for name, g in accum.items()}
-            adam_step(params, accum, opt)
-            step += 1
-            log.append(step, ObjectiveReport.average(reports))
-            accum, reports = None, []
+            def flush():
+                nonlocal accum, reports, step
+                if not reports:
+                    return
+                if len(reports) > 1:
+                    scale = 1.0 / len(reports)
+                    accum = {name: g * scale for name, g in accum.items()}
+                adam_step(params, accum, opt)
+                step += 1
+                log.append(step, ObjectiveReport.average(reports))
+                accum, reports = None, []
 
-        for b in range(batches):
-            idx = perm[b * sched.mbs:(b + 1) * sched.mbs]
-            xb = Tensor(points[idx])
-            loss, report = objective(net, xb, rng)
-            grads = gradients(loss, params)
-            _check_finite(loss, grads, step + 1, epoch, b)
-            if accum is None:  # held, not copied: backward never writes into a gradient
-                accum = dict(grads)
-            else:
-                for name, g in grads.items():
-                    accum[name] = accum[name] + g
-            reports.append(report)
-            if len(reports) == window:
-                flush()
-        flush()
-        if epoch_callback is not None and epoch_callback(epoch, net):
-            break
-    log.wall_clock = time.perf_counter() - start
-    del loss  # the last step's tape, so that its pages go back too
-    release_free_heap()
+            for b in range(batches):
+                idx = perm[b * sched.mbs:(b + 1) * sched.mbs]
+                loss, report = objective(net, Tensor(points[idx]), rng)
+                grads = gradients(loss, params)
+                _check_finite(loss.item(), grads, step + 1, epoch, b)
+                loss = None   # the tape
+                _release_grads(params)   # ``grads`` holds them until they are summed
+                if accum is None:  # held, not copied: backward never writes into a gradient
+                    accum = dict(grads)
+                else:
+                    for name, g in grads.items():
+                        accum[name] = accum[name] + g
+                grads = None
+                reports.append(report)
+                if len(reports) == window:
+                    flush()
+            flush()
+            if epoch_callback is not None and epoch_callback(epoch, net):
+                break
+        log.wall_clock = time.perf_counter() - start
+    finally:
+        loss = None   # a failed step's tape, so that its pages go back too
+        _release_grads(params)
+        release_free_heap()
     return log
 
 
@@ -283,26 +329,32 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ShapeError(f"features (N, d) and labels (N,) required, got "
                          f"{features.shape} and {labels.shape}")
+    if not 0.0 < holdout < 1.0:
+        raise ConfigError(f"holdout must lie in (0, 1), got {holdout}")
     n, d = features.shape
+    n_test = max(1, int(round(holdout * n)))
+    if n_test >= n:
+        raise ConfigError(f"holdout {holdout} of {n} rows leaves no training rows")
     classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_test = max(1, int(round(holdout * n)))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    if train_idx.size < batch_size:
-        batch_size = max(1, train_idx.size)
+    batch_size = min(batch_size, train_idx.size)
 
     probe = build_mlp(d, [hidden_units], classes, seed=seed, batchnorm=False, softmax_head=False)
     params = probe.parameters()
     opt = AdamState.for_params(params, lr=lr)
     onehot = np.eye(classes)[labels]
+
+    def step(idx):  # the tape and the gradients die with this frame
+        loss = softmax_cross_entropy(probe.forward(Tensor(features[idx]), "train"), onehot[idx])
+        adam_step(params, gradients(loss, params), opt)
+        _release_grads(params)
+
     for _ in range(epochs):
         order = rng.permutation(train_idx.size)
         for b in range(train_idx.size // batch_size):
-            idx = train_idx[order[b * batch_size:(b + 1) * batch_size]]
-            loss = softmax_cross_entropy(probe.forward(Tensor(features[idx]), "train"),
-                                         onehot[idx])
-            adam_step(params, gradients(loss, params), opt)
+            step(train_idx[order[b * batch_size:(b + 1) * batch_size]])
     with T.no_tape():
         logits = probe.forward(Tensor(features[test_idx]), "eval").data
     return float((logits.argmax(axis=1) == labels[test_idx]).mean())

@@ -44,6 +44,13 @@ class TestGenData:
         run(["gen-data", "--kind", "moons", "--n", "20", "--seed", "11", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_integer_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NB_SEED", "abc")
+        out = tmp_path / "a.csv"
+        assert run(["gen-data", "--kind", "moons", "--n", "20", "--out", str(out)]) == 1
+        assert "error: NB_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
@@ -287,6 +294,18 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert "arch cnn needs square images; dimension 10 is not a perfect square" in err
         assert not out_dir.exists()
+
+    def test_malformed_cnn_token_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--dim", "64",
+             "--seed", "4", "--out", str(data)])
+        out_dir = tmp_path / "cnn"
+        cfg = {"arch": "cnn", "cnn-arch": "C(4,3,1,0)-P(2,2,0)"}
+        code = run(["train-mim", "--data", str(data), "--mbs", "20", "--bs", "20",
+                    "--epochs", "1", "--seed", "0", "--out-dir", str(out_dir),
+                    "--config", str(_write_cfg(tmp_path, cfg))])
+        assert code == 1
+        assert "'P(2,2,0)' takes 4 arguments, got 3" in capsys.readouterr().err
 
     def test_train_dml_mnist_cnn_preset_on_idx_images(self, tmp_path):
         # the preset scores k = 10 clusters, beyond any permutation search

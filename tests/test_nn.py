@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -302,6 +303,18 @@ class TestForwardWithStates:
     def test_malformed_arch_token(self):
         with pytest.raises(ConfigError):
             nn.build_cnn("C(8,3,1,0)-Q(2)", (1, 8, 8), seed=0)
+
+    @pytest.mark.parametrize("token, match", [
+        ("P(2,2,0)", "takes 4 arguments, got 3"),
+        ("C(64,3)", "takes 4 arguments, got 2"),
+        ("FC(3,4)", "takes 1 arguments, got 2"),
+        ("FC()", "needs integer arguments"),
+        ("C(4,3.5,1,0)", "needs integer arguments"),
+        ("P(2,x,0,max)", "needs integer arguments"),
+    ])
+    def test_bad_token_arguments_name_the_token(self, token, match):
+        with pytest.raises(ConfigError, match=re.escape(repr(token)) + ".*" + re.escape(match)):
+            nn.build_cnn(f"C(4,3,1,0)-{token}", (1, 8, 8), seed=0)
 
 
 def layer_by_layer(net, x, mode):

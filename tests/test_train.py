@@ -303,14 +303,46 @@ print(before - rss())
 """
 
 
+# The same skeleton in a fresh interpreter, after a small training run: the
+# kept-heap setting serves 1 MB arrays from the heap and keeps their pages when
+# they are freed, and release_free_heap still hands those pages back.
+KEPT_HEAP_SCRIPT = """
+import os
+import numpy as np
+from neuralbayes import data, dml, nn, train
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+ds = data.standardize(data.make_two_moons(32, seed=1))
+net = nn.build_mlp(2, [8], 2, seed=2, batchnorm=True)
+train.train_objective(net, ds.points, dml.make_dml_objective(dml.DmlConfig(partitions=2)),
+                      train.AccumulationSchedule(mbs=16, bs=16, epochs=1),
+                      train.AdamState.for_params(net.parameters()), seed=3)
+chunks = [np.ones(2**20 // 8) for _ in range(64)]
+held = rss()
+del chunks
+kept = rss()
+train.release_free_heap()
+print(held - kept, kept - rss())
+"""
+
+
+def tape_array(loss):
+    """The largest array on ``loss``'s tape that no leaf holds: only the tape does."""
+    return max((node.data for node in T._toposort(loss) if node.op != "leaf"), key=np.size)
+
+
 class TestMemory:
-    def _train(self, objective, epochs=2, callback=None):
+    def _train(self, objective, epochs=2, callback=None, bs=32):
         ds = D.standardize(D.make_two_moons(32, seed=1))
         net = nn.build_mlp(2, [8], 2, seed=2, batchnorm=True)
-        sched = train.AccumulationSchedule(mbs=16, bs=32, epochs=epochs)
+        sched = train.AccumulationSchedule(mbs=16, bs=bs, epochs=epochs)
         opt = train.AdamState.for_params(net.parameters())
-        return train.train_objective(net, ds.points, objective, sched, opt, seed=3,
-                                     epoch_callback=callback)
+        train.train_objective(net, ds.points, objective, sched, opt, seed=3,
+                              epoch_callback=callback)
+        return net
 
     def test_no_tape_alive_when_heap_released(self, monkeypatch):
         inner = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=1.0))
@@ -318,9 +350,7 @@ class TestMemory:
 
         def objective(net, xb, rng):
             loss, report = inner(net, xb, rng)
-            largest = max((node.data for node in T._toposort(loss) if node.op != "leaf"),
-                          key=np.size)
-            tapes.append(weakref.ref(largest))  # an array only the tape holds
+            tapes.append(weakref.ref(tape_array(loss)))
             return loss, report
 
         monkeypatch.setattr(train, "release_free_heap",
@@ -328,6 +358,44 @@ class TestMemory:
         self._train(objective)
         assert len(tapes) == 8  # 2 epochs of 4 mini-batches
         assert alive == [0]
+
+    @pytest.mark.parametrize("bs", [16, 32])  # a window of one and of two mini-batches
+    def test_one_tape_alive_per_step(self, bs):
+        inner = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=1.0))
+        tapes, alive, held = [], [], []
+
+        def objective(net, xb, rng):
+            alive.append(sum(ref() is not None for ref in tapes))
+            held.append(sorted(n for n, p in net.parameters().items() if p.grad is not None))
+            loss, report = inner(net, xb, rng)
+            tapes.append(weakref.ref(tape_array(loss)))
+            return loss, report
+
+        net = self._train(objective, bs=bs)
+        assert alive == [0] * 8
+        assert held == [[]] * 8
+        assert all(p.grad is None for p in net.parameters().values())
+
+    def test_failed_step_releases_heap_without_its_tape(self, monkeypatch):
+        inner = poisoned(dml.make_dml_objective(dml.DmlConfig(partitions=2)), 3)
+        tapes, alive = [], []
+
+        def objective(net, xb, rng):
+            loss, report = inner(net, xb, rng)
+            tapes.append(weakref.ref(tape_array(loss)))
+            return loss, report
+
+        monkeypatch.setattr(train, "release_free_heap",
+                            lambda: alive.append(sum(ref() is not None for ref in tapes)))
+        ds = D.standardize(D.make_two_moons(32, seed=1))
+        net = nn.build_mlp(2, [8], 2, seed=2, batchnorm=True)
+        with pytest.raises(DomainError, match="loss is nan"):
+            train.train_objective(net, ds.points, objective,
+                                  train.AccumulationSchedule(mbs=16, bs=32, epochs=2),
+                                  train.AdamState.for_params(net.parameters()), seed=3)
+        assert len(tapes) == 3
+        assert alive == [0]
+        assert all(p.grad is None for p in net.parameters().values())
 
     @pytest.mark.parametrize("stop_after", [None, 0])
     def test_free_heap_released_once_on_return(self, monkeypatch, stop_after):
@@ -343,14 +411,45 @@ class TestMemory:
             ["callback 0", "callback 1", "release"]
         assert events == expected
 
+    @pytest.mark.parametrize("fails", ["objective", "callback"])
+    def test_free_heap_released_once_on_error(self, monkeypatch, fails):
+        events = []
+        monkeypatch.setattr(train, "release_free_heap", lambda: events.append("release"))
+        inner = dml.make_dml_objective(dml.DmlConfig(partitions=2))
+
+        def objective(net, xb, rng):
+            if fails == "objective" and len(events) == 1:
+                raise RuntimeError("objective failed")
+            return inner(net, xb, rng)
+
+        def callback(epoch, net):
+            events.append(f"callback {epoch}")
+            if fails == "callback":
+                raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match=f"{fails} failed"):
+            self._train(objective, callback=callback)
+        assert events == ["callback 0", "release"]
+
     @pytest.mark.skipif(train._MALLOC_TRIM is None or not os.path.exists("/proc/self/statm"),
                         reason="needs glibc malloc_trim and /proc")
     def test_release_free_heap_returns_freed_pages(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(train.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        assert int(done.stdout) >= 32 * 2**20  # at least half of the 64 MB freed below the pin
+        assert int(fresh_interpreter(HEAP_SCRIPT)) >= 32 * 2**20  # half the 64 MB freed below the pin
+
+    @pytest.mark.skipif(train._MALLOPT is None or not os.path.exists("/proc/self/statm"),
+                        reason="needs glibc mallopt and /proc")
+    def test_kept_heap_still_released(self):
+        kept_drop, released = (int(v) for v in fresh_interpreter(KEPT_HEAP_SCRIPT).split())
+        assert kept_drop < 8 * 2**20    # freeing 64 MB kept its pages resident
+        assert released >= 32 * 2**20   # and the release handed at least half of them back
+
+
+def fresh_interpreter(script):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(train.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
 
 class TestLinearProbe:
     def test_separable_features(self):
@@ -407,6 +506,14 @@ class TestLinearProbe:
         assert train.extract_features(net, x, tap="out").shape == (5, 2)
         with pytest.raises(ConfigError, match="unknown tap"):
             train.extract_features(net, x, tap="h7")
+
+    @pytest.mark.parametrize("holdout, match", [(0.9, "leaves no training rows"),
+                                                (1.5, r"must lie in \(0, 1\)"),
+                                                (0.0, r"must lie in \(0, 1\)")])
+    def test_holdout_must_leave_training_rows(self, holdout, match):
+        features = np.random.default_rng(11).standard_normal((4, 3))
+        with pytest.raises(ConfigError, match=match):
+            train.linear_probe(features, np.array([0, 1, 0, 1]), holdout=holdout)
 
 
 class TestClusterAccuracy:
