@@ -151,6 +151,15 @@ def _load_standardized(args) -> D.ManifoldDataset:
     return ds if ds.meta.get("standardized") else D.standardize(ds)
 
 
+def _square_images(ds: D.ManifoldDataset) -> np.ndarray:
+    """The points as (N, 1, S, S) single-channel images, the input of a CNN."""
+    side = math.isqrt(ds.dim)
+    if side * side != ds.dim:
+        raise ConfigError(f"arch cnn needs square images; dimension {ds.dim} is not a "
+                          f"perfect square")
+    return ds.points.reshape(ds.size, 1, side, side)
+
+
 # --- train-dml, train-mim ---
 
 def _train_command(args, command: str, defaults: dict, flags: list[str], build, finish,
@@ -165,13 +174,7 @@ def _train_command(args, command: str, defaults: dict, flags: list[str], build, 
     seed = _resolve_seed(args)
     cfg = _merge_config(defaults, _load_config(args.config, defaults), args, flags)
     ds = _load_standardized(args)
-    points = ds.points
-    if cfg["arch"] == "cnn":
-        side = math.isqrt(ds.dim)
-        if side * side != ds.dim:
-            raise ConfigError(f"arch cnn needs square images; dimension {ds.dim} is not a "
-                              f"perfect square")
-        points = points.reshape(ds.size, 1, side, side)
+    points = _square_images(ds) if cfg["arch"] == "cnn" else ds.points
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net, objective = build(cfg, points.shape[1:], seed)
@@ -216,8 +219,7 @@ def _dml_report(run) -> list[Path]:
     k, dml_cfg = run.cfg["k"], _dml_config(run.cfg)
     pred = train_mod.predict_components(run.net, run.points)
     accuracy = train_mod.cluster_accuracy(pred, run.ds.components, k)
-    with no_tape():
-        out_head = run.net.forward(Tensor(run.points[:5000]), "eval").data
+    out_head = train_mod.extract_features(run.net, run.points[:5000], tap="out")
     if k == 2:
         L = out_head[:, 0]
         final_obj = dml_mod.dml_binary_objective(L, float(L.mean()))
@@ -278,7 +280,8 @@ def cmd_probe(args) -> int:
     seed = _resolve_seed(args)
     net = nn.load_checkpoint(args.checkpoint)
     ds = _load_standardized(args)
-    features = train_mod.extract_features(net, ds.points, tap=args.layer,
+    points = _square_images(ds) if isinstance(net.layers[0], nn.Conv2dLayer) else ds.points
+    features = train_mod.extract_features(net, points, tap=args.layer,
                                           bn_train_mode=(args.bn_mode == "train"))
     accuracy = train_mod.linear_probe(features, ds.components, hidden_units=args.hidden,
                                       epochs=args.epochs, lr=args.lr, seed=seed)
@@ -329,14 +332,10 @@ def cmd_export_grid(args) -> int:
         stats = D.standardize(ds)
         lifted = (lifted - stats.mean) / stats.std
 
+    out = train_mod.extract_features(net, lifted, tap="out")
     rows = ["x,y,argmax_label,max_prob"]
-    for start in range(0, lifted.shape[0], 4096):
-        with no_tape():
-            out = net.forward(Tensor(lifted[start:start + 4096]), "eval").data
-        labels = out.argmax(axis=1)
-        probs = out.max(axis=1)
-        for (x, y), lab, pr in zip(grid[start:start + 4096], labels, probs):
-            rows.append(f"{x:.17g},{y:.17g},{lab},{pr:.17g}")
+    for (x, y), lab, pr in zip(grid, out.argmax(axis=1), out.max(axis=1)):
+        rows.append(f"{x:.17g},{y:.17g},{lab},{pr:.17g}")
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {r * r} grid predictions to {args.out}")
     return 0

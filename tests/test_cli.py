@@ -282,6 +282,20 @@ class TestGradcheckCommand:
         assert code == 0
         assert (out_dir / "checkpoint.bin").exists()
 
+    def test_probe_on_cnn_checkpoint(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--dim", "64",
+             "--seed", "4", "--out", str(data)])
+        out_dir = tmp_path / "cnn"
+        cfg = {"arch": "cnn", "cnn-arch": "C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)"}
+        assert run(["train-mim", "--data", str(data), "--mbs", "20", "--bs", "20",
+                    "--epochs", "1", "--beta", "0.5", "--seed", "0", "--out-dir", str(out_dir),
+                    "--config", str(_write_cfg(tmp_path, cfg))]) == 0
+        code = run(["probe", "--checkpoint", str(out_dir / "checkpoint"), "--data", str(data),
+                    "--hidden", "8", "--epochs", "2", "--seed", "0"])
+        assert code == 0
+        assert "probe accuracy at tap last" in capsys.readouterr().out
+
     def test_cnn_arch_on_non_square_data_is_config_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--dim", "10",

@@ -264,12 +264,14 @@ class TestForwardWithStates:
             np.testing.assert_array_equal(feats[i], [state[i, c, h, w] for c in range(3)
                                                      for h in range(6) for w in range(6)])
 
-    def test_extract_features_c_ordered_across_chunks(self):
+    def test_extract_features_c_ordered_across_chunks(self, monkeypatch):
         from neuralbayes import train
         net = nn.build_cnn("C(3,3,1,0)-P(2,2,0,max)", (1, 8, 8), seed=5, batchnorm=True)
         points = np.random.default_rng(15).standard_normal((7, 1, 8, 8))
         whole = train.extract_features(net, points, tap="h0")
-        chunked = train.extract_features(net, points, tap="h0", batch_size=3)
+        # 3 rows of the widest state (3x6x6 float64 entries) per chunk
+        monkeypatch.setattr(train, "_EVAL_CHUNK_BYTES", 3 * 8 * 3 * 6 * 6)
+        chunked = train.extract_features(net, points, tap="h0")
         assert whole.flags.c_contiguous and chunked.flags.c_contiguous
         assert chunked.tobytes() == whole.tobytes()
         with pytest.raises(ShapeError):

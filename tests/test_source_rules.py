@@ -1,0 +1,77 @@
+"""Rules on the library's source that its behaviour alone cannot show."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "neuralbayes"
+
+# The only places a network runs inside ``no_tape()``: the bounded-chunk
+# read-only forward loop, and the stopping split's holdout objective (one
+# batch-mode forward of the held-out rows, whose statistics are the point).
+READ_ONLY_FORWARDS = {"train.extract_features", "cli._stopping_split.evaluate"}
+
+
+def _is_no_tape(item: ast.withitem) -> bool:
+    call = item.context_expr
+    if not isinstance(call, ast.Call):
+        return False
+    f = call.func
+    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "no_tape"
+
+
+def _runs_network(call: ast.Call) -> bool:
+    """A ``forward``/``forward_with_states`` call, a call of ``net`` itself,
+    or any call handed ``net`` (an objective)."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and f.attr in ("forward", "forward_with_states"):
+        return True
+    if isinstance(f, ast.Name) and f.id == "net":
+        return True
+    return any(isinstance(a, ast.Name) and a.id == "net" for a in call.args)
+
+
+def forwards_without_tape(tree: ast.AST, module: str) -> set[str]:
+    """Dotted names of the functions whose ``no_tape()`` blocks run a network."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.With) and any(_is_no_tape(i) for i in node.items):
+            if any(isinstance(n, ast.Call) and _runs_network(n)
+                   for stmt in node.body for n in ast.walk(stmt)):
+                found.add(".".join([module, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_read_only_forwards_only_in_the_chunked_loop():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= forwards_without_tape(ast.parse(path.read_text()), path.stem)
+    assert found == READ_ONLY_FORWARDS
+
+
+def test_rule_sees_each_way_of_running_a_network():
+    source = '''
+def score(probe, x):
+    with T.no_tape():
+        return probe.forward(Tensor(x), "eval").data
+
+class Report:
+    def head(self, net, x):
+        with no_tape():
+            return net(x)
+
+def holdout(objective, net, x):
+    with no_tape(), open("f") as fh:
+        return objective(net, x)
+
+def taped(net, x):
+    return net.forward_with_states(x, "train")
+'''
+    assert forwards_without_tape(ast.parse(source), "m") == {"m.score", "m.Report.head",
+                                                            "m.holdout"}

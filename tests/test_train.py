@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -491,9 +492,12 @@ class TestLinearProbe:
         for name, b in net.buffers().items():
             assert b.tobytes() == before[name].tobytes(), name
         mode = "batch" if bn_train_mode else "eval"
+        # chunk by chunk, as the extraction batches them: eval mode fits the 12
+        # rows in one chunk; batch mode takes ceil(12 / 5) = 3 groups of 4
+        edges = [0, 4, 8, 12] if bn_train_mode else [0, 12]
         want = []
-        for s in range(0, 12, 5):  # chunk by chunk, as the extraction batches them
-            h = net.forward_with_states(Tensor(points[s:s + 5]), mode)[1][-1].data
+        for s, e in zip(edges, edges[1:]):
+            h = net.forward_with_states(Tensor(points[s:e]), mode)[1][-1].data
             want.append(h.reshape(h.shape[0], -1))
         assert np.array_equal(feats, np.vstack(want))
 
@@ -514,6 +518,72 @@ class TestLinearProbe:
         features = np.random.default_rng(11).standard_normal((4, 3))
         with pytest.raises(ConfigError, match=match):
             train.linear_probe(features, np.array([0, 1, 0, 1]), holdout=holdout)
+
+
+MIM_CNN_ARCH = "C(64,3,1,0)-P(2,2,0,max)-C(128,3,1,0)"   # train-mim's default cnn-arch
+
+
+def forward_rows(monkeypatch, net, points, **kwargs):
+    """``extract_features``'s result and the row count of every forward it ran."""
+    rows, real = [], net.forward_with_states
+
+    def spy(x, mode):
+        rows.append(x.shape[0])
+        return real(x, mode)
+
+    monkeypatch.setattr(net, "forward_with_states", spy)
+    return train.extract_features(net, points, **kwargs), rows
+
+
+class TestEvalChunks:
+    """Eval-mode chunks of max(1, 16 MiB // (8 * widest)) rows, with widest
+    read from a one-row forward; batch-mode statistics groups of near-equal
+    size."""
+
+    def test_mim_cnn_encoder_takes_167_rows(self, monkeypatch):
+        net = nn.build_cnn(MIM_CNN_ARCH, (1, 16, 16), seed=2, batchnorm=True)
+        points = np.random.default_rng(20).standard_normal((500, 1, 16, 16))
+        _, rows = forward_rows(monkeypatch, net, points)
+        assert rows == [1, 167, 167, 166]   # widest: the 64x14x14 first state
+
+    def test_dml_mlp_predicts_2000_rows_in_one_forward(self, monkeypatch):
+        net = nn.build_mlp(512, [400] * 4, 2, seed=3, batchnorm=True, softmax_head=True)
+        rng = np.random.default_rng(21)
+        for layer in net.layers:
+            if isinstance(layer, nn.BatchNormLayer):
+                layer.running_mean = rng.standard_normal(layer.features)
+                layer.running_var = rng.uniform(0.5, 2.0, layer.features)
+        points = rng.standard_normal((2000, 512))
+        with T.no_tape():
+            whole = net.forward(Tensor(points), "eval").data
+        pred = train.predict_components(net, points)
+        assert pred.tobytes() == whole.argmax(axis=1).tobytes()
+        _, rows = forward_rows(monkeypatch, net, points, tap="out")
+        assert rows == [1, 2000]
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        net = nn.build_cnn(MIM_CNN_ARCH, (1, 16, 16), seed=2, batchnorm=True)
+        rng = np.random.default_rng(22)
+        extra = {}
+        for n in (500, 2000):
+            points = rng.standard_normal((n, 1, 16, 16))
+            tracemalloc.start()
+            try:
+                feats = train.extract_features(net, points)
+                extra[n] = tracemalloc.get_traced_memory()[1] - feats.nbytes
+            finally:
+                tracemalloc.stop()
+        assert abs(extra[2000] - extra[500]) <= 0.1 * extra[500], extra
+
+    def test_batch_mode_groups_near_equal(self, monkeypatch):
+        # 11 = 2 * 5 + 1: fixed groups of 5 would leave one row for batch statistics
+        net = nn.build_mlp(3, [6], None, seed=4, batchnorm=True)
+        points = np.random.default_rng(23).standard_normal((11, 3))
+        feats, rows = forward_rows(monkeypatch, net, points, bn_train_mode=True, batch_size=5)
+        assert rows == [3, 4, 4]
+        want = [net.forward_with_states(Tensor(points[s:e]), "batch")[1][-1].data
+                for s, e in ((0, 3), (3, 7), (7, 11))]
+        assert np.array_equal(feats, np.vstack(want))
 
 
 class TestClusterAccuracy:
