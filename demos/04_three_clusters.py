@@ -1,8 +1,8 @@
 """Three disjoint clusters, one-vs-rest: the multi-partition objective.
 
-With K output states the loss averages, over states, the divergence between
-each state's conditional and the pooled rest.  Its floor is -log 2, reached
-exactly when every state owns one component.
+With K output states the loss is log 2 minus the mean, over states, of the
+divergence between each state's conditional and the pooled rest.  Its floor
+is 0, reached exactly when every state owns one component.
 """
 
 import math
@@ -26,9 +26,9 @@ for chunk in range(10):
     pred = predict_components(net, ds.points)
     acc = cluster_accuracy(pred, ds.components, 3)
     out = net.forward(Tensor(ds.points), "eval").data
-    loss = dml.dml_multi_loss(PosteriorBatch(Tensor(out)), cfg).item()
+    loss = dml.dml_loss(PosteriorBatch(Tensor(out)), cfg).item()
     print(f"epoch {(chunk + 1) * 10:3d}: accuracy {acc:.3f}  "
-          f"loss {loss:.4f} (floor -log2 = {-math.log(2):.4f})")
+          f"loss {loss:.4f} (floor 0, uniform posterior log 2 = {math.log(2):.4f})")
     if acc >= 0.99:
         break
 

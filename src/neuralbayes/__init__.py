@@ -9,8 +9,7 @@ architectures, brute-force verification oracles, and a CLI.
 """
 
 from .bayes import PosteriorBatch, PriorEstimate, conditional_weights, density_ratio, prior_estimate
-from .dml import (DmlConfig, dml_binary_loss, dml_binary_objective, dml_multi_loss,
-                  make_dml_objective, smoothness_penalty)
+from .dml import DmlConfig, dml_binary_objective, dml_loss, make_dml_objective, smoothness_penalty
 from .mim import (MimConfig, collect_states, make_mim_objective,
                   mi_closed_form, mim_v1_loss, mim_v2_loss, prior_gradient_strength,
                   uniform_prior_penalty_v1, uniform_prior_penalty_v2)
@@ -28,7 +27,7 @@ __all__ = [
     "DmlConfig", "MimConfig", "Network", "ObjectiveReport", "PosteriorBatch", "PriorEstimate",
     "Tensor", "TrainLog", "adam_step", "build_cnn",
     "build_mlp", "cluster_accuracy", "collect_states", "conditional_weights", "density_ratio",
-    "dml_binary_loss", "dml_binary_objective", "dml_multi_loss", "extract_features",
+    "dml_binary_objective", "dml_loss", "extract_features",
     "gradients", "linear_probe", "load_checkpoint", "make_dml_objective", "make_mim_objective",
     "mi_closed_form", "mim_v1_loss", "mim_v2_loss", "orthogonal_init", "predict_components",
     "prior_estimate", "prior_gradient_strength", "save_checkpoint", "smoothness_penalty",

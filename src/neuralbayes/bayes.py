@@ -74,7 +74,7 @@ def prior_estimate(p: PosteriorBatch) -> PriorEstimate:
 def _check_interior(prior_value: float, what: str) -> None:
     if not 0.0 < prior_value < 1.0:
         raise DegeneratePriorError(
-            f"{what} is degenerate (prior={prior_value!r}); state priors must lie strictly in (0, 1)")
+            f"{what} is degenerate (prior {prior_value!r}); state priors must lie strictly in (0, 1)")
 
 
 def conditional_weights(p: PosteriorBatch, prior: PriorEstimate, k: int) -> tuple[Tensor, Tensor]:

@@ -107,14 +107,15 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _stopping_split(args, points: np.ndarray, objective, seed: int):
+def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
     """Optionally hold out a user-designated stopping split.
 
-    Returns (training points, epoch callback or None).  The callback evaluates
-    the training objective on the held-out points and stops after
-    ``--patience`` epochs without improvement.  The evaluation runs in batch
-    mode and records no tape, so it leaves the model's running statistics
-    alone.
+    Returns (training points, epoch callback or None).  The callback scores
+    the held-out points as the mean objective over ceil(n / ``mbs``)
+    near-equal groups, the statistic each training step computes, so its
+    memory is one group's, and stops after ``--patience`` epochs without
+    improvement.  The evaluation runs in batch mode and records no tape, so
+    it leaves the model's running statistics alone.
     """
     fraction = getattr(args, "stop_split", 0.0) or 0.0
     if fraction <= 0.0:
@@ -125,12 +126,14 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int):
     perm = rng.permutation(points.shape[0])
     n_hold = max(2, int(round(fraction * points.shape[0])))
     hold, keep = points[perm[:n_hold]], points[perm[n_hold:]]
-    hold_t = Tensor(hold)
+    edges = train_mod.near_equal_edges(n_hold, mbs)
 
     def evaluate(net) -> float:
+        noise = np.random.default_rng(0)
         with no_tape():
-            loss, _ = objective(net, hold_t, np.random.default_rng(0), mode="batch")
-        return loss.item()
+            losses = [objective(net, Tensor(hold[start:stop]), noise, mode="batch")[0].item()
+                      for start, stop in zip(edges, edges[1:])]
+        return sum(losses) / len(losses)
 
     return keep, train_mod.holdout_early_stopper(evaluate, patience=args.patience)
 
@@ -181,7 +184,7 @@ def _train_command(args, command: str, defaults: dict, flags: list[str], build, 
     sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
     opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
                                          weight_decay=cfg["weight-decay"])
-    train_points, callback = _stopping_split(args, points, objective, seed)
+    train_points, callback = _stopping_split(args, points, objective, seed, cfg["mbs"])
     log = train_mod.train_objective(net, train_points, objective, sched, opt, seed=seed,
                                     epoch_callback=callback)
 
@@ -220,13 +223,9 @@ def _dml_report(run) -> list[Path]:
     pred = train_mod.predict_components(run.net, run.points)
     accuracy = train_mod.cluster_accuracy(pred, run.ds.components, k)
     out_head = train_mod.extract_features(run.net, run.points[:5000], tap="out")
-    if k == 2:
-        L = out_head[:, 0]
-        final_obj = dml_mod.dml_binary_objective(L, float(L.mean()))
-        final_loss = float(dml_mod.dml_binary_loss(Tensor(L), dml_cfg).item())
-    else:
-        final_obj = None
-        final_loss = float(dml_mod.dml_multi_loss(PosteriorBatch(Tensor(out_head)), dml_cfg).item())
+    final_loss = float(dml_mod.dml_loss(PosteriorBatch(Tensor(out_head)), dml_cfg).item())
+    L = out_head[:, 0]
+    final_obj = dml_mod.dml_binary_objective(L, float(L.mean())) if k == 2 else None
     labels_path = run.out_dir / "predicted_labels.csv"
     labels_path.write_text("\n".join(["index,predicted,truth"] +
                                      [f"{i},{p},{t}" for i, (p, t) in

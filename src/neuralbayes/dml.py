@@ -1,11 +1,13 @@
 """Disjoint-manifold labeling: Jensen-Shannon partition objectives.
 
-A soft label L(x) in [0, 1] (or a K-way posterior) splits the batch-empirical
-data distribution into conditionals; maximizing their JS divergence assigns a
-distinct constant label to every connected component of the support, provided
-the labeling function stays smooth.  The trainable losses are the guarded
-log(1 + ratio) forms; the theory-form objective (exact, with its +log 2
-offset) is kept separately for reporting and oracle comparisons.
+A K-way posterior splits the batch-empirical data distribution into each
+state's conditional and the pooled rest; maximizing their mean JS divergence
+assigns a distinct constant label to every connected component of the
+support, provided the labeling function stays smooth.  At K = 2 this is the
+binary objective on the soft label L(x) = column 0.  One trainable loss, the
+guarded log(1 + ratio) form, serves every K; the binary theory-form objective
+(exact, with its +log 2 offset) is kept separately for reporting and oracle
+comparisons.
 """
 
 from __future__ import annotations
@@ -53,15 +55,6 @@ def _label_array(labels) -> np.ndarray:
     return arr
 
 
-def _label_tensor(labels) -> Tensor:
-    t = labels if isinstance(labels, Tensor) else Tensor(labels)
-    if t.ndim == 2 and t.shape[1] == 1:
-        t = T.reshape(t, (t.shape[0],))
-    if t.ndim != 1:
-        raise ShapeError(f"soft labels must be (B,) or (B, 1), got shape {t.shape}")
-    return t
-
-
 def dml_binary_objective(labels, prior: float) -> float:
     """Theory-form binary objective: JS divergence of the two implied
     conditionals on the batch atoms, so its value lies in [0, log 2] and its
@@ -86,44 +79,23 @@ def dml_binary_objective(labels, prior: float) -> float:
     return 0.5 * float(t1.mean()) + 0.5 * float(t0.mean()) + LOG2
 
 
-def dml_binary_loss(labels, cfg: DmlConfig, prior: float | None = None) -> Tensor:
-    """Trainable binary loss: 0.5 E[f1 log(1 + f0/f1)] + 0.5 E[f0 log(1 + f1/f0)]
-    with f1 = L/E[L] + eps and f0 = (1-L)/(1-E[L]) + eps.
+def dml_loss(p: PosteriorBatch, cfg: DmlConfig) -> Tensor:
+    """Trainable loss for every K >= 2: 0.5 mean_{b,k}[f log(1 + fbar/f) +
+    fbar log(1 + f/fbar)] with f = v/prior + eps, fbar = (1-v)/(1-prior) + eps.
 
+    Equals log 2 minus the mean over states of the one-vs-rest JS objective,
+    so it lies in [0, log 2] up to the guard; at K = 2 both columns give the
+    same terms, so it is log 2 - :func:`dml_binary_objective` of column 0.
     The batch-mean prior stays live on the tape (this is why training needs
-    batches large enough for a faithful prior estimate).  Equals
-    log 2 - :func:`dml_binary_objective` up to the guard.  The smoothness term
-    is added by the caller as beta * R_c.  ``prior`` substitutes a hypothetical
-    constant for the batch mean (a landscape-probing diagnostic, never used in
-    training).
-    """
-    L = _label_tensor(labels)
-    if L.shape[0] < 2:
-        raise ShapeError("binary loss needs a batch of at least 2")
-    prior = T.tmean(L) if prior is None else Tensor(np.asarray(prior))
-    pv = float(prior.data)
-    if not 0.0 < pv < 1.0:
-        raise DegeneratePriorError(f"batch-mean prior hit {pv!r}; labels are degenerate")
-    eps = cfg.epsilon
-    f1 = L / prior + eps
-    f0 = (1.0 - L) / (1.0 - prior) + eps
-    t1 = T.tmean(f1 * T.log(f0 / f1 + 1.0))
-    t0 = T.tmean(f0 * T.log(f1 / f0 + 1.0))
-    return t1 * 0.5 + t0 * 0.5
-
-
-def dml_multi_loss(p: PosteriorBatch, cfg: DmlConfig) -> Tensor:
-    """K-partition loss: minus the mean over states of the one-vs-rest JS
-    objective, with the same guarded implementation form as the binary case.
-
-    Ranges over [-log 2, ~0]; equals ``dml_binary_loss - log 2`` at K = 2.
+    batches large enough for a faithful prior estimate).  The smoothness term
+    is added by the caller as beta * R_c.
     """
     v = p.values
     B, K = v.shape
     if K < 2:
-        raise ShapeError("multi-partition loss needs K >= 2 states")
+        raise ShapeError("DML loss needs K >= 2 states")
     if B < 2:
-        raise ShapeError("multi-partition loss needs a batch of at least 2")
+        raise ShapeError("DML loss needs a batch of at least 2")
     prior = T.tmean(v, axis=0)
     pv = prior.data
     if np.min(pv) <= 0.0 or np.max(pv) >= 1.0:
@@ -134,7 +106,7 @@ def dml_multi_loss(p: PosteriorBatch, cfg: DmlConfig) -> Tensor:
     f = v / prior + eps
     fbar = (1.0 - v) / (1.0 - prior) + eps
     per_entry = f * T.log(fbar / f + 1.0) + fbar * T.log(f / fbar + 1.0)
-    return T.tmean(per_entry) * 0.5 - LOG2
+    return T.tmean(per_entry) * 0.5
 
 
 def smoothness_penalty(net, batch, y0: Tensor, cfg, rng: np.random.Generator, *,
@@ -198,12 +170,14 @@ def implied_binary_atom_weights(labels, prior: float) -> tuple[np.ndarray, np.nd
 def make_dml_objective(cfg: DmlConfig):
     """Build a training closure (net, batch, rng) -> (loss, report).
 
-    The network head must be a K-way softmax; for two partitions the loss uses
-    its first column as the scalar label L.  One train-mode forward gives the
-    JS term and the smoothness penalty's clean output; the penalty adds one
-    batch-mode forward of the perturbed batch, so batch-norm running stats
-    move once per call.  ``mode="batch"`` runs the clean forward in batch
-    mode too, so the call moves nothing (holdout evaluation).
+    The network head must be a softmax with ``cfg.partitions`` outputs
+    (``ShapeError`` otherwise), and :func:`dml_loss` takes all of it.  For
+    two partitions the smoothness penalty's target is its first column, the
+    scalar label L.  One train-mode forward gives the JS term and the
+    smoothness penalty's clean output; the penalty adds one batch-mode
+    forward of the perturbed batch, so batch-norm running stats move once
+    per call.  ``mode="batch"`` runs the clean forward in batch mode too, so
+    the call moves nothing (holdout evaluation).
     """
     from .report import ObjectiveReport
 
@@ -213,12 +187,14 @@ def make_dml_objective(cfg: DmlConfig):
         return T.column(out, 0) if binary else out
 
     def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
-        y0 = head(net.forward(xb, mode))
-        js_loss = dml_binary_loss(y0, cfg) if binary else dml_multi_loss(PosteriorBatch(y0), cfg)
+        out = net.forward(xb, mode)
+        if out.shape[1:] != (cfg.partitions,):
+            raise ShapeError(f"head output {out.shape} is not (B, {cfg.partitions})")
+        js_loss = dml_loss(PosteriorBatch(out), cfg)
         total = js_loss
         smooth_value = 0.0
         if cfg.beta > 0.0:
-            rc = smoothness_penalty(lambda t: head(net.forward(t, "batch")), xb, y0, cfg, rng)
+            rc = smoothness_penalty(lambda t: head(net.forward(t, "batch")), xb, head(out), cfg, rng)
             smooth = rc * cfg.beta
             total = total + smooth
             smooth_value = smooth.item()

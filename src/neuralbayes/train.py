@@ -335,6 +335,8 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
     n_test = max(1, int(round(holdout * n)))
     if n_test >= n:
         raise ConfigError(f"holdout {holdout} of {n} rows leaves no training rows")
+    if labels.min() < 0:
+        raise DomainError(f"labels must be nonnegative class ids, got {int(labels.min())}")
     classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -357,6 +359,15 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
             step(train_idx[order[b * batch_size:(b + 1) * batch_size]])
     logits = extract_features(probe, features[test_idx], tap="out")
     return float((logits.argmax(axis=1) == labels[test_idx]).mean())
+
+
+def near_equal_edges(n: int, size: int) -> list[int]:
+    """Edges of ceil(n / ``size``) groups of n rows whose sizes differ by at
+    most one, where fixed groups of ``size`` would leave a small remainder.
+    Where that count would make a group of one row (``size`` < 3), there are
+    n // 2 groups instead, because batch statistics need two rows."""
+    groups = max(1, min(-(-n // size), n // 2))
+    return [i * n // groups for i in range(groups + 1)]
 
 
 _EVAL_CHUNK_BYTES = _KEPT_MMAP_THRESHOLD // 2   # so each chunk's arrays reuse kept heap pages
@@ -388,8 +399,9 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
 
     With ``bn_train_mode`` batch norm normalizes with each group's own
     statistics ("batch" mode): the rows are split into
-    ceil(N / ``batch_size``) near-equal groups, so no group is a single
-    row.  ``batch_size`` sets only these groups.
+    ``near_equal_edges(N, batch_size)``, ceil(N / ``batch_size``)
+    near-equal groups with no group of a single row.  ``batch_size`` sets
+    only these groups.
     """
     names = net.tap_names()
     if tap == "last":
@@ -402,8 +414,7 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     features = None
     with T.no_tape():
         if bn_train_mode:
-            mode, groups = "batch", -(-n // batch_size)
-            edges = [i * n // groups for i in range(groups + 1)]
+            mode, edges = "batch", near_equal_edges(n, batch_size)
         else:
             out, states = net.forward_with_states(Tensor(points[:1]), "eval")
             widest = max(a[0].size for a in (points, out.data, *(s.data for s in states)))

@@ -97,7 +97,7 @@ def _train_labeling(ds, partitions, beta, net_seed, shuffle_seed, mbs, bs,
             value = dml.dml_binary_objective(L, float(L.mean()))
             converged = acc >= 0.99 and value >= LOG2 - 0.05
         else:
-            value = dml.dml_multi_loss(bayes.PosteriorBatch(Tensor(out)), cfg).item()
+            value = dml.dml_loss(bayes.PosteriorBatch(Tensor(out)), cfg).item()
             converged = acc >= 0.99
         if converged:
             return (chunk + 1) * check_every, acc, value
@@ -135,7 +135,7 @@ def test_criterion_4_three_partition_labeling():
                                          max_epochs=300)
     ok = acc >= 0.99
     report(4, ok, f"three-blob labeling: acc {acc:.3f} (>= 0.99), "
-                  f"multi-partition loss {value:.4f} @ {epochs} epochs")
+                  f"DML loss {value:.4f} @ {epochs} epochs")
     assert ok
 
 

@@ -166,13 +166,34 @@ class TestTrainDml:
             return loss, report
 
         args = argparse.Namespace(stop_split=0.25, patience=3)
-        keep, callback = cli._stopping_split(args, points, spy, seed=4)
+        keep, callback = cli._stopping_split(args, points, spy, seed=4, mbs=6)
         assert keep.shape == (45, 3)
         before = {k: b.copy() for k, b in net.buffers().items()}
         assert callback(0, net) is False
-        assert seen == [("batch", False)]  # batch statistics, nothing recorded
+        # 15 held-out rows in groups of 5: batch statistics, nothing recorded
+        assert seen == [("batch", False)] * 3
         for name, b in net.buffers().items():
             assert b.tobytes() == before[name].tobytes(), name
+
+    def test_holdout_peak_does_not_grow_with_the_split(self):
+        import argparse
+        import tracemalloc
+        from neuralbayes import dml, nn
+        net = nn.build_mlp(16, [64, 64], 2, seed=5, batchnorm=True, softmax_head=True)
+        objective = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=1.0))
+        rng = np.random.default_rng(6)
+        peak = {}
+        for n in (400, 1600):
+            args = argparse.Namespace(stop_split=0.5, patience=3)
+            _, callback = cli._stopping_split(args, rng.standard_normal((n, 16)), objective,
+                                              seed=7, mbs=100)
+            tracemalloc.start()
+            try:
+                callback(0, net)
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peak[1600] - peak[400]) <= 0.1 * peak[400], peak
 
 
 class TestProbeAndGrid:
@@ -184,6 +205,17 @@ class TestProbeAndGrid:
         assert code == 0
         assert "probe accuracy at tap h1" in capsys.readouterr().out
         assert (out_dir / "checkpoint.bin").read_bytes() == before
+
+    def test_probe_negative_labels_exit_1(self, tiny_run, tmp_path, capsys):
+        data, out_dir = tiny_run
+        rows = data.read_text().splitlines()
+        bad = tmp_path / "neg.csv"
+        bad.write_text("\n".join([rows[0], *(r.rsplit(",", 1)[0] + ",-1" for r in rows[1:])])
+                       + "\n")
+        code = run(["probe", "--checkpoint", str(out_dir / "checkpoint"),
+                    "--data", str(bad), "--epochs", "1"])
+        assert code == 1
+        assert "labels must be nonnegative" in capsys.readouterr().err
 
     def test_probe_unknown_tap_lists_options(self, tiny_run, capsys):
         data, out_dir = tiny_run

@@ -1,17 +1,23 @@
-"""The fast narrative demos run end to end as scripts.
+"""The fast narrative demos run end to end as scripts, and every demo calls
+only library names that exist.
 
 Demos 02 (about 6 s), 03 (about 31 s) and 04 (4 to 16 s) are left to be
-run by hand.
+run by hand, so the static check below is what keeps them in step with the
+library's API.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script, last_line", [
@@ -25,3 +31,49 @@ def test_demo_runs(tmp_path, script, last_line):
     assert done.returncode == 0, done.stderr
     assert last_line in done.stdout.splitlines()[-1]
     assert list(tmp_path.iterdir()) == []  # a demo writes nothing into its working directory
+
+
+def _library_member(module, name: str):
+    """``module.name``, importing it when it is a submodule; None if absent."""
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module.__name__}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def missing_library_names(tree: ast.AST) -> list[str]:
+    """Names a script imports from ``neuralbayes`` or its modules, and
+    ``module.attr`` reads on a library module imported that way, that do not
+    exist."""
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "neuralbayes":
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                member = _library_member(source, alias.name)
+                if member is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(member, types.ModuleType):
+                    modules[alias.asname or alias.name] = member
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)):
+            missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    return missing
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_uses_existing_library_names(script):
+    assert missing_library_names(ast.parse(script.read_text())) == []
+
+
+def test_api_check_sees_each_way_of_naming_the_library():
+    source = '''
+from neuralbayes import Tensor, no_such_name, dml
+from neuralbayes.tensor import softmax, gone
+dml.dml_loss(), dml.no_such_loss(), Tensor.shape
+'''
+    assert set(missing_library_names(ast.parse(source))) == {
+        "neuralbayes.no_such_name", "neuralbayes.tensor.gone", "neuralbayes.dml.no_such_loss"}

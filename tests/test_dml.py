@@ -56,6 +56,11 @@ class TestBinaryObjective:
         v = dml.dml_binary_objective(L, float(L.mean()))
         assert -1e-12 <= v <= LOG2 + 1e-9
 
+    def test_finite_on_open_prior_interval(self):
+        L = random_labels(40, seed=8)
+        for p in np.linspace(0.01, 0.99, 25):
+            assert np.isfinite(dml.dml_binary_objective(L, float(p)))
+
     def test_degenerate_prior_rejected(self):
         with pytest.raises(DegeneratePriorError):
             dml.dml_binary_objective(np.array([0.2, 0.8]), 0.0)
@@ -63,85 +68,94 @@ class TestBinaryObjective:
             dml.dml_binary_objective(np.array([0.2, 0.8]), 1.0)
 
 
+def label_head(L: Tensor) -> Tensor:
+    """The two-column head [L, 1 - L] of a soft label L, on the tape."""
+    return T.reshape(L, (L.shape[0], 1)) * Tensor([[1.0, -1.0]]) + Tensor([[0.0, 1.0]])
+
+
+def binary_chain_reference(L: Tensor, cfg) -> Tensor:
+    """The former binary loss, the JS chain on the soft label L alone (a
+    test-only reference): 0.5 E[f1 log(1 + f0/f1)] + 0.5 E[f0 log(1 + f1/f0)]
+    with f1 = L/E[L] + eps and f0 = (1-L)/(1-E[L]) + eps."""
+    prior = T.tmean(L)
+    f1 = L / prior + cfg.epsilon
+    f0 = (1.0 - L) / (1.0 - prior) + cfg.epsilon
+    t1 = T.tmean(f1 * T.log(f0 / f1 + 1.0))
+    t0 = T.tmean(f0 * T.log(f1 / f0 + 1.0))
+    return t1 * 0.5 + t0 * 0.5
+
+
+def assert_same_loss_and_gradient(loss, ref, leaf):
+    assert abs(loss.item() - ref.item()) <= 1e-12
+    [g], [g_ref] = (T.gradients(x, {"x": leaf}).values() for x in (loss, ref))
+    assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+
+
 class TestBinaryLoss:
+    """``dml_loss`` at K = 2, on [L, 1 - L] heads."""
+
     def test_maximal_confusion_value(self):
-        loss = dml.dml_binary_loss(Tensor(np.full(12, 0.5)), CFG)
+        loss = dml.dml_loss(bayes.PosteriorBatch(label_head(Tensor(np.full(12, 0.5)))), CFG)
         assert abs(loss.item() - LOG2) <= 1e-6
 
     def test_perfect_split_near_zero(self):
-        L = Tensor(np.array([0.0, 1.0] * 8))
-        assert dml.dml_binary_loss(L, CFG).item() <= 1e-5
+        head = label_head(Tensor(np.array([0.0, 1.0] * 8)))
+        assert dml.dml_loss(bayes.PosteriorBatch(head), CFG).item() <= 1e-5
 
     def test_loss_plus_objective_is_log2(self):
         for seed in range(10):
             L = random_labels(24, seed)
-            loss = dml.dml_binary_loss(Tensor(L), CFG).item()
+            loss = dml.dml_loss(bayes.PosteriorBatch(label_head(Tensor(L))), CFG).item()
             obj = dml.dml_binary_objective(L, float(L.mean()))
             assert abs(loss + obj - LOG2) <= 1e-5, seed
 
-    def test_accepts_column_vectors(self):
-        L = random_labels(8, seed=3)
-        a = dml.dml_binary_loss(Tensor(L), CFG).item()
-        b = dml.dml_binary_loss(Tensor(L.reshape(-1, 1)), CFG).item()
-        assert a == b
-
-    def test_diverges_as_hypothetical_prior_collapses(self):
-        L = random_labels(40, seed=8)
-        center = dml.dml_binary_loss(Tensor(L), CFG).item()
-        grid = [1e-6, 1e-4, 1e-2]
-        lo = [dml.dml_binary_loss(Tensor(L), CFG, prior=p).item() for p in grid]
-        hi = [dml.dml_binary_loss(Tensor(L), CFG, prior=1 - p).item() for p in grid]
-        # growth is logarithmic in 1/prior, strictly monotone toward both edges
-        assert lo[0] > lo[1] > lo[2] > center
-        assert hi[0] > hi[1] > hi[2] > center
-        assert lo[0] > 2 * center and hi[0] > 2 * center
-        # the theory objective stays finite on the open interval
-        for p in np.linspace(0.01, 0.99, 25):
-            assert np.isfinite(dml.dml_binary_objective(L, float(p)))
-
     def test_gradient_flows(self):
         logits = Tensor(np.random.default_rng(0).standard_normal((16, 2)), requires_grad=True)
-        L = T.column(T.softmax(logits, axis=1), 0)
-        dml.dml_binary_loss(L, CFG).backward()
+        dml.dml_loss(bayes.PosteriorBatch(T.softmax(logits, axis=1)), CFG).backward()
         assert logits.grad is not None and np.abs(logits.grad).max() > 0
 
     def test_small_batch_rejected(self):
         with pytest.raises(ShapeError):
-            dml.dml_binary_loss(Tensor(np.array([0.5])), CFG)
+            dml.dml_loss(bayes.PosteriorBatch(Tensor(np.array([[0.5, 0.5]]))), CFG)
 
 
 class TestMultiLoss:
-    def test_uniform_posterior_near_zero(self):
+    def test_uniform_posterior_is_log2(self):
         p = bayes.PosteriorBatch(Tensor(np.full((10, 4), 0.25)))
-        assert abs(dml.dml_multi_loss(p, dml.DmlConfig(partitions=4)).item()) <= 1e-3
+        assert abs(dml.dml_loss(p, dml.DmlConfig(partitions=4)).item() - LOG2) <= 1e-3
 
-    def test_one_hot_balanced_reaches_minus_log2(self):
+    def test_one_hot_balanced_reaches_zero(self):
         rows = np.eye(3)[np.arange(12) % 3]
         p = bayes.PosteriorBatch(Tensor(rows))
-        loss = dml.dml_multi_loss(p, dml.DmlConfig(partitions=3)).item()
-        assert abs(loss + LOG2) <= 1e-5
+        assert abs(dml.dml_loss(p, dml.DmlConfig(partitions=3)).item()) <= 1e-5
 
     def test_k2_consistency_with_binary(self):
+        # both columns give the binary chain's terms, so the mean over them is that chain
         for seed in range(8):
-            L = random_labels(20, seed)
-            rows = np.column_stack([L, 1.0 - L])
-            p = bayes.PosteriorBatch(Tensor(rows))
-            multi = dml.dml_multi_loss(p, dml.DmlConfig(partitions=2)).item()
-            binary = dml.dml_binary_loss(Tensor(L), CFG).item()
-            assert abs(multi - (binary - LOG2)) <= 1e-9, seed
+            L = Tensor(random_labels(20, seed), requires_grad=True)
+            assert_same_loss_and_gradient(dml.dml_loss(bayes.PosteriorBatch(label_head(L)), CFG),
+                                          binary_chain_reference(L, CFG), L)
+
+    def test_k2_softmax_head_matches_binary_chain(self):
+        for seed in range(8):
+            logits = Tensor(3.0 * np.random.default_rng(seed).standard_normal((20, 2)),
+                            requires_grad=True)
+            v = T.softmax(logits, axis=1)
+            assert_same_loss_and_gradient(dml.dml_loss(bayes.PosteriorBatch(v), CFG),
+                                          binary_chain_reference(T.column(v, 0), CFG), logits)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 6), st.integers(0, 99_999))
     def test_range(self, b, k, seed):
         logits = np.random.default_rng(seed).standard_normal((b, k))
         p = bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
-        v = dml.dml_multi_loss(p, dml.DmlConfig(partitions=k)).item()
-        assert -LOG2 - 1e-9 <= v <= 1e-3
+        v = dml.dml_loss(p, dml.DmlConfig(partitions=k)).item()
+        assert -1e-9 <= v <= LOG2 + 1e-3
 
     def test_degenerate_prior_rejected(self):
         p = bayes.PosteriorBatch(Tensor(np.tile([1.0, 0.0], (4, 1))))
         with pytest.raises(DegeneratePriorError):
-            dml.dml_multi_loss(p, dml.DmlConfig(partitions=2))
+            dml.dml_loss(p, dml.DmlConfig(partitions=2))
 
 
 class TestSmoothnessPenalty:
@@ -254,6 +268,14 @@ class TestObjectiveClosure:
             net, Tensor(rng.standard_normal((12, 2))), np.random.default_rng(3))
         assert np.isfinite(loss.item())
 
+    @pytest.mark.parametrize("partitions, width", [(2, 3), (3, 2)])
+    def test_head_width_must_match_partitions(self, partitions, width):
+        net = nn.build_mlp(2, [8], width, seed=4, softmax_head=True)
+        objective = dml.make_dml_objective(dml.DmlConfig(partitions=partitions, beta=1.0))
+        with pytest.raises(ShapeError, match=rf"not \(B, {partitions}\)"):
+            objective(net, Tensor(np.random.default_rng(5).standard_normal((10, 2))),
+                      np.random.default_rng(6))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             dml.DmlConfig(partitions=1)
@@ -270,17 +292,11 @@ def three_forward_dml(cfg):
 
     def objective(net, xb, rng):
         out = net.forward(xb, "train")
-        if cfg.partitions == 2:
-            js_loss = dml.dml_binary_loss(T.column(out, 0), cfg)
+        js_loss = dml.dml_loss(bayes.PosteriorBatch(out), cfg)
 
-            def label_fn(t):
-                o = net.forward(t, "train")
-                return T.reshape(T.column(o, 0), (o.shape[0], 1))
-        else:
-            js_loss = dml.dml_multi_loss(bayes.PosteriorBatch(out), cfg)
-
-            def label_fn(t):
-                return net.forward(t, "train")
+        def label_fn(t):
+            o = net.forward(t, "train")
+            return T.reshape(T.column(o, 0), (o.shape[0], 1)) if cfg.partitions == 2 else o
 
         if cfg.beta == 0.0:
             return js_loss, None

@@ -7,7 +7,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "neuralbayes"
 
 # The only places a network runs inside ``no_tape()``: the bounded-chunk
 # read-only forward loop, and the stopping split's holdout objective (one
-# batch-mode forward of the held-out rows, whose statistics are the point).
+# batch-mode forward per MBS-sized group of the held-out rows, whose
+# statistics are the point, as in a training step).
 READ_ONLY_FORWARDS = {"train.extract_features", "cli._stopping_split.evaluate"}
 
 

@@ -511,6 +511,13 @@ class TestLinearProbe:
         with pytest.raises(ConfigError, match="unknown tap"):
             train.extract_features(net, x, tap="h7")
 
+    @pytest.mark.parametrize("labels", [[0, 1, -1, 1, 0, 1, 0, 1], [-1] * 8])
+    def test_negative_labels_rejected(self, labels):
+        # -1 would index the last one-hot row, and all -1 would leave no class
+        features = np.random.default_rng(12).standard_normal((8, 3))
+        with pytest.raises(DomainError, match="nonnegative"):
+            train.linear_probe(features, np.array(labels), epochs=1)
+
     @pytest.mark.parametrize("holdout, match", [(0.9, "leaves no training rows"),
                                                 (1.5, r"must lie in \(0, 1\)"),
                                                 (0.0, r"must lie in \(0, 1\)")])
@@ -584,6 +591,13 @@ class TestEvalChunks:
         want = [net.forward_with_states(Tensor(points[s:e]), "batch")[1][-1].data
                 for s, e in ((0, 3), (3, 7), (7, 11))]
         assert np.array_equal(feats, np.vstack(want))
+
+    @pytest.mark.parametrize("n, batch_size, want", [(5, 2, [2, 3]), (3, 1, [3]), (2, 5, [2])])
+    def test_batch_mode_never_leaves_a_single_row(self, monkeypatch, n, batch_size, want):
+        net = nn.build_mlp(3, [6], None, seed=4, batchnorm=True)
+        points = np.random.default_rng(24).standard_normal((n, 3))
+        _, rows = forward_rows(monkeypatch, net, points, bn_train_mode=True, batch_size=batch_size)
+        assert rows == want
 
 
 class TestClusterAccuracy:
