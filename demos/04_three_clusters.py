@@ -26,7 +26,7 @@ for chunk in range(10):
     pred = predict_components(net, ds.points)
     acc = cluster_accuracy(pred, ds.components, 3)
     out = net.forward(Tensor(ds.points), "eval").data
-    loss = dml.dml_loss(PosteriorBatch(Tensor(out)), cfg).item()
+    loss = dml.dml_loss(PosteriorBatch(Tensor(out))).item()
     print(f"epoch {(chunk + 1) * 10:3d}: accuracy {acc:.3f}  "
           f"loss {loss:.4f} (floor 0, uniform posterior log 2 = {math.log(2):.4f})")
     if acc >= 0.99:

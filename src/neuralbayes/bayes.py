@@ -17,6 +17,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 ROW_SUM_TOL = 1e-9
+LOG_GUARD = 1e-7   # added inside the trainable objectives' logs
 
 
 @dataclass(frozen=True)

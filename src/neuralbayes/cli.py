@@ -45,11 +45,19 @@ def _resolve_seed(args) -> int:
         raise ConfigError(f"NB_SEED must be an integer, got {env!r}") from None
 
 
-def _load_config(path: str | None, known: dict) -> dict:
-    """JSON config with unknown-key rejection; flags override these values."""
-    if path is None:
-        return {}
-    cfg = json.loads(Path(path).read_text())
+def _config_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: a config must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _load_config(args, known: dict) -> dict:
+    """The ``--config`` file's object with the ``--sweep`` entry being run
+    applied over it, unknown keys rejected; flags override these values."""
+    cfg = {}
+    if args.config is not None:
+        cfg.update(_config_object(json.loads(Path(args.config).read_text()), args.config))
+    cfg.update(getattr(args, "sweep_entry", None) or {})
     unknown = set(cfg) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)} (known: {sorted(known)})")
@@ -168,19 +176,20 @@ def _square_images(ds: D.ManifoldDataset) -> np.ndarray:
 def _train_command(args, command: str, defaults: dict, flags: list[str], build, finish,
                    **recorded) -> int:
     """Resolve the config, load and standardize the data, build ``(net,
-    objective) = build(cfg, input_shape, seed)`` (input shape (D,) for an
-    MLP, (1, S, S) for a CNN on square images) and train with the schedule,
+    objective) = build(cfg, ds, input_shape, seed)`` (input shape (D,) for an
+    MLP, (1, S, S) for a CNN on square images; ``build`` may reject the data
+    with ``ConfigError`` before any training) and train with the schedule,
     Adam and the stopping split.  Then ``finish(run)`` evaluates and writes
     the command's own artifacts, returning their paths, so a failure there
     leaves no checkpoint; the checkpoint, log, metrics, resolved config
     (plus ``recorded``) and manifest come last."""
     seed = _resolve_seed(args)
-    cfg = _merge_config(defaults, _load_config(args.config, defaults), args, flags)
+    cfg = _merge_config(defaults, _load_config(args, defaults), args, flags)
     ds = _load_standardized(args)
     points = _square_images(ds) if cfg["arch"] == "cnn" else ds.points
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net, objective = build(cfg, points.shape[1:], seed)
+    net, objective = build(cfg, ds, points.shape[1:], seed)
     sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
     opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
                                          weight_decay=cfg["weight-decay"])
@@ -201,29 +210,30 @@ def _train_command(args, command: str, defaults: dict, flags: list[str], build, 
     return 0
 
 
-def _dml_config(cfg: dict) -> dml_mod.DmlConfig:
-    return dml_mod.DmlConfig(partitions=cfg["k"], beta=cfg["beta"])
-
-
-def _dml_build(cfg: dict, shape: tuple, seed: int):
+def _dml_build(cfg: dict, ds: D.ManifoldDataset, shape: tuple, seed: int):
+    k, ids = cfg["k"], ds.components
+    if not 0 <= ids.min() <= ids.max() < k:
+        # the report scores the labels against k states: fail before training
+        raise ConfigError(f"component ids {ids.min()}..{ids.max()} of the data do not fit "
+                          f"k = {k} states; every id must lie in [0, {k})")
     print(f"smoothness weight beta={cfg['beta']} (useful sweep range: 0.5 to 6)")
     if len(shape) == 3:
-        net = nn.build_cnn(MNIST_CNN_ARCH.format(k=cfg["k"]), shape, seed=seed, batchnorm=True,
+        net = nn.build_cnn(MNIST_CNN_ARCH.format(k=k), shape, seed=seed, batchnorm=True,
                            softmax_head=True)
     else:
-        net = nn.build_mlp(shape[0], DML_ARCH_HIDDEN, cfg["k"], seed=seed,
+        net = nn.build_mlp(shape[0], DML_ARCH_HIDDEN, k, seed=seed,
                            batchnorm=True, softmax_head=True)
-    return net, dml_mod.make_dml_objective(_dml_config(cfg))
+    return net, dml_mod.make_dml_objective(dml_mod.DmlConfig(partitions=k, beta=cfg["beta"]))
 
 
 def _dml_report(run) -> list[Path]:
     """Predicted labels, cluster accuracy, and the head's loss and objective
     on up to 5000 points."""
-    k, dml_cfg = run.cfg["k"], _dml_config(run.cfg)
+    k = run.cfg["k"]
     pred = train_mod.predict_components(run.net, run.points)
     accuracy = train_mod.cluster_accuracy(pred, run.ds.components, k)
     out_head = train_mod.extract_features(run.net, run.points[:5000], tap="out")
-    final_loss = float(dml_mod.dml_loss(PosteriorBatch(Tensor(out_head)), dml_cfg).item())
+    final_loss = float(dml_mod.dml_loss(PosteriorBatch(Tensor(out_head))).item())
     L = out_head[:, 0]
     final_obj = dml_mod.dml_binary_objective(L, float(L.mean())) if k == 2 else None
     labels_path = run.out_dir / "predicted_labels.csv"
@@ -254,7 +264,7 @@ def cmd_train_mim(args) -> int:
                 "scales": "off", "arch": "mlp",
                 "cnn-arch": "C(64,3,1,0)-P(2,2,0,max)-C(128,3,1,0)"}
 
-    def build(cfg, shape, seed):
+    def build(cfg, ds, shape, seed):
         if len(shape) == 3:
             net = nn.build_cnn(cfg["cnn-arch"], shape, seed=seed, batchnorm=True)
         else:
@@ -341,19 +351,16 @@ def cmd_export_grid(args) -> int:
 
 
 def _run_sweep(args, runner) -> int:
+    """Run each entry of the ``--sweep`` list, applied over ``--config``, into
+    its own ``sweepNNN`` directory under ``--out-dir``."""
     configs = json.loads(Path(args.sweep).read_text())
     if not isinstance(configs, list):
         raise ConfigError("--sweep expects a JSON list of config objects")
-    base_out = Path(args.out_dir)
+    entries = [_config_object(c, f"{args.sweep} entry {i}") for i, c in enumerate(configs)]
     code = 0
-    for i, cfg in enumerate(configs):
-        sub = argparse.Namespace(**vars(args))
-        sub.sweep = None
-        sub.out_dir = str(base_out / f"sweep{i:03d}")
-        tmp = base_out / f"sweep{i:03d}.config.json"
-        base_out.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(cfg))
-        sub.config = str(tmp)
+    for i, entry in enumerate(entries):
+        sub = argparse.Namespace(**{**vars(args), "sweep": None, "sweep_entry": entry,
+                                    "out_dir": str(Path(args.out_dir) / f"sweep{i:03d}")})
         code = max(code, runner(sub))
     return code
 

@@ -118,21 +118,16 @@ def make_circles(n_per: int, radii: Sequence[float] = (1.0, 2.0), noise: float =
     return ManifoldDataset(points, components, seed=seed, meta=meta)
 
 
-def make_blobs(k: int, n_per: int, centers: Sequence[Sequence[float]] | None = None,
-               noise: float = 0.3, seed: int = 0) -> ManifoldDataset:
-    """k isotropic Gaussian clusters; default centers sit on a radius-4 circle."""
+def make_blobs(k: int, n_per: int, noise: float = 0.3, seed: int = 0) -> ManifoldDataset:
+    """k isotropic Gaussian clusters centred evenly on a radius-4 circle."""
     if n_per < 1:
         raise DatasetError("n_per must be at least 1")
     if k < 2:
         raise DatasetError("need at least 2 blobs")
-    if centers is None:
-        angles = 2.0 * np.pi * np.arange(k) / k
-        centers = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.shape[0] != k:
-        raise DatasetError(f"expected {k} centers, got {centers.shape[0]}")
+    angles = 2.0 * np.pi * np.arange(k) / k
+    centers = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
     rng = np.random.default_rng(seed)
-    points = np.vstack([c + rng.normal(0.0, noise, (n_per, centers.shape[1])) for c in centers])
+    points = np.vstack([c + rng.normal(0.0, noise, (n_per, 2)) for c in centers])
     components = np.repeat(np.arange(k), n_per)
     dist = _check_disjoint(points, components, noise, "blobs")
     meta = {"kind": "blobs", "k": k, "n_per": n_per, "noise": noise,
@@ -149,11 +144,10 @@ def lift_and_rotate(ds: ManifoldDataset, dim: int, seed: int) -> ManifoldDataset
     """
     if dim < ds.dim:
         raise ShapeError(f"cannot lift {ds.dim}-D data into {dim} dimensions")
-    padded = np.hstack([ds.points, np.zeros((ds.size, dim - ds.dim))])
-    rotation = orthogonal_init(dim, dim, seed).data
     meta = dict(ds.meta)
     meta["lift"] = {"dim": dim, "seed": seed, "base_dim": ds.dim}
-    return ManifoldDataset(padded @ rotation, ds.components.copy(), seed=ds.seed, meta=meta)
+    return ManifoldDataset(lift_points(ds.points, meta["lift"]), ds.components.copy(),
+                           seed=ds.seed, meta=meta)
 
 
 def lift_points(points: np.ndarray, lift_meta: dict) -> np.ndarray:
@@ -173,47 +167,20 @@ def unlift_points(points: np.ndarray, lift_meta: dict) -> np.ndarray:
     return (points @ rotation.T)[:, : lift_meta["base_dim"]]
 
 
-def standardize(ds: ManifoldDataset, mean: np.ndarray | None = None,
-                std: np.ndarray | None = None) -> ManifoldDataset:
+def standardize(ds: ManifoldDataset) -> ManifoldDataset:
     """Shift/scale every dimension to zero mean and unit variance.
 
     Standard deviations are floored at 1e-8, so constant dimensions map to
-    zeros.  Pass precomputed ``mean``/``std`` (e.g. from a training split) to
-    apply the same affine map to another split; the stats used are stored on
-    the result.
+    zeros.  The statistics are estimated from ``ds`` and stored on the
+    result, so the same affine map can be applied to other points.
     """
-    if ds.size < 2 and mean is None:
+    if ds.size < 2:
         raise DatasetError("standardize needs at least 2 points to estimate statistics")
-    if mean is None:
-        mean = ds.points.mean(axis=0)
-        std = np.maximum(ds.points.std(axis=0), STD_FLOOR)
-    else:
-        mean = np.asarray(mean, dtype=np.float64)
-        std = np.maximum(np.asarray(std, dtype=np.float64), STD_FLOOR)
+    mean = ds.points.mean(axis=0)
+    std = np.maximum(ds.points.std(axis=0), STD_FLOOR)
     points = (ds.points - mean) / std
     return ManifoldDataset(points, ds.components.copy(), mean=mean, std=std,
                            seed=ds.seed, meta=dict(ds.meta))
-
-
-def split(ds: ManifoldDataset, fractions: Sequence[float], seed: int) -> list[ManifoldDataset]:
-    """Seeded shuffled partition into len(fractions) disjoint datasets."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    if np.min(fr) <= 0.0:
-        raise DatasetError("fractions must be positive")
-    if abs(float(fr.sum()) - 1.0) > 1e-9:
-        raise DatasetError(f"fractions must sum to 1, got {float(fr.sum())!r}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.size)
-    sizes = np.floor(fr * ds.size).astype(int)
-    for i in range(ds.size - int(sizes.sum())):
-        sizes[i % len(sizes)] += 1  # distribute the rounding remainder
-    out, start = [], 0
-    for sz in sizes:
-        idx = perm[start:start + sz]
-        start += sz
-        out.append(ManifoldDataset(ds.points[idx].copy(), ds.components[idx].copy(),
-                                   mean=ds.mean, std=ds.std, seed=ds.seed, meta=dict(ds.meta)))
-    return out
 
 
 # --- IDX binary ingestion (big-endian headers, uint8 payload) ---

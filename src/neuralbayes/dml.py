@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import PosteriorBatch
+from .bayes import LOG_GUARD, PosteriorBatch
 from .errors import ConfigError, DegeneratePriorError, ShapeError
+from .report import ObjectiveReport
 from . import tensor as T
 from .tensor import Tensor
 
@@ -27,20 +28,16 @@ LOG2 = math.log(2.0)
 
 @dataclass
 class DmlConfig:
-    """Partition count, smoothness weight, log guard, and perturbation scale."""
+    """Partition count and smoothness weight.  The log guard is
+    :data:`neuralbayes.bayes.LOG_GUARD` and the perturbation scale is
+    :data:`NOISE_SIGMA`."""
 
     partitions: int = 2
     beta: float = 0.0
-    epsilon: float = 1e-7
-    noise_sigma: float = 0.1
 
     def __post_init__(self):
         if self.partitions < 2:
             raise ConfigError("need at least 2 partitions")
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
-        if self.noise_sigma <= 0.0:
-            raise ConfigError("noise_sigma must be positive")
         if self.beta < 0.0:
             raise ConfigError("beta must be nonnegative")
 
@@ -79,9 +76,10 @@ def dml_binary_objective(labels, prior: float) -> float:
     return 0.5 * float(t1.mean()) + 0.5 * float(t0.mean()) + LOG2
 
 
-def dml_loss(p: PosteriorBatch, cfg: DmlConfig) -> Tensor:
+def dml_loss(p: PosteriorBatch) -> Tensor:
     """Trainable loss for every K >= 2: 0.5 mean_{b,k}[f log(1 + fbar/f) +
-    fbar log(1 + f/fbar)] with f = v/prior + eps, fbar = (1-v)/(1-prior) + eps.
+    fbar log(1 + f/fbar)] with f = v/prior + eps, fbar = (1-v)/(1-prior) + eps
+    and eps = :data:`neuralbayes.bayes.LOG_GUARD`.
 
     Equals log 2 minus the mean over states of the one-vs-rest JS objective,
     so it lies in [0, log 2] up to the guard; at K = 2 both columns give the
@@ -102,27 +100,29 @@ def dml_loss(p: PosteriorBatch, cfg: DmlConfig) -> Tensor:
         bad = int(np.argmin(np.minimum(pv, 1.0 - pv)))
         raise DegeneratePriorError(
             f"prior entry {bad} = {pv[bad]!r} is degenerate; every state prior must lie in (0, 1)")
-    eps = cfg.epsilon
-    f = v / prior + eps
-    fbar = (1.0 - v) / (1.0 - prior) + eps
+    f = v / prior + LOG_GUARD
+    fbar = (1.0 - v) / (1.0 - prior) + LOG_GUARD
     per_entry = f * T.log(fbar / f + 1.0) + fbar * T.log(f / fbar + 1.0)
     return T.tmean(per_entry) * 0.5
 
 
-def smoothness_penalty(net, batch, y0: Tensor, cfg, rng: np.random.Generator, *,
+NOISE_SIGMA = 0.1   # perturbation scale, calibrated for unit-variance data
+
+
+def smoothness_penalty(net, batch, y0: Tensor, rng: np.random.Generator, *,
                        noise: np.ndarray | None = None, zeta: float | None = None) -> Tensor:
     """Finite-difference smoothness of ``net`` under data-spanned perturbations.
 
     Per sample i, the direction is X v_i (X the n x B batch matrix, v_i i.i.d.
-    standard normal), unit-normalized; a single scale zeta ~ N(0, sigma^2) is
-    drawn per batch (re-drawn while |zeta| < 1e-4, which would blow up the
-    1/zeta^2 normalization).  Returns
+    standard normal), unit-normalized; a single scale zeta ~ N(0, sigma^2),
+    sigma = :data:`NOISE_SIGMA`, is drawn per batch (re-drawn while
+    |zeta| < 1e-4, which would blow up the 1/zeta^2 normalization).  Returns
     (1/B) sum_i ||y0_i - net(x_i + zeta * dhat_i)||^2 / zeta^2.
 
     ``y0`` is the clean output net(batch), which the caller's objective has
     already computed (and keeps on its tape), so only the perturbed batch is
     forwarded here.  ``net`` is any callable Tensor -> Tensor whose output is
-    (B, d) or (B,), with ``y0``'s shape; ``cfg`` supplies ``noise_sigma``.
+    (B, d) or (B,), with ``y0``'s shape.
     ``noise`` and ``zeta`` override the random draws (used by tests that
     check the arithmetic against direct evaluation).
     """
@@ -140,14 +140,9 @@ def smoothness_penalty(net, batch, y0: Tensor, cfg, rng: np.random.Generator, *,
         raise ShapeError("a perturbation direction collapsed to zero")
     dhat = (delta / norms).T  # (B, n), unit rows
     if zeta is None:
-        zeta = float(rng.normal(0.0, cfg.noise_sigma))
-        for _ in range(100):  # |zeta| < 1e-4 would blow up the 1/zeta^2 normalization
-            if abs(zeta) >= 1e-4:
-                break
-            zeta = float(rng.normal(0.0, cfg.noise_sigma))
-        else:
-            raise ConfigError(
-                f"noise_sigma={cfg.noise_sigma!r} cannot produce a usable scale (|zeta| >= 1e-4)")
+        zeta = float(rng.normal(0.0, NOISE_SIGMA))
+        while abs(zeta) < 1e-4:  # would blow up the 1/zeta^2 normalization
+            zeta = float(rng.normal(0.0, NOISE_SIGMA))
     y1 = net(Tensor((flat + zeta * dhat).reshape(xb.shape)))
     if y0.shape != y1.shape:
         raise ShapeError(f"clean output {y0.shape} does not match the perturbed output {y1.shape}")
@@ -179,8 +174,6 @@ def make_dml_objective(cfg: DmlConfig):
     per call.  ``mode="batch"`` runs the clean forward in batch mode too, so
     the call moves nothing (holdout evaluation).
     """
-    from .report import ObjectiveReport
-
     binary = cfg.partitions == 2
 
     def head(out: Tensor) -> Tensor:
@@ -190,11 +183,11 @@ def make_dml_objective(cfg: DmlConfig):
         out = net.forward(xb, mode)
         if out.shape[1:] != (cfg.partitions,):
             raise ShapeError(f"head output {out.shape} is not (B, {cfg.partitions})")
-        js_loss = dml_loss(PosteriorBatch(out), cfg)
+        js_loss = dml_loss(PosteriorBatch(out))
         total = js_loss
         smooth_value = 0.0
         if cfg.beta > 0.0:
-            rc = smoothness_penalty(lambda t: head(net.forward(t, "batch")), xb, head(out), cfg, rng)
+            rc = smoothness_penalty(lambda t: head(net.forward(t, "batch")), xb, head(out), rng)
             smooth = rc * cfg.beta
             total = total + smooth
             smooth_value = smooth.item()

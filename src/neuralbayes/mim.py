@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import PosteriorBatch, PriorEstimate
+from . import dml
+from .bayes import LOG_GUARD, PosteriorBatch, PriorEstimate
 from .errors import ConfigError, DomainError
 from .report import ObjectiveReport
 from . import tensor as T
@@ -30,24 +31,19 @@ class MimConfig:
     """Hyper-parameters of the information objective.
 
     ``alpha`` strengthens the uniform-prior penalty beyond its baseline weight
-    of 1, ``beta`` weights the smoothness penalty, ``epsilon`` guards the logs,
-    ``use_scales`` adds a 2x2/stride-2 average-pooled copy of every spatial
-    state, and ``noise_sigma`` scales the smoothness perturbation.
+    of 1, ``beta`` weights the smoothness penalty, and ``use_scales`` adds a
+    2x2/stride-2 average-pooled copy of every spatial state.  The logs are
+    guarded by :data:`neuralbayes.bayes.LOG_GUARD`, and the smoothness
+    perturbation has scale :data:`neuralbayes.dml.NOISE_SIGMA`.
     """
 
     alpha: float = 0.0
     beta: float = 0.0
-    epsilon: float = 1e-7
     use_scales: bool = False
-    noise_sigma: float = 0.1
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ConfigError("alpha and beta must be nonnegative")
-        if self.noise_sigma <= 0.0:
-            raise ConfigError("noise_sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ def mi_closed_form(p: PosteriorBatch, eps: float = 0.0) -> Tensor:
     return T.tmean(T.tsum(terms, axis=1))
 
 
-def mim_v1_loss(p: PosteriorBatch, eps: float = 1e-7) -> Tensor:
+def mim_v1_loss(p: PosteriorBatch, eps: float = LOG_GUARD) -> Tensor:
     """Decoupled negative-MI loss with stop-gradient logs.
 
     Forward value equals -MI (up to the guard); its gradient equals the full
@@ -160,7 +156,7 @@ def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig, rc: Tensor | None = 
     mi_weight, prior_weight = 1.0 / n, (1.0 + cfg.alpha) / n
     total, mis, rps = None, [], []
     for st in sc:
-        node, mi, rp = T.state_objective(st.values, prior_form, cfg.epsilon, mi_weight,
+        node, mi, rp = T.state_objective(st.values, prior_form, LOG_GUARD, mi_weight,
                                          prior_weight)
         total = node if total is None else total + node
         mis.append(mi)
@@ -200,15 +196,13 @@ def make_mim_objective(cfg: MimConfig, *, v1: bool = False):
     runs the clean forward in batch mode too, so the call moves nothing
     (holdout evaluation).
     """
-    from . import dml  # local import: dml also imports bayes/tensor, no cycle
-
     def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
         _, states = net.forward_with_states(xb, mode)
         sc = collect_states(states, cfg)
         rc = None
         if cfg.beta > 0.0:
             rc = dml.smoothness_penalty(lambda t: pooled_final_state(net, t, "batch"),
-                                        xb, _pooled_vector(states[-1]), cfg, rng)
+                                        xb, _pooled_vector(states[-1]), rng)
         return mim_v2_loss(sc, cfg, rc, prior_form="v1" if v1 else "v2")
 
     return objective

@@ -529,8 +529,9 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     return Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "max_pool2d", backward)
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) kernels.
+def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) kernels,
+    plus a (Cout,) bias.
 
     Lowered to one GEMM (im2col; Chellapilla et al., 2006): the kh*kw strided
     views of the padded batch-last input are copied into a (Cin*kh*kw,
@@ -542,7 +543,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     padded batch-last input (a view of the input when that is batch-last and
     unpadded) for the kernel-gradient GEMM and drops it before the col2im.
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernels, got {x.shape}, {weight.shape}")
     B, Cin, H, W = x.shape
@@ -565,18 +566,12 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     wmat = weight.data.reshape(Cout, Cin * kh * kw)
     out_b = wmat @ patches()
-    bias_t = None if bias is None else _as_tensor(bias)
-    if bias_t is None:
-        parents = (x, weight)
-    else:
-        out_b += bias_t.data[:, None]
-        parents = (x, weight, bias_t)
+    out_b += bias.data[:, None]
 
     def backward(g):
         g2 = _batch_last(g).reshape(Cout, oh * ow * B)
         _accum(weight, (g2 @ patches().T).reshape(weight.shape))
-        if bias_t is not None:
-            _accum(bias_t, g2.sum(axis=1))
+        _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
             gcols = (wmat.T @ g2).reshape(Cin, kh * kw, oh, ow, B)
             gxp = np.zeros(xp.shape)
@@ -586,8 +581,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                 gxp = gxp[:, padding:padding + H, padding:padding + W]
             _accum(x, gxp.transpose(3, 0, 1, 2))
 
-    return Tensor._from_op(out_b.reshape(Cout, oh, ow, B).transpose(3, 0, 1, 2), parents,
-                           "conv2d", backward)
+    return Tensor._from_op(out_b.reshape(Cout, oh, ow, B).transpose(3, 0, 1, 2),
+                           (x, weight, bias), "conv2d", backward)
 
 
 def _channel_dot(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

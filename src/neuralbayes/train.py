@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -25,14 +24,16 @@ from . import tensor as T
 from .tensor import Tensor, gradients
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments and hyper-parameters; weight decay is decoupled."""
+    """Adam moments, learning rate and decoupled weight decay; the moment
+    decays and the denominator guard are ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -57,7 +58,7 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
     p - (lr mhat) / (sqrt(vhat) + eps) - (lr wd) p, operation for operation.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for name, p in params.items():
@@ -76,7 +77,7 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         step *= state.lr
         vhat = v / c2
         np.sqrt(vhat, out=vhat)
-        vhat += state.eps
+        vhat += ADAM_EPS
         step /= vhat
         new = p.data - step
         if state.weight_decay > 0.0:
@@ -113,7 +114,6 @@ class TrainLog:
     records: list = field(default_factory=list)
     seed: int = 0
     config: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
 
     def append(self, step: int, report: ObjectiveReport) -> None:
         if self.records and step <= self.records[-1]["step"]:
@@ -121,7 +121,6 @@ class TrainLog:
         self.records.append(report.as_record(step))
 
     def write_jsonl(self, path: str | Path) -> None:
-        # wall clock is provenance, not a record: the jsonl stays bitwise reproducible
         with open(path, "w") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -243,7 +242,6 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
                                       "lr": opt.lr, "weight_decay": opt.weight_decay})
     window = sched.bs // sched.mbs
     _keep_freed_heap()
-    start = time.perf_counter()
     step = 0
     try:
         for epoch in range(sched.epochs):
@@ -283,7 +281,6 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
             flush()
             if epoch_callback is not None and epoch_callback(epoch, net):
                 break
-        log.wall_clock = time.perf_counter() - start
     finally:
         loss = None   # a failed step's tape, so that its pages go back too
         _release_grads(params)
@@ -311,37 +308,40 @@ def holdout_early_stopper(evaluate: Callable[[Network], float], patience: int):
     return callback
 
 
-def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray, guard: float = 1e-12) -> Tensor:
+_CE_GUARD = 1e-12
+_PROBE_BATCH_ROWS = 128
+_PROBE_HOLDOUT = 0.25
+
+
+def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
     probs = T.softmax(logits, axis=1)
-    return T.neg(T.tmean(T.tsum(Tensor(onehot) * T.log(probs + guard), axis=1)))
+    return T.neg(T.tmean(T.tsum(Tensor(onehot) * T.log(probs + _CE_GUARD), axis=1)))
 
 
 def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 200,
-                 epochs: int = 30, lr: float = 1e-3, seed: int = 0,
-                 batch_size: int = 128, holdout: float = 0.25) -> float:
+                 epochs: int = 30, lr: float = 1e-3, seed: int = 0) -> float:
     """Accuracy of a one-hidden-layer classifier on held-out features.
 
     The features are frozen inputs: nothing propagates back into whatever
-    produced them.  A seeded fraction ``holdout`` is held out for scoring.
+    produced them.  A seeded quarter of the rows is held out for scoring,
+    and the classifier trains on mini-batches of 128 of the rest.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ShapeError(f"features (N, d) and labels (N,) required, got "
                          f"{features.shape} and {labels.shape}")
-    if not 0.0 < holdout < 1.0:
-        raise ConfigError(f"holdout must lie in (0, 1), got {holdout}")
     n, d = features.shape
-    n_test = max(1, int(round(holdout * n)))
+    n_test = max(1, int(round(_PROBE_HOLDOUT * n)))
     if n_test >= n:
-        raise ConfigError(f"holdout {holdout} of {n} rows leaves no training rows")
+        raise ConfigError(f"holdout {_PROBE_HOLDOUT} of {n} rows leaves no training rows")
     if labels.min() < 0:
         raise DomainError(f"labels must be nonnegative class ids, got {int(labels.min())}")
     classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    batch_size = min(batch_size, train_idx.size)
+    rows = min(_PROBE_BATCH_ROWS, train_idx.size)
 
     probe = build_mlp(d, [hidden_units], classes, seed=seed, batchnorm=False, softmax_head=False)
     params = probe.parameters()
@@ -355,8 +355,8 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
 
     for _ in range(epochs):
         order = rng.permutation(train_idx.size)
-        for b in range(train_idx.size // batch_size):
-            step(train_idx[order[b * batch_size:(b + 1) * batch_size]])
+        for b in range(train_idx.size // rows):
+            step(train_idx[order[b * rows:(b + 1) * rows]])
     logits = extract_features(probe, features[test_idx], tap="out")
     return float((logits.argmax(axis=1) == labels[test_idx]).mean())
 
@@ -371,10 +371,11 @@ def near_equal_edges(n: int, size: int) -> list[int]:
 
 
 _EVAL_CHUNK_BYTES = _KEPT_MMAP_THRESHOLD // 2   # so each chunk's arrays reuse kept heap pages
+_BN_GROUP_ROWS = 1000
 
 
 def extract_features(net: Network, points: np.ndarray, tap: str = "last",
-                     bn_train_mode: bool = False, batch_size: int = 1000) -> np.ndarray:
+                     bn_train_mode: bool = False) -> np.ndarray:
     """Frozen hidden-state features at a named tap ('h0'.., 'last', or 'out').
 
     The library's one read-only forward loop: every forward here records no
@@ -391,17 +392,15 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     the pages the previous one freed, where a larger array is a fresh mmap
     whose every page faults in on every call.  On the benchmark's 16x16 MIM
     CNN encoder (widest state 64x14x14) a chunk is 167 rows, and the traced
-    peak beside the result is 62.5 MiB at both 500 and 2000 rows (115 and
-    374 MiB with the former fixed 1000-row chunks); the benchmark's eval
-    throughput there rose 1.57x (3666 -> 5770 samples/s).  A 4x400 MLP
-    takes 5242 rows per chunk on 2-D input and 4096 on 512-D.  Other chunk
-    sizes move only last bits (at most 5.3e-16 relative on that encoder).
+    peak beside the result is 62.5 MiB at both 500 and 2000 rows.  A 4x400
+    MLP takes 5242 rows per chunk on 2-D input and 4096 on 512-D.  Other
+    chunk sizes move only last bits (at most 5.3e-16 relative on that
+    encoder).
 
     With ``bn_train_mode`` batch norm normalizes with each group's own
     statistics ("batch" mode): the rows are split into
-    ``near_equal_edges(N, batch_size)``, ceil(N / ``batch_size``)
-    near-equal groups with no group of a single row.  ``batch_size`` sets
-    only these groups.
+    ``near_equal_edges(N, _BN_GROUP_ROWS)``, ceil(N / 1000) near-equal
+    groups with no group of a single row.
     """
     names = net.tap_names()
     if tap == "last":
@@ -414,7 +413,7 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     features = None
     with T.no_tape():
         if bn_train_mode:
-            mode, edges = "batch", near_equal_edges(n, batch_size)
+            mode, edges = "batch", near_equal_edges(n, _BN_GROUP_ROWS)
         else:
             out, states = net.forward_with_states(Tensor(points[:1]), "eval")
             widest = max(a[0].size for a in (points, out.data, *(s.data for s in states)))

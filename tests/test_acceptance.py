@@ -97,7 +97,7 @@ def _train_labeling(ds, partitions, beta, net_seed, shuffle_seed, mbs, bs,
             value = dml.dml_binary_objective(L, float(L.mean()))
             converged = acc >= 0.99 and value >= LOG2 - 0.05
         else:
-            value = dml.dml_loss(bayes.PosteriorBatch(Tensor(out)), cfg).item()
+            value = dml.dml_loss(bayes.PosteriorBatch(Tensor(out))).item()
             converged = acc >= 0.99
         if converged:
             return (chunk + 1) * check_every, acc, value

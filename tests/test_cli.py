@@ -100,6 +100,61 @@ class TestTrainDml:
                     "--out-dir", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("contents", [[{"beta": 1}], "beta", 2])
+    def test_config_must_be_an_object(self, tmp_path, tiny_run, capsys, contents):
+        data, _ = tiny_run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(contents))
+        code = run(["train-dml", "--data", str(data), "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {cfg}: a config must be a JSON object" in capsys.readouterr().err
+
+    def test_sweep_entries_must_be_objects(self, tmp_path, tiny_run, capsys):
+        data, _ = tiny_run
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"epochs": 1}, [{"beta": 1}]]))
+        code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "40",
+                    "--sweep", str(sweep), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {sweep} entry 1: a config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()   # checked before the first entry runs
+
+    def test_sweep_applies_each_entry_over_config(self, tmp_path, tiny_run):
+        data, _ = tiny_run
+        base, sweep = tmp_path / "base.json", tmp_path / "sweep.json"
+        base.write_text(json.dumps({"beta": 1, "lr": 0.002}))
+        sweep.write_text(json.dumps([{"epochs": 1}, {"epochs": 1, "lr": 0.003}]))
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "40",
+                    "--seed", "1", "--config", str(base), "--sweep", str(sweep),
+                    "--out-dir", str(out)])
+        assert code == 0
+        resolved = [json.loads((out / f"sweep{i:03d}" / "resolved_config.json").read_text())
+                    for i in range(2)]
+        assert [(r["beta"], r["lr"], r["epochs"]) for r in resolved] == [(1, 0.002, 1),
+                                                                         (1, 0.003, 1)]
+        assert sorted(p.name for p in out.iterdir()) == ["sweep000", "sweep001"]
+
+    @pytest.mark.parametrize("ids, k", [([0, 1, 2], 2), ([0, 1, -1], 2)])
+    def test_k_must_cover_component_ids_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        ids, k):
+        from neuralbayes import data as D
+        from neuralbayes import dml
+        calls = []
+        real = dml.dml_loss
+        monkeypatch.setattr(dml, "dml_loss", lambda p: calls.append(1) or real(p))
+        points = np.random.default_rng(3).standard_normal((30, 2))
+        data = tmp_path / "d.csv"
+        D.save_csv(D.ManifoldDataset(points, np.resize(ids, 30)), data)
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--k", str(k), "--mbs", "10",
+                    "--bs", "10", "--epochs", "2", "--out-dir", str(out)])
+        assert code == 1
+        assert f"every id must lie in [0, {k})" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "checkpoint.bin").exists()
+
     def test_bad_schedule_fails(self, tmp_path, tiny_run):
         data, _ = tiny_run
         code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "60",

@@ -33,7 +33,7 @@ class TestGenerators:
             D.make_blobs(3, 0, seed=0)
 
     def test_blob_separation_example(self):
-        ds = D.make_blobs(2, 100, centers=[[-5.0, 0.0], [5.0, 0.0]], noise=0.1, seed=4)
+        ds = D.make_blobs(2, 100, noise=0.1, seed=4)
         assert D.min_inter_component_distance(ds.points, ds.components) > 4.0
 
     def test_circles_components(self):
@@ -97,42 +97,6 @@ class TestStandardize:
         points[:, 1] = 3.7
         out = D.standardize(D.ManifoldDataset(points, np.zeros(50, dtype=int)))
         assert np.abs(out.points[:, 1]).max() <= 1e-6
-
-    def test_stats_reusable_on_other_split(self):
-        ds = D.make_two_moons(100, seed=15)
-        train, test = D.split(ds, [0.8, 0.2], seed=0)
-        strain = D.standardize(train)
-        stest = D.standardize(test, mean=strain.mean, std=strain.std)
-        np.testing.assert_allclose(
-            stest.points, (test.points - strain.mean) / strain.std, atol=1e-12)
-
-
-class TestSplit:
-    def test_sizes(self):
-        ds = D.make_two_moons(50, seed=16)  # 100 points
-        parts = D.split(ds, [0.9, 0.1], seed=1)
-        assert [p.size for p in parts] == [90, 10]
-
-    def test_union_covers_everything(self):
-        ds = D.make_two_moons(33, seed=17)
-        parts = D.split(ds, [0.5, 0.3, 0.2], seed=2)
-        assert sum(p.size for p in parts) == ds.size
-        stacked = np.vstack([p.points for p in parts])
-        assert np.unique(stacked, axis=0).shape[0] == ds.size
-
-    def test_deterministic(self):
-        ds = D.make_two_moons(40, seed=18)
-        a = D.split(ds, [0.7, 0.3], seed=3)
-        b = D.split(ds, [0.7, 0.3], seed=3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.points, y.points)
-
-    def test_bad_fractions(self):
-        ds = D.make_two_moons(10, seed=19)
-        with pytest.raises(DatasetError):
-            D.split(ds, [0.5, 0.4], seed=0)
-        with pytest.raises(DatasetError):
-            D.split(ds, [1.2, -0.2], seed=0)
 
 
 class TestIdx:

@@ -15,7 +15,6 @@ from neuralbayes.tensor import Tensor
 from conftest import CountingNet, assert_moved_once
 
 LOG2 = math.log(2.0)
-CFG = dml.DmlConfig(partitions=2, beta=0.0)
 
 
 def random_labels(b, seed, lo=0.02, hi=0.98):
@@ -73,13 +72,13 @@ def label_head(L: Tensor) -> Tensor:
     return T.reshape(L, (L.shape[0], 1)) * Tensor([[1.0, -1.0]]) + Tensor([[0.0, 1.0]])
 
 
-def binary_chain_reference(L: Tensor, cfg) -> Tensor:
+def binary_chain_reference(L: Tensor) -> Tensor:
     """The former binary loss, the JS chain on the soft label L alone (a
     test-only reference): 0.5 E[f1 log(1 + f0/f1)] + 0.5 E[f0 log(1 + f1/f0)]
     with f1 = L/E[L] + eps and f0 = (1-L)/(1-E[L]) + eps."""
     prior = T.tmean(L)
-    f1 = L / prior + cfg.epsilon
-    f0 = (1.0 - L) / (1.0 - prior) + cfg.epsilon
+    f1 = L / prior + bayes.LOG_GUARD
+    f0 = (1.0 - L) / (1.0 - prior) + bayes.LOG_GUARD
     t1 = T.tmean(f1 * T.log(f0 / f1 + 1.0))
     t0 = T.tmean(f0 * T.log(f1 / f0 + 1.0))
     return t1 * 0.5 + t0 * 0.5
@@ -95,67 +94,67 @@ class TestBinaryLoss:
     """``dml_loss`` at K = 2, on [L, 1 - L] heads."""
 
     def test_maximal_confusion_value(self):
-        loss = dml.dml_loss(bayes.PosteriorBatch(label_head(Tensor(np.full(12, 0.5)))), CFG)
+        loss = dml.dml_loss(bayes.PosteriorBatch(label_head(Tensor(np.full(12, 0.5)))))
         assert abs(loss.item() - LOG2) <= 1e-6
 
     def test_perfect_split_near_zero(self):
         head = label_head(Tensor(np.array([0.0, 1.0] * 8)))
-        assert dml.dml_loss(bayes.PosteriorBatch(head), CFG).item() <= 1e-5
+        assert dml.dml_loss(bayes.PosteriorBatch(head)).item() <= 1e-5
 
     def test_loss_plus_objective_is_log2(self):
         for seed in range(10):
             L = random_labels(24, seed)
-            loss = dml.dml_loss(bayes.PosteriorBatch(label_head(Tensor(L))), CFG).item()
+            loss = dml.dml_loss(bayes.PosteriorBatch(label_head(Tensor(L)))).item()
             obj = dml.dml_binary_objective(L, float(L.mean()))
             assert abs(loss + obj - LOG2) <= 1e-5, seed
 
     def test_gradient_flows(self):
         logits = Tensor(np.random.default_rng(0).standard_normal((16, 2)), requires_grad=True)
-        dml.dml_loss(bayes.PosteriorBatch(T.softmax(logits, axis=1)), CFG).backward()
+        dml.dml_loss(bayes.PosteriorBatch(T.softmax(logits, axis=1))).backward()
         assert logits.grad is not None and np.abs(logits.grad).max() > 0
 
     def test_small_batch_rejected(self):
         with pytest.raises(ShapeError):
-            dml.dml_loss(bayes.PosteriorBatch(Tensor(np.array([[0.5, 0.5]]))), CFG)
+            dml.dml_loss(bayes.PosteriorBatch(Tensor(np.array([[0.5, 0.5]]))))
 
 
 class TestMultiLoss:
     def test_uniform_posterior_is_log2(self):
         p = bayes.PosteriorBatch(Tensor(np.full((10, 4), 0.25)))
-        assert abs(dml.dml_loss(p, dml.DmlConfig(partitions=4)).item() - LOG2) <= 1e-3
+        assert abs(dml.dml_loss(p).item() - LOG2) <= 1e-3
 
     def test_one_hot_balanced_reaches_zero(self):
         rows = np.eye(3)[np.arange(12) % 3]
         p = bayes.PosteriorBatch(Tensor(rows))
-        assert abs(dml.dml_loss(p, dml.DmlConfig(partitions=3)).item()) <= 1e-5
+        assert abs(dml.dml_loss(p).item()) <= 1e-5
 
     def test_k2_consistency_with_binary(self):
         # both columns give the binary chain's terms, so the mean over them is that chain
         for seed in range(8):
             L = Tensor(random_labels(20, seed), requires_grad=True)
-            assert_same_loss_and_gradient(dml.dml_loss(bayes.PosteriorBatch(label_head(L)), CFG),
-                                          binary_chain_reference(L, CFG), L)
+            assert_same_loss_and_gradient(dml.dml_loss(bayes.PosteriorBatch(label_head(L))),
+                                          binary_chain_reference(L), L)
 
     def test_k2_softmax_head_matches_binary_chain(self):
         for seed in range(8):
             logits = Tensor(3.0 * np.random.default_rng(seed).standard_normal((20, 2)),
                             requires_grad=True)
             v = T.softmax(logits, axis=1)
-            assert_same_loss_and_gradient(dml.dml_loss(bayes.PosteriorBatch(v), CFG),
-                                          binary_chain_reference(T.column(v, 0), CFG), logits)
+            assert_same_loss_and_gradient(dml.dml_loss(bayes.PosteriorBatch(v)),
+                                          binary_chain_reference(T.column(v, 0)), logits)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 6), st.integers(0, 99_999))
     def test_range(self, b, k, seed):
         logits = np.random.default_rng(seed).standard_normal((b, k))
         p = bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
-        v = dml.dml_loss(p, dml.DmlConfig(partitions=k)).item()
+        v = dml.dml_loss(p).item()
         assert -1e-9 <= v <= LOG2 + 1e-3
 
     def test_degenerate_prior_rejected(self):
         p = bayes.PosteriorBatch(Tensor(np.tile([1.0, 0.0], (4, 1))))
         with pytest.raises(DegeneratePriorError):
-            dml.dml_loss(p, dml.DmlConfig(partitions=2))
+            dml.dml_loss(p)
 
 
 class TestSmoothnessPenalty:
@@ -166,7 +165,7 @@ class TestSmoothnessPenalty:
         def const(t):
             return Tensor(np.ones((t.shape[0], 2)))
 
-        v = dml.smoothness_penalty(const, batch, const(Tensor(batch)), CFG,
+        v = dml.smoothness_penalty(const, batch, const(Tensor(batch)),
                                    np.random.default_rng(1))
         assert v.item() == 0.0
 
@@ -180,9 +179,9 @@ class TestSmoothnessPenalty:
 
         noise = rng.standard_normal((12, 12))
         y0 = linear(Tensor(batch))
-        got1 = dml.smoothness_penalty(linear, batch, y0, CFG, np.random.default_rng(0),
+        got1 = dml.smoothness_penalty(linear, batch, y0, np.random.default_rng(0),
                                       noise=noise, zeta=0.05).item()
-        got2 = dml.smoothness_penalty(linear, batch, y0, CFG, np.random.default_rng(0),
+        got2 = dml.smoothness_penalty(linear, batch, y0, np.random.default_rng(0),
                                       noise=noise, zeta=0.8).item()
         delta = batch.T @ noise
         dhat = (delta / np.linalg.norm(delta, axis=0)).T
@@ -201,7 +200,7 @@ class TestSmoothnessPenalty:
             captured.setdefault("batches", []).append(t.data.copy())
             return Tensor(np.zeros((t.shape[0], 1)))
 
-        dml.smoothness_penalty(probe, batch, Tensor(np.zeros((6, 1))), CFG,
+        dml.smoothness_penalty(probe, batch, Tensor(np.zeros((6, 1))),
                                np.random.default_rng(4), zeta=0.07)
         [perturbed] = captured["batches"]  # the clean output is the caller's
         directions = perturbed - batch
@@ -214,7 +213,7 @@ class TestSmoothnessPenalty:
 
     def test_zero_batch_rejected(self):
         with pytest.raises(ShapeError):
-            dml.smoothness_penalty(lambda t: t, np.zeros((4, 2)), Tensor(np.zeros((4, 2))), CFG,
+            dml.smoothness_penalty(lambda t: t, np.zeros((4, 2)), Tensor(np.zeros((4, 2))),
                                    np.random.default_rng(0))
 
     def test_seeded_determinism(self):
@@ -222,31 +221,41 @@ class TestSmoothnessPenalty:
         batch = rng.standard_normal((7, 3))
         net = nn.build_mlp(3, [5], 2, seed=0)
         y0 = net.forward(Tensor(batch))
-        a = dml.smoothness_penalty(lambda t: net.forward(t), batch, y0, CFG,
+        a = dml.smoothness_penalty(lambda t: net.forward(t), batch, y0,
                                    np.random.default_rng(11)).item()
-        b = dml.smoothness_penalty(lambda t: net.forward(t), batch, y0, CFG,
+        b = dml.smoothness_penalty(lambda t: net.forward(t), batch, y0,
                                    np.random.default_rng(11)).item()
         assert a == b
 
     def test_small_zeta_redrawn(self):
         rng = np.random.default_rng(6)
         batch = rng.standard_normal((5, 2))
-        # sigma around the 1e-4 floor: several redraws happen, then a usable draw
-        near = dml.DmlConfig(partitions=2, noise_sigma=2e-4)
-        v = dml.smoothness_penalty(lambda t: t, batch, Tensor(batch), near,
-                                   np.random.default_rng(7))
-        assert np.isfinite(v.item())
-        # a sigma so tiny that no draw can clear the floor is a config error
-        with pytest.raises(ConfigError):
-            dml.smoothness_penalty(lambda t: t, batch, Tensor(batch),
-                                   dml.DmlConfig(partitions=2, noise_sigma=1e-7),
-                                   np.random.default_rng(8))
+        noise = rng.standard_normal((5, 5))
+
+        class StubDraws:
+            """Scale draws below the 1e-4 floor, then a usable one."""
+
+            def __init__(self):
+                self.draws, self.sigmas = [3e-5, -8e-5, 0.0, 0.05], []
+
+            def normal(self, mean, sigma):
+                self.sigmas.append((mean, sigma))
+                return self.draws.pop(0)
+
+        stub = StubDraws()
+        net = nn.build_mlp(2, [4], 3, seed=0)
+        v = dml.smoothness_penalty(lambda t: net.forward(t), batch, net.forward(Tensor(batch)),
+                                   stub, noise=noise)
+        assert stub.draws == [] and stub.sigmas == [(0.0, dml.NOISE_SIGMA)] * 4
+        want = dml.smoothness_penalty(lambda t: net.forward(t), batch,
+                                      net.forward(Tensor(batch)), None, noise=noise, zeta=0.05)
+        assert v.item() == want.item()
 
     @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (4, 2)])
     def test_clean_output_shape_checked(self, shape):
         batch = np.random.default_rng(9).standard_normal((5, 2))
         with pytest.raises(ShapeError, match="clean output"):
-            dml.smoothness_penalty(lambda t: t, batch, Tensor(np.zeros(shape)), CFG,
+            dml.smoothness_penalty(lambda t: t, batch, Tensor(np.zeros(shape)),
                                    np.random.default_rng(10))
 
 
@@ -279,10 +288,6 @@ class TestObjectiveClosure:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             dml.DmlConfig(partitions=1)
-        with pytest.raises(ConfigError):
-            dml.DmlConfig(partitions=2, epsilon=0.0)
-        with pytest.raises(ConfigError):
-            dml.DmlConfig(partitions=2, noise_sigma=0.0)
 
 
 def three_forward_dml(cfg):
@@ -292,7 +297,7 @@ def three_forward_dml(cfg):
 
     def objective(net, xb, rng):
         out = net.forward(xb, "train")
-        js_loss = dml.dml_loss(bayes.PosteriorBatch(out), cfg)
+        js_loss = dml.dml_loss(bayes.PosteriorBatch(out))
 
         def label_fn(t):
             o = net.forward(t, "train")
@@ -300,7 +305,7 @@ def three_forward_dml(cfg):
 
         if cfg.beta == 0.0:
             return js_loss, None
-        rc = dml.smoothness_penalty(label_fn, xb, label_fn(xb), cfg, rng)
+        rc = dml.smoothness_penalty(label_fn, xb, label_fn(xb), rng)
         return js_loss + rc * cfg.beta, None
 
     return objective

@@ -210,7 +210,7 @@ class TestCollectStates:
 class TestV2Loss:
     def test_single_state_reduction(self):
         p = random_posterior(10, 3, seed=2)
-        cfg = mim.MimConfig(alpha=0.0, beta=0.0, epsilon=1e-7)
+        cfg = mim.MimConfig(alpha=0.0, beta=0.0)
         sc = (mim.SoftmaxState("h0", p.values),)
         total, report = mim.mim_v2_loss(sc, cfg)
         v = p.values
@@ -221,7 +221,7 @@ class TestV2Loss:
         assert abs(report.total - total.item()) <= 1e-15
 
     def test_uniform_point_value(self):
-        cfg = mim.MimConfig(alpha=0.0, beta=0.0, epsilon=1e-9)
+        cfg = mim.MimConfig(alpha=0.0, beta=0.0)
         values = Tensor(np.full((6, 2), 0.5))
         sc = (mim.SoftmaxState("h0", values),)
         total, _ = mim.mim_v2_loss(sc, cfg)
@@ -253,7 +253,7 @@ class TestV2Loss:
         v2_total, _ = mim.mim_v2_loss(sc, cfg, prior_form="v2")
         v1_total, _ = mim.mim_v2_loss(sc, cfg, prior_form="v1")
         assert v1_total.item() != v2_total.item()
-        assert abs(v1_total.item() - mim.mim_v1_loss(p, eps=cfg.epsilon).item()) <= 1e-12
+        assert abs(v1_total.item() - mim.mim_v1_loss(p).item()) <= 1e-12
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ConfigError):
@@ -261,12 +261,7 @@ class TestV2Loss:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            mim.MimConfig(epsilon=0.0)
-        with pytest.raises(ConfigError):
             mim.MimConfig(alpha=-1.0)
-        for sigma in (-0.1, 0.0):
-            with pytest.raises(ConfigError):
-                mim.MimConfig(beta=1.0, noise_sigma=sigma)
 
 
 def chain_state_terms(v, eps, form):
@@ -286,7 +281,7 @@ def chain_state_terms(v, eps, form):
 
 def chain_mim_v2_loss(sc, cfg, rc=None, prior_form="v2"):
     """mim_v2_loss over chain_state_terms, summed term by term (reference)."""
-    pairs = [chain_state_terms(st.values, cfg.epsilon, prior_form) for st in sc]
+    pairs = [chain_state_terms(st.values, bayes.LOG_GUARD, prior_form) for st in sc]
     mi_total, rp_total = pairs[0]
     for mi, rp in pairs[1:]:
         mi_total, rp_total = mi_total + mi, rp_total + rp
@@ -385,7 +380,7 @@ class TestStateObjective:
 
         _, states = ref_net.forward_with_states(xb, "train")
         rc = dml.smoothness_penalty(lambda t: mim.pooled_final_state(ref_net, t, "batch"), xb,
-                                    mim._pooled_vector(states[-1]), cfg, np.random.default_rng(8))
+                                    mim._pooled_vector(states[-1]), np.random.default_rng(8))
         ref, ref_parts = chain_mim_v2_loss(mim.collect_states(states, cfg), cfg, rc,
                                            "v1" if v1 else "v2")
         assert abs(loss.item() - ref.item()) <= 1e-12 * max(1.0, abs(ref.item()))
@@ -431,7 +426,7 @@ def three_forward_mim(cfg):
             def target(t):
                 return mim.pooled_final_state(net, t, "train")
 
-            rc = dml.smoothness_penalty(target, xb, target(xb), cfg, rng)
+            rc = dml.smoothness_penalty(target, xb, target(xb), rng)
         return mim.mim_v2_loss(mim.collect_states(states, cfg), cfg, rc)[0]
 
     return objective

@@ -477,20 +477,13 @@ class TestConv:
 
         fd_check(build, params, tol=1e-4)
 
-    def test_without_bias(self):
-        rng = np.random.default_rng(26)
-        x, w = rng.standard_normal((2, 2, 4, 4)), rng.standard_normal((3, 2, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(w))
-        np.testing.assert_allclose(out.data, self.direct_conv(x, w, np.zeros(3), 1, 0),
-                                   rtol=0, atol=1e-12)
-
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 2, 2))))
+            T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 2, 2))), Tensor(np.ones(3)))
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones(1)))
 
 
 def batch_last(x):

@@ -32,7 +32,7 @@ class TestAdam:
         train.adam_step(p, {"w": g}, state)
         mhat = g  # (1-b1)g / (1-b1)
         vhat = g * g
-        expected = 0.5 - 0.01 * mhat / (np.sqrt(vhat) + state.eps)
+        expected = 0.5 - 0.01 * mhat / (np.sqrt(vhat) + train.ADAM_EPS)
         np.testing.assert_allclose(p["w"].data, expected, atol=1e-15)
 
     def test_decoupled_weight_decay(self):
@@ -56,7 +56,7 @@ class TestAdam:
         state = train.AdamState.for_params(params, lr=0.01, weight_decay=weight_decay)
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        b1, b2, eps, lr = train.ADAM_BETA1, train.ADAM_BETA2, train.ADAM_EPS, state.lr
         for step in range(1, 6):
             grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
             train.adam_step(params, grads, state)
@@ -480,7 +480,7 @@ class TestLinearProbe:
             assert np.array_equal(p.data, before[name]), name
 
     @pytest.mark.parametrize("bn_train_mode", [False, True])
-    def test_extract_features_moves_no_buffer(self, bn_train_mode):
+    def test_extract_features_moves_no_buffer(self, monkeypatch, bn_train_mode):
         net = nn.build_cnn("C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)", (1, 8, 8), seed=3)
         for layer in net.layers:
             if isinstance(layer, nn.BatchNormLayer):
@@ -488,7 +488,8 @@ class TestLinearProbe:
                 layer.running_var = np.full(layer.features, 2.0)
         before = {k: b.copy() for k, b in net.buffers().items()}
         points = np.random.default_rng(10).standard_normal((12, 1, 8, 8))
-        feats = train.extract_features(net, points, bn_train_mode=bn_train_mode, batch_size=5)
+        monkeypatch.setattr(train, "_BN_GROUP_ROWS", 5)
+        feats = train.extract_features(net, points, bn_train_mode=bn_train_mode)
         for name, b in net.buffers().items():
             assert b.tobytes() == before[name].tobytes(), name
         mode = "batch" if bn_train_mode else "eval"
@@ -518,13 +519,11 @@ class TestLinearProbe:
         with pytest.raises(DomainError, match="nonnegative"):
             train.linear_probe(features, np.array(labels), epochs=1)
 
-    @pytest.mark.parametrize("holdout, match", [(0.9, "leaves no training rows"),
-                                                (1.5, r"must lie in \(0, 1\)"),
-                                                (0.0, r"must lie in \(0, 1\)")])
-    def test_holdout_must_leave_training_rows(self, holdout, match):
-        features = np.random.default_rng(11).standard_normal((4, 3))
-        with pytest.raises(ConfigError, match=match):
-            train.linear_probe(features, np.array([0, 1, 0, 1]), holdout=holdout)
+    def test_one_row_leaves_no_training_rows(self):
+        # the held-out quarter rounds up to one row, which is all of them
+        features = np.random.default_rng(11).standard_normal((1, 3))
+        with pytest.raises(ConfigError, match="leaves no training rows"):
+            train.linear_probe(features, np.array([0]))
 
 
 MIM_CNN_ARCH = "C(64,3,1,0)-P(2,2,0,max)-C(128,3,1,0)"   # train-mim's default cnn-arch
@@ -586,18 +585,32 @@ class TestEvalChunks:
         # 11 = 2 * 5 + 1: fixed groups of 5 would leave one row for batch statistics
         net = nn.build_mlp(3, [6], None, seed=4, batchnorm=True)
         points = np.random.default_rng(23).standard_normal((11, 3))
-        feats, rows = forward_rows(monkeypatch, net, points, bn_train_mode=True, batch_size=5)
+        monkeypatch.setattr(train, "_BN_GROUP_ROWS", 5)
+        feats, rows = forward_rows(monkeypatch, net, points, bn_train_mode=True)
         assert rows == [3, 4, 4]
         want = [net.forward_with_states(Tensor(points[s:e]), "batch")[1][-1].data
                 for s, e in ((0, 3), (3, 7), (7, 11))]
         assert np.array_equal(feats, np.vstack(want))
 
-    @pytest.mark.parametrize("n, batch_size, want", [(5, 2, [2, 3]), (3, 1, [3]), (2, 5, [2])])
-    def test_batch_mode_never_leaves_a_single_row(self, monkeypatch, n, batch_size, want):
+    @pytest.mark.parametrize("n, group_rows, want", [(5, 2, [2, 3]), (3, 1, [3]), (2, 5, [2])])
+    def test_batch_mode_never_leaves_a_single_row(self, monkeypatch, n, group_rows, want):
         net = nn.build_mlp(3, [6], None, seed=4, batchnorm=True)
         points = np.random.default_rng(24).standard_normal((n, 3))
-        _, rows = forward_rows(monkeypatch, net, points, bn_train_mode=True, batch_size=batch_size)
+        monkeypatch.setattr(train, "_BN_GROUP_ROWS", group_rows)
+        _, rows = forward_rows(monkeypatch, net, points, bn_train_mode=True)
         assert rows == want
+
+    @pytest.mark.parametrize("n, size, groups", [
+        (1, 1000, [1]), (2000, 1000, [1000, 1000]), (2001, 1000, [667, 667, 667]),
+        (12, 5, [4, 4, 4]), (11, 5, [3, 4, 4]), (10, 5, [5, 5]), (200, 400, [200]),
+        (800, 400, [400, 400]), (7, 2, [2, 2, 3]), (6, 2, [2, 2, 2]), (5, 1, [2, 3]),
+        (4, 1, [2, 2]), (3, 1, [3]), (2, 1, [2]), (1, 1, [1])])
+    def test_near_equal_edges(self, n, size, groups):
+        # ceil(n / size) groups whose sizes differ by at most one, never a
+        # group of one row out of several (sizes 1 and 2 would make one)
+        edges = train.near_equal_edges(n, size)
+        assert edges[0] == 0 and edges[-1] == n
+        assert [b - a for a, b in zip(edges, edges[1:])] == groups
 
 
 class TestClusterAccuracy:
