@@ -1,11 +1,12 @@
 """Command-line surface: data generation, training, probing, verification,
 and grid export.
 
-Every command resolves its configuration as JSON-config-then-flag-overrides,
-persists the fully resolved config next to its outputs, and writes a
-MANIFEST.json with a sha256 per artifact.  Given identical flags and seed,
-every output byte is reproducible.  Exit codes: 0 success, 1 verification or
-training failure, 2 usage error.
+A training command reads every setting from its flags, and parses a preset,
+a ``--config`` object and a ``--sweep`` entry as the same flags.  It persists
+the resolved settings and a MANIFEST.json with a sha256 per artifact; the
+same flags and seed reproduce every output byte.  Exit codes: 0 success, 1
+verification or training failure or a malformed config, 2 usage error,
+including a config value that its flag rejects.
 """
 
 from __future__ import annotations
@@ -32,6 +33,22 @@ DML_ARCH_HIDDEN = [400, 400, 400, 400]   # 4-layer MLP, 400 units, batch norm, s
 # the --preset mnist-cnn network; its head has one output per partition k
 MNIST_CNN_ARCH = "C(100,3,1,0)-P(2,2,0,max)-C(100,3,1,0)-C(200,3,1,0)-P(2,2,0,max)-C(500,3,1,0)-P(.,.,.,avg)-FC({k})"
 
+# Each training setting's name and default; its type and choices live in its
+# flag, and a --config object or --sweep entry names settings by flag name.
+TRAINING_DEFAULTS = {
+    "train-dml": {"k": 2, "beta": 2.0, "mbs": 400, "bs": 400, "lr": 1e-3, "epochs": 300,
+                  "weight-decay": 0.0, "arch": "mlp", "stop-split": 0.0, "patience": 10},
+    "train-mim": {"alpha": 2.0, "beta": 4.0, "mbs": 500, "bs": 2000, "lr": 1e-3,
+                  "epochs": 20, "weight-decay": 0.0, "hidden": [500, 500, 500],
+                  "scales": "off", "arch": "mlp",
+                  "cnn-arch": "C(64,3,1,0)-P(2,2,0,max)-C(128,3,1,0)",
+                  "stop-split": 0.0, "patience": 10},
+}
+# train-dml --preset: settings applied beneath --config, --sweep and the flags
+PRESETS = {"default": {},
+           "mnist-cnn": {"k": 10, "beta": 1.0, "mbs": 5000, "bs": 5000, "epochs": 100,
+                         "arch": "cnn"}}
+
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
@@ -43,35 +60,6 @@ def _resolve_seed(args) -> int:
         return int(env)
     except ValueError:
         raise ConfigError(f"NB_SEED must be an integer, got {env!r}") from None
-
-
-def _config_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: a config must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _load_config(args, known: dict) -> dict:
-    """The ``--config`` file's object with the ``--sweep`` entry being run
-    applied over it, unknown keys rejected; flags override these values."""
-    cfg = {}
-    if args.config is not None:
-        cfg.update(_config_object(json.loads(Path(args.config).read_text()), args.config))
-    cfg.update(getattr(args, "sweep_entry", None) or {})
-    unknown = set(cfg) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)} (known: {sorted(known)})")
-    return cfg
-
-
-def _merge_config(defaults: dict, file_cfg: dict, args, flag_names: list[str]) -> dict:
-    resolved = dict(defaults)
-    resolved.update(file_cfg)
-    for name in flag_names:
-        value = getattr(args, name.replace("-", "_"))
-        if value is not None:
-            resolved[name] = value
-    return resolved
 
 
 def _write_manifest(out_dir: Path, paths: list[Path]) -> None:
@@ -125,11 +113,11 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
     improvement.  The evaluation runs in batch mode and records no tape, so
     it leaves the model's running statistics alone.
     """
-    fraction = getattr(args, "stop_split", 0.0) or 0.0
-    if fraction <= 0.0:
+    fraction = args.stop_split
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigError(f"--stop-split must lie in [0, 1), got {fraction}")
+    if fraction == 0.0:
         return points, None
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"--stop-split must lie in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed + 99)
     perm = rng.permutation(points.shape[0])
     n_hold = max(2, int(round(fraction * points.shape[0])))
@@ -148,7 +136,7 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
 
 def _load_dataset(args) -> D.ManifoldDataset:
     data_path = Path(args.data)
-    if getattr(args, "labels", None):
+    if args.labels:
         return D.load_idx(data_path, Path(args.labels))
     meta = {}
     mp = _meta_path(data_path)
@@ -173,22 +161,20 @@ def _square_images(ds: D.ManifoldDataset) -> np.ndarray:
 
 # --- train-dml, train-mim ---
 
-def _train_command(args, command: str, defaults: dict, flags: list[str], build, finish,
-                   **recorded) -> int:
-    """Resolve the config, load and standardize the data, build ``(net,
-    objective) = build(cfg, ds, input_shape, seed)`` (input shape (D,) for an
-    MLP, (1, S, S) for a CNN on square images; ``build`` may reject the data
-    with ``ConfigError`` before any training) and train with the schedule,
-    Adam and the stopping split.  Then ``finish(run)`` evaluates and writes
-    the command's own artifacts, returning their paths, so a failure there
-    leaves no checkpoint; the checkpoint, log, metrics, resolved config
+def _train_command(args, build, finish, **recorded) -> int:
+    """Read the settings from the parsed flags, load and standardize the
+    data, build ``(net, objective) = build(cfg, ds, input_shape, seed)``
+    (input shape (D,) for an MLP, (1, S, S) for a CNN on square images;
+    ``build`` may reject the data with ``ConfigError``) and train with the
+    schedule, Adam and the stopping split.  Only then is ``--out-dir`` made,
+    so a run that fails earlier leaves none.  ``finish(run)`` evaluates and
+    writes the command's own artifacts, returning their paths, so a failure
+    there leaves no checkpoint; the checkpoint, log, metrics, resolved config
     (plus ``recorded``) and manifest come last."""
     seed = _resolve_seed(args)
-    cfg = _merge_config(defaults, _load_config(args, defaults), args, flags)
+    cfg = {key: getattr(args, key.replace("-", "_")) for key in TRAINING_DEFAULTS[args.command]}
     ds = _load_standardized(args)
     points = _square_images(ds) if cfg["arch"] == "cnn" else ds.points
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     net, objective = build(cfg, ds, points.shape[1:], seed)
     sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
     opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
@@ -197,6 +183,8 @@ def _train_command(args, command: str, defaults: dict, flags: list[str], build, 
     log = train_mod.train_objective(net, train_points, objective, sched, opt, seed=seed,
                                     epoch_callback=callback)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     run = argparse.Namespace(cfg=cfg, ds=ds, points=points, net=net, log=log, seed=seed,
                              out_dir=out_dir)
     paths = [*finish(run), *nn.save_checkpoint(net, out_dir / "checkpoint")]
@@ -204,7 +192,7 @@ def _train_command(args, command: str, defaults: dict, flags: list[str], build, 
     log.write_jsonl(log_path)
     log.write_metrics_csv(metrics_path)
     cfg_path = out_dir / "resolved_config.json"
-    cfg_path.write_text(json.dumps({**cfg, **recorded, "seed": seed, "command": command,
+    cfg_path.write_text(json.dumps({**cfg, **recorded, "seed": seed, "command": args.command,
                                     "data": str(args.data)}, indent=1, sort_keys=True) + "\n")
     _write_manifest(out_dir, [*paths, log_path, metrics_path, cfg_path])
     return 0
@@ -249,26 +237,15 @@ def _dml_report(run) -> list[Path]:
 
 
 def cmd_train_dml(args) -> int:
-    defaults = {"k": 2, "beta": 2.0, "mbs": 400, "bs": 400, "lr": 1e-3,
-                "epochs": 300, "weight-decay": 0.0, "arch": "mlp"}
-    if args.preset == "mnist-cnn":
-        defaults.update({"k": 10, "beta": 1.0, "mbs": 5000, "bs": 5000,
-                         "epochs": 100, "arch": "cnn"})
-    return _train_command(args, "train-dml", defaults, ["k", "beta", "mbs", "bs", "lr", "epochs"],
-                          _dml_build, _dml_report)
+    return _train_command(args, _dml_build, _dml_report)
 
 
 def cmd_train_mim(args) -> int:
-    defaults = {"alpha": 2.0, "beta": 4.0, "mbs": 500, "bs": 2000, "lr": 1e-3,
-                "epochs": 20, "weight-decay": 0.0, "hidden": [500, 500, 500],
-                "scales": "off", "arch": "mlp",
-                "cnn-arch": "C(64,3,1,0)-P(2,2,0,max)-C(128,3,1,0)"}
-
     def build(cfg, ds, shape, seed):
         if len(shape) == 3:
             net = nn.build_cnn(cfg["cnn-arch"], shape, seed=seed, batchnorm=True)
         else:
-            net = nn.build_mlp(shape[0], list(cfg["hidden"]), out_units=None, seed=seed)
+            net = nn.build_mlp(shape[0], cfg["hidden"], out_units=None, seed=seed)
         mim_cfg = mim_mod.MimConfig(alpha=cfg["alpha"], beta=cfg["beta"],
                                     use_scales=(cfg["scales"] == "on"))
         return net, mim_mod.make_mim_objective(mim_cfg, v1=args.v1)
@@ -278,9 +255,7 @@ def cmd_train_mim(args) -> int:
               f"final total {run.log.records[-1]['total']:.6f}")
         return []
 
-    return _train_command(args, "train-mim", defaults,
-                          ["alpha", "beta", "mbs", "bs", "lr", "epochs", "scales"],
-                          build, summary, v1=bool(args.v1))
+    return _train_command(args, build, summary, v1=args.v1)
 
 
 # --- probe ---
@@ -350,38 +325,61 @@ def cmd_export_grid(args) -> int:
     return 0
 
 
-def _run_sweep(args, runner) -> int:
-    """Run each entry of the ``--sweep`` list, applied over ``--config``, into
-    its own ``sweepNNN`` directory under ``--out-dir``."""
-    configs = json.loads(Path(args.sweep).read_text())
-    if not isinstance(configs, list):
+def _config_flags(obj, where: str, known: dict) -> list[str]:
+    """A config object as the flags it names: ``--key=value``, or ``--key v1
+    v2 ...`` for a list, so the command's parser checks every value."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: a config must be a JSON object, got {type(obj).__name__}")
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)} (known: {sorted(known)})")
+    tokens = []
+    for key, value in obj.items():
+        listed = isinstance(value, list)
+        tokens += [f"--{key}", *map(str, value)] if listed else [f"--{key}={value}"]
+    return tokens
+
+
+def _training_runs(parser, args, argv: list[str]) -> list[argparse.Namespace]:
+    """Each run of a training command, parsed before any starts: the preset,
+    the ``--config`` object and one ``--sweep`` entry go ahead of the command
+    line as flags, so later ones override earlier ones; each sweep entry runs
+    into its own ``sweepNNN`` directory under ``--out-dir``."""
+    known = TRAINING_DEFAULTS[args.command]
+    preset = PRESETS[getattr(args, "preset", "default")]   # only train-dml has --preset
+    head = [args.command, *_config_flags(preset, "preset", known)]
+    if args.config is not None:
+        head += _config_flags(json.loads(Path(args.config).read_text()), args.config, known)
+    if args.sweep is None:
+        return [parser.parse_args([*head, *argv[1:]])]
+    entries = json.loads(Path(args.sweep).read_text())
+    if not isinstance(entries, list):
         raise ConfigError("--sweep expects a JSON list of config objects")
-    entries = [_config_object(c, f"{args.sweep} entry {i}") for i, c in enumerate(configs)]
-    code = 0
-    for i, entry in enumerate(entries):
-        sub = argparse.Namespace(**{**vars(args), "sweep": None, "sweep_entry": entry,
-                                    "out_dir": str(Path(args.out_dir) / f"sweep{i:03d}")})
-        code = max(code, runner(sub))
-    return code
+    return [parser.parse_args([*head, *_config_flags(entry, f"{args.sweep} entry {i}", known),
+                               *argv[1:], f"--out-dir={Path(args.out_dir) / f'sweep{i:03d}'}"])
+            for i, entry in enumerate(entries)]
 
 
 def _training_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
-    """A training command's parser with the flags both commands share."""
+    """A training command's parser with the flags both commands share; every
+    setting's default comes from ``TRAINING_DEFAULTS``."""
     t = sub.add_parser(name, help=summary)
     t.add_argument("--data", required=True)
     t.add_argument("--labels", default=None, help="IDX label file (treats --data as IDX images)")
-    for flag in ("--beta", "--lr"):
-        t.add_argument(flag, type=float, default=None)
+    for flag in ("--beta", "--lr", "--weight-decay"):
+        t.add_argument(flag, type=float)
     for flag in ("--mbs", "--bs", "--epochs", "--seed"):
-        t.add_argument(flag, type=int, default=None)
+        t.add_argument(flag, type=int)
+    t.add_argument("--arch", choices=["mlp", "cnn"])
     t.add_argument("--out-dir", required=True)
-    t.add_argument("--config", default=None, help="JSON config; flags override")
-    t.add_argument("--stop-split", type=float, default=0.0,
+    t.add_argument("--config", help="JSON object of settings, keyed by flag name; flags override")
+    t.add_argument("--stop-split", type=float,
                    help="hold out this fraction as the early-stopping split (0 = off)")
-    t.add_argument("--patience", type=int, default=10,
+    t.add_argument("--patience", type=int,
                    help="epochs without holdout improvement before stopping")
-    t.add_argument("--sweep", default=None, help="JSON list of configs, run sequentially")
-    t.set_defaults(func=func)
+    t.add_argument("--sweep", help="JSON list of configs, run sequentially")
+    t.set_defaults(func=func, **{key.replace("-", "_"): value
+                                 for key, value in TRAINING_DEFAULTS[name].items()})
     return t
 
 
@@ -403,13 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     t = _training_parser(sub, "train-dml", "train the manifold-labeling objective", cmd_train_dml)
-    t.add_argument("--k", type=int, default=None)
-    t.add_argument("--preset", choices=["default", "mnist-cnn"], default="default")
+    t.add_argument("--k", type=int)
+    t.add_argument("--preset", choices=list(PRESETS), default="default")
 
     m = _training_parser(sub, "train-mim", "train the information-maximization objective",
                          cmd_train_mim)
-    m.add_argument("--alpha", type=float, default=None)
-    m.add_argument("--scales", choices=["on", "off"], default=None)
+    m.add_argument("--alpha", type=float)
+    m.add_argument("--scales", choices=["on", "off"])
+    m.add_argument("--hidden", type=int, nargs="+", help="MLP hidden widths")
+    m.add_argument("--cnn-arch", help="CNN encoder spec (with --arch cnn)")
     m.add_argument("--v1", action="store_true",
                    help="use the negative-entropy prior penalty (side-by-side comparison mode)")
 
@@ -448,11 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "sweep", None):
-            return _run_sweep(args, args.func)
-        return args.func(args)
+        training = args.command in TRAINING_DEFAULTS
+        runs = _training_runs(parser, args, argv) if training else [args]
+        return max(run.func(run) for run in runs)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -109,11 +109,9 @@ class AccumulationSchedule:
 
 @dataclass
 class TrainLog:
-    """Per-update objective reports plus run provenance."""
+    """Per-update objective reports."""
 
     records: list = field(default_factory=list)
-    seed: int = 0
-    config: dict = field(default_factory=dict)
 
     def append(self, step: int, report: ObjectiveReport) -> None:
         if self.records and step <= self.records[-1]["step"]:
@@ -238,8 +236,7 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
         raise ConfigError(f"dataset of {n} samples cannot fill one mini-batch of {sched.mbs}")
     params = net.parameters()
     rng = np.random.default_rng(seed)
-    log = TrainLog(seed=seed, config={"mbs": sched.mbs, "bs": sched.bs, "epochs": sched.epochs,
-                                      "lr": opt.lr, "weight_decay": opt.weight_decay})
+    log = TrainLog()
     window = sched.bs // sched.mbs
     _keep_freed_heap()
     step = 0

@@ -172,6 +172,19 @@ class TestTrainDml:
         # 96 training points -> 4 updates/epoch; patience 2 stops well short of 40 epochs
         assert len(records) < 160
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--stop-split", "1.5"], "--stop-split must lie in [0, 1), got 1.5"),
+        (["--stop-split", "-0.1"], "--stop-split must lie in [0, 1), got -0.1"),
+        (["--k", "1"], "every id must lie in [0, 1)")])
+    def test_failed_run_leaves_no_directory(self, tmp_path, tiny_run, capsys, flags, message):
+        data, _ = tiny_run
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "40",
+                    "--epochs", "1", *flags, "--out-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
     def test_non_finite_loss_exits_1_before_any_artifact(self, tmp_path, tiny_run, monkeypatch,
                                                           capsys):
@@ -249,6 +262,59 @@ class TestTrainDml:
             finally:
                 tracemalloc.stop()
         assert abs(peak[1600] - peak[400]) <= 0.1 * peak[400], peak
+
+
+class TestConfigIsFlags:
+    """A ``--config`` object or ``--sweep`` entry is parsed as the flags it
+    names, so its values meet the same types and choices."""
+
+    @pytest.mark.parametrize("via", ["config", "sweep"])
+    @pytest.mark.parametrize("command, cfg, flag", [
+        ("train-dml", {"k": 2.5}, "--k"), ("train-mim", {"scales": "maybe"}, "--scales"),
+        ("train-dml", {"arch": "foo"}, "--arch"), ("train-dml", {"beta": True}, "--beta"),
+        ("train-dml", {"beta": None}, "--beta")])
+    def test_value_its_flag_rejects_is_a_usage_error(self, tmp_path, tiny_run, capsys, via,
+                                                     command, cfg, flag):
+        data, _ = tiny_run
+        path = tmp_path / "cfg.json"
+        # in a sweep, the bad entry is the second: no entry runs before it is parsed
+        path.write_text(json.dumps(cfg if via == "config" else [{"epochs": 1}, cfg]))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--data", str(data), "--mbs", "40", "--bs", "40", f"--{via}", str(path),
+                 "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_and_flags_give_identical_runs(self, tmp_path):
+        data = tmp_path / "d.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "40", "--seed", "4",
+             "--out", str(data)])
+        common = ["train-mim", "--data", str(data), "--mbs", "40", "--bs", "40", "--epochs", "2",
+                  "--seed", "0"]
+        cfg = _write_cfg(tmp_path, {"hidden": [16, 16], "weight-decay": 0.01})
+        assert run([*common, "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+        assert run([*common, "--hidden", "16", "16", "--weight-decay", "0.01",
+                    "--out-dir", str(tmp_path / "b")]) == 0
+        resolved = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
+        assert resolved["hidden"] == [16, 16] and resolved["weight-decay"] == 0.01
+        for name in ("resolved_config.json", "checkpoint.json", "checkpoint.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_precedence_preset_config_sweep_entry_flag(self, tmp_path):
+        cfg, sweep, out = tmp_path / "cfg.json", tmp_path / "sweep.json", tmp_path / "o"
+        cfg.write_text(json.dumps({"beta": 3, "mbs": 100, "epochs": 7}))
+        sweep.write_text(json.dumps([{"mbs": 50, "epochs": 5}, {"epochs": 6}]))
+        argv = ["train-dml", "--preset", "mnist-cnn", "--data", "d.csv", "--config", str(cfg),
+                "--sweep", str(sweep), "--epochs", "4", "--out-dir", str(out)]
+        parser = cli.build_parser()
+        runs = cli._training_runs(parser, parser.parse_args(argv), argv)
+        # k and bs from the preset, beta from the config, mbs from the entry, epochs from the flag
+        assert [(r.k, r.beta, r.mbs, r.bs, r.epochs, r.out_dir) for r in runs] == [
+            (10, 3.0, 50, 5000, 4, str(out / "sweep000")),
+            (10, 3.0, 100, 5000, 4, str(out / "sweep001"))]
+        assert not out.exists()
 
 
 class TestProbeAndGrid:

@@ -1,7 +1,10 @@
 """Rules on the library's source that its behaviour alone cannot show."""
 
+import argparse
 import ast
 from pathlib import Path
+
+from neuralbayes import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "neuralbayes"
 
@@ -76,3 +79,23 @@ def taped(net, x):
 '''
     assert forwards_without_tape(ast.parse(source), "m") == {"m.score", "m.Report.head",
                                                             "m.holdout"}
+
+
+# The training flags that are not settings: inputs, outputs, where settings
+# come from, the seed (recorded apart, with its NB_SEED fallback) and v1.
+TRAINING_NON_SETTINGS = {"data", "labels", "out-dir", "config", "sweep", "seed", "preset", "v1"}
+
+
+def test_each_training_setting_is_declared_once():
+    """Every setting of ``TRAINING_DEFAULTS`` is a flag taking its default
+    from the table, and every other training flag is a known non-setting."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, defaults in cli.TRAINING_DEFAULTS.items():
+        parser = sub.choices[command]
+        flags = {opt[2:] for action in parser._actions for opt in action.option_strings
+                 if opt != "--help" and opt.startswith("--")}
+        assert set(defaults) <= flags, command
+        assert flags - set(defaults) <= TRAINING_NON_SETTINGS, command
+        for key, value in defaults.items():
+            assert parser.get_default(key.replace("-", "_")) == value, (command, key)

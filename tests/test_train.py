@@ -669,7 +669,7 @@ class TestClusterAccuracy:
 class TestTrainLog:
     def test_jsonl_round_trip_and_monotonicity(self, tmp_path):
         from neuralbayes.report import ObjectiveReport
-        log = train.TrainLog(seed=1)
+        log = train.TrainLog()
         log.append(1, ObjectiveReport(mi_term=0.5, total=0.5))
         log.append(2, ObjectiveReport(mi_term=0.4, total=0.4))
         with pytest.raises(ConfigError):
