@@ -15,7 +15,6 @@ from .mim import (MimConfig, collect_states, make_mim_objective,
                   uniform_prior_penalty_v1, uniform_prior_penalty_v2)
 from .nn import (BatchNormLayer, Conv2dLayer, DenseLayer, Network, build_cnn, build_mlp,
                  load_checkpoint, orthogonal_init, save_checkpoint)
-from .report import ObjectiveReport
 from .tensor import Tensor, gradients, stop_gradient
 from .train import (AccumulationSchedule, AdamState, TrainLog, adam_step, cluster_accuracy,
                     extract_features, linear_probe, predict_components, train_objective)
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccumulationSchedule", "AdamState", "BatchNormLayer", "Conv2dLayer", "DenseLayer",
-    "DmlConfig", "MimConfig", "Network", "ObjectiveReport", "PosteriorBatch", "PriorEstimate",
+    "DmlConfig", "MimConfig", "Network", "PosteriorBatch", "PriorEstimate",
     "Tensor", "TrainLog", "adam_step", "build_cnn",
     "build_mlp", "cluster_accuracy", "collect_states", "conditional_weights", "density_ratio",
     "dml_binary_objective", "dml_loss", "extract_features",

@@ -111,11 +111,10 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
     near-equal groups, the statistic each training step computes, so its
     memory is one group's, and stops after ``--patience`` epochs without
     improvement.  The evaluation runs in batch mode and records no tape, so
-    it leaves the model's running statistics alone.
+    it leaves the model's running statistics alone.  ``_check_settings``
+    has checked the fraction and the patience.
     """
     fraction = args.stop_split
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigError(f"--stop-split must lie in [0, 1), got {fraction}")
     if fraction == 0.0:
         return points, None
     rng = np.random.default_rng(seed + 99)
@@ -340,6 +339,19 @@ def _config_flags(obj, where: str, known: dict) -> list[str]:
     return tokens
 
 
+def _check_settings(run: argparse.Namespace) -> None:
+    """Every check that reads only a run's flags, which ``main`` runs on
+    every run before the first trains: the ``--stop-split`` range, and the
+    schedule's, Adam's and (with a stopping split) the early stopper's own
+    checks, run by building them."""
+    if not 0.0 <= run.stop_split < 1.0:
+        raise ConfigError(f"--stop-split must lie in [0, 1), got {run.stop_split}")
+    if run.stop_split > 0.0:
+        train_mod.holdout_early_stopper(lambda net: 0.0, run.patience)
+    train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
+    train_mod.AdamState(lr=run.lr, weight_decay=run.weight_decay)
+
+
 def _training_runs(parser, args, argv: list[str]) -> list[argparse.Namespace]:
     """Each run of a training command, parsed before any starts: the preset,
     the ``--config`` object and one ``--sweep`` entry go ahead of the command
@@ -453,6 +465,8 @@ def main(argv=None) -> int:
     try:
         training = args.command in TRAINING_DEFAULTS
         runs = _training_runs(parser, args, argv) if training else [args]
+        for run in runs if training else []:
+            _check_settings(run)
         return max(run.func(run) for run in runs)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

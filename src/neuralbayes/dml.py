@@ -19,7 +19,6 @@ import numpy as np
 
 from .bayes import LOG_GUARD, PosteriorBatch
 from .errors import ConfigError, DegeneratePriorError, ShapeError
-from .report import ObjectiveReport
 from . import tensor as T
 from .tensor import Tensor
 
@@ -163,7 +162,7 @@ def implied_binary_atom_weights(labels, prior: float) -> tuple[np.ndarray, np.nd
 
 
 def make_dml_objective(cfg: DmlConfig):
-    """Build a training closure (net, batch, rng) -> (loss, report).
+    """Build a training closure (net, batch, rng) -> (loss, terms).
 
     The network head must be a softmax with ``cfg.partitions`` outputs
     (``ShapeError`` otherwise), and :func:`dml_loss` takes all of it.  For
@@ -173,6 +172,9 @@ def make_dml_objective(cfg: DmlConfig):
     forward of the perturbed batch, so batch-norm running stats move once
     per call.  ``mode="batch"`` runs the clean forward in batch mode too, so
     the call moves nothing (holdout evaluation).
+
+    ``terms`` holds ``js_loss`` (the value of :func:`dml_loss`), ``smooth``
+    (beta * R_c, only when beta > 0) and ``total``, in that order.
     """
     binary = cfg.partitions == 2
 
@@ -183,16 +185,14 @@ def make_dml_objective(cfg: DmlConfig):
         out = net.forward(xb, mode)
         if out.shape[1:] != (cfg.partitions,):
             raise ShapeError(f"head output {out.shape} is not (B, {cfg.partitions})")
-        js_loss = dml_loss(PosteriorBatch(out))
-        total = js_loss
-        smooth_value = 0.0
+        total = dml_loss(PosteriorBatch(out))
+        terms = {"js_loss": total.item()}
         if cfg.beta > 0.0:
             rc = smoothness_penalty(lambda t: head(net.forward(t, "batch")), xb, head(out), rng)
             smooth = rc * cfg.beta
             total = total + smooth
-            smooth_value = smooth.item()
-        report = ObjectiveReport(mi_term=js_loss.item(), prior_term=0.0,
-                                 smooth_term=smooth_value, total=total.item())
-        return total, report
+            terms["smooth"] = smooth.item()
+        terms["total"] = total.item()
+        return total, terms
 
     return objective

@@ -21,7 +21,6 @@ import numpy as np
 from . import dml
 from .bayes import LOG_GUARD, PosteriorBatch, PriorEstimate
 from .errors import ConfigError, DomainError
-from .report import ObjectiveReport
 from . import tensor as T
 from .tensor import Tensor
 
@@ -136,17 +135,15 @@ def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> tuple[SoftmaxSta
     return tuple(collected)
 
 
-def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig, rc: Tensor | None = None,
-                prior_form: str = "v2") -> tuple[Tensor, ObjectiveReport]:
-    """Full multi-state objective: state-averaged negative MI term plus
-    (1 + alpha) times the state-averaged uniform-prior penalty plus beta
-    times the supplied smoothness penalty.  Each state adds one
-    :func:`neuralbayes.tensor.state_objective` node carrying both weights;
-    the report's terms are the nodes' own MI and penalty values.
+def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig,
+                prior_form: str = "v2") -> tuple[Tensor, dict[str, float]]:
+    """Multi-state objective without smoothness: the state-averaged negative
+    MI term plus (1 + alpha) times the state-averaged uniform-prior penalty.
+    Each state adds one :func:`neuralbayes.tensor.state_objective` node
+    carrying both weights.  Returns the loss and its terms ``{"mi": ...,
+    "prior": ...}``, the weighted sums of the nodes' own MI and penalty
+    values; :func:`make_mim_objective` adds beta * R_c and the total.
 
-    ``rc`` is the smoothness penalty computed by the caller (typically
-    :func:`neuralbayes.dml.smoothness_penalty` on the pooled final state),
-    or ``None`` for none.
     ``prior_form='v1'`` swaps in the negative-entropy penalty for side-by-side
     comparisons; everything else stays identical.
     """
@@ -161,14 +158,7 @@ def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig, rc: Tensor | None = 
         total = node if total is None else total + node
         mis.append(mi)
         rps.append(rp)
-    smooth_value = 0.0
-    if rc is not None:
-        smooth = rc * cfg.beta
-        total = total + smooth
-        smooth_value = smooth.item()
-    report = ObjectiveReport(mi_term=sum(mis) * mi_weight, prior_term=sum(rps) * prior_weight,
-                             smooth_term=smooth_value, total=total.item())
-    return total, report
+    return total, {"mi": sum(mis) * mi_weight, "prior": sum(rps) * prior_weight}
 
 
 def _pooled_vector(s: Tensor) -> Tensor:
@@ -188,21 +178,29 @@ def pooled_final_state(net, x, mode: str) -> Tensor:
 
 
 def make_mim_objective(cfg: MimConfig, *, v1: bool = False):
-    """Build a training closure (net, batch, rng) -> (loss, report).
+    """Build a training closure (net, batch, rng) -> (loss, terms).
 
     One train-mode forward gives every state and the smoothness penalty's
     clean target; the penalty adds one batch-mode forward of the perturbed
     batch, so batch-norm running stats move once per call.  ``mode="batch"``
     runs the clean forward in batch mode too, so the call moves nothing
     (holdout evaluation).
+
+    ``terms`` holds :func:`mim_v2_loss`'s ``mi`` and ``prior``, then
+    ``smooth`` (beta * R_c on the pooled final state, only when beta > 0)
+    and ``total``, in that order.
     """
     def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
         _, states = net.forward_with_states(xb, mode)
-        sc = collect_states(states, cfg)
-        rc = None
+        total, terms = mim_v2_loss(collect_states(states, cfg), cfg,
+                                   prior_form="v1" if v1 else "v2")
         if cfg.beta > 0.0:
             rc = dml.smoothness_penalty(lambda t: pooled_final_state(net, t, "batch"),
                                         xb, _pooled_vector(states[-1]), rng)
-        return mim_v2_loss(sc, cfg, rc, prior_form="v1" if v1 else "v2")
+            smooth = rc * cfg.beta
+            total = total + smooth
+            terms["smooth"] = smooth.item()
+        terms["total"] = total.item()
+        return total, terms
 
     return objective

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .bayes import PosteriorBatch
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .mim import mim_v1_loss
 from .tensor import Tensor, gradients, log, mul, neg, stop_gradient, tmean, tsum
 
@@ -70,8 +70,8 @@ def finite_diff_grad(
 
     Each parameter is perturbed through a flat view of a C-ordered copy, so
     any memory layout of the inputs is perturbed entry by entry."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not h > 0:   # NaN too
+        raise ConfigError(f"finite-difference step must be positive, got {h}")
     work = {name: np.array(value, dtype=np.float64, order="C") for name, value in params.items()}
     grads: dict[str, np.ndarray] = {}
     for name, value in work.items():

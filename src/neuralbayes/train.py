@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .nn import Network, build_mlp
-from .report import ObjectiveReport
 from . import tensor as T
 from .tensor import Tensor, gradients
 
@@ -31,13 +31,20 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam moments, learning rate and decoupled weight decay; the moment
     decays and the denominator guard are ``ADAM_BETA1``, ``ADAM_BETA2`` and
-    ``ADAM_EPS``."""
+    ``ADAM_EPS``.  A learning rate that is not finite and > 0, or a weight
+    decay that is not finite and >= 0, is a ``ConfigError``."""
 
     lr: float = 1e-3
     weight_decay: float = 0.0
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
 
     @classmethod
     def for_params(cls, params: Mapping[str, Tensor], lr: float = 1e-3,
@@ -109,14 +116,17 @@ class AccumulationSchedule:
 
 @dataclass
 class TrainLog:
-    """Per-update objective reports."""
+    """One record per update: its step and the objective's named terms,
+    averaged over the update's window, as the objective returned them.
+    ``train_log.jsonl`` holds one record per line; ``metrics.csv`` one
+    ``step,term,value`` row per term, in the objective's order."""
 
     records: list = field(default_factory=list)
 
-    def append(self, step: int, report: ObjectiveReport) -> None:
+    def append(self, step: int, terms: Mapping[str, float]) -> None:
         if self.records and step <= self.records[-1]["step"]:
             raise ConfigError("log steps must increase monotonically")
-        self.records.append(report.as_record(step))
+        self.records.append({"step": step, **terms})
 
     def write_jsonl(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -126,12 +136,13 @@ class TrainLog:
     def write_metrics_csv(self, path: str | Path) -> None:
         lines = ["step,term,value"]
         for rec in self.records:
-            for term in ("mi_term", "prior_term", "smooth_term", "total"):
-                lines.append(f"{rec['step']},{term},{rec[term]:.17g}")
+            lines += [f"{rec['step']},{term},{value:.17g}"
+                      for term, value in rec.items() if term != "step"]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-ObjectiveFn = Callable[[Network, Tensor, np.random.Generator], tuple[Tensor, ObjectiveReport]]
+# an objective returns its loss and its named terms' values, ending with "total"
+ObjectiveFn = Callable[[Network, Tensor, np.random.Generator], tuple[Tensor, dict[str, float]]]
 
 
 def _libc(name: str, argtypes: list):
@@ -212,6 +223,8 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     mini-batch hands its gradients to Adam as they are).  The last incomplete
     mini-batch of an epoch is dropped so every prior estimate sees a full MBS
     samples; a trailing partial *window* still triggers an update.
+    Each update's log record holds the window's mean of every term the
+    objective returned, by name (see :class:`TrainLog`).
 
     ``epoch_callback(epoch, net)`` runs after every epoch; returning True
     stops training early (the hook used for holdout-based early stopping).
@@ -245,23 +258,25 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
             perm = rng.permutation(n)
             batches = n // sched.mbs
             accum: dict[str, np.ndarray] | None = None
-            reports: list[ObjectiveReport] = []
+            window_terms: list[dict[str, float]] = []
 
             def flush():
-                nonlocal accum, reports, step
-                if not reports:
+                nonlocal accum, window_terms, step
+                n_terms = len(window_terms)
+                if not n_terms:
                     return
-                if len(reports) > 1:
-                    scale = 1.0 / len(reports)
+                if n_terms > 1:
+                    scale = 1.0 / n_terms
                     accum = {name: g * scale for name, g in accum.items()}
                 adam_step(params, accum, opt)
                 step += 1
-                log.append(step, ObjectiveReport.average(reports))
-                accum, reports = None, []
+                log.append(step, {name: sum(t[name] for t in window_terms) / n_terms
+                                  for name in window_terms[0]})
+                accum, window_terms = None, []
 
             for b in range(batches):
                 idx = perm[b * sched.mbs:(b + 1) * sched.mbs]
-                loss, report = objective(net, Tensor(points[idx]), rng)
+                loss, terms = objective(net, Tensor(points[idx]), rng)
                 grads = gradients(loss, params)
                 _check_finite(loss.item(), grads, step + 1, epoch, b)
                 loss = None   # the tape
@@ -272,8 +287,8 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
                     for name, g in grads.items():
                         accum[name] = accum[name] + g
                 grads = None
-                reports.append(report)
-                if len(reports) == window:
+                window_terms.append(terms)
+                if len(window_terms) == window:
                     flush()
             flush()
             if epoch_callback is not None and epoch_callback(epoch, net):

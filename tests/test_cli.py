@@ -185,6 +185,38 @@ class TestTrainDml:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "-1"], "learning rate must be finite and > 0, got -1.0"),
+        (["--weight-decay", "-1"], "weight decay must be finite and >= 0, got -1.0")])
+    def test_bad_adam_setting_exits_1_without_directory(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "b.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "30", "--seed", "4",
+             "--out", str(data)])
+        out = tmp_path / "o"
+        code = run(["train-mim", "--data", str(data), "--mbs", "30", "--bs", "30", "--epochs", "2",
+                    "--hidden", "16", *flags, "--out-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"stop-split": 1.5}, "--stop-split must lie in [0, 1), got 1.5"),
+        ({"bs": 60}, "BS must be a multiple of MBS, got MBS=40, BS=60"),
+        ({"lr": -1}, "learning rate must be finite and > 0, got -1.0"),
+        ({"stop-split": 0.5, "patience": 0}, "patience must be at least 1")])
+    def test_bad_last_sweep_entry_fails_before_the_first_run(self, tmp_path, tiny_run, capsys,
+                                                             entry, message):
+        data, _ = tiny_run
+        cfg, sweep = tmp_path / "cfg.json", tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"mbs": 40, "bs": 40, "epochs": 1}))
+        sweep.write_text(json.dumps([{"beta": 1}, entry]))
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--config", str(cfg), "--sweep", str(sweep),
+                    "--out-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "sweep000").exists()
+
 
     def test_non_finite_loss_exits_1_before_any_artifact(self, tmp_path, tiny_run, monkeypatch,
                                                           capsys):
@@ -196,12 +228,12 @@ class TestTrainDml:
             objective, calls = make(cfg), [0]
 
             def poisoned(net, xb, rng, mode="train"):
-                loss, report = objective(net, xb, rng, mode)
+                loss, terms = objective(net, xb, rng, mode)
                 calls[0] += 1
                 if calls[0] == 2:
                     loss = Tensor._from_op(np.array(np.inf), (loss,), "poison")
                     loss._backward = lambda g: None
-                return loss, report
+                return loss, terms
 
             return poisoned
 
@@ -229,9 +261,9 @@ class TestTrainDml:
         seen = []
 
         def spy(net, xb, rng, mode="train"):
-            loss, report = base(net, xb, rng, mode)
+            loss, terms = base(net, xb, rng, mode)
             seen.append((mode, loss.requires_grad))
-            return loss, report
+            return loss, terms
 
         args = argparse.Namespace(stop_split=0.25, patience=3)
         keep, callback = cli._stopping_split(args, points, spy, seed=4, mbs=6)
@@ -315,6 +347,50 @@ class TestConfigIsFlags:
             (10, 3.0, 50, 5000, 4, str(out / "sweep000")),
             (10, 3.0, 100, 5000, 4, str(out / "sweep001"))]
         assert not out.exists()
+
+
+# the terms each objective reports, in order, without and with smoothness
+TERM_NAMES = {("train-dml", False): ["js_loss", "total"],
+              ("train-dml", True): ["js_loss", "smooth", "total"],
+              ("train-mim", False): ["mi", "prior", "total"],
+              ("train-mim", True): ["mi", "prior", "smooth", "total"]}
+
+
+class TestObjectiveTerms:
+    """Each objective reports the terms it computes, by name, and no others."""
+
+    @pytest.mark.parametrize("command, smooth", list(TERM_NAMES))
+    def test_closure_terms(self, command, smooth):
+        from neuralbayes import dml, mim, nn
+        from neuralbayes.tensor import Tensor
+        beta = 1.0 if smooth else 0.0
+        if command == "train-dml":
+            net = nn.build_mlp(2, [8], 2, seed=1, batchnorm=True, softmax_head=True)
+            objective = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=beta))
+        else:
+            net = nn.build_mlp(2, [8, 8], out_units=None, seed=1)
+            objective = mim.make_mim_objective(mim.MimConfig(alpha=1.0, beta=beta))
+        xb = Tensor(np.random.default_rng(0).standard_normal((16, 2)))
+        loss, terms = objective(net, xb, np.random.default_rng(1))
+        assert list(terms) == TERM_NAMES[command, smooth]
+        assert terms["total"] == loss.item()
+
+    @pytest.mark.parametrize("command, smooth", list(TERM_NAMES))
+    def test_run_logs_terms(self, tmp_path, command, smooth):
+        data = tmp_path / "d.csv"
+        run(["gen-data", "--kind", "moons", "--n", "40", "--seed", "4", "--out", str(data)])
+        out = tmp_path / "o"
+        extra = ["--hidden", "8"] if command == "train-mim" else []
+        assert run([command, "--data", str(data), "--mbs", "40", "--bs", "40", "--epochs", "2",
+                    "--beta", "1" if smooth else "0", *extra, "--out-dir", str(out)]) == 0
+        names = TERM_NAMES[command, smooth]
+        records = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+        assert len(records) == 4
+        assert all(set(r) == {"step", *names} for r in records)
+        rows = [row.split(",") for row in (out / "metrics.csv").read_text().splitlines()]
+        assert rows[0] == ["step", "term", "value"]
+        assert [(int(step), term, float(value)) for step, term, value in rows[1:]] == [
+            (r["step"], name, r[name]) for r in records for name in names]
 
 
 class TestProbeAndGrid:
@@ -418,7 +494,7 @@ class TestGradcheckCommand:
         log = (out_dir / "train_log.jsonl").read_text().splitlines()
         assert len(log) == 6  # 120 points / mbs 40 = 3 updates per epoch, 2 epochs
         first = json.loads(log[0])
-        assert {"step", "mi_term", "prior_term", "smooth_term", "total"} == set(first)
+        assert {"step", "mi", "prior", "smooth", "total"} == set(first)
 
     def test_train_mim_conv_on_idx_images(self, tmp_path):
         from neuralbayes import data as D

@@ -265,15 +265,15 @@ class TestObjectiveClosure:
         net = nn.build_mlp(2, [8], 2, seed=1, batchnorm=True, softmax_head=True)
         cfg = dml.DmlConfig(partitions=2, beta=1.0)
         objective = dml.make_dml_objective(cfg)
-        loss, report = objective(net, Tensor(rng.standard_normal((16, 2))), np.random.default_rng(1))
-        assert abs(report.total - (report.mi_term + report.smooth_term)) <= 1e-12
+        loss, terms = objective(net, Tensor(rng.standard_normal((16, 2))), np.random.default_rng(1))
+        assert abs(terms["total"] - (terms["js_loss"] + terms["smooth"])) <= 1e-12
         assert loss.requires_grad
 
     def test_multi_closure_runs(self):
         rng = np.random.default_rng(2)
         net = nn.build_mlp(2, [8], 3, seed=3, softmax_head=True)
         cfg = dml.DmlConfig(partitions=3, beta=0.5)
-        loss, report = dml.make_dml_objective(cfg)(
+        loss, _ = dml.make_dml_objective(cfg)(
             net, Tensor(rng.standard_normal((12, 2))), np.random.default_rng(3))
         assert np.isfinite(loss.item())
 

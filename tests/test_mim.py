@@ -212,13 +212,13 @@ class TestV2Loss:
         p = random_posterior(10, 3, seed=2)
         cfg = mim.MimConfig(alpha=0.0, beta=0.0)
         sc = (mim.SoftmaxState("h0", p.values),)
-        total, report = mim.mim_v2_loss(sc, cfg)
+        total, terms = mim.mim_v2_loss(sc, cfg)
         v = p.values
-        mi_term = -float((v.data * np.log(v.data + 1e-7)).sum(axis=1).mean())
+        mi = -float((v.data * np.log(v.data + 1e-7)).sum(axis=1).mean())
         prior = v.data.mean(axis=0)
         rp = -float((np.log(prior + 1e-7) / 3 + 2 / 3 * np.log(1 - prior + 1e-7)).sum())
-        assert abs(total.item() - (mi_term + rp)) <= 1e-12
-        assert abs(report.total - total.item()) <= 1e-15
+        assert abs(total.item() - (mi + rp)) <= 1e-12
+        assert abs(terms["mi"] + terms["prior"] - total.item()) <= 1e-15
 
     def test_uniform_point_value(self):
         cfg = mim.MimConfig(alpha=0.0, beta=0.0)
@@ -232,10 +232,14 @@ class TestV2Loss:
         states = [Tensor(rng.standard_normal((8, 4))), Tensor(rng.standard_normal((8, 4, 2, 2)))]
         sc = mim.collect_states(states, mim.MimConfig(use_scales=True))
         cfg = mim.MimConfig(alpha=1.5, beta=2.0)
-        rc = Tensor(np.asarray(0.37))
-        total, report = mim.mim_v2_loss(sc, cfg, rc)
-        assert abs(report.total - (report.mi_term + report.prior_term + report.smooth_term)) <= 1e-12
-        assert abs(report.smooth_term - 2.0 * 0.37) <= 1e-12
+        total, terms = mim.mim_v2_loss(sc, cfg)
+        assert list(terms) == ["mi", "prior"]
+        assert abs(total.item() - (terms["mi"] + terms["prior"])) <= 1e-12
+        # the closure adds beta * R_c itself: its parts sum to its total
+        net = small_cnn()
+        xb = Tensor(rng.standard_normal((8, 1, 10, 10)))
+        _, terms = mim.make_mim_objective(cfg)(net, xb, np.random.default_rng(4))
+        assert abs(terms["total"] - (terms["mi"] + terms["prior"] + terms["smooth"])) <= 1e-12
 
     def test_spatial_state_averages_locations(self):
         rng = np.random.default_rng(4)
@@ -280,7 +284,8 @@ def chain_state_terms(v, eps, form):
 
 
 def chain_mim_v2_loss(sc, cfg, rc=None, prior_form="v2"):
-    """mim_v2_loss over chain_state_terms, summed term by term (reference)."""
+    """mim_v2_loss over chain_state_terms, summed term by term, plus
+    beta * rc as the objective closure adds it (reference)."""
     pairs = [chain_state_terms(st.values, bayes.LOG_GUARD, prior_form) for st in sc]
     mi_total, rp_total = pairs[0]
     for mi, rp in pairs[1:]:
@@ -376,7 +381,7 @@ class TestStateObjective:
         cfg = mim.MimConfig(alpha=2.0, beta=4.0, use_scales=True)
         net, ref_net = make_net(), make_net()
         xb = Tensor(np.random.default_rng(7).standard_normal(shape))
-        loss, report = mim.make_mim_objective(cfg, v1=v1)(net, xb, np.random.default_rng(8))
+        loss, terms = mim.make_mim_objective(cfg, v1=v1)(net, xb, np.random.default_rng(8))
 
         _, states = ref_net.forward_with_states(xb, "train")
         rc = dml.smoothness_penalty(lambda t: mim.pooled_final_state(ref_net, t, "batch"), xb,
@@ -384,7 +389,7 @@ class TestStateObjective:
         ref, ref_parts = chain_mim_v2_loss(mim.collect_states(states, cfg), cfg, rc,
                                            "v1" if v1 else "v2")
         assert abs(loss.item() - ref.item()) <= 1e-12 * max(1.0, abs(ref.item()))
-        for got, want in zip((report.mi_term, report.prior_term, report.smooth_term), ref_parts):
+        for got, want in zip((terms["mi"], terms["prior"], terms["smooth"]), ref_parts):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         grads = T.gradients(loss, net.parameters())
         assert max_grad_gap(grads, T.gradients(ref, ref_net.parameters())) <= 1e-12
@@ -427,7 +432,8 @@ def three_forward_mim(cfg):
                 return mim.pooled_final_state(net, t, "train")
 
             rc = dml.smoothness_penalty(target, xb, target(xb), rng)
-        return mim.mim_v2_loss(mim.collect_states(states, cfg), cfg, rc)[0]
+        loss = mim.mim_v2_loss(mim.collect_states(states, cfg), cfg)[0]
+        return loss if rc is None else loss + rc * cfg.beta
 
     return objective
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralbayes import nn, oracles
-from neuralbayes.errors import DomainError, ShapeError
+from neuralbayes.errors import ConfigError, DomainError, ShapeError
 
 LOG2 = math.log(2.0)
 
@@ -107,8 +107,9 @@ class TestFiniteDifferences:
             oracles.finite_diff_grad(bad, {"t": np.array([0.0, 1.0])})
 
     def test_positive_step_required(self):
-        with pytest.raises(ValueError):
-            oracles.finite_diff_grad(lambda p: 0.0, {"t": np.zeros(1)}, h=0.0)
+        for h in (0.0, -1e-5, math.nan):
+            with pytest.raises(ConfigError, match="finite-difference step must be positive"):
+                oracles.finite_diff_grad(lambda p: 0.0, {"t": np.zeros(1)}, h=h)
 
 
 class TestGradientEquality:

@@ -2,8 +2,10 @@
 
 import argparse
 import ast
+from collections import Counter
 from pathlib import Path
 
+import neuralbayes
 from neuralbayes import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "neuralbayes"
@@ -99,3 +101,11 @@ def test_each_training_setting_is_declared_once():
         assert flags - set(defaults) <= TRAINING_NON_SETTINGS, command
         for key, value in defaults.items():
             assert parser.get_default(key.replace("-", "_")) == value, (command, key)
+
+
+def test_every_export_resolves_once():
+    """Each name in ``neuralbayes.__all__`` is listed once and is bound in
+    the package, so a deleted object cannot stay exported."""
+    counts = Counter(neuralbayes.__all__)
+    assert [name for name, n in counts.items() if n > 1] == []
+    assert [name for name in counts if not hasattr(neuralbayes, name)] == []

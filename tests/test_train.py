@@ -73,6 +73,16 @@ class TestAdam:
                 assert state.m[k].tobytes() == m[k].tobytes()
                 assert state.v[k].tobytes() == v[k].tobytes()
 
+    @pytest.mark.parametrize("settings", [
+        {"lr": 0.0}, {"lr": -1.0}, {"lr": float("nan")}, {"lr": float("inf")},
+        {"weight_decay": -1.0}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")}])
+    def test_settings_are_checked(self, settings):
+        p = {"w": Tensor(np.zeros(2), requires_grad=True)}
+        with pytest.raises(ConfigError):
+            train.AdamState(**settings)
+        with pytest.raises(ConfigError):
+            train.AdamState.for_params(p, **settings)
+
 
 class TestSchedule:
     def test_validation(self):
@@ -99,8 +109,7 @@ def constant_prior_objective(prior):
     def objective(net, xb, rng):
         out = net.forward(xb, "eval")
         loss = T.neg(T.tmean(T.tsum(out * T.log(out / Tensor(prior) + 1e-8), axis=1)))
-        from neuralbayes.report import ObjectiveReport
-        return loss, ObjectiveReport(mi_term=loss.item(), total=loss.item())
+        return loss, {"total": loss.item()}
 
     return objective
 
@@ -209,18 +218,18 @@ def poisoned(objective, at_call, *, param=None):
     calls = [0]
 
     def wrapped(net, xb, rng):
-        loss, report = objective(net, xb, rng)
+        loss, terms = objective(net, xb, rng)
         calls[0] += 1
         if calls[0] != at_call:
-            return loss, report
+            return loss, terms
         if param is None:
             nan = Tensor._from_op(np.array(np.nan), (loss,), "poison")  # NaN, on the tape
             nan._backward = lambda g: T._accum(loss, g)
-            return nan, report
+            return nan, terms
         leaf = net.parameters()[param]
         bad = Tensor._from_op(leaf.data, (leaf,), "poison")  # identity, NaN backward
         bad._backward = lambda g: T._accum(leaf, np.full(leaf.shape, np.nan))
-        return loss + T.tsum(bad) * 0.0, report
+        return loss + T.tsum(bad) * 0.0, terms
 
     return wrapped
 
@@ -350,9 +359,9 @@ class TestMemory:
         tapes, alive = [], []
 
         def objective(net, xb, rng):
-            loss, report = inner(net, xb, rng)
+            loss, terms = inner(net, xb, rng)
             tapes.append(weakref.ref(tape_array(loss)))
-            return loss, report
+            return loss, terms
 
         monkeypatch.setattr(train, "release_free_heap",
                             lambda: alive.append(sum(ref() is not None for ref in tapes)))
@@ -368,9 +377,9 @@ class TestMemory:
         def objective(net, xb, rng):
             alive.append(sum(ref() is not None for ref in tapes))
             held.append(sorted(n for n, p in net.parameters().items() if p.grad is not None))
-            loss, report = inner(net, xb, rng)
+            loss, terms = inner(net, xb, rng)
             tapes.append(weakref.ref(tape_array(loss)))
-            return loss, report
+            return loss, terms
 
         net = self._train(objective, bs=bs)
         assert alive == [0] * 8
@@ -382,9 +391,9 @@ class TestMemory:
         tapes, alive = [], []
 
         def objective(net, xb, rng):
-            loss, report = inner(net, xb, rng)
+            loss, terms = inner(net, xb, rng)
             tapes.append(weakref.ref(tape_array(loss)))
-            return loss, report
+            return loss, terms
 
         monkeypatch.setattr(train, "release_free_heap",
                             lambda: alive.append(sum(ref() is not None for ref in tapes)))
@@ -668,15 +677,65 @@ class TestClusterAccuracy:
 
 class TestTrainLog:
     def test_jsonl_round_trip_and_monotonicity(self, tmp_path):
-        from neuralbayes.report import ObjectiveReport
         log = train.TrainLog()
-        log.append(1, ObjectiveReport(mi_term=0.5, total=0.5))
-        log.append(2, ObjectiveReport(mi_term=0.4, total=0.4))
+        log.append(1, {"mi": 0.5, "total": 0.5})
+        log.append(2, {"mi": 0.4, "total": 0.4})
         with pytest.raises(ConfigError):
-            log.append(2, ObjectiveReport())
+            log.append(2, {"total": 0.0})
         path = tmp_path / "log.jsonl"
         log.write_jsonl(path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2 and '"step": 1' in lines[0]
         log.write_metrics_csv(tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_text().startswith("step,term,value")
+
+    def test_records_and_rows_hold_the_terms_given(self, tmp_path):
+        log = train.TrainLog()
+        log.append(1, {"js_loss": 0.25, "total": 0.25})
+        log.append(2, {"js_loss": 0.125, "total": 0.125})
+        assert log.records == [{"step": 1, "js_loss": 0.25, "total": 0.25},
+                               {"step": 2, "js_loss": 0.125, "total": 0.125}]
+        log.write_metrics_csv(tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text().splitlines() == [
+            "step,term,value", "1,js_loss,0.25", "1,total,0.25", "2,js_loss,0.125",
+            "2,total,0.125"]
+
+    def test_window_terms_are_averaged_by_name(self):
+        values = iter([1.0, 2.0, 4.0, 8.0])
+
+        def objective(net, xb, rng):
+            loss = T.tmean(net.forward(xb, "train"))
+            value = next(values)
+            return loss, {"part": value, "total": 2.0 * value}
+
+        net = nn.build_mlp(2, [3], 2, seed=0, softmax_head=True)
+        sched = train.AccumulationSchedule(mbs=4, bs=8, epochs=1)
+        log = train.train_objective(net, np.random.default_rng(0).standard_normal((16, 2)),
+                                    objective, sched, train.AdamState.for_params(net.parameters()),
+                                    seed=0)
+        assert log.records == [{"step": 1, "part": 1.5, "total": 3.0},
+                               {"step": 2, "part": 6.0, "total": 12.0}]
+
+
+class TestHoldoutEarlyStopper:
+    @staticmethod
+    def stops(values, patience):
+        """The callback's answers for a sequence of holdout values."""
+        it = iter(values)
+        callback = train.holdout_early_stopper(lambda net: next(it), patience)
+        return [callback(epoch, None) for epoch in range(len(values))]
+
+    def test_stops_on_the_patience_th_epoch_without_improvement(self):
+        assert self.stops([3.0, 2.0, 2.5, 2.0, 2.1], patience=3) == [False] * 4 + [True]
+        assert self.stops([3.0, 3.0], patience=1) == [False, True]
+        # an improvement restarts the count
+        assert self.stops([3.0, 3.5, 2.0, 2.5, 2.5], patience=2) == [False] * 4 + [True]
+
+    def test_improvement_of_at_most_1e_12_is_none(self):
+        assert self.stops([1.0, 1.0 - 1e-12, 1.0 - 0.5e-12], patience=2) == [False, False, True]
+        assert self.stops([1.0, 1.0 - 4e-12, 1.0 - 8e-12], patience=2) == [False] * 3
+
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_is_config_error(self, patience):
+        with pytest.raises(ConfigError):
+            train.holdout_early_stopper(lambda net: 0.0, patience)
