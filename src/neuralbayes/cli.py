@@ -103,6 +103,12 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _held_out(fraction: float, n: int) -> int:
+    """Rows of ``n`` that a ``--stop-split`` of ``fraction`` holds out: none
+    at 0, else at least the two that batch statistics need."""
+    return max(2, int(round(fraction * n))) if fraction > 0.0 else 0
+
+
 def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
     """Optionally hold out a user-designated stopping split.
 
@@ -114,12 +120,11 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
     it leaves the model's running statistics alone.  ``_check_settings``
     has checked the fraction and the patience.
     """
-    fraction = args.stop_split
-    if fraction == 0.0:
+    n_hold = _held_out(args.stop_split, points.shape[0])
+    if n_hold == 0:
         return points, None
     rng = np.random.default_rng(seed + 99)
     perm = rng.permutation(points.shape[0])
-    n_hold = max(2, int(round(fraction * points.shape[0])))
     hold, keep = points[perm[:n_hold]], points[perm[n_hold:]]
     edges = train_mod.near_equal_edges(n_hold, mbs)
 
@@ -160,20 +165,29 @@ def _square_images(ds: D.ManifoldDataset) -> np.ndarray:
 
 # --- train-dml, train-mim ---
 
-def _train_command(args, build, finish, **recorded) -> int:
-    """Read the settings from the parsed flags, load and standardize the
-    data, build ``(net, objective) = build(cfg, ds, input_shape, seed)``
-    (input shape (D,) for an MLP, (1, S, S) for a CNN on square images;
-    ``build`` may reject the data with ``ConfigError``) and train with the
-    schedule, Adam and the stopping split.  Only then is ``--out-dir`` made,
-    so a run that fails earlier leaves none.  ``finish(run)`` evaluates and
-    writes the command's own artifacts, returning their paths, so a failure
-    there leaves no checkpoint; the checkpoint, log, metrics, resolved config
-    (plus ``recorded``) and manifest come last."""
+def _settings(run: argparse.Namespace) -> dict:
+    """A training run's settings, keyed by flag name."""
+    return {key: getattr(run, key.replace("-", "_")) for key in TRAINING_DEFAULTS[run.command]}
+
+
+def _run_points(cfg: dict, ds: D.ManifoldDataset) -> np.ndarray:
+    """The network's input: (N, D) rows for an MLP, square images for a CNN."""
+    return _square_images(ds) if cfg["arch"] == "cnn" else ds.points
+
+
+def _train_command(args, ds, build, finish, **recorded) -> int:
+    """Read the settings from the parsed flags, build ``(net, objective) =
+    build(cfg, ds, input_shape, seed)`` on the standardized data (input
+    shape (D,) for an MLP, (1, S, S) for a CNN on square images) and train
+    with the schedule, Adam and the stopping split.  Only then is
+    ``--out-dir`` made, so a run that fails earlier leaves none.
+    ``finish(run)`` evaluates and writes the command's own artifacts,
+    returning their paths, so a failure there leaves no checkpoint; the
+    checkpoint, log, metrics, resolved config (plus ``recorded``) and
+    manifest come last."""
     seed = _resolve_seed(args)
-    cfg = {key: getattr(args, key.replace("-", "_")) for key in TRAINING_DEFAULTS[args.command]}
-    ds = _load_standardized(args)
-    points = _square_images(ds) if cfg["arch"] == "cnn" else ds.points
+    cfg = _settings(args)
+    points = _run_points(cfg, ds)
     net, objective = build(cfg, ds, points.shape[1:], seed)
     sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
     opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
@@ -197,12 +211,18 @@ def _train_command(args, build, finish, **recorded) -> int:
     return 0
 
 
-def _dml_build(cfg: dict, ds: D.ManifoldDataset, shape: tuple, seed: int):
-    k, ids = cfg["k"], ds.components
+def _dml_components(k: int, ds: D.ManifoldDataset) -> None:
+    """The report scores the data's component ids against ``k`` states, so
+    an id outside [0, k) fails before training."""
+    ids = ds.components
     if not 0 <= ids.min() <= ids.max() < k:
-        # the report scores the labels against k states: fail before training
         raise ConfigError(f"component ids {ids.min()}..{ids.max()} of the data do not fit "
                           f"k = {k} states; every id must lie in [0, {k})")
+
+
+def _dml_build(cfg: dict, ds: D.ManifoldDataset, shape: tuple, seed: int):
+    k = cfg["k"]
+    _dml_components(k, ds)
     print(f"smoothness weight beta={cfg['beta']} (useful sweep range: 0.5 to 6)")
     if len(shape) == 3:
         net = nn.build_cnn(MNIST_CNN_ARCH.format(k=k), shape, seed=seed, batchnorm=True,
@@ -235,11 +255,11 @@ def _dml_report(run) -> list[Path]:
     return [labels_path, report_path]
 
 
-def cmd_train_dml(args) -> int:
-    return _train_command(args, _dml_build, _dml_report)
+def cmd_train_dml(args, ds) -> int:
+    return _train_command(args, ds, _dml_build, _dml_report)
 
 
-def cmd_train_mim(args) -> int:
+def cmd_train_mim(args, ds) -> int:
     def build(cfg, ds, shape, seed):
         if len(shape) == 3:
             net = nn.build_cnn(cfg["cnn-arch"], shape, seed=seed, batchnorm=True)
@@ -254,7 +274,7 @@ def cmd_train_mim(args) -> int:
               f"final total {run.log.records[-1]['total']:.6f}")
         return []
 
-    return _train_command(args, build, summary, v1=args.v1)
+    return _train_command(args, ds, build, summary, v1=args.v1)
 
 
 # --- probe ---
@@ -342,14 +362,26 @@ def _config_flags(obj, where: str, known: dict) -> list[str]:
 def _check_settings(run: argparse.Namespace) -> None:
     """Every check that reads only a run's flags, which ``main`` runs on
     every run before the first trains: the ``--stop-split`` range, and the
-    schedule's, Adam's and (with a stopping split) the early stopper's own
-    checks, run by building them."""
+    schedule's, Adam's and the early stopper's own checks, run by building
+    them."""
     if not 0.0 <= run.stop_split < 1.0:
         raise ConfigError(f"--stop-split must lie in [0, 1), got {run.stop_split}")
-    if run.stop_split > 0.0:
-        train_mod.holdout_early_stopper(lambda net: 0.0, run.patience)
+    train_mod.holdout_early_stopper(lambda net: 0.0, run.patience)
     train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
     train_mod.AdamState(lr=run.lr, weight_decay=run.weight_decay)
+
+
+def _check_data(run: argparse.Namespace, ds: D.ManifoldDataset) -> None:
+    """Every check that also needs the data, which ``main`` runs on every
+    run before the first trains, each through the code that owns it: a
+    CNN's square images, DML's component ids, and one full mini-batch in
+    the rows that the stopping split leaves for training."""
+    cfg = _settings(run)
+    n = _run_points(cfg, ds).shape[0]
+    if run.command == "train-dml":
+        _dml_components(cfg["k"], ds)
+    schedule = train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
+    schedule.batches(n - _held_out(run.stop_split, n))
 
 
 def _training_runs(parser, args, argv: list[str]) -> list[argparse.Namespace]:
@@ -463,11 +495,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        training = args.command in TRAINING_DEFAULTS
-        runs = _training_runs(parser, args, argv) if training else [args]
-        for run in runs if training else []:
+        if args.command not in TRAINING_DEFAULTS:
+            return args.func(args)
+        runs = _training_runs(parser, args, argv)
+        for run in runs:
             _check_settings(run)
-        return max(run.func(run) for run in runs)
+        ds = _load_standardized(args)   # every run reads the same --data and --labels
+        for run in runs:
+            _check_data(run, ds)
+        return max(run.func(run, ds) for run in runs)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

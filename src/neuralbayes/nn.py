@@ -22,11 +22,24 @@ Every forward takes one of three modes, which only batch norm tells apart
   evaluation);
 * ``"eval"``: normalize with the running statistics; nothing mutates.
 
-``Network.forward_with_states`` runs each ``BatchNormLayer`` that a
-``ReluLayer`` directly follows as one ``batch_norm(..., relu=True)`` node,
-the pair rule, unless the batch norm's own index is a tap (that state stays
-pre-ReLU).  The values are bitwise those of the layer-by-layer forward; the
-layers, their specs, parameter names, taps and checkpoints do not change.
+``Network.forward_with_states`` merges a layer into the node of the layer
+before it when that layer's output is not a tapped state:
+
+* the pair rule: each ``BatchNormLayer`` that a ``ReluLayer`` directly
+  follows runs as one ``batch_norm(..., relu=True)`` node (a tapped batch
+  norm's state stays pre-ReLU);
+* the eval rule: in ``"eval"`` mode, where batch norm is the fixed
+  per-channel map ``BatchNormLayer.eval_map``, each ``DenseLayer`` or
+  ``Conv2dLayer`` that a batch norm directly follows runs as one ``linear``
+  or ``conv2d`` node on parameters with that map folded in (``fold``), and
+  the ReLU that the pair rule gives the batch norm clamps inside the same
+  node.
+
+``"train"`` and ``"batch"`` values are bitwise those of the layer-by-layer
+forward.  Eval values differ only in their last bits (the fold reorders the
+arithmetic), and every eval forward, taped or not, still backpropagates
+into the batch norm's ``scale`` and ``shift``.  The layers, their specs,
+parameter names, taps and checkpoints do not change.
 """
 
 from __future__ import annotations
@@ -102,8 +115,12 @@ class DenseLayer(Layer):
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        return T.linear(x, self.weight, self.bias)
+    def forward(self, x: Tensor, mode: str, norm: BatchNormLayer | None = None,
+                relu: bool = False) -> Tensor:
+        """``norm`` folds that batch norm's eval map into the weight and bias
+        (``fold``); ``relu=True`` also applies the ReLU that follows."""
+        weight, bias = fold(self.weight, self.bias, norm) if norm else (self.weight, self.bias)
+        return T.linear(x, weight, bias, relu=relu)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -126,8 +143,11 @@ class Conv2dLayer(Layer):
         self.kernels = Tensor(w.reshape(out_channels, in_channels, kernel, kernel), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        return T.conv2d(x, self.kernels, self.bias, stride=self.stride, padding=self.padding)
+    def forward(self, x: Tensor, mode: str, norm: BatchNormLayer | None = None,
+                relu: bool = False) -> Tensor:
+        """As ``DenseLayer.forward``, with the kernels as the weight."""
+        kernels, bias = fold(self.kernels, self.bias, norm) if norm else (self.kernels, self.bias)
+        return T.conv2d(x, kernels, bias, stride=self.stride, padding=self.padding, relu=relu)
 
     def parameters(self):
         return {"kernels": self.kernels, "bias": self.bias}
@@ -138,9 +158,10 @@ class BatchNormLayer(Layer):
 
     Train and batch mode normalize with batch statistics (variance floored
     at 1e-5 so a constant feature yields zeros rather than a division
-    blow-up); train mode also folds them into the running stats once.  Eval
-    mode uses the stored stats.  Only train mode mutates anything, and every
-    mode is one ``batch_norm`` tape node.
+    blow-up) as one ``batch_norm`` tape node; train mode also folds them
+    into the running stats once.  Eval mode applies ``eval_map``, the
+    affine map of the stored stats, which a network folds into the layer
+    before.  Only train mode mutates anything.
     """
 
     TYPE, ARGS = "batchnorm", ("features", "momentum")
@@ -155,17 +176,19 @@ class BatchNormLayer(Layer):
         self.running_var = np.ones(features)
 
     def forward(self, x: Tensor, mode: str, relu: bool = False) -> Tensor:
-        """``relu=True`` also applies the ReLU that follows, in the same node."""
+        """``relu=True`` also applies the ReLU that follows, in train and
+        batch mode inside the same ``batch_norm`` node."""
         if x.ndim not in (2, 4):
             raise ShapeError(f"batch norm expects (B, F) or (B, C, H, W), got shape {x.shape}")
         _check_mode(mode)
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
         if mode == "eval":
-            out, _, _ = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR,
-                                     stats=(self.running_mean, self.running_var), relu=relu)
-            return out
+            keep = (-1,) + (1,) * (x.ndim - 2)
+            coef, offset = (T.reshape(t, keep) for t in self.eval_map())
+            out = T.add(T.mul(x, coef), offset)
+            return T.relu(out) if relu else out
         if x.shape[0] < 2:
             raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
+        axes = (0,) if x.ndim == 2 else (0, 2, 3)
         out, mu, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR, relu=relu)
         if mode == "batch":
             return out
@@ -175,6 +198,14 @@ class BatchNormLayer(Layer):
         self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
         return out
 
+    def eval_map(self) -> tuple[Tensor, Tensor]:
+        """Eval mode as the per-channel map ``x * coef + offset``, both taped
+        (features,) tensors of ``scale`` and ``shift``: ``coef = scale /
+        sqrt(max(running_var, floor))`` and ``offset = shift - running_mean
+        * coef``."""
+        coef = T.div(self.scale, np.sqrt(np.maximum(self.running_var, BN_VAR_FLOOR)))
+        return coef, T.sub(self.shift, T.mul(self.running_mean, coef))
+
     def parameters(self):
         return {"scale": self.scale, "shift": self.shift}
 
@@ -183,6 +214,16 @@ class BatchNormLayer(Layer):
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
         setattr(self, name, value)
+
+
+def fold(weight: Tensor, bias: Tensor, norm: BatchNormLayer) -> tuple[Tensor, Tensor]:
+    """An affine layer's weight (out, ...) and bias (out,) with ``norm``'s
+    eval map applied after it: ``weight * coef`` per output row or kernel
+    and ``bias * coef + offset``, built on the tape from the live leaves
+    (Jacob et al., arXiv:1712.05877)."""
+    coef, offset = norm.eval_map()
+    rows = T.reshape(coef, (-1,) + (1,) * (weight.ndim - 1))
+    return T.mul(weight, rows), T.add(T.mul(bias, coef), offset)
 
 
 class ReluLayer(Layer):
@@ -266,24 +307,34 @@ class Network:
             mode = "train" if train else "eval"
         _check_mode(mode)
         h = x if isinstance(x, Tensor) else Tensor(x)
-        fused = self._fused_batch_norms()
+        options, absorbed = self._nodes(mode)
         states = {}
         for i, layer in enumerate(self.layers):
-            if i in fused:
-                h = layer.forward(h, mode, relu=True)
-            elif i - 1 not in fused:  # else the ReLU already ran in batch norm's node
-                h = layer.forward(h, mode)
+            if i not in absorbed:   # else it already ran in an earlier layer's node
+                h = layer.forward(h, mode, **options.get(i, {}))
             if i in self.taps:
                 states[i] = h
         return h, [states[i] for i in self.taps]
 
-    def _fused_batch_norms(self) -> set[int]:
-        """Indices of the batch norms that run with their ReLU as one node:
-        each one directly followed by a ``ReluLayer`` whose input is not a
-        tapped state."""
-        return {i for i, (layer, after) in enumerate(zip(self.layers, self.layers[1:]))
-                if isinstance(layer, BatchNormLayer) and isinstance(after, ReluLayer)
-                and i not in self.taps}
+    def _nodes(self, mode: str) -> tuple[dict[int, dict], set[int]]:
+        """The layers that run the layers after them in their own node: the
+        keyword arguments of each such layer's forward, by index, and the
+        indices of the layers they absorb.  A layer is absorbed only when
+        its input is not a tapped state.  The pair rule: a batch norm runs
+        the ``ReluLayer`` after it.  The eval rule: an affine layer runs the
+        batch norm after it (and, by the pair rule, that one's ReLU)."""
+        pairs = list(enumerate(zip(self.layers, self.layers[1:])))
+        options = {i: {"relu": True} for i, (layer, after) in pairs
+                   if isinstance(layer, BatchNormLayer) and isinstance(after, ReluLayer)
+                   and i not in self.taps}
+        absorbed = {i + 1 for i in options}
+        if mode == "eval":
+            for i, (layer, after) in pairs:
+                if (isinstance(layer, (DenseLayer, Conv2dLayer))
+                        and isinstance(after, BatchNormLayer) and i not in self.taps):
+                    options[i] = {"norm": after, **options.pop(i + 1, {})}
+                    absorbed.add(i + 1)
+        return options, absorbed
 
     def forward(self, x, mode: str = "eval", *, train: bool | None = None) -> Tensor:
         out, _ = self.forward_with_states(x, mode, train=train)

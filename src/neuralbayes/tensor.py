@@ -23,10 +23,11 @@ Conventions:
   * backward closures keep only what cannot be cheaply rebuilt from their
     parents: ``batch_norm`` recomputes its centred input and ``conv2d`` its
     patch matrix in the backward, with the forward's operations, so the
-    values are bitwise those a kept copy would give; batch norm fused with
-    its ReLU (``batch_norm(..., relu=True)``) keeps only its clamped output,
-    which is also the ReLU's mask; ``state_objective`` keeps the log of its
-    posterior, a transcendental per entry,
+    values are bitwise those a kept copy would give; a node fused with the
+    ReLU after it (``batch_norm``, ``linear`` or ``conv2d`` with
+    ``relu=True``) keeps only its clamped output, which is also the ReLU's
+    mask; ``state_objective`` keeps the log of its posterior, a
+    transcendental per entry,
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
@@ -313,15 +314,19 @@ def tanh(x) -> Tensor:
     return _unary(x, "tanh", np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
-def linear(x, weight, bias) -> Tensor:
+def linear(x, weight, bias, relu: bool = False) -> Tensor:
     """Affine map ``x @ weight.T + bias`` of a (B, in) batch with (out, in)
-    weights, as one node.
+    weights, as one node; with ``relu=True``, clamped at 0 (a ReLU after
+    the map).
 
     The product reads the weight through its transposed view (BLAS takes
     the transpose as a flag, so nothing is copied).  The backward is
     ``g @ weight`` for the input (skipped when the input needs no
     gradient), ``g.T @ x`` for the weight and the column sums of ``g`` for
-    the bias.
+    the bias.  With the ReLU the output buffer is clamped in place and the
+    node keeps no pre-ReLU copy: ``out > 0`` masks the incoming gradient.
+    Eval-mode forwards fold a batch norm into the weight and bias and run
+    it, with its ReLU, as this node.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim != 2 or weight.ndim != 2:
@@ -331,8 +336,12 @@ def linear(x, weight, bias) -> Tensor:
                          f"bias, got {weight.shape} and {bias.shape}")
     out_data = x.data @ weight.data.T
     out_data += bias.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def backward(g):
+        if relu:
+            g = g * (out_data > 0.0)
         if x.requires_grad:
             _accum(x, g @ weight.data)
         _accum(weight, g.T @ x.data)
@@ -529,9 +538,12 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
     return Tensor._from_op(out_b.transpose(3, 0, 1, 2), (x,), "max_pool2d", backward)
 
 
-def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x, weight, bias, stride: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
     """2-D cross-correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) kernels,
-    plus a (Cout,) bias.
+    plus a (Cout,) bias; with ``relu=True``, clamped at 0 as ``linear`` is
+    (in place, no pre-ReLU copy, the gradient masked with ``out > 0``).
+    Eval-mode forwards fold a batch norm into the kernels and bias and run
+    it, with its ReLU, as this node.
 
     Lowered to one GEMM (im2col; Chellapilla et al., 2006): the kh*kw strided
     views of the padded batch-last input are copied into a (Cin*kh*kw,
@@ -567,9 +579,13 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     wmat = weight.data.reshape(Cout, Cin * kh * kw)
     out_b = wmat @ patches()
     out_b += bias.data[:, None]
+    if relu:
+        np.maximum(out_b, 0.0, out=out_b)
 
     def backward(g):
         g2 = _batch_last(g).reshape(Cout, oh * ow * B)
+        if relu:
+            g2 = g2 * (out_b > 0.0)
         _accum(weight, (g2 @ patches().T).reshape(weight.shape))
         _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
@@ -593,20 +609,20 @@ def _channel_dot(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndar
     return np.einsum(f"{letters},{letters}->{kept}", a, b)
 
 
-def batch_norm(x, scale, shift, axes: Axis, floor: float,
-               stats: tuple[np.ndarray, np.ndarray] | None = None, relu: bool = False
+def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
                ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Batch normalization as one node: ``(x - mean) / sqrt(max(var, floor))``
-    per channel, times ``scale`` plus ``shift``; with ``relu=True``, clamped
-    at 0 (a ReLU after the normalization).
+    """Batch normalization with batch statistics as one node: ``(x - mean) /
+    sqrt(max(var, floor))`` per channel, times ``scale`` plus ``shift``; with
+    ``relu=True``, clamped at 0 (a ReLU after the normalization).
 
     Channels are the axes not in ``axes``; ``scale`` and ``shift`` have their
-    shape.  With ``stats=None`` (train mode) mean and variance are the batch's
-    own (the biased variance over ``axes``) and the backward is the closed
-    form through both; where ``var <= floor`` the denominator is the constant
-    ``sqrt(floor)`` and no gradient flows through the variance.  With
-    ``stats=(mean, var)`` (eval mode) they are constants.  Returns the output
-    and the mean and variance it used (Ioffe & Szegedy, arXiv:1502.03167).
+    shape.  Mean and variance are the batch's own (the biased variance over
+    ``axes``) and the backward is the closed form through both; where ``var
+    <= floor`` the denominator is the constant ``sqrt(floor)`` and no
+    gradient flows through the variance.  Returns the output and the mean
+    and variance it used (Ioffe & Szegedy, arXiv:1502.03167).  Eval mode,
+    with running statistics, is not this node: it is an affine map per
+    channel, folded into the layer before it (``nn.BatchNormLayer.eval_map``).
 
     The node keeps its output and no x-hat: the backward rebuilds the
     centred input with the forward's operation and divides by the
@@ -625,13 +641,9 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
     # full-size temporaries are few: each fresh one costs page faults.  The
     # output is formed in the centred input's buffer, in the input's memory
     # order, and the variance is a dot product of that buffer with itself.
-    if stats is None:
-        mean = x.data.mean(axis=axes)
-        out_data = x.data - mean.reshape(keep)
-        var = _channel_dot(out_data, out_data, axes) / count
-    else:
-        mean, var = stats
-        out_data = x.data - mean.reshape(keep)
+    mean = x.data.mean(axis=axes)
+    out_data = x.data - mean.reshape(keep)
+    var = _channel_dot(out_data, out_data, axes) / count
     den = np.sqrt(np.maximum(var, floor))
     coef = (scale.data / den).reshape(keep)
     out_data *= coef
@@ -651,17 +663,14 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float,
         _accum(shift, gshift)
         if not x.requires_grad:
             return
-        # the input's gradient is formed in the centred input's buffer
-        if stats is None:
-            # remove the components that flow back through the batch mean
-            # and, where the variance is above the floor, the batch variance
-            through_var = np.where(var > floor, gscale, 0.0) / (count * den)
-            centred *= through_var.reshape(keep)
-            np.subtract(g, centred, out=centred)
-            centred -= (gshift / count).reshape(keep)
-            centred *= coef
-        else:
-            np.multiply(g, coef, out=centred)
+        # the input's gradient is formed in the centred input's buffer: the
+        # components that flow back through the batch mean and, where the
+        # variance is above the floor, the batch variance are removed
+        through_var = np.where(var > floor, gscale, 0.0) / (count * den)
+        centred *= through_var.reshape(keep)
+        np.subtract(g, centred, out=centred)
+        centred -= (gshift / count).reshape(keep)
+        centred *= coef
         _accum(x, centred)
 
     return Tensor._from_op(out_data, (x, scale, shift), "batch_norm", backward), mean, var

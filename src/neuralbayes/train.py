@@ -113,6 +113,13 @@ class AccumulationSchedule:
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
 
+    def batches(self, n: int) -> int:
+        """Mini-batches per epoch over ``n`` rows, the last incomplete one
+        dropped; ``ConfigError`` when the rows cannot fill one."""
+        if n < self.mbs:
+            raise ConfigError(f"dataset of {n} samples cannot fill one mini-batch of {self.mbs}")
+        return n // self.mbs
+
 
 @dataclass
 class TrainLog:
@@ -245,8 +252,7 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if n < sched.mbs:
-        raise ConfigError(f"dataset of {n} samples cannot fill one mini-batch of {sched.mbs}")
+    batches = sched.batches(n)
     params = net.parameters()
     rng = np.random.default_rng(seed)
     log = TrainLog()
@@ -256,7 +262,6 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     try:
         for epoch in range(sched.epochs):
             perm = rng.permutation(n)
-            batches = n // sched.mbs
             accum: dict[str, np.ndarray] | None = None
             window_terms: list[dict[str, float]] = []
 
@@ -395,8 +400,10 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     (N, D) array, filled chunk by chunk.
 
     By default batch norm normalizes with its running statistics ("eval"
-    mode), so rows are independent and the chunk size only bounds memory:
-    each chunk holds ``max(1, 16 MiB // (8 * widest))`` rows, where
+    mode), folded into the dense or conv node before it (see ``nn``; the
+    values match a layer-by-layer forward up to last bits).  Rows are then
+    independent, so the chunk size only bounds memory: each chunk holds
+    ``max(1, 16 MiB // (8 * widest))`` rows, where
     ``widest`` is the largest per-row size (in float64 entries) of the
     input, any tapped state or the output, read from a one-row forward.
     16 MiB is half of the 32 MiB mmap threshold that ``_keep_freed_heap``
@@ -404,10 +411,10 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     the pages the previous one freed, where a larger array is a fresh mmap
     whose every page faults in on every call.  On the benchmark's 16x16 MIM
     CNN encoder (widest state 64x14x14) a chunk is 167 rows, and the traced
-    peak beside the result is 62.5 MiB at both 500 and 2000 rows.  A 4x400
+    peak beside the result is 63.0 MiB at both 500 and 2000 rows.  A 4x400
     MLP takes 5242 rows per chunk on 2-D input and 4096 on 512-D.  Other
-    chunk sizes move only last bits (at most 5.3e-16 relative on that
-    encoder).
+    chunk sizes move only last bits (at most 7.9e-16 relative on that
+    encoder after one training epoch).
 
     With ``bn_train_mode`` batch norm normalizes with each group's own
     statistics ("batch" mode): the rows are split into
@@ -444,8 +451,9 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
 def predict_components(net: Network, points: np.ndarray) -> np.ndarray:
     """Hard labels from the network head: the argmax over states (0.5
     threshold for a two-column head) of ``extract_features(net, points,
-    tap="out")``, so eval-mode forwards that record no tape, in chunks of
-    ``max(1, 16 MiB // (8 * widest))`` rows that reuse kept heap pages.  A
+    tap="out")``, so eval-mode forwards that record no tape, with each batch
+    norm folded into the node before it, in chunks of ``max(1, 16 MiB //
+    (8 * widest))`` rows that reuse kept heap pages.  A
     4x400 MLP's 2000 rows are one chunk (up to 5242 rows on 2-D input, 4096
     on 512-D), so the benchmark's DML predictions are one forward.
     """

@@ -175,7 +175,8 @@ class TestTrainDml:
     @pytest.mark.parametrize("flags, message", [
         (["--stop-split", "1.5"], "--stop-split must lie in [0, 1), got 1.5"),
         (["--stop-split", "-0.1"], "--stop-split must lie in [0, 1), got -0.1"),
-        (["--k", "1"], "every id must lie in [0, 1)")])
+        (["--k", "1"], "every id must lie in [0, 1)"),
+        (["--patience", "-3"], "patience must be at least 1")])   # checked without a split
     def test_failed_run_leaves_no_directory(self, tmp_path, tiny_run, capsys, flags, message):
         data, _ = tiny_run
         out = tmp_path / "o"
@@ -217,6 +218,40 @@ class TestTrainDml:
         assert message in capsys.readouterr().err
         assert not (out / "sweep000").exists()
 
+
+    @pytest.mark.parametrize("command, kind, dim, entry, message", [
+        ("train-dml", "moons", 2, {"k": 1}, "every id must lie in [0, 1)"),
+        ("train-mim", "blobs", 10, {"arch": "cnn"},
+         "arch cnn needs square images; dimension 10 is not a perfect square"),
+        ("train-dml", "moons", 2, {"mbs": 400, "bs": 400},
+         "dataset of 120 samples cannot fill one mini-batch of 400"),
+        ("train-dml", "moons", 2, {"stop-split": 0.7},   # 84 of the 120 rows held out
+         "dataset of 36 samples cannot fill one mini-batch of 40")])
+    def test_data_checks_run_before_the_first_run(self, tmp_path, capsys, command, kind, dim,
+                                                  entry, message):
+        data, cfg, sweep = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "sweep.json"
+        run(["gen-data", "--kind", kind, "--k", "3", "--n", "60" if kind == "moons" else "40",
+             "--dim", str(dim), "--seed", "4", "--out", str(data)])
+        cfg.write_text(json.dumps({"mbs": 40, "bs": 40, "epochs": 1}))
+        sweep.write_text(json.dumps([{}, entry]))
+        out = tmp_path / "o"
+        extra = ["--hidden", "8"] if command == "train-mim" else []
+        code = run([command, "--data", str(data), "--config", str(cfg), *extra,
+                    "--sweep", str(sweep), "--out-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_loads_the_data_once(self, tmp_path, tiny_run, monkeypatch):
+        from neuralbayes import data as D
+        data, _ = tiny_run
+        loads, real = [], D.load_csv
+        monkeypatch.setattr(D, "load_csv", lambda *a, **kw: loads.append(1) or real(*a, **kw))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"epochs": 1}, {"epochs": 1, "beta": 1}]))
+        code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "40",
+                    "--sweep", str(sweep), "--out-dir", str(tmp_path / "o")])
+        assert code == 0 and loads == [1]
 
     def test_non_finite_loss_exits_1_before_any_artifact(self, tmp_path, tiny_run, monkeypatch,
                                                           capsys):

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from neuralbayes import dml, mim, nn, oracles
+from neuralbayes import cli, dml, mim, nn, oracles
 from neuralbayes import tensor as T
 from neuralbayes.errors import ConfigError, FormatError, ShapeError
 from neuralbayes.tensor import Tensor
@@ -346,28 +346,83 @@ def small_nets():
                                          seed=3, batchnorm=True), (6, 1, 10, 10))}
 
 
+def with_norm_statistics(net, seed=18):
+    """``net`` with a random scale, shift, running mean and running variance
+    in every batch norm; channel 0's variance is under the 1e-5 floor."""
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if isinstance(layer, nn.BatchNormLayer):
+            f = layer.features
+            layer.scale.data = rng.uniform(0.5, 2.0, f)
+            layer.shift.data = rng.standard_normal(f) * 0.5
+            layer.running_mean = rng.standard_normal(f) * 0.5
+            layer.running_var = rng.uniform(0.5, 2.0, f)
+            layer.running_var[0] = 1e-7
+    return net
+
+
+def forward_and_gradients(net, forward, seed=21):
+    """(output, states, op counts, parameter gradients) of ``forward(net)``,
+    the gradients those of a seeded weighted sum of the output and states."""
+    out, states = forward(net)
+    rng = np.random.default_rng(seed)
+    loss = T.tsum(out * rng.standard_normal(out.shape))
+    for s in states:
+        loss = loss + T.tsum(s * rng.standard_normal(s.shape))
+    return out, states, tape_ops(loss), T.gradients(loss, net.parameters())
+
+
+def assert_close(got, want, rel):
+    """Every array of ``got`` within ``rel`` times the largest |value| of
+    the matching array of ``want``."""
+    assert len(got) == len(want)
+    for key in want:
+        a, b = got[key], want[key]
+        assert np.abs(a - b).max() <= rel * np.abs(b).max(), key
+
+
+def assert_eval_fold_matches(make, x):
+    """The eval forward of ``make()`` against its layer-by-layer forward:
+    output and states within 1e-13 and parameter gradients within 1e-12 of
+    the largest |value|; neither moves a buffer, and the folded tape has no
+    batch-norm node.  Returns the folded forward's op counts."""
+    runs = []
+    for forward in (lambda net: net.forward_with_states(x, "eval"),
+                    lambda net: layer_by_layer(net, x, "eval")):
+        net = make()
+        before = {k: b.copy() for k, b in net.buffers().items()}
+        runs.append(forward_and_gradients(net, forward))
+        assert {k: b.tobytes() for k, b in net.buffers().items()} == \
+            {k: b.tobytes() for k, b in before.items()}
+    (out, states, ops, grads), (ref_out, ref_states, _, ref_grads) = runs
+    assert_close(dict(enumerate([out.data, *(s.data for s in states)])),
+                 dict(enumerate([ref_out.data, *(s.data for s in ref_states)])), 1e-13)
+    assert_close(grads, ref_grads, 1e-12)
+    assert ops["batch_norm"] == 0, ops
+    return ops
+
+
 class TestBatchNormReluPairs:
     """``forward_with_states`` runs each batch norm that a ReLU directly
     follows as one fused node, unless the batch norm's own output is a
-    tapped state; values, gradients, running statistics, spec and
-    checkpoints are those of the layer-by-layer forward."""
+    tapped state; in train and batch mode the values, gradients, running
+    statistics, spec and checkpoints are those of the layer-by-layer
+    forward.  In eval mode the batch norm and its ReLU fold into the affine
+    node before them, within the bounds of ``assert_eval_fold_matches``."""
 
     @pytest.mark.parametrize("mode", ["train", "batch", "eval"])
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     def test_matches_layer_by_layer(self, kind, mode):
         make, shape = small_nets()[kind]
         x = Tensor(np.random.default_rng(20).standard_normal(shape) + 0.5)
-        weights = {}
-        runs = []
-        for forward in (lambda net: net.forward_with_states(x, mode),
-                        lambda net: layer_by_layer(net, x, mode)):
-            net = make()
-            out, states = forward(net)
-            rng = np.random.default_rng(21)
-            loss = T.tsum(out * weights.setdefault("out", rng.standard_normal(out.shape)))
-            for j, s in enumerate(states):
-                loss = loss + T.tsum(s * weights.setdefault(j, rng.standard_normal(s.shape)))
-            runs.append((net, out, states, tape_ops(loss), T.gradients(loss, net.parameters())))
+        if mode == "eval":
+            ops = assert_eval_fold_matches(lambda: with_norm_statistics(make()), x)
+            affine = {"mlp": ("linear", 3), "cnn": ("conv2d", 2)}[kind]
+            assert ops["relu"] == 0 and ops[affine[0]] == affine[1], ops
+            return
+        runs = [(net, *forward_and_gradients(net, forward))
+                for net, forward in ((make(), lambda net: net.forward_with_states(x, mode)),
+                                     (make(), lambda net: layer_by_layer(net, x, mode)))]
         (net, out, states, ops, grads), (ref_net, ref_out, ref_states, ref_ops, ref_grads) = runs
         assert out.data.tobytes() == ref_out.data.tobytes()
         assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in ref_states]
@@ -405,11 +460,16 @@ class TestBatchNormReluPairs:
                               taps=[1, 2, 5])
         x = Tensor(np.random.default_rng(24).standard_normal((8, 3)))
         out, states = make().forward_with_states(x, mode)
-        ref_out, ref_states = layer_by_layer(make(), x, mode)
-        assert out.data.tobytes() == ref_out.data.tobytes()
-        assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in ref_states]
-        assert states[0].op == "batch_norm" and np.any(states[0].data < 0.0)
-        assert states[1].op == "relu" and states[2].op == "batch_norm"  # the second pair fused
+        if mode == "eval":  # each batch norm folds into its dense node
+            assert_eval_fold_matches(lambda: with_norm_statistics(make()), x)
+            node = "linear"
+        else:
+            ref_out, ref_states = layer_by_layer(make(), x, mode)
+            assert out.data.tobytes() == ref_out.data.tobytes()
+            assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in ref_states]
+            node = "batch_norm"
+        assert states[0].op == node and np.any(states[0].data < 0.0)
+        assert states[1].op == "relu" and states[2].op == node  # the second pair fused
         assert np.all(states[2].data >= 0.0)
 
     def test_batch_norm_then_tanh_stays_unfused(self):
@@ -437,6 +497,119 @@ class TestBatchNormReluPairs:
             files.append((net.spec(), *(f.read_bytes()
                                         for f in nn.save_checkpoint(net, tmp_path / name))))
         assert files[0] == files[1]
+
+
+def library_nets():
+    """(network factory, input shape) of each network kind the library
+    builds with batch norm."""
+    mim_arch = cli.TRAINING_DEFAULTS["train-mim"]["cnn-arch"]
+    return {
+        "dml-mlp": (lambda: nn.build_mlp(2, cli.DML_ARCH_HIDDEN, 2, seed=4, batchnorm=True),
+                    (24, 2)),
+        "mim-cnn": (lambda: nn.build_cnn(mim_arch, (1, 16, 16), seed=5, batchnorm=True),
+                    (4, 1, 16, 16)),
+        "mnist-cnn": (lambda: nn.build_cnn(cli.MNIST_CNN_ARCH.format(k=10), (1, 28, 28), seed=6,
+                                           batchnorm=True, softmax_head=True), (3, 1, 28, 28)),
+        "tanh-mlp": (lambda: nn.build_mlp(5, [8, 6], 3, seed=7, batchnorm=True,
+                                          activation="tanh"), (12, 5)),
+    }
+
+
+class TestEvalFold:
+    """In eval mode each batch norm folds into the dense or conv node before
+    it (with its ReLU, by the pair rule), unless that affine layer is
+    tapped; the fold is the batch norm's eval map, ``x * coef + offset``."""
+
+    @pytest.mark.parametrize("kind", sorted(library_nets()))
+    def test_library_networks_fold_every_batch_norm(self, kind):
+        make, shape = library_nets()[kind]
+        x = Tensor(np.random.default_rng(27).standard_normal(shape))
+        ops = assert_eval_fold_matches(lambda: with_norm_statistics(make()), x)
+        net = make()
+        norms = sum(isinstance(layer, nn.BatchNormLayer) for layer in net.layers)
+        _, states = net.forward_with_states(x, "eval")  # one per block: affine, norm, activation
+        if kind == "tanh-mlp":
+            states = [s._parents[0] for s in states]   # each tanh's input
+        assert len(states) == norms
+        assert {s.op for s in states} == {"conv2d" if "cnn" in kind else "linear"}
+        assert ops["relu"] == 0 and ops["tanh"] == (norms if kind == "tanh-mlp" else 0)
+
+    def test_tapped_affine_layer_does_not_fold(self):
+        def make():
+            return with_norm_statistics(nn.Network(
+                [nn.DenseLayer(3, 5, seed=1), nn.BatchNormLayer(5), nn.ReluLayer(),
+                 nn.DenseLayer(5, 4, seed=2), nn.BatchNormLayer(4), nn.ReluLayer()],
+                taps=[0, 2, 5]))
+        x = Tensor(np.random.default_rng(28).standard_normal((8, 3)))
+        ops = assert_eval_fold_matches(make, x)
+        _, states = make().forward_with_states(x, "eval")
+        assert [s.op for s in states] == ["linear", "relu", "linear"]  # only the second folds
+        assert np.any(states[0].data < 0.0) and np.all(states[2].data >= 0.0)
+        assert ops["relu"] == 1 and ops["linear"] == 2
+
+    def test_tapped_batch_norm_folds_with_a_separate_relu(self):
+        def make():
+            return with_norm_statistics(nn.Network(
+                [nn.Conv2dLayer(2, 3, 3, padding=1, seed=1), nn.BatchNormLayer(3), nn.ReluLayer(),
+                 nn.Conv2dLayer(3, 4, 2, stride=2, seed=2), nn.BatchNormLayer(4), nn.ReluLayer()],
+                taps=[1, 2, 5]))
+        x = Tensor(np.random.default_rng(29).standard_normal((3, 2, 6, 6)))
+        ops = assert_eval_fold_matches(make, x)
+        _, states = make().forward_with_states(x, "eval")
+        assert [s.op for s in states] == ["conv2d", "relu", "conv2d"]
+        assert np.any(states[0].data < 0.0) and np.all(states[2].data >= 0.0)
+        assert ops["relu"] == 1 and ops["conv2d"] == 2
+
+    def test_eval_map_floors_the_variance(self):
+        # channel 1's running variance is under the 1e-5 floor
+        rng = np.random.default_rng(30)
+        norm = nn.BatchNormLayer(3)
+        norm.scale.data, norm.shift.data = rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)
+        norm.running_mean, norm.running_var = rng.standard_normal(3), np.array([4.0, 1e-9, 0.3])
+        den = np.sqrt([4.0, 1e-5, 0.3])
+        coef, offset = norm.eval_map()
+        np.testing.assert_allclose(coef.data, norm.scale.data / den, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(offset.data, norm.shift.data - norm.running_mean * coef.data,
+                                   rtol=1e-15, atol=0)
+        dense = nn.DenseLayer(4, 3, seed=3)
+        dense.bias.data = rng.standard_normal(3)
+        x = rng.standard_normal((5, 4))
+        z = x @ dense.weight.data.T + dense.bias.data
+        want = (z - norm.running_mean) / den * norm.scale.data + norm.shift.data
+        folded = nn.Network([dense, norm]).forward(Tensor(x), "eval")
+        assert folded.op == "linear"
+        for got in (folded.data, norm.forward(Tensor(z), "eval").data):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        maps = rng.standard_normal((2, 3, 2, 2))
+        want = ((maps - norm.running_mean[:, None, None]) / den[:, None, None]
+                * norm.scale.data[:, None, None] + norm.shift.data[:, None, None])
+        got = norm.forward(Tensor(maps), "eval").data
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_folded_gradients_match_finite_differences(self, kind):
+        rng = np.random.default_rng(31)
+        if kind == "dense":
+            affine, x = nn.DenseLayer(4, 3, seed=1), rng.standard_normal((6, 4))
+        else:
+            affine, x = nn.Conv2dLayer(2, 3, 3, padding=1, seed=1), rng.standard_normal((2, 2, 4, 4))
+        net = with_norm_statistics(nn.Network([affine, nn.BatchNormLayer(3), nn.ReluLayer()]))
+        net.layers[1].running_var[0] = 0.7  # keep every coefficient O(1) for the differences
+        params = net.parameters()
+        out = net.forward(Tensor(x), "eval")
+        assert out.op == ("linear" if kind == "dense" else "conv2d")
+        weights = rng.standard_normal(out.shape)
+        analytic = T.gradients(T.tsum(out * weights), params)
+
+        def value(arrs):
+            for name, arr in arrs.items():
+                params[name].data = arr
+            return T.tsum(net.forward(Tensor(x), "eval") * weights).item()
+
+        numeric = oracles.finite_diff_grad(value, {k: p.data for k, p in params.items()})
+        for name in params:
+            rel = np.abs(analytic[name] - numeric[name]) / np.maximum(1.0, np.abs(analytic[name]))
+            assert rel.max() <= 1e-4, f"{name}: rel err {rel.max():.3e}"
 
 
 class TestCheckpoint:

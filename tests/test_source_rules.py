@@ -83,6 +83,54 @@ def taped(net, x):
                                                             "m.holdout"}
 
 
+RUNNING_STATISTICS = {"running_mean", "running_var"}
+
+
+def running_statistic_uses(tree: ast.AST, module: str) -> set[str]:
+    """Dotted names of the scopes that read or set a ``running_mean`` or
+    ``running_var`` attribute outside ``nn.BatchNormLayer``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if (isinstance(node, ast.Attribute) and node.attr in RUNNING_STATISTICS
+                and [module, *scope[:1]] != ["nn", "BatchNormLayer"]):
+            found.add(".".join([module, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_running_statistics_stay_inside_batch_norm():
+    """Only ``BatchNormLayer`` reads its running statistics, so its eval map
+    is the one copy of the eval-mode formula."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= running_statistic_uses(ast.parse(path.read_text()), path.stem)
+    assert found == set()
+
+
+def test_running_statistics_rule_sees_reads_and_writes():
+    source = '''
+class BatchNormLayer:
+    def eval_map(self):
+        return self.running_mean, self.running_var
+
+def fold(norm):
+    return norm.running_var
+
+class Probe:
+    def reset(self, layer):
+        layer.running_mean = None
+'''
+    assert running_statistic_uses(ast.parse(source), "nn") == {"nn.fold", "nn.Probe.reset"}
+    assert running_statistic_uses(ast.parse(source), "train") == {
+        "train.BatchNormLayer.eval_map", "train.fold", "train.Probe.reset"}
+
+
 # The training flags that are not settings: inputs, outputs, where settings
 # come from, the seed (recorded apart, with its NB_SEED fallback) and v1.
 TRAINING_NON_SETTINGS = {"data", "labels", "out-dir", "config", "sweep", "seed", "preset", "v1"}

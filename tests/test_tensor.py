@@ -105,8 +105,8 @@ class TestLinear:
         assert out.op == "linear" and out.shape == (6, 3)
         np.testing.assert_allclose(out.data, x @ w.T + b, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("x_grad", [True, False])
-    def test_gradient_vs_finite_differences(self, x_grad):
+    @staticmethod
+    def _fd_case(x_grad, relu):
         rng = np.random.default_rng(31)
         params = {"w": Tensor(rng.standard_normal((3, 5)), requires_grad=True),
                   "b": Tensor(rng.standard_normal(3), requires_grad=True)}
@@ -114,7 +114,30 @@ class TestLinear:
         if x_grad:
             params["x"] = x
         wgt = rng.standard_normal((7, 3))
-        fd_check(lambda p: T.tsum(T.linear(p.get("x", x), p["w"], p["b"]) * wgt), params)
+        fd_check(lambda p: T.tsum(T.linear(p.get("x", x), p["w"], p["b"], relu=relu) * wgt),
+                 params)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_gradient_vs_finite_differences(self, x_grad):
+        self._fd_case(x_grad, relu=False)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_relu_gradient_vs_finite_differences(self, x_grad):
+        self._fd_case(x_grad, relu=True)
+
+    def test_relu_is_relu_of_linear(self):
+        rng = np.random.default_rng(32)
+        leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((9, 5), (4, 5), (4,))]
+        weights = rng.standard_normal((9, 4))
+        runs = []
+        for fused in (True, False):
+            out = T.linear(*leaves, relu=True) if fused else T.relu(T.linear(*leaves))
+            runs.append((out, T.gradients(T.tsum(out * weights), dict(enumerate(leaves)))))
+        (out, grads), (ref, ref_grads) = runs
+        assert out.op == "linear" and out.data.tobytes() == ref.data.tobytes()
+        assert np.any(out.data == 0.0) and np.any(out.data > 0.0)
+        for key, g in grads.items():
+            assert g.tobytes() == ref_grads[key].tobytes(), key
 
     def test_shapes_checked(self):
         x, w = Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))
@@ -465,6 +488,36 @@ class TestConv:
 
     @pytest.mark.parametrize("xs,ws,stride,padding", [((2, 3, 5, 5), (4, 3, 3, 3), 2, 1),
                                                       ((2, 1, 6, 5), (3, 1, 3, 3), 1, 0)])
+    def test_relu_gradients_vs_finite_differences(self, xs, ws, stride, padding):
+        rng = np.random.default_rng(26)
+        params = {"x": Tensor(rng.standard_normal(xs), requires_grad=True),
+                  "w": Tensor(rng.standard_normal(ws), requires_grad=True),
+                  "b": Tensor(rng.standard_normal(ws[0]), requires_grad=True)}
+        out = T.conv2d(*params.values(), stride=stride, padding=padding, relu=True)
+        wgt = rng.standard_normal(out.shape)
+        assert np.any(out.data == 0.0) and np.any(out.data > 0.0)
+        fd_check(lambda p: T.tsum(T.conv2d(p["x"], p["w"], p["b"], stride=stride,
+                                           padding=padding, relu=True) * wgt), params)
+
+    def test_relu_is_relu_of_conv2d(self):
+        rng = np.random.default_rng(27)
+        leaves = [Tensor(rng.standard_normal(s), requires_grad=True)
+                  for s in ((3, 2, 6, 6), (4, 2, 3, 3), (4,))]
+        weights = rng.standard_normal((3, 4, 3, 3))
+        runs = []
+        for fused in (True, False):
+            out = (T.conv2d(*leaves, stride=2, padding=1, relu=True) if fused
+                   else T.relu(T.conv2d(*leaves, stride=2, padding=1)))
+            runs.append((out, T.gradients(T.tsum(out * weights), dict(enumerate(leaves)))))
+        (out, grads), (ref, ref_grads) = runs
+        assert out.op == "conv2d" and out.data.tobytes() == ref.data.tobytes()
+        assert is_batch_last(out.data)
+        for key, g in grads.items():
+            want = ref_grads[key]
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), key
+
+    @pytest.mark.parametrize("xs,ws,stride,padding", [((2, 3, 5, 5), (4, 3, 3, 3), 2, 1),
+                                                      ((2, 1, 6, 5), (3, 1, 3, 3), 1, 0)])
     def test_gradients_strided_padded_and_single_channel(self, xs, ws, stride, padding):
         rng = np.random.default_rng(25)
         params = {"x": Tensor(rng.standard_normal(xs), requires_grad=True),
@@ -565,11 +618,6 @@ class TestBatchNormOp:
         np.testing.assert_allclose(mean, x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
         np.testing.assert_allclose(var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
         assert out.op == "batch_norm"
-        stats = (np.array([0.5, -1.0]), np.array([4.0, 1e-9]))  # second var under the floor
-        out, mean, var = T.batch_norm(Tensor(x), one, zero, (0, 2, 3), 1e-5, stats=stats)
-        assert mean is stats[0] and var is stats[1]
-        want = (x - stats[0][None, :, None, None]) / np.sqrt([4.0, 1e-5])[None, :, None, None]
-        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
 
 class TestBatchNormRelu:
@@ -577,7 +625,7 @@ class TestBatchNormRelu:
     the same value bit for bit and the same gradients."""
 
     @staticmethod
-    def _case(shape, eval_stats, seed=46):
+    def _case(shape, seed=46):
         # channel 1's spread is far under the variance floor; channel 2 sits
         # on its mean with a zero shift, so its pre-ReLU values are exactly 0
         rng = np.random.default_rng(seed)
@@ -587,31 +635,25 @@ class TestBatchNormRelu:
         scale = rng.standard_normal(shape[1]) + 1.0
         shift = rng.standard_normal(shape[1]) * 0.5
         shift[2] = 0.0
-        stats = None
-        if eval_stats:
-            mean, var = rng.standard_normal(shape[1]), rng.uniform(0.5, 2.0, shape[1])
-            mean[1:3], var[1] = (0.5, 2.0), 1e-8
-            stats = (mean, var)
         weights = rng.standard_normal(shape)
-        return (batch_last(x) if len(shape) == 4 else x), scale, shift, stats, weights
+        return (batch_last(x) if len(shape) == 4 else x), scale, shift, weights
 
-    def _run(self, shape, eval_stats, fused):
-        x, scale, shift, stats, weights = self._case(shape, eval_stats)
+    def _run(self, shape, fused):
+        x, scale, shift, weights = self._case(shape)
         leaves = {"x": Tensor(x, requires_grad=True), "scale": Tensor(scale, requires_grad=True),
                   "shift": Tensor(shift, requires_grad=True)}
         axes = (0,) if len(shape) == 2 else (0, 2, 3)
         out, mean, var = T.batch_norm(leaves["x"], leaves["scale"], leaves["shift"], axes,
-                                      1e-5, stats=stats, relu=fused)
+                                      1e-5, relu=fused)
         if not fused:
             out = T.relu(out)
         grads = T.gradients(T.tsum(out * weights), leaves)
         return out, mean, var, grads
 
     @pytest.mark.parametrize("shape", [(16, 4), (6, 4, 5, 5)])
-    @pytest.mark.parametrize("eval_stats", [False, True])
-    def test_matches_relu_of_batch_norm(self, shape, eval_stats):
-        out, mean, var, grads = self._run(shape, eval_stats, fused=True)
-        ref, ref_mean, ref_var, ref_grads = self._run(shape, eval_stats, fused=False)
+    def test_matches_relu_of_batch_norm(self, shape):
+        out, mean, var, grads = self._run(shape, fused=True)
+        ref, ref_mean, ref_var, ref_grads = self._run(shape, fused=False)
         assert out.op == "batch_norm" and len(out._parents) == 3
         assert out.data.tobytes() == ref.data.tobytes()
         assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
@@ -619,8 +661,7 @@ class TestBatchNormRelu:
             assert is_batch_last(out.data)
         pre = np.moveaxis(out.data, 1, 0)
         assert np.all(pre[2] == 0.0) and np.any(pre[0] == 0.0) and np.any(pre[0] > 0.0)
-        if not eval_stats:
-            assert var[1] < 1e-5 < var[0]
+        assert var[1] < 1e-5 < var[0]
         for name, g in grads.items():
             want = ref_grads[name]
             assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), name
@@ -652,8 +693,8 @@ def traced_bytes(build):
 class TestTapeMemory:
     """A taped node holds its output and nothing else activation-sized: the
     backward rebuilds batch norm's centred input and conv2d's patch matrix,
-    and batch norm fused with its ReLU masks with its own output.  The one exception
-    is state_objective, which keeps the log of its input."""
+    and a node fused with its ReLU masks with its own output.  The one
+    exception is state_objective, which keeps the log of its input."""
 
     def test_train_batch_norm_keeps_no_xhat(self):
         rng = np.random.default_rng(40)
@@ -679,6 +720,15 @@ class TestTapeMemory:
         w, b = _leaf(rng, (12, 8, 3, 3)), _leaf(rng, (12,))
         out, held = traced_bytes(lambda: T.conv2d(x, w, b))
         assert out.requires_grad
+        assert held < out.data.nbytes + x.data.nbytes // 2, held
+
+    def test_fused_conv2d_relu_keeps_only_its_output(self):
+        # no patch matrix and no pre-ReLU copy
+        rng = np.random.default_rng(44)
+        x = Tensor(batch_last(rng.standard_normal((16, 8, 10, 10))), requires_grad=True)
+        w, b = _leaf(rng, (12, 8, 3, 3)), _leaf(rng, (12,))
+        out, held = traced_bytes(lambda: T.conv2d(x, w, b, relu=True))
+        assert out.requires_grad and np.any(out.data == 0.0)
         assert held < out.data.nbytes + x.data.nbytes // 2, held
 
     def test_state_objective_keeps_one_log(self):
@@ -849,6 +899,7 @@ BACKWARD_OPS = {
     "relu": lambda leaf: T.relu(leaf((3, 4))),
     "tanh": lambda leaf: T.tanh(leaf((3, 4))),
     "linear": lambda leaf: T.linear(leaf((3, 4)), leaf((2, 4)), leaf((2,))),
+    "linear_relu": lambda leaf: T.linear(leaf((3, 4)), leaf((2, 4)), leaf((2,)), relu=True),
     "reshape": lambda leaf: T.reshape(leaf((3, 4)), (4, 3)),
     "sum": lambda leaf: T.tsum(leaf((2, 3, 4)), axis=(0, 2)),
     "mean": lambda leaf: T.tmean(leaf((2, 3, 4)), axis=1),
@@ -859,15 +910,12 @@ BACKWARD_OPS = {
     "max_pool2d": lambda leaf: T.max_pool2d(leaf((2, 3, 5, 5)), 3, 1),
     "conv2d": lambda leaf: T.conv2d(leaf((2, 3, 5, 5)), leaf((4, 3, 3, 3)), leaf((4,)),
                                     stride=2, padding=1),
+    "conv2d_relu": lambda leaf: T.conv2d(leaf((2, 3, 5, 5)), leaf((4, 3, 3, 3)), leaf((4,)),
+                                         stride=2, padding=1, relu=True),
     "batch_norm": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
                                             (0, 2, 3), 1e-5)[0],
-    "batch_norm_eval": lambda leaf: T.batch_norm(leaf((4, 3)), leaf((3,)), leaf((3,)), (0,),
-                                                 1e-5, stats=(np.zeros(3), np.ones(3)))[0],
     "batch_norm_relu": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
                                                  (0, 2, 3), 1e-5, relu=True)[0],
-    "batch_norm_relu_eval": lambda leaf: T.batch_norm(
-        leaf((4, 3)), leaf((3,)), leaf((3,)), (0,), 1e-5, stats=(np.zeros(3), np.ones(3)),
-        relu=True)[0],
     "state_objective": lambda leaf: T.state_objective(leaf((4, 3, 2, 2), positive=True), "v1",
                                                       1e-7, 0.5, 2.0)[0],
 }
