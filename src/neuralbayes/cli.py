@@ -361,11 +361,14 @@ def _config_flags(obj, where: str, known: dict) -> list[str]:
 
 def _check_settings(run: argparse.Namespace) -> None:
     """Every check that reads only a run's flags, which ``main`` runs on
-    every run before the first trains: the ``--stop-split`` range, and the
+    every run before the first trains: the ``--stop-split`` range, a CNN
+    encoder's ``--cnn-arch`` tokens (``nn.parse_cnn_arch``), and the
     schedule's, Adam's and the early stopper's own checks, run by building
     them."""
     if not 0.0 <= run.stop_split < 1.0:
         raise ConfigError(f"--stop-split must lie in [0, 1), got {run.stop_split}")
+    if run.command == "train-mim" and run.arch == "cnn":
+        nn.parse_cnn_arch(run.cnn_arch)
     train_mod.holdout_early_stopper(lambda net: 0.0, run.patience)
     train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
     train_mod.AdamState(lr=run.lr, weight_decay=run.weight_decay)

@@ -19,6 +19,7 @@ from .errors import DatasetError, FormatError, ShapeError
 from .nn import orthogonal_init
 
 STD_FLOOR = 1e-8
+DISTANCE_BLOCK_BYTES = 1 << 22   # the separation check's difference array per block
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -57,15 +58,24 @@ class ManifoldDataset:
 
 
 def min_inter_component_distance(points: np.ndarray, components: np.ndarray) -> float:
-    """Smallest Euclidean distance between points of different components."""
+    """Smallest Euclidean distance between points of different components.
+
+    One component's rows go in blocks whose difference array against the
+    other component holds at most ``DISTANCE_BLOCK_BYTES`` (one row at
+    least), so memory does not grow with the product of the component sizes.
+    Each squared distance is computed as by the full (n_a, n_b, d) array and
+    the minimum is exact, so the result does not depend on the block size.
+    """
     best = np.inf
     ids = np.unique(components)
     for i, a in enumerate(ids):
         pa = points[components == a]
         for b in ids[i + 1:]:
             pb = points[components == b]
-            d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-            best = min(best, float(np.sqrt(d2.min())))
+            rows = max(1, DISTANCE_BLOCK_BYTES // (pb.size * pb.itemsize))
+            for start in range(0, len(pa), rows):
+                d2 = ((pa[start:start + rows, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+                best = min(best, float(np.sqrt(d2.min())))
     return best
 
 

@@ -162,12 +162,8 @@ def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig,
 
 
 def _pooled_vector(s: Tensor) -> Tensor:
-    """A tapped state as (B, C): spatial states average-pooled to 1x1 first."""
-    if s.ndim == 4:
-        k = max(s.shape[2], s.shape[3])
-        s = T.avg_pool2d(s, kernel=k, stride=k)
-        s = T.reshape(s, (s.shape[0], s.shape[1]))
-    return s
+    """A tapped state as (B, C): spatial states averaged over the map."""
+    return T.tmean(s, axis=(2, 3)) if s.ndim == 4 else s
 
 
 def pooled_final_state(net, x, mode: str) -> Tensor:

@@ -33,13 +33,23 @@ before it when that layer's output is not a tapped state:
   ``Conv2dLayer`` that a batch norm directly follows runs as one ``linear``
   or ``conv2d`` node on parameters with that map folded in (``fold``), and
   the ReLU that the pair rule gives the batch norm clamps inside the same
-  node.
+  node;
+* the first-layer rule: in ``"train"`` and ``"batch"`` mode, when the
+  network input needs no gradient and layer 0 is a ``DenseLayer`` or
+  ``Conv2dLayer`` that a batch norm directly follows, that pair (and the
+  ReLU the pair rule gives the batch norm) runs as one
+  ``affine_batch_norm`` node, which reads the batch statistics from the
+  input's K x K covariance (K the fan-in), if 2K is at most the layer's
+  output channels (``_covariance_pays``).
 
 ``"train"`` and ``"batch"`` values are bitwise those of the layer-by-layer
-forward.  Eval values differ only in their last bits (the fold reorders the
-arithmetic), and every eval forward, taped or not, still backpropagates
-into the batch norm's ``scale`` and ``shift``.  The layers, their specs,
-parameter names, taps and checkpoints do not change.
+forward, except for the first-layer node, which matches the affine layer
+and batch norm it replaces to rounding (and every later layer is bitwise
+that of its own forward on the node's output).  Eval values differ only in
+their last bits (the fold reorders the arithmetic), and every eval forward,
+taped or not, still backpropagates into the batch norm's ``scale`` and
+``shift``.  The layers, their specs, parameter names, taps and checkpoints
+do not change.
 """
 
 from __future__ import annotations
@@ -117,10 +127,15 @@ class DenseLayer(Layer):
 
     def forward(self, x: Tensor, mode: str, norm: BatchNormLayer | None = None,
                 relu: bool = False) -> Tensor:
-        """``norm`` folds that batch norm's eval map into the weight and bias
-        (``fold``); ``relu=True`` also applies the ReLU that follows."""
-        weight, bias = fold(self.weight, self.bias, norm) if norm else (self.weight, self.bias)
-        return T.linear(x, weight, bias, relu=relu)
+        """``norm`` also runs that batch norm in the same node: in eval mode
+        its eval map folded into the weight and bias (``fold``), in train and
+        batch mode through ``BatchNormLayer.after_affine``; ``relu=True`` also
+        applies the ReLU that follows."""
+        if norm is None:
+            return T.linear(x, self.weight, self.bias, relu=relu)
+        if mode == "eval":
+            return T.linear(x, *fold(self.weight, self.bias, norm), relu=relu)
+        return norm.after_affine(x, self.weight, self.bias, mode, relu)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -146,8 +161,12 @@ class Conv2dLayer(Layer):
     def forward(self, x: Tensor, mode: str, norm: BatchNormLayer | None = None,
                 relu: bool = False) -> Tensor:
         """As ``DenseLayer.forward``, with the kernels as the weight."""
-        kernels, bias = fold(self.kernels, self.bias, norm) if norm else (self.kernels, self.bias)
-        return T.conv2d(x, kernels, bias, stride=self.stride, padding=self.padding, relu=relu)
+        geometry = {"stride": self.stride, "padding": self.padding}
+        if norm is None:
+            return T.conv2d(x, self.kernels, self.bias, relu=relu, **geometry)
+        if mode == "eval":
+            return T.conv2d(x, *fold(self.kernels, self.bias, norm), relu=relu, **geometry)
+        return norm.after_affine(x, self.kernels, self.bias, mode, relu, **geometry)
 
     def parameters(self):
         return {"kernels": self.kernels, "bias": self.bias}
@@ -158,10 +177,11 @@ class BatchNormLayer(Layer):
 
     Train and batch mode normalize with batch statistics (variance floored
     at 1e-5 so a constant feature yields zeros rather than a division
-    blow-up) as one ``batch_norm`` tape node; train mode also folds them
-    into the running stats once.  Eval mode applies ``eval_map``, the
-    affine map of the stored stats, which a network folds into the layer
-    before.  Only train mode mutates anything.
+    blow-up) as one ``batch_norm`` tape node, or with the affine layer
+    before it as one ``affine_batch_norm`` node (``after_affine``); train
+    mode also folds them into the running stats once (``_track``).  Eval
+    mode applies ``eval_map``, the affine map of the stored stats, which a
+    network folds into the layer before.  Only train mode mutates anything.
     """
 
     TYPE, ARGS = "batchnorm", ("features", "momentum")
@@ -186,16 +206,35 @@ class BatchNormLayer(Layer):
             coef, offset = (T.reshape(t, keep) for t in self.eval_map())
             out = T.add(T.mul(x, coef), offset)
             return T.relu(out) if relu else out
-        if x.shape[0] < 2:
-            raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
+        self._check_batch(x.shape[0], mode)
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        out, mu, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR, relu=relu)
-        if mode == "batch":
-            return out
-        n = x.size // self.features
-        unbiased = var * (n / (n - 1)) if n > 1 else var
-        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
+        return self._track(mode, *T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR,
+                                               relu=relu))
+
+    def after_affine(self, x: Tensor, weight: Tensor, bias: Tensor, mode: str,
+                     relu: bool = False, **geometry) -> Tensor:
+        """Train or batch mode of this batch norm applied to the affine map
+        of ``x`` by ``weight`` and ``bias`` (a dense layer's, or a conv's
+        with its ``stride`` and ``padding``), as one ``affine_batch_norm``
+        node whose input needs no gradient."""
+        _check_mode(mode)
+        self._check_batch(x.shape[0], mode)
+        return self._track(mode, *T.affine_batch_norm(x, weight, bias, self.scale, self.shift,
+                                                      BN_VAR_FLOOR, relu=relu, **geometry))
+
+    @staticmethod
+    def _check_batch(batch: int, mode: str) -> None:
+        if batch < 2:
+            raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
+
+    def _track(self, mode: str, out: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:
+        """``out``, after train mode moves the running statistics once toward
+        the batch ``mean`` and the unbiased form of the batch ``var``."""
+        if mode == "train":
+            n = out.size // self.features
+            unbiased = var * (n / (n - 1)) if n > 1 else var
+            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
         return out
 
     def eval_map(self) -> tuple[Tensor, Tensor]:
@@ -269,8 +308,7 @@ class AvgPool2dLayer(Layer):
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         if self.spatial_all:
-            k = max(x.shape[2], x.shape[3])
-            return T.avg_pool2d(x, kernel=k, stride=k)
+            return T.reshape(T.tmean(x, axis=(2, 3)), (x.shape[0], x.shape[1], 1, 1))
         return T.avg_pool2d(x, self.kernel, self.stride)
 
 
@@ -307,7 +345,7 @@ class Network:
             mode = "train" if train else "eval"
         _check_mode(mode)
         h = x if isinstance(x, Tensor) else Tensor(x)
-        options, absorbed = self._nodes(mode)
+        options, absorbed = self._nodes(mode, h.requires_grad)
         states = {}
         for i, layer in enumerate(self.layers):
             if i not in absorbed:   # else it already ran in an earlier layer's node
@@ -316,24 +354,28 @@ class Network:
                 states[i] = h
         return h, [states[i] for i in self.taps]
 
-    def _nodes(self, mode: str) -> tuple[dict[int, dict], set[int]]:
+    def _nodes(self, mode: str, input_grad: bool) -> tuple[dict[int, dict], set[int]]:
         """The layers that run the layers after them in their own node: the
         keyword arguments of each such layer's forward, by index, and the
         indices of the layers they absorb.  A layer is absorbed only when
         its input is not a tapped state.  The pair rule: a batch norm runs
-        the ``ReluLayer`` after it.  The eval rule: an affine layer runs the
-        batch norm after it (and, by the pair rule, that one's ReLU)."""
+        the ``ReluLayer`` after it.  An affine layer runs the batch norm
+        after it (and, by the pair rule, that one's ReLU) by the eval rule,
+        and by the first-layer rule in train and batch mode when it is layer
+        0, the network input (``input_grad``) needs no gradient and
+        ``_covariance_pays``."""
         pairs = list(enumerate(zip(self.layers, self.layers[1:])))
         options = {i: {"relu": True} for i, (layer, after) in pairs
                    if isinstance(layer, BatchNormLayer) and isinstance(after, ReluLayer)
                    and i not in self.taps}
         absorbed = {i + 1 for i in options}
-        if mode == "eval":
-            for i, (layer, after) in pairs:
-                if (isinstance(layer, (DenseLayer, Conv2dLayer))
-                        and isinstance(after, BatchNormLayer) and i not in self.taps):
-                    options[i] = {"norm": after, **options.pop(i + 1, {})}
-                    absorbed.add(i + 1)
+        for i, (layer, after) in pairs:
+            if (isinstance(layer, (DenseLayer, Conv2dLayer))
+                    and isinstance(after, BatchNormLayer) and i not in self.taps
+                    and (mode == "eval" or (i == 0 and not input_grad
+                                            and _covariance_pays(layer)))):
+                options[i] = {"norm": after, **options.pop(i + 1, {})}
+                absorbed.add(i + 1)
         return options, absorbed
 
     def forward(self, x, mode: str = "eval", *, train: bool | None = None) -> Tensor:
@@ -361,6 +403,17 @@ class Network:
 
     def spec(self) -> dict:
         return {"layers": [l.spec() for l in self.layers], "taps": list(self.taps)}
+
+
+def _covariance_pays(layer: DenseLayer | Conv2dLayer) -> bool:
+    """Whether ``affine_batch_norm`` pays off for ``layer``: its K x K input
+    covariance, K the fan-in, costs at most half the layer's own GEMM (2K <=
+    output channels).  Forcing the node on and off in 8 interleaved rounds
+    (2-core Xeon, float64), the MIM objective step of train-mim's default
+    CNN (9 -> 64 conv) took 0.80x as long with it, the DML step of the
+    2 -> 400 MLP 0.97x, and that of the 512 -> 400 MLP 1.29x."""
+    weight = layer.weight if isinstance(layer, DenseLayer) else layer.kernels
+    return 2 * (weight.size // weight.shape[0]) <= weight.shape[0]
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -420,6 +473,34 @@ def _int_args(tok: str, args: list[str]) -> list[int]:
         raise ConfigError(f"architecture token {tok!r} needs integer arguments") from None
 
 
+def parse_cnn_arch(arch: str) -> list[tuple[str, tuple]]:
+    """``build_cnn``'s layer string as one ``(kind, arguments)`` per token,
+    with every check a token can fail: ``("C", (filters, kernel, stride,
+    padding))``, ``("P", (kernel, stride, "max" | "avg"))``, ``("G", ())``
+    for the global average pool and ``("FC", (n,))``.  Raises
+    ``ConfigError`` naming the first bad token, so a command can check an
+    architecture before it builds anything."""
+    parsed = []
+    for tok in (t.strip() for t in arch.split("-") if t.strip()):
+        kind, args = _parse_token(tok)
+        if kind != "P":
+            parsed.append((kind, tuple(_int_args(tok, args))))
+            continue
+        mode = args[3]
+        if args[0] == ".":
+            if mode != "avg":
+                raise ConfigError("global pooling is only defined for avg mode")
+            parsed.append(("G", ()))
+            continue
+        k, s, p = _int_args(tok, args[:3])
+        if p != 0:
+            raise ConfigError(f"pool padding is not supported, got {tok!r}")
+        if mode not in ("max", "avg"):
+            raise ConfigError(f"unknown pool mode {mode!r}")
+        parsed.append((kind, (k, s, mode)))
+    return parsed
+
+
 def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
               batchnorm: bool = True, softmax_head: bool = False) -> Network:
     """Build a convolutional encoder from a compact layer string.
@@ -430,50 +511,38 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
     the whole spatial field to 1x1; pool padding must be 0, anything else
     raises ``ConfigError``), and ``FC(n)`` for flatten + dense.  A token
     with the wrong number of arguments or a non-integer one raises a
-    ``ConfigError`` that names it.
+    ``ConfigError`` that names it (``parse_cnn_arch``).
     ``input_shape`` is (channels, height, width); FC input sizes are resolved
     by tracing a dummy forward through the layers built so far.
     """
     c, h, w = input_shape
-    tokens = [t.strip() for t in arch.split("-") if t.strip()]
+    tokens = parse_cnn_arch(arch)
     seeds = _child_seeds(seed, len(tokens))
     layers, taps = [], []
     channels = c
     probe = np.zeros((1, c, h, w))
-    for i, tok in enumerate(tokens):
-        kind, args = _parse_token(tok)
+    for i, (kind, args) in enumerate(tokens):
         if kind == "C":
-            f, k, s, p = _int_args(tok, args)
+            f, k, s, p = args
             layers.append(Conv2dLayer(channels, f, k, s, p, seed=seeds[i]))
             if batchnorm:
                 layers.append(BatchNormLayer(f))
             layers.append(ReluLayer())
             taps.append(len(layers) - 1)
             channels = f
+        elif kind == "G":
+            layers.append(AvgPool2dLayer(spatial_all=True))
         elif kind == "P":
-            mode = args[3]
-            if args[0] == ".":
-                if mode != "avg":
-                    raise ConfigError("global pooling is only defined for avg mode")
-                layers.append(AvgPool2dLayer(spatial_all=True))
-                continue
-            k, s, p = _int_args(tok, args[:3])
-            if p != 0:
-                raise ConfigError(f"pool padding is not supported, got {tok!r}")
-            if mode == "max":
-                layers.append(MaxPool2dLayer(k, s))
-            elif mode == "avg":
-                layers.append(AvgPool2dLayer(k, s))
-            else:
-                raise ConfigError(f"unknown pool mode {mode!r}")
-        elif kind == "FC":
+            k, s, mode = args
+            layers.append(MaxPool2dLayer(k, s) if mode == "max" else AvgPool2dLayer(k, s))
+        else:
             out = Network(layers).forward(Tensor(probe), "eval").data
             if out.ndim == 4:
                 layers.append(FlattenLayer())
                 flat_dim = out.shape[1] * out.shape[2] * out.shape[3]
             else:
                 flat_dim = out.shape[1]
-            layers.append(DenseLayer(flat_dim, *_int_args(tok, args), seed=seeds[i]))
+            layers.append(DenseLayer(flat_dim, *args, seed=seeds[i]))
     if softmax_head:
         layers.append(SoftmaxLayer())
     return Network(layers, taps)

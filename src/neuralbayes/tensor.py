@@ -26,7 +26,9 @@ Conventions:
     values are bitwise those a kept copy would give; a node fused with the
     ReLU after it (``batch_norm``, ``linear`` or ``conv2d`` with
     ``relu=True``) keeps only its clamped output, which is also the ReLU's
-    mask; ``state_objective`` keeps the log of its posterior, a
+    mask; ``affine_batch_norm`` keeps its output and its centred (K, N)
+    input, K the fan-in, in place of the (C, N) map before the
+    normalization; ``state_objective`` keeps the log of its posterior, a
     transcendental per entry,
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
@@ -556,26 +558,9 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0, relu: bool = Fals
     unpadded) for the kernel-gradient GEMM and drops it before the col2im.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and kernels, got {x.shape}, {weight.shape}")
+    xp, views, (oh, ow), patches = _im2col(x, weight, stride, padding, "conv2d")
     B, Cin, H, W = x.shape
-    Cout, Cw, kh, kw = weight.shape
-    if Cw != Cin:
-        raise ShapeError(f"conv2d channel mismatch: input has {Cin}, kernels expect {Cw}")
-    xp = _batch_last(x.data)
-    if padding:
-        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    Hp, Wp = xp.shape[1], xp.shape[2]
-    if Hp < kh or Wp < kw:
-        raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
-    oh, ow, views = _windows(Hp, Wp, kh, kw, stride)
-
-    def patches():
-        cols = np.empty((Cin, kh * kw, oh, ow, B))
-        for k, view in enumerate(views):
-            cols[:, k] = xp[view]
-        return cols.reshape(Cin * kh * kw, oh * ow * B)
-
+    Cout, _, kh, kw = weight.shape
     wmat = weight.data.reshape(Cout, Cin * kh * kw)
     out_b = wmat @ patches()
     out_b += bias.data[:, None]
@@ -599,6 +584,34 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0, relu: bool = Fals
 
     return Tensor._from_op(out_b.reshape(Cout, oh, ow, B).transpose(3, 0, 1, 2),
                            (x, weight, bias), "conv2d", backward)
+
+
+def _im2col(x: Tensor, kernels: Tensor, stride: int, padding: int, op: str):
+    """A convolution's input checked against its (Cout, Cin, kh, kw) kernels:
+    ``(xp, views, (oh, ow), patches)``, the padded batch-last input, its
+    window views, the output size and a function that copies the views into
+    a fresh (Cin*kh*kw, oh*ow*B) patch matrix."""
+    if x.ndim != 4 or kernels.ndim != 4:
+        raise ShapeError(f"{op} expects 4-D input and kernels, got {x.shape}, {kernels.shape}")
+    B, Cin, _, _ = x.shape
+    _, Cw, kh, kw = kernels.shape
+    if Cw != Cin:
+        raise ShapeError(f"{op} channel mismatch: input has {Cin}, kernels expect {Cw}")
+    xp = _batch_last(x.data)
+    if padding:
+        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    Hp, Wp = xp.shape[1], xp.shape[2]
+    if Hp < kh or Wp < kw:
+        raise ShapeError(f"{op} kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
+    oh, ow, views = _windows(Hp, Wp, kh, kw, stride)
+
+    def patches():
+        cols = np.empty((Cin, kh * kw, oh, ow, B))
+        for k, view in enumerate(views):
+            cols[:, k] = xp[view]
+        return cols.reshape(Cin * kh * kw, oh * ow * B)
+
+    return xp, views, (oh, ow), patches
 
 
 def _channel_dot(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -674,6 +687,93 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
         _accum(x, centred)
 
     return Tensor._from_op(out_data, (x, scale, shift), "batch_norm", backward), mean, var
+
+
+def affine_batch_norm(x, weight, bias, scale, shift, floor: float, stride: int = 1,
+                      padding: int = 0, relu: bool = False
+                      ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``linear`` (2-D ``x`` and ``weight``) or ``conv2d`` (4-D, with
+    ``stride`` and ``padding``) and then ``batch_norm`` over every axis but
+    the channels, as one node, for an input that needs no gradient; with
+    ``relu=True``, clamped at 0.
+
+    The input is read as a (K, N) column matrix P, K the fan-in: the rows'
+    transpose for a dense layer, the im2col patch matrix for a conv.  The
+    batch statistics come from P's mean mu and its K x K covariance ``S =
+    Pc Pc^T / N`` with ``Pc = P - mu``: the channel mean is ``W mu + b`` and
+    the channel variance ``diag(W S W^T)``, so the pre-normalization map is
+    never formed.  The output is ``(coef W) Pc + shift``, ``den`` and
+    ``coef`` as in ``batch_norm``, one GEMM with the shift in it.  The
+    backward masks ``g`` with ``out > 0`` under the ReLU and forms ``G = g
+    Pc^T`` and the sum of ``g`` in one GEMM; with ``wG`` the per-channel dot
+    of W and G, the shift's gradient is that sum, the scale's ``wG / den``,
+    the weight's ``coef (G - [var > floor] wG / den^2 W S)``, and the bias's
+    exactly 0, since batch norm removes it.  Values match the
+    ``linear``/``conv2d`` -> ``batch_norm`` chain to rounding, not bitwise.
+    Returns the node and the mean and variance it used, as ``batch_norm``
+    does.  The node keeps Pc (over a row of ones) and its output.
+    """
+    x, weight, bias, scale, shift = (_as_tensor(t) for t in (x, weight, bias, scale, shift))
+    if x.requires_grad:
+        raise ConfigError("affine_batch_norm has no input gradient; its input must need none")
+    if x.ndim == 2 and weight.ndim == 2:
+        if x.shape[1] != weight.shape[1]:
+            raise ShapeError(f"affine_batch_norm of {x.shape} needs a (out, {x.shape[1]}) "
+                             f"weight, got {weight.shape}")
+        cols, wmat = x.data.T, weight.data
+        to_output, to_columns = np.transpose, np.transpose
+    else:
+        _, _, (oh, ow), patches = _im2col(x, weight, stride, padding, "affine_batch_norm")
+        cols, wmat = patches(), weight.data.reshape(weight.shape[0], -1)
+        out_shape = (weight.shape[0], oh, ow, x.shape[0])
+
+        def to_output(a):
+            return a.reshape(out_shape).transpose(3, 0, 1, 2)
+
+        def to_columns(g):
+            return _batch_last(g).reshape(out_shape[0], -1)
+    channels = (wmat.shape[0],)
+    if bias.shape != channels or scale.shape != channels or shift.shape != channels:
+        raise ShapeError(f"affine_batch_norm with {channels[0]} channels needs bias, scale and "
+                         f"shift of shape {channels}, got {bias.shape}, {scale.shape} and "
+                         f"{shift.shape}")
+    K, count = cols.shape
+    mu = cols.mean(axis=1)
+    # Pc over a row of ones, in the input's memory order (batch-first for a
+    # dense layer): the ones carry the shift into the output's GEMM and its
+    # gradient out of the weight gradient's, so neither costs its own pass
+    order = "C" if cols.flags.c_contiguous else "F"
+    lifted = np.empty((K + 1, count), order=order)
+    centred = lifted[:K]
+    np.subtract(cols, mu[:, None], out=centred)
+    lifted[K] = 1.0
+    wcov = wmat @ ((centred @ centred.T) / count)
+    var = np.einsum("ck,ck->c", wcov, wmat)
+    den = np.sqrt(np.maximum(var, floor))
+    coef = scale.data / den
+    a = np.hstack([wmat * coef[:, None], shift.data[:, None]])
+    out = a @ lifted if order == "C" else (lifted.T @ a.T).T   # (out, N) in that order
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def backward(g):
+        g2 = to_columns(g)
+        if relu:
+            g2 = g2 * (out > 0.0)
+        lifted_grad = g2 @ lifted.T
+        grad = lifted_grad[:, :K]
+        wg = np.einsum("ck,ck->c", wmat, grad)
+        _accum(scale, wg / den)
+        _accum(shift, lifted_grad[:, K])
+        through_var = np.where(var > floor, wg, 0.0) / (den * den)
+        grad -= through_var[:, None] * wcov
+        grad *= coef[:, None]
+        _accum(weight, grad.reshape(weight.shape))
+        _accum(bias, np.zeros(channels))
+
+    node = Tensor._from_op(to_output(out), (x, weight, bias, scale, shift), "affine_batch_norm",
+                           backward)
+    return node, wmat @ mu + bias.data, var
 
 
 def state_objective(v, form: str, eps: float, mi_weight: float = 1.0,

@@ -242,6 +242,19 @@ class TestTrainDml:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_cnn_arch_in_a_later_entry_fails_before_the_first_run(self, tmp_path, capsys):
+        data, cfg, sweep = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "sweep.json"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--dim", "64",
+             "--seed", "4", "--out", str(data)])
+        cfg.write_text(json.dumps({"arch": "cnn", "mbs": 20, "bs": 20, "epochs": 1}))
+        sweep.write_text(json.dumps([{}, {"cnn-arch": "C(4,3,1,0)-P(2,2,0)"}]))
+        out = tmp_path / "o"
+        code = run(["train-mim", "--data", str(data), "--config", str(cfg), "--sweep", str(sweep),
+                    "--out-dir", str(out)])
+        assert code == 1
+        assert "'P(2,2,0)' takes 4 arguments, got 3" in capsys.readouterr().err
+        assert not (out / "sweep000").exists()
+
     def test_sweep_loads_the_data_once(self, tmp_path, tiny_run, monkeypatch):
         from neuralbayes import data as D
         data, _ = tiny_run

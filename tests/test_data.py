@@ -1,5 +1,6 @@
 """Dataset generation, lifting, normalization, and file-format contracts."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,31 @@ class TestGenerators:
     def test_blob_separation_example(self):
         ds = D.make_blobs(2, 100, noise=0.1, seed=4)
         assert D.min_inter_component_distance(ds.points, ds.components) > 4.0
+
+    @pytest.mark.parametrize("make", [lambda: D.make_two_moons(300, seed=3),
+                                      lambda: D.make_circles(250, noise=0.05, seed=5),
+                                      lambda: D.make_blobs(3, 200, noise=0.3, seed=4)])
+    def test_blocked_distance_is_the_full_formula(self, make, monkeypatch):
+        ds = make()
+        ids = np.unique(ds.components)
+        full = min(float(np.sqrt(((ds.points[ds.components == a][:, None, :]
+                                   - ds.points[ds.components == b][None, :, :]) ** 2)
+                                 .sum(axis=2).min()))
+                   for i, a in enumerate(ids) for b in ids[i + 1:])
+        for block_bytes in (1, 16 * 8 * 300, D.DISTANCE_BLOCK_BYTES):
+            monkeypatch.setattr(D, "DISTANCE_BLOCK_BYTES", block_bytes)
+            assert D.min_inter_component_distance(ds.points, ds.components) == full
+
+    def test_distance_memory_is_bounded(self):
+        # the full difference array of 3000 points per moon is 206 MiB
+        ds = D.make_two_moons(3000, seed=3)
+        tracemalloc.start()
+        try:
+            D.min_inter_component_distance(ds.points, ds.components)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * D.DISTANCE_BLOCK_BYTES, peak
 
     def test_circles_components(self):
         ds = D.make_circles(80, radii=(1.0, 2.0), noise=0.05, seed=5)

@@ -319,11 +319,16 @@ class TestForwardWithStates:
             nn.build_cnn(f"C(4,3,1,0)-{token}", (1, 8, 8), seed=0)
 
 
-def layer_by_layer(net, x, mode):
-    """``net``'s forward one layer at a time, with no batch norm fused."""
+def layer_by_layer(net, x, mode, first_node=False):
+    """``net``'s forward one layer at a time, with no batch norm fused; with
+    ``first_node=True`` layers 0 and 1 run as the first-layer rule's
+    ``affine_batch_norm`` node, without the ReLU after it."""
     h, states = x, []
     for i, layer in enumerate(net.layers):
-        h = layer.forward(h, mode)
+        if first_node and i == 0:
+            h = layer.forward(h, mode, norm=net.layers[1])
+        elif not (first_node and i == 1):
+            h = layer.forward(h, mode)
         if i in net.taps:
             states.append(h)
     return h, states
@@ -344,6 +349,12 @@ def small_nets():
     return {"mlp": (lambda: nn.build_mlp(4, [8, 6], 3, seed=7, batchnorm=True), (16, 4)),
             "cnn": (lambda: nn.build_cnn("C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)", (1, 10, 10),
                                          seed=3, batchnorm=True), (6, 1, 10, 10))}
+
+
+# whether a train or batch forward of each small net runs its first affine
+# layer and batch norm as one affine_batch_norm node: the 4 -> 8 dense layer
+# does, the 9 -> 4 conv does not
+FIRST_NODE = {"mlp": True, "cnn": False}
 
 
 def with_norm_statistics(net, seed=18):
@@ -407,8 +418,11 @@ class TestBatchNormReluPairs:
     follows as one fused node, unless the batch norm's own output is a
     tapped state; in train and batch mode the values, gradients, running
     statistics, spec and checkpoints are those of the layer-by-layer
-    forward.  In eval mode the batch norm and its ReLU fold into the affine
-    node before them, within the bounds of ``assert_eval_fold_matches``."""
+    forward, bitwise but for a first affine layer and batch norm that run
+    as one ``affine_batch_norm`` node (``FIRST_NODE``), which match the
+    unfused pair within that node's bounds.  In eval mode the batch norm
+    and its ReLU fold into the affine node before them, within the bounds
+    of ``assert_eval_fold_matches``."""
 
     @pytest.mark.parametrize("mode", ["train", "batch", "eval"])
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
@@ -420,18 +434,33 @@ class TestBatchNormReluPairs:
             affine = {"mlp": ("linear", 3), "cnn": ("conv2d", 2)}[kind]
             assert ops["relu"] == 0 and ops[affine[0]] == affine[1], ops
             return
+        first = FIRST_NODE[kind]
+        forwards = (lambda net: net.forward_with_states(x, mode),
+                    lambda net: layer_by_layer(net, x, mode, first_node=first),
+                    lambda net: layer_by_layer(net, x, mode))
         runs = [(net, *forward_and_gradients(net, forward))
-                for net, forward in ((make(), lambda net: net.forward_with_states(x, mode)),
-                                     (make(), lambda net: layer_by_layer(net, x, mode)))]
-        (net, out, states, ops, grads), (ref_net, ref_out, ref_states, ref_ops, ref_grads) = runs
+                for net, forward in ((make(), forward) for forward in forwards)]
+        (net, out, states, ops, grads), (ref_net, ref_out, ref_states, ref_ops, ref_grads) = runs[:2]
+        # every layer but the first-layer node is bitwise that of its own forward
         assert out.data.tobytes() == ref_out.data.tobytes()
         assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in ref_states]
-        assert ops["relu"] == 0 and ref_ops["relu"] == ops["batch_norm"] == 2
+        assert ops["relu"] == 0 and ref_ops["relu"] == 2
+        assert ops["batch_norm"] == 2 - first and ops["affine_batch_norm"] == first, ops
         for name, g in grads.items():
             want = ref_grads[name]
             assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), name
         for name, b in net.buffers().items():
             assert b.tobytes() == ref_net.buffers()[name].tobytes(), name
+        if first:   # the node against the unfused chain, within its bounds
+            plain_net, plain_out, plain_states, _, plain_grads = runs[2]
+            assert_close(dict(enumerate([out.data, *(s.data for s in states)])),
+                         dict(enumerate([plain_out.data, *(s.data for s in plain_states)])),
+                         1e-13)
+            largest = max(np.abs(g).max() for g in plain_grads.values())
+            for name, g in grads.items():
+                assert np.abs(g - plain_grads[name]).max() <= 1e-12 * largest, name
+            assert not grads["layer0.bias"].any()
+            assert_close(net.buffers(), plain_net.buffers(), 1e-13)
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     def test_running_stats_move_once_per_train_forward(self, kind):
@@ -486,9 +515,11 @@ class TestBatchNormReluPairs:
     def test_spec_and_checkpoint_bytes_match_layer_by_layer(self, kind, tmp_path):
         make, shape = small_nets()[kind]
         x = Tensor(np.random.default_rng(26).standard_normal(shape))
-        files = []
+        first = FIRST_NODE[kind]
+        files, nets = [], []
         for name, forward in (("fused", lambda net: net.forward(x, "train")),
-                              ("plain", lambda net: layer_by_layer(net, x, "train")[0])):
+                              ("plain", lambda net: layer_by_layer(net, x, "train", first)[0]),
+                              ("unfused", lambda net: layer_by_layer(net, x, "train")[0])):
             net = make()
             params = net.parameters()
             grads = T.gradients(T.tsum(forward(net)), params)
@@ -496,7 +527,16 @@ class TestBatchNormReluPairs:
                 p.data = p.data - 0.01 * grads[key]
             files.append((net.spec(), *(f.read_bytes()
                                         for f in nn.save_checkpoint(net, tmp_path / name))))
+            nets.append(net)
         assert files[0] == files[1]
+        # against the unfused chain: the same spec and manifest, parameters
+        # within 1e-13 of the largest |parameter| (the node's bias gradient
+        # is exactly 0) and buffers within the node's bounds
+        assert files[0][:2] == files[2][:2]
+        fused, unfused = (np.concatenate([p.data.ravel() for p in net.parameters().values()])
+                          for net in (nets[0], nets[2]))
+        assert np.abs(fused - unfused).max() <= 1e-13 * np.abs(unfused).max()
+        assert_close(nets[0].buffers(), nets[2].buffers(), 1e-13)
 
 
 def library_nets():
@@ -513,6 +553,53 @@ def library_nets():
         "tanh-mlp": (lambda: nn.build_mlp(5, [8, 6], 3, seed=7, batchnorm=True,
                                           activation="tanh"), (12, 5)),
     }
+
+
+class TestFirstLayerNode:
+    """In train and batch mode layer 0 and the batch norm after it run as one
+    ``affine_batch_norm`` node when the network input needs no gradient,
+    layer 0 is a dense or conv layer that is not tapped, and its fan-in K
+    and output channels C have 2K <= C."""
+
+    # the modes whose forwards run the node, per library network
+    FUSES = {"dml-mlp": ("train", "batch"), "dml-mlp-512d": (), "mim-cnn": ("train", "batch"),
+             "mnist-cnn": ("train", "batch"), "tanh-mlp": ()}
+
+    def test_library_networks(self):
+        nets = {**library_nets(), "dml-mlp-512d": (
+            lambda: nn.build_mlp(512, cli.DML_ARCH_HIDDEN, 2, seed=4, batchnorm=True), (8, 512))}
+        rng = np.random.default_rng(32)
+        table = {}
+        for kind, (make, shape) in nets.items():
+            x = Tensor(rng.standard_normal(shape))
+            table[kind] = tuple(mode for mode in nn.MODES
+                                if tape_ops(T.tsum(make().forward(x, mode)))["affine_batch_norm"])
+        assert table == self.FUSES
+
+    def test_tapped_batch_norm_runs_in_the_node_without_its_relu(self):
+        def make():
+            return nn.Network([nn.DenseLayer(2, 8, seed=1), nn.BatchNormLayer(8), nn.ReluLayer(),
+                               nn.DenseLayer(8, 3, seed=2)], taps=[1, 2])
+        x = Tensor(np.random.default_rng(33).standard_normal((12, 2)))
+        out, states = make().forward_with_states(x, "train")
+        ref_out, ref_states = layer_by_layer(make(), x, "train")
+        assert [s.op for s in states] == ["affine_batch_norm", "relu"]
+        assert np.any(states[0].data < 0.0)
+        assert_close(dict(enumerate([out.data, *(s.data for s in states)])),
+                     dict(enumerate([ref_out.data, *(s.data for s in ref_states)])), 1e-13)
+
+    @pytest.mark.parametrize("case", ["tapped affine layer", "input needing a gradient"])
+    def test_no_node(self, case):
+        def make():
+            return nn.Network([nn.DenseLayer(2, 8, seed=1), nn.BatchNormLayer(8), nn.ReluLayer()],
+                              taps=[0, 2] if case == "tapped affine layer" else [2])
+        x = Tensor(np.random.default_rng(34).standard_normal((12, 2)),
+                   requires_grad=case == "input needing a gradient")
+        out, states = make().forward_with_states(x, "train")
+        ref_out, ref_states = layer_by_layer(make(), x, "train")
+        assert tape_ops(T.tsum(out))["affine_batch_norm"] == 0
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in ref_states]
 
 
 class TestEvalFold:

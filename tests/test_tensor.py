@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from neuralbayes import mim, nn, oracles
 from neuralbayes import tensor as T
-from neuralbayes.errors import DomainError, ShapeError
+from neuralbayes.errors import ConfigError, DomainError, ShapeError
 from neuralbayes.tensor import Tensor
 
 
@@ -340,6 +340,26 @@ class TestPooling:
         params = {"x": Tensor(x, requires_grad=True)}
         w = rng.standard_normal((3, 4, 1, 1))
         fd_check(lambda p: T.tsum(layer.forward(p["x"], "train") * w), params)
+
+    @pytest.mark.parametrize("shape", [(50, 128, 5, 5), (3, 500, 2, 2), (50, 64, 7, 7),
+                                       (7, 6, 3, 4)])
+    def test_global_mean_is_the_windowed_pool_bitwise(self, shape):
+        # a conv output (stored batch-last) pooled to 1x1 by the layer, by
+        # the MIM objective's pooled state and by one window of the map
+        B, C, H, W = shape
+        rng = np.random.default_rng(23)
+        conv = T.conv2d(Tensor(rng.standard_normal((B, 2, H + 2, W + 2))),
+                        Tensor(rng.standard_normal((C, 2, 3, 3))), Tensor(np.zeros(C)))
+        g = rng.standard_normal((B, C, 1, 1))
+        runs = []
+        for pool in (lambda t: nn.AvgPool2dLayer(spatial_all=True).forward(t, "train"),
+                     lambda t: T.reshape(mim._pooled_vector(t), (B, C, 1, 1)),
+                     lambda t: T.avg_pool2d(t, max(H, W), max(H, W))):
+            y = Tensor(conv.data, requires_grad=True)
+            out = pool(y)
+            T.tsum(out * g).backward()
+            runs.append((out.data.tobytes(), y.grad.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2), (2, 1)])
     def test_max_pool_ties_route_to_first_maximum(self, kernel, stride):
@@ -679,6 +699,105 @@ class TestBatchNormRelu:
                                                1e-5, relu=True)[0] * weights), params)
 
 
+class TestAffineBatchNorm:
+    """``affine_batch_norm`` against the ``linear``/``conv2d`` -> ``batch_norm``
+    chain it replaces: values within 1e-13 and gradients within 1e-12 of the
+    largest |value|, the same statistics within 1e-13, and a bias gradient of
+    exactly 0."""
+
+    # (input shape, weight shape, conv geometry) per case
+    CASES = {"dense": ((24, 3), (7, 3), {}),
+             "conv": ((5, 2, 7, 6), (4, 2, 3, 3), {}),
+             "conv-strided-padded": ((5, 2, 7, 6), (4, 2, 3, 3), {"stride": 2, "padding": 1})}
+
+    @staticmethod
+    def _case(kind, seed=48):
+        # input feature (channel) 1 is constant and channel 0's weights read
+        # only it, so without padding channel 0's variance is under the
+        # floor.  The floored gain, scale / sqrt(1e-5), magnifies last-bit
+        # noise in either form, so the constant, the weights and the bias of
+        # channel 0 are chosen so that both forms centre it exactly to 0.
+        xs, ws, geometry = TestAffineBatchNorm.CASES[kind]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(xs) + 0.3
+        x[:, 1] = 0.75
+        w = rng.standard_normal(ws)
+        w[0] = 0.0
+        w[0, 1] = 1.0
+        bias = rng.standard_normal(ws[0])
+        bias[0] = 0.0
+        params = {"weight": w, "bias": bias,
+                  "scale": rng.uniform(0.5, 2.0, ws[0]), "shift": rng.standard_normal(ws[0])}
+        return x, params, geometry
+
+    def _run(self, kind, fused, relu):
+        x, params, geometry = self._case(kind)
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        args = (leaves["weight"], leaves["bias"])
+        norm = (leaves["scale"], leaves["shift"], 1e-5)
+        if fused:
+            out, mean, var = T.affine_batch_norm(Tensor(x), *args, *norm, relu=relu, **geometry)
+        else:
+            z = T.linear(Tensor(x), *args) if x.ndim == 2 else T.conv2d(Tensor(x), *args,
+                                                                         **geometry)
+            out, mean, var = T.batch_norm(z, *norm[:2], (0,) if x.ndim == 2 else (0, 2, 3),
+                                          1e-5, relu=relu)
+        weights = np.random.default_rng(49).standard_normal(out.shape)
+        return out, mean, var, T.gradients(T.tsum(out * weights), leaves)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_matches_the_two_node_chain(self, kind, relu):
+        out, mean, var, grads = self._run(kind, True, relu)
+        ref, ref_mean, ref_var, ref_grads = self._run(kind, False, relu)
+        assert out.op == "affine_batch_norm" and out.shape == ref.shape
+        assert np.abs(out.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+        for got, want in ((mean, ref_mean), (var, ref_var)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        largest = max(np.abs(g).max() for g in ref_grads.values())
+        for name, g in grads.items():
+            assert np.abs(g - ref_grads[name]).max() <= 1e-12 * largest, name
+        assert not grads["bias"].any()
+        if relu:
+            assert np.any(out.data == 0.0) and np.all(out.data >= 0.0)
+        if not self.CASES[kind][2]:
+            assert var[0] < 1e-5 < var[1:].min()
+            shift = self._case(kind)[1]["shift"][0]
+            assert np.all(np.moveaxis(out.data, 1, 0)[0] == (max(shift, 0.0) if relu else shift))
+        if out.ndim == 4:
+            assert is_batch_last(out.data)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_gradient_vs_finite_differences(self, kind):
+        x, params, geometry = self._case(kind)
+        rng = np.random.default_rng(50)
+        x[:, 1] += rng.standard_normal(x[:, 1].shape)  # no floored channel
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+
+        def forward(p):
+            return T.affine_batch_norm(Tensor(x), p["weight"], p["bias"], p["scale"],
+                                       p["shift"], 1e-5, relu=True, **geometry)[0]
+
+        weights = rng.standard_normal(forward(leaves).shape)
+        fd_check(lambda p: T.tsum(forward(p) * weights), leaves)
+
+    def test_input_needing_a_gradient_is_rejected(self):
+        x, params, _ = self._case("dense")
+        with pytest.raises(ConfigError):
+            T.affine_batch_norm(Tensor(x, requires_grad=True),
+                                *(Tensor(v) for v in params.values()), 1e-5)
+
+    def test_shapes_checked(self):
+        x, params, _ = self._case("dense")
+        w, b, scale, shift = (Tensor(v) for v in params.values())
+        with pytest.raises(ShapeError):
+            T.affine_batch_norm(Tensor(x[:, :2]), w, b, scale, shift, 1e-5)
+        with pytest.raises(ShapeError):
+            T.affine_batch_norm(Tensor(x), w, b, Tensor(params["scale"][:2]), shift, 1e-5)
+        with pytest.raises(ShapeError):
+            T.affine_batch_norm(Tensor(x), Tensor(np.ones((7, 3, 1, 1))), b, scale, shift, 1e-5)
+
+
 def traced_bytes(build):
     """(result of ``build()``, bytes it left allocated while the result lives)."""
     tracemalloc.start()
@@ -730,6 +849,18 @@ class TestTapeMemory:
         out, held = traced_bytes(lambda: T.conv2d(x, w, b, relu=True))
         assert out.requires_grad and np.any(out.data == 0.0)
         assert held < out.data.nbytes + x.data.nbytes // 2, held
+
+    def test_affine_batch_norm_keeps_its_centred_input_and_output(self):
+        # the unfused conv -> batch norm pair holds two (B, 32, 8, 8) outputs
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.standard_normal((16, 1, 10, 10)))
+        w, b, scale, shift = _leaf(rng, (32, 1, 3, 3)), _leaf(rng, (32,)), _leaf(rng, (32,)), \
+            _leaf(rng, (32,))
+        (out, _, _), held = traced_bytes(
+            lambda: T.affine_batch_norm(x, w, b, scale, shift, 1e-5, relu=True))
+        assert out.requires_grad
+        lifted = 10 * out.data.nbytes // 32   # the 9 centred patch rows over a row of ones
+        assert held < (out.data.nbytes + lifted) * 11 // 10, held
 
     def test_state_objective_keeps_one_log(self):
         rng = np.random.default_rng(42)
@@ -916,6 +1047,11 @@ BACKWARD_OPS = {
                                             (0, 2, 3), 1e-5)[0],
     "batch_norm_relu": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
                                                  (0, 2, 3), 1e-5, relu=True)[0],
+    "affine_batch_norm": lambda leaf: T.affine_batch_norm(
+        Tensor(leaf((5, 2)).data), leaf((4, 2)), leaf((4,)), leaf((4,)), leaf((4,)), 1e-5)[0],
+    "affine_batch_norm_conv_relu": lambda leaf: T.affine_batch_norm(
+        Tensor(leaf((2, 2, 5, 5)).data), leaf((3, 2, 3, 3)), leaf((3,)), leaf((3,)), leaf((3,)),
+        1e-5, stride=2, padding=1, relu=True)[0],
     "state_objective": lambda leaf: T.state_objective(leaf((4, 3, 2, 2), positive=True), "v1",
                                                       1e-7, 0.5, 2.0)[0],
 }
