@@ -220,6 +220,10 @@ def _dml_components(k: int, ds: D.ManifoldDataset) -> None:
                           f"k = {k} states; every id must lie in [0, {k})")
 
 
+def _dml_config(cfg: dict) -> dml_mod.DmlConfig:
+    return dml_mod.DmlConfig(partitions=cfg["k"], beta=cfg["beta"])
+
+
 def _dml_build(cfg: dict, ds: D.ManifoldDataset, shape: tuple, seed: int):
     k = cfg["k"]
     _dml_components(k, ds)
@@ -230,7 +234,7 @@ def _dml_build(cfg: dict, ds: D.ManifoldDataset, shape: tuple, seed: int):
     else:
         net = nn.build_mlp(shape[0], DML_ARCH_HIDDEN, k, seed=seed,
                            batchnorm=True, softmax_head=True)
-    return net, dml_mod.make_dml_objective(dml_mod.DmlConfig(partitions=k, beta=cfg["beta"]))
+    return net, dml_mod.make_dml_objective(_dml_config(cfg))
 
 
 def _dml_report(run) -> list[Path]:
@@ -259,15 +263,18 @@ def cmd_train_dml(args, ds) -> int:
     return _train_command(args, ds, _dml_build, _dml_report)
 
 
+def _mim_config(cfg: dict) -> mim_mod.MimConfig:
+    return mim_mod.MimConfig(alpha=cfg["alpha"], beta=cfg["beta"],
+                             use_scales=(cfg["scales"] == "on"))
+
+
 def cmd_train_mim(args, ds) -> int:
     def build(cfg, ds, shape, seed):
         if len(shape) == 3:
             net = nn.build_cnn(cfg["cnn-arch"], shape, seed=seed, batchnorm=True)
         else:
             net = nn.build_mlp(shape[0], cfg["hidden"], out_units=None, seed=seed)
-        mim_cfg = mim_mod.MimConfig(alpha=cfg["alpha"], beta=cfg["beta"],
-                                    use_scales=(cfg["scales"] == "on"))
-        return net, mim_mod.make_mim_objective(mim_cfg, v1=args.v1)
+        return net, mim_mod.make_mim_objective(_mim_config(cfg), v1=args.v1)
 
     def summary(run):
         print(f"trained {len(run.log.records)} updates; "
@@ -361,14 +368,18 @@ def _config_flags(obj, where: str, known: dict) -> list[str]:
 
 def _check_settings(run: argparse.Namespace) -> None:
     """Every check that reads only a run's flags, which ``main`` runs on
-    every run before the first trains: the ``--stop-split`` range, a CNN
-    encoder's ``--cnn-arch`` tokens (``nn.parse_cnn_arch``), and the
-    schedule's, Adam's and the early stopper's own checks, run by building
-    them."""
+    every run before the first trains: the ``--stop-split`` range, a MIM
+    encoder's ``--cnn-arch`` tokens (``nn.parse_cnn_arch``) or ``--hidden``
+    widths, and the MIM objective's, the schedule's, Adam's and the early
+    stopper's own checks, run by building them (the MLP on a 1-D input)."""
     if not 0.0 <= run.stop_split < 1.0:
         raise ConfigError(f"--stop-split must lie in [0, 1), got {run.stop_split}")
-    if run.command == "train-mim" and run.arch == "cnn":
-        nn.parse_cnn_arch(run.cnn_arch)
+    if run.command == "train-mim":
+        _mim_config(_settings(run))
+        if run.arch == "cnn":
+            nn.parse_cnn_arch(run.cnn_arch)
+        else:
+            nn.build_mlp(1, run.hidden, out_units=None, seed=0)
     train_mod.holdout_early_stopper(lambda net: 0.0, run.patience)
     train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
     train_mod.AdamState(lr=run.lr, weight_decay=run.weight_decay)
@@ -378,11 +389,15 @@ def _check_data(run: argparse.Namespace, ds: D.ManifoldDataset) -> None:
     """Every check that also needs the data, which ``main`` runs on every
     run before the first trains, each through the code that owns it: a
     CNN's square images, DML's component ids, and one full mini-batch in
-    the rows that the stopping split leaves for training."""
+    the rows that the stopping split leaves for training.  The DML
+    objective's own checks run here by building it, after the component
+    ids, as ``_dml_build`` runs them, so ``--k 1`` names the ids that do
+    not fit."""
     cfg = _settings(run)
     n = _run_points(cfg, ds).shape[0]
     if run.command == "train-dml":
         _dml_components(cfg["k"], ds)
+        _dml_config(cfg)
     schedule = train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
     schedule.batches(n - _held_out(run.stop_split, n))
 
@@ -430,6 +445,14 @@ def _training_parser(sub, name: str, summary: str, func) -> argparse.ArgumentPar
     return t
 
 
+def _positive_int(text: str) -> int:
+    """A count that must be at least 1, so no command runs vacuously."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neuralbayes",
@@ -466,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None)
     p.add_argument("--layer", default="last", help="tap name: h0.., last, or out")
     p.add_argument("--hidden", type=int, default=200)
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--bn-mode", choices=["train", "eval"], default="eval",
                    help="batch-norm statistics of the features: train = each batch's own "
@@ -476,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gradcheck", help="run the oracle verification suite")
     c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--cases", type=int, default=50)
+    c.add_argument("--cases", type=_positive_int, default=50)
     c.add_argument("--negative-control", action="store_true",
                    help="block the live branch instead; the equality check must fail")
     c.add_argument("--out", default=None, help="write the JSON report here instead of stdout")

@@ -22,34 +22,31 @@ Every forward takes one of three modes, which only batch norm tells apart
   evaluation);
 * ``"eval"``: normalize with the running statistics; nothing mutates.
 
-``Network.forward_with_states`` merges a layer into the node of the layer
-before it when that layer's output is not a tapped state:
+Each ``BatchNormLayer`` runs as one node, and ``Network.forward_with_states``
+hands its ``forward`` a neighbouring layer to run in that node when the
+output between the two is not a tapped state:
 
-* the pair rule: each ``BatchNormLayer`` that a ``ReluLayer`` directly
-  follows runs as one ``batch_norm(..., relu=True)`` node (a tapped batch
-  norm's state stays pre-ReLU);
+* the pair rule: the ``ReluLayer`` that directly follows it (``relu=True``;
+  a tapped batch norm's state stays pre-ReLU);
 * the eval rule: in ``"eval"`` mode, where batch norm is the fixed
-  per-channel map ``BatchNormLayer.eval_map``, each ``DenseLayer`` or
-  ``Conv2dLayer`` that a batch norm directly follows runs as one ``linear``
-  or ``conv2d`` node on parameters with that map folded in (``fold``), and
-  the ReLU that the pair rule gives the batch norm clamps inside the same
-  node;
-* the first-layer rule: in ``"train"`` and ``"batch"`` mode, when the
-  network input needs no gradient and layer 0 is a ``DenseLayer`` or
-  ``Conv2dLayer`` that a batch norm directly follows, that pair (and the
-  ReLU the pair rule gives the batch norm) runs as one
-  ``affine_batch_norm`` node, which reads the batch statistics from the
-  input's K x K covariance (K the fan-in), if 2K is at most the layer's
-  output channels (``_covariance_pays``).
+  per-channel map ``BatchNormLayer.eval_map``, the ``DenseLayer`` or
+  ``Conv2dLayer`` that it directly follows (``affine=``): the node is that
+  layer's ``linear`` or ``conv2d`` on parameters with the map folded in,
+  and the ReLU of the pair rule clamps inside it;
+* the first-layer rule: in ``"train"`` and ``"batch"`` mode, the same
+  ``affine=`` when that layer is layer 0 and the network input needs no
+  gradient: the node is one ``affine_batch_norm``, which reads the batch
+  statistics from the input's K x K covariance (K the fan-in), if 2K is at
+  most the layer's output channels (``_covariance_pays``).
 
-``"train"`` and ``"batch"`` values are bitwise those of the layer-by-layer
-forward, except for the first-layer node, which matches the affine layer
-and batch norm it replaces to rounding (and every later layer is bitwise
-that of its own forward on the node's output).  Eval values differ only in
-their last bits (the fold reorders the arithmetic), and every eval forward,
-taped or not, still backpropagates into the batch norm's ``scale`` and
-``shift``.  The layers, their specs, parameter names, taps and checkpoints
-do not change.
+Every other layer runs its own op.  ``"train"`` and ``"batch"`` values are
+bitwise those of the layer-by-layer forward, except for the first-layer
+node, which matches the affine layer and batch norm it replaces to
+rounding (and every later layer is bitwise that of its own forward on the
+node's output).  Eval values differ only in their last bits (the fold
+reorders the arithmetic), and every eval forward, taped or not, still
+backpropagates into the batch norm's ``scale`` and ``shift``.  The layers,
+their specs, parameter names, taps and checkpoints do not change.
 """
 
 from __future__ import annotations
@@ -125,17 +122,8 @@ class DenseLayer(Layer):
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def forward(self, x: Tensor, mode: str, norm: BatchNormLayer | None = None,
-                relu: bool = False) -> Tensor:
-        """``norm`` also runs that batch norm in the same node: in eval mode
-        its eval map folded into the weight and bias (``fold``), in train and
-        batch mode through ``BatchNormLayer.after_affine``; ``relu=True`` also
-        applies the ReLU that follows."""
-        if norm is None:
-            return T.linear(x, self.weight, self.bias, relu=relu)
-        if mode == "eval":
-            return T.linear(x, *fold(self.weight, self.bias, norm), relu=relu)
-        return norm.after_affine(x, self.weight, self.bias, mode, relu)
+    def forward(self, x: Tensor, mode: str) -> Tensor:
+        return T.linear(x, self.weight, self.bias)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -158,15 +146,8 @@ class Conv2dLayer(Layer):
         self.kernels = Tensor(w.reshape(out_channels, in_channels, kernel, kernel), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
-    def forward(self, x: Tensor, mode: str, norm: BatchNormLayer | None = None,
-                relu: bool = False) -> Tensor:
-        """As ``DenseLayer.forward``, with the kernels as the weight."""
-        geometry = {"stride": self.stride, "padding": self.padding}
-        if norm is None:
-            return T.conv2d(x, self.kernels, self.bias, relu=relu, **geometry)
-        if mode == "eval":
-            return T.conv2d(x, *fold(self.kernels, self.bias, norm), relu=relu, **geometry)
-        return norm.after_affine(x, self.kernels, self.bias, mode, relu, **geometry)
+    def forward(self, x: Tensor, mode: str) -> Tensor:
+        return T.conv2d(x, self.kernels, self.bias, self.stride, self.padding)
 
     def parameters(self):
         return {"kernels": self.kernels, "bias": self.bias}
@@ -177,11 +158,9 @@ class BatchNormLayer(Layer):
 
     Train and batch mode normalize with batch statistics (variance floored
     at 1e-5 so a constant feature yields zeros rather than a division
-    blow-up) as one ``batch_norm`` tape node, or with the affine layer
-    before it as one ``affine_batch_norm`` node (``after_affine``); train
-    mode also folds them into the running stats once (``_track``).  Eval
-    mode applies ``eval_map``, the affine map of the stored stats, which a
-    network folds into the layer before.  Only train mode mutates anything.
+    blow-up); train mode also moves the running stats toward them once.
+    Eval mode applies ``eval_map``, the affine map of the stored stats.
+    Only train mode mutates anything.
     """
 
     TYPE, ARGS = "batchnorm", ("features", "momentum")
@@ -195,46 +174,46 @@ class BatchNormLayer(Layer):
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
 
-    def forward(self, x: Tensor, mode: str, relu: bool = False) -> Tensor:
-        """``relu=True`` also applies the ReLU that follows, in train and
-        batch mode inside the same ``batch_norm`` node."""
+    def forward(self, x: Tensor, mode: str, relu: bool = False,
+                affine: DenseLayer | Conv2dLayer | None = None) -> Tensor:
+        """This batch norm as one node; ``relu=True`` also applies the ReLU
+        after it, and ``affine`` also runs the dense or conv layer before
+        it, whose input ``x`` then is.
+
+        Eval mode is ``eval_map``: with ``affine``, folded into that layer's
+        ``linear`` or ``conv2d`` node as ``weight * coef`` per output row or
+        kernel and ``bias * coef + offset``, built on the tape from the live
+        leaves (Jacob et al., arXiv:1712.05877); else the map itself.  Train
+        and batch mode run ``batch_norm``, or ``affine_batch_norm`` with
+        ``affine``, whose input must need no gradient."""
         if x.ndim not in (2, 4):
             raise ShapeError(f"batch norm expects (B, F) or (B, C, H, W), got shape {x.shape}")
         _check_mode(mode)
         if mode == "eval":
-            keep = (-1,) + (1,) * (x.ndim - 2)
-            coef, offset = (T.reshape(t, keep) for t in self.eval_map())
-            out = T.add(T.mul(x, coef), offset)
-            return T.relu(out) if relu else out
-        self._check_batch(x.shape[0], mode)
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        return self._track(mode, *T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR,
-                                               relu=relu))
-
-    def after_affine(self, x: Tensor, weight: Tensor, bias: Tensor, mode: str,
-                     relu: bool = False, **geometry) -> Tensor:
-        """Train or batch mode of this batch norm applied to the affine map
-        of ``x`` by ``weight`` and ``bias`` (a dense layer's, or a conv's
-        with its ``stride`` and ``padding``), as one ``affine_batch_norm``
-        node whose input needs no gradient."""
-        _check_mode(mode)
-        self._check_batch(x.shape[0], mode)
-        return self._track(mode, *T.affine_batch_norm(x, weight, bias, self.scale, self.shift,
-                                                      BN_VAR_FLOOR, relu=relu, **geometry))
-
-    @staticmethod
-    def _check_batch(batch: int, mode: str) -> None:
-        if batch < 2:
+            coef, offset = self.eval_map()
+            if affine is None:
+                keep = (-1,) + (1,) * (x.ndim - 2)
+                out = T.add(T.mul(x, T.reshape(coef, keep)), T.reshape(offset, keep))
+                return T.relu(out) if relu else out
+            op, weight, geometry = _affine_op(affine)
+            rows = T.reshape(coef, (-1,) + (1,) * (weight.ndim - 1))
+            return op(x, T.mul(weight, rows), T.add(T.mul(affine.bias, coef), offset),
+                      relu=relu, **geometry)
+        if x.shape[0] < 2:
             raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
-
-    def _track(self, mode: str, out: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:
-        """``out``, after train mode moves the running statistics once toward
-        the batch ``mean`` and the unbiased form of the batch ``var``."""
-        if mode == "train":
+        if affine is None:
+            axes = (0,) if x.ndim == 2 else (0, 2, 3)
+            out, mean, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR, relu=relu)
+        else:
+            _, weight, geometry = _affine_op(affine)
+            out, mean, var = T.affine_batch_norm(x, weight, self.scale, self.shift, BN_VAR_FLOOR,
+                                                 relu=relu, **geometry)
+            mean = mean + affine.bias.data
+        if mode == "train":   # the unbiased batch variance moves the running one
             n = out.size // self.features
-            unbiased = var * (n / (n - 1)) if n > 1 else var
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
+            self.running_var = ((1 - self.momentum) * self.running_var
+                                + self.momentum * (var * (n / (n - 1))))
         return out
 
     def eval_map(self) -> tuple[Tensor, Tensor]:
@@ -255,14 +234,12 @@ class BatchNormLayer(Layer):
         setattr(self, name, value)
 
 
-def fold(weight: Tensor, bias: Tensor, norm: BatchNormLayer) -> tuple[Tensor, Tensor]:
-    """An affine layer's weight (out, ...) and bias (out,) with ``norm``'s
-    eval map applied after it: ``weight * coef`` per output row or kernel
-    and ``bias * coef + offset``, built on the tape from the live leaves
-    (Jacob et al., arXiv:1712.05877)."""
-    coef, offset = norm.eval_map()
-    rows = T.reshape(coef, (-1,) + (1,) * (weight.ndim - 1))
-    return T.mul(weight, rows), T.add(T.mul(bias, coef), offset)
+def _affine_op(layer: DenseLayer | Conv2dLayer) -> tuple:
+    """A dense layer's op ``T.linear`` and weight, or a conv's ``T.conv2d``,
+    kernels, and stride and padding as keyword arguments."""
+    if isinstance(layer, DenseLayer):
+        return T.linear, layer.weight, {}
+    return T.conv2d, layer.kernels, {"stride": layer.stride, "padding": layer.padding}
 
 
 class ReluLayer(Layer):
@@ -348,34 +325,34 @@ class Network:
         options, absorbed = self._nodes(mode, h.requires_grad)
         states = {}
         for i, layer in enumerate(self.layers):
-            if i not in absorbed:   # else it already ran in an earlier layer's node
+            if i not in absorbed:   # else it runs in a batch norm's node
                 h = layer.forward(h, mode, **options.get(i, {}))
             if i in self.taps:
                 states[i] = h
         return h, [states[i] for i in self.taps]
 
     def _nodes(self, mode: str, input_grad: bool) -> tuple[dict[int, dict], set[int]]:
-        """The layers that run the layers after them in their own node: the
-        keyword arguments of each such layer's forward, by index, and the
-        indices of the layers they absorb.  A layer is absorbed only when
-        its input is not a tapped state.  The pair rule: a batch norm runs
-        the ``ReluLayer`` after it.  An affine layer runs the batch norm
-        after it (and, by the pair rule, that one's ReLU) by the eval rule,
-        and by the first-layer rule in train and batch mode when it is layer
-        0, the network input (``input_grad``) needs no gradient and
+        """The batch norms that run a neighbouring layer in their own node
+        (see the module docstring): the keyword arguments of each one's
+        forward, by index, and the indices of the layers they absorb.  A
+        layer is absorbed only when the output between it and the batch norm
+        is not a tapped state.  The ``ReluLayer`` after a batch norm is
+        absorbed by the pair rule; the dense or conv layer before it by the
+        eval rule, and by the first-layer rule when it is layer 0, the
+        network input (``input_grad``) needs no gradient and
         ``_covariance_pays``."""
-        pairs = list(enumerate(zip(self.layers, self.layers[1:])))
-        options = {i: {"relu": True} for i, (layer, after) in pairs
-                   if isinstance(layer, BatchNormLayer) and isinstance(after, ReluLayer)
-                   and i not in self.taps}
-        absorbed = {i + 1 for i in options}
-        for i, (layer, after) in pairs:
-            if (isinstance(layer, (DenseLayer, Conv2dLayer))
-                    and isinstance(after, BatchNormLayer) and i not in self.taps
+        options, absorbed = {}, set()
+        for i, (layer, after) in enumerate(zip(self.layers, self.layers[1:])):
+            if i in self.taps:
+                continue
+            if isinstance(layer, BatchNormLayer) and isinstance(after, ReluLayer):
+                options.setdefault(i, {})["relu"] = True
+                absorbed.add(i + 1)
+            if (isinstance(layer, (DenseLayer, Conv2dLayer)) and isinstance(after, BatchNormLayer)
                     and (mode == "eval" or (i == 0 and not input_grad
                                             and _covariance_pays(layer)))):
-                options[i] = {"norm": after, **options.pop(i + 1, {})}
-                absorbed.add(i + 1)
+                options.setdefault(i + 1, {})["affine"] = layer
+                absorbed.add(i)
         return options, absorbed
 
     def forward(self, x, mode: str = "eval", *, train: bool | None = None) -> Tensor:
@@ -412,7 +389,7 @@ def _covariance_pays(layer: DenseLayer | Conv2dLayer) -> bool:
     (2-core Xeon, float64), the MIM objective step of train-mim's default
     CNN (9 -> 64 conv) took 0.80x as long with it, the DML step of the
     2 -> 400 MLP 0.97x, and that of the 512 -> 400 MLP 1.29x."""
-    weight = layer.weight if isinstance(layer, DenseLayer) else layer.kernels
+    weight = _affine_op(layer)[1]
     return 2 * (weight.size // weight.shape[0]) <= weight.shape[0]
 
 
@@ -432,6 +409,9 @@ def build_mlp(in_dim: int, hidden: Sequence[int], out_units: int | None, seed: i
     act = {"relu": ReluLayer, "tanh": TanhLayer}
     if activation not in act:
         raise ConfigError(f"unknown activation {activation!r}")
+    for width in hidden:
+        if width < 1:
+            raise ConfigError(f"hidden width {width} is not a positive number of units")
     seeds = _child_seeds(seed, len(hidden) + 1)
     layers, taps = [], []
     prev = in_dim

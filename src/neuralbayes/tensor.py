@@ -26,10 +26,10 @@ Conventions:
     values are bitwise those a kept copy would give; a node fused with the
     ReLU after it (``batch_norm``, ``linear`` or ``conv2d`` with
     ``relu=True``) keeps only its clamped output, which is also the ReLU's
-    mask; ``affine_batch_norm`` keeps its output and its centred (K, N)
-    input, K the fan-in, in place of the (C, N) map before the
-    normalization; ``state_objective`` keeps the log of its posterior, a
-    transcendental per entry,
+    mask; ``affine_batch_norm``, whose affine map has no bias, keeps its
+    output and its centred (K, N) input, K the fan-in, in place of the (C,
+    N) map before the normalization; ``state_objective`` keeps the log of
+    its posterior, a transcendental per entry,
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
@@ -689,7 +689,7 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
     return Tensor._from_op(out_data, (x, scale, shift), "batch_norm", backward), mean, var
 
 
-def affine_batch_norm(x, weight, bias, scale, shift, floor: float, stride: int = 1,
+def affine_batch_norm(x, weight, scale, shift, floor: float, stride: int = 1,
                       padding: int = 0, relu: bool = False
                       ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """``linear`` (2-D ``x`` and ``weight``) or ``conv2d`` (4-D, with
@@ -700,20 +700,21 @@ def affine_batch_norm(x, weight, bias, scale, shift, floor: float, stride: int =
     The input is read as a (K, N) column matrix P, K the fan-in: the rows'
     transpose for a dense layer, the im2col patch matrix for a conv.  The
     batch statistics come from P's mean mu and its K x K covariance ``S =
-    Pc Pc^T / N`` with ``Pc = P - mu``: the channel mean is ``W mu + b`` and
+    Pc Pc^T / N`` with ``Pc = P - mu``: the channel mean is ``W mu`` (no
+    bias: batch norm removes it, and a caller adds it to the mean) and
     the channel variance ``diag(W S W^T)``, so the pre-normalization map is
     never formed.  The output is ``(coef W) Pc + shift``, ``den`` and
     ``coef`` as in ``batch_norm``, one GEMM with the shift in it.  The
     backward masks ``g`` with ``out > 0`` under the ReLU and forms ``G = g
     Pc^T`` and the sum of ``g`` in one GEMM; with ``wG`` the per-channel dot
     of W and G, the shift's gradient is that sum, the scale's ``wG / den``,
-    the weight's ``coef (G - [var > floor] wG / den^2 W S)``, and the bias's
-    exactly 0, since batch norm removes it.  Values match the
-    ``linear``/``conv2d`` -> ``batch_norm`` chain to rounding, not bitwise.
-    Returns the node and the mean and variance it used, as ``batch_norm``
-    does.  The node keeps Pc (over a row of ones) and its output.
+    and the weight's ``coef (G - [var > floor] wG / den^2 W S)``.  Values
+    match the ``linear``/``conv2d`` -> ``batch_norm`` chain to rounding, not
+    bitwise.  Returns the node and the mean and variance it used, as
+    ``batch_norm`` does.  The node keeps Pc (over a row of ones) and its
+    output.
     """
-    x, weight, bias, scale, shift = (_as_tensor(t) for t in (x, weight, bias, scale, shift))
+    x, weight, scale, shift = (_as_tensor(t) for t in (x, weight, scale, shift))
     if x.requires_grad:
         raise ConfigError("affine_batch_norm has no input gradient; its input must need none")
     if x.ndim == 2 and weight.ndim == 2:
@@ -733,10 +734,9 @@ def affine_batch_norm(x, weight, bias, scale, shift, floor: float, stride: int =
         def to_columns(g):
             return _batch_last(g).reshape(out_shape[0], -1)
     channels = (wmat.shape[0],)
-    if bias.shape != channels or scale.shape != channels or shift.shape != channels:
-        raise ShapeError(f"affine_batch_norm with {channels[0]} channels needs bias, scale and "
-                         f"shift of shape {channels}, got {bias.shape}, {scale.shape} and "
-                         f"{shift.shape}")
+    if scale.shape != channels or shift.shape != channels:
+        raise ShapeError(f"affine_batch_norm with {channels[0]} channels needs scale and shift "
+                         f"of shape {channels}, got {scale.shape} and {shift.shape}")
     K, count = cols.shape
     mu = cols.mean(axis=1)
     # Pc over a row of ones, in the input's memory order (batch-first for a
@@ -769,11 +769,10 @@ def affine_batch_norm(x, weight, bias, scale, shift, floor: float, stride: int =
         grad -= through_var[:, None] * wcov
         grad *= coef[:, None]
         _accum(weight, grad.reshape(weight.shape))
-        _accum(bias, np.zeros(channels))
 
-    node = Tensor._from_op(to_output(out), (x, weight, bias, scale, shift), "affine_batch_norm",
+    node = Tensor._from_op(to_output(out), (x, weight, scale, shift), "affine_batch_norm",
                            backward)
-    return node, wmat @ mu + bias.data, var
+    return node, wmat @ mu, var
 
 
 def state_objective(v, form: str, eps: float, mi_weight: float = 1.0,
@@ -846,10 +845,14 @@ def stop_gradient(x) -> Tensor:
 def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
     """Backpropagate and return one gradient array per named parameter.
 
-    Parameters unreachable from the loss get zero gradients of matching shape.
+    Parameters unreachable from the loss get zero gradients of matching
+    shape: every parameter's ``.grad`` is cleared first, since ``backward``
+    resets only the nodes it visits.
     """
     if loss.data.size != 1:
         raise ShapeError(f"gradients() requires a scalar loss, got shape {loss.shape}")
+    for p in params.values():
+        p.grad = None
     loss.backward()
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():

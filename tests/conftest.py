@@ -36,7 +36,7 @@ def first_layer_norm(net: nn.Network, x: Tensor) -> nn.BatchNormLayer | None:
     """The batch norm that a train forward of ``x`` runs inside layer 0's
     ``affine_batch_norm`` node, if any."""
     options, _ = net._nodes("train", x.requires_grad)
-    return options.get(0, {}).get("norm")
+    return net.layers[1] if "affine" in options.get(1, {}) else None
 
 
 def assert_moved_once(net: nn.Network, fresh: nn.Network, x: Tensor) -> None:
@@ -67,7 +67,7 @@ def assert_moved_once(net: nn.Network, fresh: nn.Network, x: Tensor) -> None:
                 else:
                     assert got.tobytes() == want.tobytes()
         if i == 0 and fused is not None:
-            node_out = layer.forward(h, "batch", norm=fused)
+            node_out = fused.forward(h, "batch", affine=layer)
         h = node_out if layer is fused else layer.forward(h, "batch")
 
 

@@ -204,7 +204,8 @@ class TestTrainDml:
         ({"stop-split": 1.5}, "--stop-split must lie in [0, 1), got 1.5"),
         ({"bs": 60}, "BS must be a multiple of MBS, got MBS=40, BS=60"),
         ({"lr": -1}, "learning rate must be finite and > 0, got -1.0"),
-        ({"stop-split": 0.5, "patience": 0}, "patience must be at least 1")])
+        ({"stop-split": 0.5, "patience": 0}, "patience must be at least 1"),
+        ({"beta": -1}, "beta must be nonnegative")])
     def test_bad_last_sweep_entry_fails_before_the_first_run(self, tmp_path, tiny_run, capsys,
                                                              entry, message):
         data, _ = tiny_run
@@ -253,6 +254,24 @@ class TestTrainDml:
                     "--out-dir", str(out)])
         assert code == 1
         assert "'P(2,2,0)' takes 4 arguments, got 3" in capsys.readouterr().err
+        assert not (out / "sweep000").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"beta": -1}, "alpha and beta must be nonnegative"),
+        ({"alpha": -1}, "alpha and beta must be nonnegative"),
+        ({"hidden": [8, 0]}, "hidden width 0 is not a positive number of units")])
+    def test_bad_mim_setting_in_a_later_entry_fails_before_the_first_run(self, tmp_path, capsys,
+                                                                        entry, message):
+        data, cfg, sweep = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "sweep.json"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--seed", "4",
+             "--out", str(data)])
+        cfg.write_text(json.dumps({"mbs": 20, "bs": 20, "epochs": 1, "hidden": [8]}))
+        sweep.write_text(json.dumps([{}, entry]))
+        out = tmp_path / "o"
+        code = run(["train-mim", "--data", str(data), "--config", str(cfg), "--sweep", str(sweep),
+                    "--out-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not (out / "sweep000").exists()
 
     def test_sweep_loads_the_data_once(self, tmp_path, tiny_run, monkeypatch):
@@ -469,6 +488,15 @@ class TestProbeAndGrid:
         assert code == 1
         assert "unknown tap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_probe_without_epochs_is_usage_error(self, tiny_run, capsys, epochs):
+        data, out_dir = tiny_run
+        with pytest.raises(SystemExit) as exc:
+            run(["probe", "--checkpoint", str(out_dir / "checkpoint"), "--data", str(data),
+                 "--epochs", epochs])
+        assert exc.value.code == 2
+        assert f"must be a positive integer, got {epochs}" in capsys.readouterr().err
+
     def test_export_grid_rows(self, tiny_run, tmp_path):
         data, out_dir = tiny_run
         grid = tmp_path / "grid.csv"
@@ -512,6 +540,15 @@ class TestGradcheckCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["pass"] is True and len(payload["results"]) == 1
+
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_no_cases_is_usage_error(self, tmp_path, capsys, cases):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["gradcheck", "--cases", cases, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"must be a positive integer, got {cases}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -325,9 +325,9 @@ def layer_by_layer(net, x, mode, first_node=False):
     ``affine_batch_norm`` node, without the ReLU after it."""
     h, states = x, []
     for i, layer in enumerate(net.layers):
-        if first_node and i == 0:
-            h = layer.forward(h, mode, norm=net.layers[1])
-        elif not (first_node and i == 1):
+        if first_node and i == 1:
+            h = layer.forward(h, mode, affine=net.layers[0])
+        elif not (first_node and i == 0):
             h = layer.forward(h, mode)
         if i in net.taps:
             states.append(h)
@@ -540,19 +540,53 @@ class TestBatchNormReluPairs:
 
 
 def library_nets():
-    """(network factory, input shape) of each network kind the library
-    builds with batch norm."""
+    """(network factory, input shape, op-kind counts of one forward's tape
+    by mode) of each network kind the library builds with batch norm.  The
+    counts leave the leaves out: they pin which nodes run."""
     mim_arch = cli.TRAINING_DEFAULTS["train-mim"]["cnn-arch"]
+
+    def by_mode(forward, eval_):
+        return {"train": forward, "batch": forward, "eval": eval_}
+
+    # one per batch norm folded in eval mode: eval_map's div, mul and sub,
+    # the reshape of its coefficient and the mul and add of the fold
+    def folds(n, **more):
+        return {"add": n, "div": n, "mul": 3 * n, "reshape": n, "sub": n, **more}
+
     return {
         "dml-mlp": (lambda: nn.build_mlp(2, cli.DML_ARCH_HIDDEN, 2, seed=4, batchnorm=True),
-                    (24, 2)),
+                    (24, 2),
+                    by_mode({"affine_batch_norm": 1, "batch_norm": 3, "linear": 4, "softmax": 1},
+                            folds(4, linear=5, softmax=1))),
+        "dml-mlp-512d": (lambda: nn.build_mlp(512, cli.DML_ARCH_HIDDEN, 2, seed=4,
+                                              batchnorm=True), (8, 512),
+                         by_mode({"batch_norm": 4, "linear": 5, "softmax": 1},
+                                 folds(4, linear=5, softmax=1))),
         "mim-cnn": (lambda: nn.build_cnn(mim_arch, (1, 16, 16), seed=5, batchnorm=True),
-                    (4, 1, 16, 16)),
+                    (4, 1, 16, 16),
+                    by_mode({"affine_batch_norm": 1, "batch_norm": 1, "conv2d": 1,
+                             "max_pool2d": 1},
+                            folds(2, conv2d=2, max_pool2d=1))),
         "mnist-cnn": (lambda: nn.build_cnn(cli.MNIST_CNN_ARCH.format(k=10), (1, 28, 28), seed=6,
-                                           batchnorm=True, softmax_head=True), (3, 1, 28, 28)),
+                                           batchnorm=True, softmax_head=True), (3, 1, 28, 28),
+                      by_mode({"affine_batch_norm": 1, "batch_norm": 3, "conv2d": 3, "linear": 1,
+                               "max_pool2d": 2, "mean": 1, "reshape": 2, "softmax": 1},
+                              {**folds(4, conv2d=4, linear=1, max_pool2d=2, mean=1, softmax=1),
+                               "reshape": 6})),
         "tanh-mlp": (lambda: nn.build_mlp(5, [8, 6], 3, seed=7, batchnorm=True,
-                                          activation="tanh"), (12, 5)),
+                                          activation="tanh"), (12, 5),
+                     by_mode({"batch_norm": 2, "linear": 3, "softmax": 1, "tanh": 2},
+                             folds(2, linear=3, softmax=1, tanh=2))),
     }
+
+
+@pytest.mark.parametrize("mode", nn.MODES)
+@pytest.mark.parametrize("kind", sorted(library_nets()))
+def test_library_network_runs_its_recorded_nodes(kind, mode):
+    make, shape, nodes = library_nets()[kind]
+    ops = tape_ops(make().forward(Tensor(np.random.default_rng(36).standard_normal(shape)), mode))
+    del ops["leaf"]
+    assert ops == Counter(nodes[mode])
 
 
 class TestFirstLayerNode:
@@ -566,15 +600,22 @@ class TestFirstLayerNode:
              "mnist-cnn": ("train", "batch"), "tanh-mlp": ()}
 
     def test_library_networks(self):
-        nets = {**library_nets(), "dml-mlp-512d": (
-            lambda: nn.build_mlp(512, cli.DML_ARCH_HIDDEN, 2, seed=4, batchnorm=True), (8, 512))}
         rng = np.random.default_rng(32)
         table = {}
-        for kind, (make, shape) in nets.items():
+        for kind, (make, shape, _) in library_nets().items():
             x = Tensor(rng.standard_normal(shape))
             table[kind] = tuple(mode for mode in nn.MODES
                                 if tape_ops(T.tsum(make().forward(x, mode)))["affine_batch_norm"])
         assert table == self.FUSES
+
+    def test_bias_the_node_does_not_take_gets_zero_gradient(self):
+        # even after an eval backward, whose fold does take layer 0's bias
+        net = nn.build_mlp(2, [8], 2, seed=1, batchnorm=True)
+        rng = np.random.default_rng(35)
+        x, weights = Tensor(rng.standard_normal((12, 2))), rng.standard_normal((12, 2))
+        grads = [T.gradients(T.tsum(net.forward(x, mode) * weights), net.parameters())
+                 for mode in ("eval", "train")]
+        assert grads[0]["layer0.bias"].any() and not grads[1]["layer0.bias"].any()
 
     def test_tapped_batch_norm_runs_in_the_node_without_its_relu(self):
         def make():
@@ -609,7 +650,7 @@ class TestEvalFold:
 
     @pytest.mark.parametrize("kind", sorted(library_nets()))
     def test_library_networks_fold_every_batch_norm(self, kind):
-        make, shape = library_nets()[kind]
+        make, shape, _ = library_nets()[kind]
         x = Tensor(np.random.default_rng(27).standard_normal(shape))
         ops = assert_eval_fold_matches(lambda: with_norm_statistics(make()), x)
         net = make()
