@@ -19,7 +19,7 @@ from .errors import DatasetError, FormatError, ShapeError
 from .nn import orthogonal_init
 
 STD_FLOOR = 1e-8
-DISTANCE_BLOCK_BYTES = 1 << 22   # the separation check's difference array per block
+DISTANCE_BLOCK_BYTES = 1 << 22   # the separation check's (rows, n_b) squared-distance block
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -60,21 +60,32 @@ class ManifoldDataset:
 def min_inter_component_distance(points: np.ndarray, components: np.ndarray) -> float:
     """Smallest Euclidean distance between points of different components.
 
-    One component's rows go in blocks whose difference array against the
-    other component holds at most ``DISTANCE_BLOCK_BYTES`` (one row at
-    least), so memory does not grow with the product of the component sizes.
-    Each squared distance is computed as by the full (n_a, n_b, d) array and
-    the minimum is exact, so the result does not depend on the block size.
+    One component's rows go in blocks whose (rows, n_b) float64 block of
+    squared distances to the other component holds at most
+    ``DISTANCE_BLOCK_BYTES`` (one row at least), so memory grows with neither
+    the product of the component sizes nor the dimension.  Each block adds
+    the squared difference of one coordinate at a time, in coordinate order,
+    so a squared distance is the in-order sum ``(x0 - y0)**2 + (x1 - y1)**2
+    + ...``.  Below 8 coordinates that is bit for bit numpy's sum over the
+    last axis of the full (n_a, n_b, d) array; from 8 on numpy sums pairwise
+    and may differ in the last bits.  The minimum is exact, so the result
+    does not depend on the block size.
     """
     best = np.inf
     ids = np.unique(components)
     for i, a in enumerate(ids):
         pa = points[components == a]
         for b in ids[i + 1:]:
-            pb = points[components == b]
-            rows = max(1, DISTANCE_BLOCK_BYTES // (pb.size * pb.itemsize))
+            pb = points[components == b].T.copy()   # (d, n_b): one row per coordinate
+            rows = max(1, DISTANCE_BLOCK_BYTES // (pb.shape[1] * pb.itemsize))
             for start in range(0, len(pa), rows):
-                d2 = ((pa[start:start + rows, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+                block = pa[start:start + rows]
+                d2 = np.subtract.outer(block[:, 0], pb[0])
+                np.square(d2, out=d2)
+                diff = np.empty_like(d2)
+                for k in range(1, pb.shape[0]):
+                    np.subtract.outer(block[:, k], pb[k], out=diff)
+                    d2 += np.square(diff, out=diff)
                 best = min(best, float(np.sqrt(d2.min())))
     return best
 
@@ -161,19 +172,35 @@ def lift_and_rotate(ds: ManifoldDataset, dim: int, seed: int) -> ManifoldDataset
 
 
 def lift_points(points: np.ndarray, lift_meta: dict) -> np.ndarray:
-    """Apply a recorded lift to new points (e.g. a visualization grid)."""
+    """Apply a recorded lift to new points (e.g. a visualization grid).
+
+    Zero-padding to ``dim`` and rotating reads only the rotation's first
+    ``base_dim`` rows, so the points are multiplied by those rows alone; the
+    rotation is still the full ``orthogonal_init(dim, dim, seed)``, since each
+    row of a QR factor depends on the whole factorization.
+    """
     points = np.asarray(points, dtype=np.float64)
     dim, seed, base = lift_meta["dim"], lift_meta["seed"], lift_meta["base_dim"]
     if points.shape[1] != base:
         raise ShapeError(f"expected {base}-D points for this lift, got {points.shape[1]}-D")
-    padded = np.hstack([points, np.zeros((points.shape[0], dim - base))])
-    return padded @ orthogonal_init(dim, dim, seed).data
+    base_rows = orthogonal_init(dim, dim, seed).data[:base].copy()  # frees the other rows
+    return points @ base_rows
 
 
 def unlift_points(points: np.ndarray, lift_meta: dict) -> np.ndarray:
-    """Invert a recorded lift, recovering the base coordinates."""
+    """Invert a recorded lift, recovering the base coordinates.
+
+    The base coordinates are the products with the rotation's first
+    ``base_dim`` rows, but they are sliced from the full product: the
+    product with those rows alone is a GEMM so narrow that OpenBLAS, on
+    its SkylakeX (AVX-512) kernels, runs it up to about 600 input rows in a
+    small-matrix kernel that sums in another order and changes the last bits.
+    """
     points = np.asarray(points, dtype=np.float64)
-    rotation = orthogonal_init(lift_meta["dim"], lift_meta["dim"], lift_meta["seed"]).data
+    dim = lift_meta["dim"]
+    if points.shape[1] != dim:
+        raise ShapeError(f"expected {dim}-D points for this lift, got {points.shape[1]}-D")
+    rotation = orthogonal_init(dim, dim, lift_meta["seed"]).data
     return (points @ rotation.T)[:, : lift_meta["base_dim"]]
 
 
@@ -271,4 +298,19 @@ def load_csv(path: str | Path, meta: dict | None = None) -> ManifoldDataset:
     raw = np.loadtxt(rows, delimiter=",", ndmin=2)
     if raw.shape[1] != dim + 1:
         raise FormatError(f"{path}: rows have {raw.shape[1]} columns, header implies {dim + 1}")
-    return ManifoldDataset(raw[:, :dim], raw[:, dim].astype(np.int64), meta=meta or {})
+    points, comp = raw[:, :dim], raw[:, dim]
+    # ids must cast to int64 exactly (NaN fails every comparison); a command
+    # that reads them against its k checks their range
+    bad_comp = ~((np.abs(comp) < 2.0 ** 63) & (comp == np.floor(comp)))
+    bad = bad_comp | ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        # loadtxt skips blank and comment-only lines; the header is line 1
+        line = [n for n, row in enumerate(rows, start=2) if row.split("#", 1)[0].strip()][i]
+        if bad_comp[i]:
+            what = f"component {comp[i]:g} is not a 64-bit integer"
+        else:
+            j = int(np.argmin(np.isfinite(points[i])))
+            what = f"coordinate x{j} = {points[i, j]:g} is not finite"
+        raise FormatError(f"{path}: line {line}: {what}")
+    return ManifoldDataset(points, comp.astype(np.int64), meta=meta or {})

@@ -10,6 +10,14 @@ from neuralbayes import data as D
 from neuralbayes.errors import DatasetError, FormatError, ShapeError
 
 
+def two_clouds(d: int, seed: int) -> D.ManifoldDataset:
+    """Two Gaussian clouds of 150 and 130 points in d dimensions, the second
+    shifted by 3 in every coordinate."""
+    rng = np.random.default_rng(seed)
+    points = np.vstack([rng.standard_normal((150, d)), 3.0 + rng.standard_normal((130, d))])
+    return D.ManifoldDataset(points, np.repeat([0, 1], [150, 130]))
+
+
 class TestGenerators:
     def test_moons_deterministic_and_labeled(self):
         a = D.make_two_moons(50, seed=3)
@@ -39,7 +47,9 @@ class TestGenerators:
 
     @pytest.mark.parametrize("make", [lambda: D.make_two_moons(300, seed=3),
                                       lambda: D.make_circles(250, noise=0.05, seed=5),
-                                      lambda: D.make_blobs(3, 200, noise=0.3, seed=4)])
+                                      lambda: D.make_blobs(3, 200, noise=0.3, seed=4),
+                                      lambda: two_clouds(3, seed=15),
+                                      lambda: two_clouds(7, seed=16)])
     def test_blocked_distance_is_the_full_formula(self, make, monkeypatch):
         ds = make()
         ids = np.unique(ds.components)
@@ -50,6 +60,17 @@ class TestGenerators:
         for block_bytes in (1, 16 * 8 * 300, D.DISTANCE_BLOCK_BYTES):
             monkeypatch.setattr(D, "DISTANCE_BLOCK_BYTES", block_bytes)
             assert D.min_inter_component_distance(ds.points, ds.components) == full
+
+    def test_distance_is_the_in_order_sum_over_coordinates(self):
+        # from 8 coordinates on numpy's sum over the last axis is pairwise, so
+        # the full-array formula is not the reference there: on this cloud it
+        # gives another minimum in the last bits
+        ds = two_clouds(9, seed=25)
+        pa, pb = ds.points[ds.components == 0], ds.points[ds.components == 1]
+        d2 = 0.0
+        for k in range(9):
+            d2 = d2 + (pa[:, None, k] - pb[None, :, k]) ** 2
+        assert D.min_inter_component_distance(ds.points, ds.components) == float(np.sqrt(d2.min()))
 
     def test_distance_memory_is_bounded(self):
         # the full difference array of 3000 points per moon is 206 MiB
@@ -100,6 +121,32 @@ class TestLift:
         np.testing.assert_allclose(back, ds.points, atol=1e-9)
         again = D.lift_points(ds.points, lifted.meta["lift"])
         np.testing.assert_allclose(again, lifted.points, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [16, 512])
+    @pytest.mark.parametrize("n", [1, 5, 500, 2000])
+    def test_lift_is_the_padded_full_rotation_product(self, dim, n):
+        from neuralbayes.nn import orthogonal_init
+        meta = {"dim": dim, "seed": 23, "base_dim": 2}
+        points = np.random.default_rng(n).standard_normal((n, 2))
+        rotation = orthogonal_init(dim, dim, 23).data
+        lifted = np.hstack([points, np.zeros((n, dim - 2))]) @ rotation
+        np.testing.assert_array_equal(D.lift_points(points, meta), lifted)
+        np.testing.assert_array_equal(D.unlift_points(lifted, meta), (lifted @ rotation.T)[:, :2])
+
+    def test_unlift_checks_the_width(self):
+        meta = {"dim": 16, "seed": 0, "base_dim": 2}
+        with pytest.raises(ShapeError, match="expected 16-D points for this lift, got 15-D"):
+            D.unlift_points(np.zeros((4, 15)), meta)
+
+    def test_lift_memory_is_its_result(self):
+        points = np.random.default_rng(24).standard_normal((4000, 2))
+        tracemalloc.start()
+        try:
+            lifted = D.lift_points(points, {"dim": 512, "seed": 25, "base_dim": 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * lifted.nbytes, (peak, lifted.nbytes)
 
 
 class TestStandardize:
@@ -197,3 +244,30 @@ class TestCsv:
             warnings.simplefilter("error")  # numpy's "input contained no data" would raise
             with pytest.raises(FormatError, match="empty.csv: no data rows$"):
                 D.load_csv(p)
+
+    def test_well_formed_rows_load_as_written(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x0,x1,component\n-0.5,1e-3,0\n\n# a comment line\n2.25,-7,1.0\n"
+                     "3,4,-1\n")  # a negative id is left to the command that knows k
+        ds = D.load_csv(p)
+        np.testing.assert_array_equal(ds.points, [[-0.5, 1e-3], [2.25, -7.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.components, [0, 1, -1])
+        assert ds.components.dtype == np.int64
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan", "inf", "-inf", "1e19"])
+    def test_component_must_be_an_integer(self, tmp_path, value):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x0,x1,component\n0,0,0\n\n# a comment line\n1,1,{value}\n2,2,{value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast of a NaN would warn
+            with pytest.raises(FormatError, match=r"d.csv: line 5: component .* is not a "
+                                                  r"64-bit integer$"):
+                D.load_csv(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_coordinate_must_be_finite(self, tmp_path, value):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x0,x1,component\n0,0,0\n1,{value},1\n")
+        with pytest.raises(FormatError, match=rf"d.csv: line 3: coordinate x1 = {value} is not "
+                                              r"finite$"):
+            D.load_csv(p)
