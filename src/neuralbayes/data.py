@@ -295,7 +295,10 @@ def load_csv(path: str | Path, meta: dict | None = None) -> ManifoldDataset:
         rows = fh.readlines()
     if not any(row.strip() for row in rows):
         raise FormatError(f"{path}: no data rows")
-    raw = np.loadtxt(rows, delimiter=",", ndmin=2)
+    try:
+        raw = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {_unreadable_line(_data_lines(rows), dim + 1) or exc}") from exc
     if raw.shape[1] != dim + 1:
         raise FormatError(f"{path}: rows have {raw.shape[1]} columns, header implies {dim + 1}")
     points, comp = raw[:, :dim], raw[:, dim]
@@ -305,8 +308,7 @@ def load_csv(path: str | Path, meta: dict | None = None) -> ManifoldDataset:
     bad = bad_comp | ~np.isfinite(points).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        # loadtxt skips blank and comment-only lines; the header is line 1
-        line = [n for n, row in enumerate(rows, start=2) if row.split("#", 1)[0].strip()][i]
+        line = _data_lines(rows)[i][0]
         if bad_comp[i]:
             what = f"component {comp[i]:g} is not a 64-bit integer"
         else:
@@ -314,3 +316,26 @@ def load_csv(path: str | Path, meta: dict | None = None) -> ManifoldDataset:
             what = f"coordinate x{j} = {points[i, j]:g} is not finite"
         raise FormatError(f"{path}: line {line}: {what}")
     return ManifoldDataset(points, comp.astype(np.int64), meta=meta or {})
+
+
+def _data_lines(rows: list[str]) -> list[tuple[int, str]]:
+    """The rows ``np.loadtxt`` reads, as (file line, text before any ``#``):
+    it skips only the lines with nothing before a ``#``, and the header is
+    line 1."""
+    lines = ((n, row.split("#", 1)[0].rstrip("\r\n")) for n, row in enumerate(rows, start=2))
+    return [(n, text) for n, text in lines if text]
+
+
+def _unreadable_line(lines: list[tuple[int, str]], columns: int) -> str | None:
+    """What is wrong with the first data line that is not ``columns``
+    numbers, and its file line; ``None`` if every line parses."""
+    for n, text in lines:
+        fields = text.split(",")
+        if len(fields) != columns:
+            return f"line {n}: expected {columns} comma-separated values, got {len(fields)}"
+        for field in fields:
+            try:
+                float(field)
+            except ValueError:
+                return f"line {n}: {field.strip()!r} is not a number"
+    return None

@@ -5,11 +5,12 @@ output is exported as a hidden state by ``forward_with_states`` (used by the
 multi-state information objective and by probe feature extraction).
 
 Every layer follows one protocol (``Layer``): a class names its checkpoint
-type in ``TYPE`` and the constructor arguments its spec records in ``ARGS``,
-and implements ``forward(x, mode)``; layers with trainable tensors or
-running statistics also return them from ``parameters()`` and
-``buffers()``.  Checkpoints rebuild each layer from its spec through the
-``{TYPE: class}`` registry.
+type in ``TYPE``, the constructor arguments its spec records in ``ARGS``,
+and the attributes holding its trainable tensors and running statistics in
+``PARAMS`` and ``BUFFERS``, and implements ``forward(x, mode)``.
+Checkpoints rebuild each layer from its spec through the ``{TYPE: class}``
+registry.  A dense or conv layer whose output goes, untapped, straight into
+a batch norm has no bias (``Network`` drops it): the batch mean cancels it.
 
 Every forward takes one of three modes, which only batch norm tells apart
 (Ioffe & Szegedy, arXiv:1502.03167):
@@ -45,8 +46,8 @@ node, which matches the affine layer and batch norm it replaces to
 rounding (and every later layer is bitwise that of its own forward on the
 node's output).  Eval values differ only in their last bits (the fold
 reorders the arithmetic), and every eval forward, taped or not, still
-backpropagates into the batch norm's ``scale`` and ``shift``.  The layers,
-their specs, parameter names, taps and checkpoints do not change.
+backpropagates into the batch norm's ``scale`` and ``shift``.  The nodes
+change no layer, spec, parameter, tap or checkpoint.
 """
 
 from __future__ import annotations
@@ -94,15 +95,17 @@ class Layer:
 
     TYPE = ""
     ARGS: tuple[str, ...] = ()
+    PARAMS: tuple[str, ...] = ()    # a ``None`` attribute is no parameter
+    BUFFERS: tuple[str, ...] = ()
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         raise NotImplementedError
 
     def parameters(self) -> dict[str, Tensor]:
-        return {}
+        return {n: getattr(self, n) for n in self.PARAMS if getattr(self, n) is not None}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.BUFFERS}
 
     def spec(self) -> dict:
         return {"type": self.TYPE, **{name: getattr(self, name) for name in self.ARGS}}
@@ -111,7 +114,7 @@ class Layer:
 class DenseLayer(Layer):
     """Affine map x -> x Wt + b with orthogonally initialized weight (out, in)."""
 
-    TYPE, ARGS = "dense", ("in_dim", "out_dim", "seed")
+    TYPE, ARGS, PARAMS = "dense", ("in_dim", "out_dim", "seed"), ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, seed: int | None = 0):
         self.in_dim, self.out_dim, self.seed = in_dim, out_dim, seed
@@ -125,14 +128,12 @@ class DenseLayer(Layer):
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
-    def parameters(self):
-        return {"weight": self.weight, "bias": self.bias}
-
 
 class Conv2dLayer(Layer):
     """2-D convolution with (out, in, k, k) kernels, orthogonal across the fan-in."""
 
     TYPE, ARGS = "conv", ("in_channels", "out_channels", "kernel", "stride", "padding", "seed")
+    PARAMS = ("kernels", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, seed: int | None = 0):
@@ -149,9 +150,6 @@ class Conv2dLayer(Layer):
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.conv2d(x, self.kernels, self.bias, self.stride, self.padding)
 
-    def parameters(self):
-        return {"kernels": self.kernels, "bias": self.bias}
-
 
 class BatchNormLayer(Layer):
     """Feature-wise normalization with running statistics.
@@ -164,6 +162,7 @@ class BatchNormLayer(Layer):
     """
 
     TYPE, ARGS = "batchnorm", ("features", "momentum")
+    PARAMS, BUFFERS = ("scale", "shift"), ("running_mean", "running_var")
 
     def __init__(self, features: int, momentum: float = 0.1):
         if not 0.0 < momentum < 1.0:
@@ -177,15 +176,16 @@ class BatchNormLayer(Layer):
     def forward(self, x: Tensor, mode: str, relu: bool = False,
                 affine: DenseLayer | Conv2dLayer | None = None) -> Tensor:
         """This batch norm as one node; ``relu=True`` also applies the ReLU
-        after it, and ``affine`` also runs the dense or conv layer before
-        it, whose input ``x`` then is.
+        after it, and ``affine`` also runs the bias-free dense or conv layer
+        before it, whose input ``x`` then is.
 
         Eval mode is ``eval_map``: with ``affine``, folded into that layer's
-        ``linear`` or ``conv2d`` node as ``weight * coef`` per output row or
-        kernel and ``bias * coef + offset``, built on the tape from the live
-        leaves (Jacob et al., arXiv:1712.05877); else the map itself.  Train
-        and batch mode run ``batch_norm``, or ``affine_batch_norm`` with
-        ``affine``, whose input must need no gradient."""
+        ``linear`` or ``conv2d`` node as the weight ``weight * coef`` per
+        output row or kernel and the bias ``offset``, built on the tape from
+        the live leaves (Jacob et al., arXiv:1712.05877); else the map
+        itself.  Train and batch mode run ``batch_norm``, or
+        ``affine_batch_norm`` with ``affine``, whose input must need no
+        gradient."""
         if x.ndim not in (2, 4):
             raise ShapeError(f"batch norm expects (B, F) or (B, C, H, W), got shape {x.shape}")
         _check_mode(mode)
@@ -197,8 +197,7 @@ class BatchNormLayer(Layer):
                 return T.relu(out) if relu else out
             op, weight, geometry = _affine_op(affine)
             rows = T.reshape(coef, (-1,) + (1,) * (weight.ndim - 1))
-            return op(x, T.mul(weight, rows), T.add(T.mul(affine.bias, coef), offset),
-                      relu=relu, **geometry)
+            return op(x, T.mul(weight, rows), offset, relu=relu, **geometry)
         if x.shape[0] < 2:
             raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
         if affine is None:
@@ -208,7 +207,6 @@ class BatchNormLayer(Layer):
             _, weight, geometry = _affine_op(affine)
             out, mean, var = T.affine_batch_norm(x, weight, self.scale, self.shift, BN_VAR_FLOOR,
                                                  relu=relu, **geometry)
-            mean = mean + affine.bias.data
         if mode == "train":   # the unbiased batch variance moves the running one
             n = out.size // self.features
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
@@ -224,14 +222,12 @@ class BatchNormLayer(Layer):
         coef = T.div(self.scale, np.sqrt(np.maximum(self.running_var, BN_VAR_FLOOR)))
         return coef, T.sub(self.shift, T.mul(self.running_mean, coef))
 
-    def parameters(self):
-        return {"scale": self.scale, "shift": self.shift}
-
-    def buffers(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        setattr(self, name, value)
+    def absorb_bias(self, affine: DenseLayer | Conv2dLayer) -> None:
+        """Drop the bias of the layer before: the batch mean cancels it, and
+        the running mean takes it over, which keeps the eval map to rounding."""
+        if affine.bias is not None:
+            self.running_mean = self.running_mean - affine.bias.data
+            affine.bias = None
 
 
 def _affine_op(layer: DenseLayer | Conv2dLayer) -> tuple:
@@ -308,6 +304,8 @@ class Network:
             if not 0 <= t < len(self.layers):
                 raise ConfigError(f"tap {t} does not reference an existing layer")
         self.taps = tuple(taps)
+        for i in _before_batch_norm(self.layers, self.taps):
+            self.layers[i + 1].absorb_bias(self.layers[i])
 
     def forward_with_states(self, x, mode: str = "eval", *,
                             train: bool | None = None) -> tuple[Tensor, list[Tensor]]:
@@ -337,21 +335,19 @@ class Network:
         forward, by index, and the indices of the layers they absorb.  A
         layer is absorbed only when the output between it and the batch norm
         is not a tapped state.  The ``ReluLayer`` after a batch norm is
-        absorbed by the pair rule; the dense or conv layer before it by the
-        eval rule, and by the first-layer rule when it is layer 0, the
-        network input (``input_grad``) needs no gradient and
-        ``_covariance_pays``."""
+        absorbed by the pair rule; the dense or conv layer before it
+        (``_before_batch_norm``) by the eval rule, and by the first-layer
+        rule when it is layer 0, the network input (``input_grad``) needs no
+        gradient and ``_covariance_pays``."""
         options, absorbed = {}, set()
         for i, (layer, after) in enumerate(zip(self.layers, self.layers[1:])):
-            if i in self.taps:
-                continue
-            if isinstance(layer, BatchNormLayer) and isinstance(after, ReluLayer):
+            if (i not in self.taps and isinstance(layer, BatchNormLayer)
+                    and isinstance(after, ReluLayer)):
                 options.setdefault(i, {})["relu"] = True
                 absorbed.add(i + 1)
-            if (isinstance(layer, (DenseLayer, Conv2dLayer)) and isinstance(after, BatchNormLayer)
-                    and (mode == "eval" or (i == 0 and not input_grad
-                                            and _covariance_pays(layer)))):
-                options.setdefault(i + 1, {})["affine"] = layer
+        for i in _before_batch_norm(self.layers, self.taps):
+            if mode == "eval" or (i == 0 and not input_grad and _covariance_pays(self.layers[0])):
+                options.setdefault(i + 1, {})["affine"] = self.layers[i]
                 absorbed.add(i)
         return options, absorbed
 
@@ -362,24 +358,26 @@ class Network:
     __call__ = forward
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.parameters().items():
-                out[f"layer{i}.{name}"] = p
-        return out
+        return {f"layer{i}.{name}": p for i, layer in enumerate(self.layers)
+                for name, p in layer.parameters().items()}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, b in layer.buffers().items():
-                out[f"layer{i}.{name}"] = b
-        return out
+        return {f"layer{i}.{name}": b for i, layer in enumerate(self.layers)
+                for name, b in layer.buffers().items()}
 
     def tap_names(self) -> list[str]:
         return [f"h{j}" for j in range(len(self.taps))]
 
     def spec(self) -> dict:
         return {"layers": [l.spec() for l in self.layers], "taps": list(self.taps)}
+
+
+def _before_batch_norm(layers: Sequence[Layer], taps: Sequence[int]) -> list[int]:
+    """The dense and conv layers, by index, whose output goes untapped into a
+    batch norm: those have no bias, and the batch norm's node may run them."""
+    return [i for i, (layer, after) in enumerate(zip(layers, layers[1:]))
+            if i not in taps and isinstance(layer, (DenseLayer, Conv2dLayer))
+            and isinstance(after, BatchNormLayer)]
 
 
 def _covariance_pays(layer: DenseLayer | Conv2dLayer) -> bool:
@@ -533,10 +531,10 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
 CHECKPOINT_FORMAT = "nb-checkpoint-v1"
 
 
-def _entries(net: Network) -> list[tuple[str, str, np.ndarray]]:
+def _entries(layers: Sequence[Layer]) -> list[tuple[str, str, np.ndarray]]:
     """(name, kind, array) in declaration order; kind is 'param' or 'buffer'."""
     entries = []
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(layers):
         entries += [(f"layer{i}.{name}", "param", p.data) for name, p in layer.parameters().items()]
         entries += [(f"layer{i}.{name}", "buffer", b) for name, b in layer.buffers().items()]
     return entries
@@ -545,7 +543,7 @@ def _entries(net: Network) -> list[tuple[str, str, np.ndarray]]:
 def save_checkpoint(net: Network, stem: str | Path) -> tuple[Path, Path]:
     """Write ``<stem>.json`` + ``<stem>.bin``; the round trip is bit-exact."""
     stem = Path(stem)
-    entries = _entries(net)
+    entries = _entries(net.layers)
     manifest = {"format": CHECKPOINT_FORMAT, "dtype": "<f8", "architecture": net.spec(),
                 "entries": [{"name": name, "kind": kind, "shape": list(arr.shape)}
                             for name, kind, arr in entries]}
@@ -578,7 +576,8 @@ def load_checkpoint(stem: str | Path) -> Network:
     The manifest is checked against the network its architecture builds:
     every entry's name, kind and shape must be the one ``save_checkpoint``
     would write there, and the binary must hold exactly their bytes; anything
-    else raises ``FormatError``.
+    else raises ``FormatError``.  An older file also lists the bias of each
+    layer before a batch norm: ``Network`` folds it into the running mean.
     """
     stem = Path(stem)
     json_path = stem if stem.suffix == ".json" else stem.with_suffix(".json")
@@ -592,18 +591,19 @@ def load_checkpoint(stem: str | Path) -> Network:
         raise FormatError(f"unsupported checkpoint format {fmt!r}")
     try:
         arch = manifest["architecture"]
-        net = Network([_layer_from_spec(spec) for spec in arch["layers"]], arch["taps"])
+        layers, taps = [_layer_from_spec(spec) for spec in arch["layers"]], arch["taps"]
         listed = [(e["name"], e["kind"], tuple(e["shape"])) for e in manifest["entries"]]
+        dropped = {f"layer{i}.bias" for i in _before_batch_norm(layers, taps)}
     except (KeyError, TypeError) as exc:
         raise FormatError(f"checkpoint manifest {json_path} is malformed: "
                           f"{type(exc).__name__} {exc}") from exc
-    expected = [(name, kind, arr.shape) for name, kind, arr in _entries(net)]
+    legacy = any(name in dropped for name, _, _ in listed)
+    expected = [(n, k, a.shape) for n, k, a in _entries(layers) if legacy or n not in dropped]
     for i, (got, want) in enumerate(itertools.zip_longest(listed, expected)):
         if got != want:
             raise FormatError(f"checkpoint entry {i} is {got}; the architecture needs {want}")
     raw = bin_path.read_bytes()
     offset = 0
-    params = net.parameters()
     for name, kind, shape in expected:
         n = int(np.prod(shape)) if shape else 1
         nbytes = n * 8
@@ -613,11 +613,11 @@ def load_checkpoint(stem: str | Path) -> Network:
                 f"needs bytes [{offset}, {offset + nbytes})")
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
         offset += nbytes
+        index, attr = name[len("layer"):].split(".", 1)
         if kind == "param":
-            params[name].data = arr
+            getattr(layers[int(index)], attr).data = arr
         else:
-            layer_idx, buf_name = name.split(".", 1)
-            net.layers[int(layer_idx[5:])].set_buffer(buf_name, arr)
+            setattr(layers[int(index)], attr, arr)
     if offset != len(raw):
         raise FormatError(f"checkpoint binary has {len(raw) - offset} trailing bytes at offset {offset}")
-    return net
+    return Network(layers, taps)

@@ -26,10 +26,10 @@ Conventions:
     values are bitwise those a kept copy would give; a node fused with the
     ReLU after it (``batch_norm``, ``linear`` or ``conv2d`` with
     ``relu=True``) keeps only its clamped output, which is also the ReLU's
-    mask; ``affine_batch_norm``, whose affine map has no bias, keeps its
-    output and its centred (K, N) input, K the fan-in, in place of the (C,
-    N) map before the normalization; ``state_objective`` keeps the log of
-    its posterior, a transcendental per entry,
+    mask; ``affine_batch_norm`` keeps its output and its centred (K, N)
+    input, K the fan-in, in place of the (C, N) map before the
+    normalization; ``state_objective`` keeps the log of its posterior, a
+    transcendental per entry,
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
@@ -319,7 +319,7 @@ def tanh(x) -> Tensor:
 def linear(x, weight, bias, relu: bool = False) -> Tensor:
     """Affine map ``x @ weight.T + bias`` of a (B, in) batch with (out, in)
     weights, as one node; with ``relu=True``, clamped at 0 (a ReLU after
-    the map).
+    the map).  ``bias=None`` is no bias: no add, and two parents.
 
     The product reads the weight through its transposed view (BLAS takes
     the transpose as a flag, so nothing is copied).  The backward is
@@ -327,17 +327,17 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     gradient), ``g.T @ x`` for the weight and the column sums of ``g`` for
     the bias.  With the ReLU the output buffer is clamped in place and the
     node keeps no pre-ReLU copy: ``out > 0`` masks the incoming gradient.
-    Eval-mode forwards fold a batch norm into the weight and bias and run
+    Eval-mode forwards fold a batch norm into the weight and a bias and run
     it, with its ReLU, as this node.
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim != 2 or weight.ndim != 2:
-        raise ShapeError(f"linear expects 2-D input and weight, got {x.shape}, {weight.shape}")
-    if x.shape[1] != weight.shape[1] or bias.shape != (weight.shape[0],):
-        raise ShapeError(f"linear of {x.shape} needs a (out, {x.shape[1]}) weight and (out,) "
-                         f"bias, got {weight.shape} and {bias.shape}")
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"linear of {x.shape} needs a 2-D (out, {x.shape[-1]}) weight, "
+                         f"got {weight.shape}")
+    bias = _checked_bias(bias, weight, "linear")
     out_data = x.data @ weight.data.T
-    out_data += bias.data
+    if bias is not None:
+        out_data += bias.data
     if relu:
         np.maximum(out_data, 0.0, out=out_data)
 
@@ -347,9 +347,19 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
         if x.requires_grad:
             _accum(x, g @ weight.data)
         _accum(weight, g.T @ x.data)
-        _accum(bias, g.sum(axis=0))
+        if bias is not None:
+            _accum(bias, g.sum(axis=0))
 
-    return Tensor._from_op(out_data, (x, weight, bias), "linear", backward)
+    return Tensor._from_op(out_data, (x, weight) if bias is None else (x, weight, bias),
+                           "linear", backward)
+
+
+def _checked_bias(bias, weight: Tensor, op: str) -> Tensor | None:
+    """An affine op's (out,) bias as a tensor; ``None`` is no bias."""
+    if bias is not None and (bias := _as_tensor(bias)).shape != weight.shape[:1]:
+        raise ShapeError(f"{op} with a {weight.shape} weight needs a ({weight.shape[0]},) bias, "
+                         f"got {bias.shape}")
+    return bias
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
@@ -542,10 +552,10 @@ def max_pool2d(x, kernel: int = 2, stride: int = 2) -> Tensor:
 
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
     """2-D cross-correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) kernels,
-    plus a (Cout,) bias; with ``relu=True``, clamped at 0 as ``linear`` is
-    (in place, no pre-ReLU copy, the gradient masked with ``out > 0``).
-    Eval-mode forwards fold a batch norm into the kernels and bias and run
-    it, with its ReLU, as this node.
+    plus a (Cout,) bias, or none for ``bias=None``, as one node that
+    handles its bias and ``relu=True`` as ``linear`` does.  Eval-mode
+    forwards fold a batch norm into the kernels and a bias and run it, with
+    its ReLU, as this node.
 
     Lowered to one GEMM (im2col; Chellapilla et al., 2006): the kh*kw strided
     views of the padded batch-last input are copied into a (Cin*kh*kw,
@@ -557,13 +567,15 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0, relu: bool = Fals
     padded batch-last input (a view of the input when that is batch-last and
     unpadded) for the kernel-gradient GEMM and drops it before the col2im.
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    x, weight = _as_tensor(x), _as_tensor(weight)
     xp, views, (oh, ow), patches = _im2col(x, weight, stride, padding, "conv2d")
+    bias = _checked_bias(bias, weight, "conv2d")
     B, Cin, H, W = x.shape
     Cout, _, kh, kw = weight.shape
     wmat = weight.data.reshape(Cout, Cin * kh * kw)
     out_b = wmat @ patches()
-    out_b += bias.data[:, None]
+    if bias is not None:
+        out_b += bias.data[:, None]
     if relu:
         np.maximum(out_b, 0.0, out=out_b)
 
@@ -572,7 +584,8 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0, relu: bool = Fals
         if relu:
             g2 = g2 * (out_b > 0.0)
         _accum(weight, (g2 @ patches().T).reshape(weight.shape))
-        _accum(bias, g2.sum(axis=1))
+        if bias is not None:
+            _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
             gcols = (wmat.T @ g2).reshape(Cin, kh * kw, oh, ow, B)
             gxp = np.zeros(xp.shape)
@@ -583,7 +596,8 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0, relu: bool = Fals
             _accum(x, gxp.transpose(3, 0, 1, 2))
 
     return Tensor._from_op(out_b.reshape(Cout, oh, ow, B).transpose(3, 0, 1, 2),
-                           (x, weight, bias), "conv2d", backward)
+                           (x, weight) if bias is None else (x, weight, bias), "conv2d",
+                           backward)
 
 
 def _im2col(x: Tensor, kernels: Tensor, stride: int, padding: int, op: str):
@@ -700,19 +714,18 @@ def affine_batch_norm(x, weight, scale, shift, floor: float, stride: int = 1,
     The input is read as a (K, N) column matrix P, K the fan-in: the rows'
     transpose for a dense layer, the im2col patch matrix for a conv.  The
     batch statistics come from P's mean mu and its K x K covariance ``S =
-    Pc Pc^T / N`` with ``Pc = P - mu``: the channel mean is ``W mu`` (no
-    bias: batch norm removes it, and a caller adds it to the mean) and
-    the channel variance ``diag(W S W^T)``, so the pre-normalization map is
-    never formed.  The output is ``(coef W) Pc + shift``, ``den`` and
-    ``coef`` as in ``batch_norm``, one GEMM with the shift in it.  The
-    backward masks ``g`` with ``out > 0`` under the ReLU and forms ``G = g
-    Pc^T`` and the sum of ``g`` in one GEMM; with ``wG`` the per-channel dot
-    of W and G, the shift's gradient is that sum, the scale's ``wG / den``,
-    and the weight's ``coef (G - [var > floor] wG / den^2 W S)``.  Values
-    match the ``linear``/``conv2d`` -> ``batch_norm`` chain to rounding, not
-    bitwise.  Returns the node and the mean and variance it used, as
-    ``batch_norm`` does.  The node keeps Pc (over a row of ones) and its
-    output.
+    Pc Pc^T / N`` with ``Pc = P - mu``: the channel mean is ``W mu`` (the
+    layer has no bias) and the channel variance ``diag(W S W^T)``, so the
+    pre-normalization map is never formed.  The output is ``(coef W) Pc +
+    shift``, ``den`` and ``coef`` as in ``batch_norm``, one GEMM with the
+    shift in it.  The backward masks ``g`` with ``out > 0`` under the ReLU
+    and forms ``G = g Pc^T`` and the sum of ``g`` in one GEMM; with ``wG``
+    the per-channel dot of W and G, the shift's gradient is that sum, the
+    scale's ``wG / den``, and the weight's ``coef (G - [var > floor] wG /
+    den^2 W S)``.  Values match the ``linear``/``conv2d`` -> ``batch_norm``
+    chain to rounding, not bitwise.  Returns the node and the mean and
+    variance it used, as ``batch_norm`` does.  The node keeps Pc (over a
+    row of ones) and its output.
     """
     x, weight, scale, shift = (_as_tensor(t) for t in (x, weight, scale, shift))
     if x.requires_grad:

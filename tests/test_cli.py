@@ -165,6 +165,17 @@ class TestTrainDml:
         assert "d.csv: line 4: component 1.5 is not a 64-bit integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_csv_line_fails_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x0,x1,component\n0,0,0\n \n1,1,1\n")
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--mbs", "2", "--bs", "2",
+                    "--epochs", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert (f"error: {data}: line 3: expected 3 comma-separated values, got 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_schedule_fails(self, tmp_path, tiny_run):
         data, _ = tiny_run
         code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "60",

@@ -264,6 +264,18 @@ class TestCsv:
                                                   r"64-bit integer$"):
                 D.load_csv(p)
 
+    @pytest.mark.parametrize("line, match", [
+        ("   ", "expected 3 comma-separated values, got 1"),
+        ("1,abc,1", "'abc' is not a number"),
+        ("1,1", "expected 3 comma-separated values, got 2"),
+    ])
+    def test_unreadable_line_names_its_file_line(self, tmp_path, line, match):
+        # the blank and comment lines before it count, as for the value checks
+        p = tmp_path / "d.csv"
+        p.write_text(f"x0,x1,component\n0,0,0\n\n# a comment line\n{line}\n2,2,1\n")
+        with pytest.raises(FormatError, match=rf"d.csv: line 5: {match}$"):
+            D.load_csv(p)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_coordinate_must_be_finite(self, tmp_path, value):
         p = tmp_path / "d.csv"

@@ -316,8 +316,8 @@ def state_posterior(rng, b, k, spatial, zeros):
 
 def max_grad_gap(grads, ref_grads):
     """Largest gradient difference relative to the largest reference |g| over
-    all tensors (a per-tensor relative check is meaningless for rounding-noise
-    gradients, such as a conv bias in front of batch norm)."""
+    all tensors (a per-tensor relative check is meaningless for a tensor
+    whose gradient is near zero)."""
     scale = max(float(np.abs(g).max()) for g in ref_grads.values())
     return max(float(np.abs(grads[n] - g).max()) for n, g in ref_grads.items()) / scale
 

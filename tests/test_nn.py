@@ -60,7 +60,7 @@ class TestLayerGradients:
                     setattr(layer, name, t)
             out = layer.forward(p["x"], mode)
             for name, v in saved_stats.items():  # keep running stats fixed across evals
-                layer.set_buffer(name, v.copy())
+                setattr(layer, name, v.copy())
             return T.tsum(out * out)
 
         analytic = T.gradients(build(params), params)
@@ -459,7 +459,6 @@ class TestBatchNormReluPairs:
             largest = max(np.abs(g).max() for g in plain_grads.values())
             for name, g in grads.items():
                 assert np.abs(g - plain_grads[name]).max() <= 1e-12 * largest, name
-            assert not grads["layer0.bias"].any()
             assert_close(net.buffers(), plain_net.buffers(), 1e-13)
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
@@ -530,8 +529,8 @@ class TestBatchNormReluPairs:
             nets.append(net)
         assert files[0] == files[1]
         # against the unfused chain: the same spec and manifest, parameters
-        # within 1e-13 of the largest |parameter| (the node's bias gradient
-        # is exactly 0) and buffers within the node's bounds
+        # within 1e-13 of the largest |parameter| and buffers within the
+        # node's bounds
         assert files[0][:2] == files[2][:2]
         fused, unfused = (np.concatenate([p.data.ravel() for p in net.parameters().values()])
                           for net in (nets[0], nets[2]))
@@ -549,9 +548,10 @@ def library_nets():
         return {"train": forward, "batch": forward, "eval": eval_}
 
     # one per batch norm folded in eval mode: eval_map's div, mul and sub,
-    # the reshape of its coefficient and the mul and add of the fold
+    # the reshape of its coefficient and the fold's mul of the weight (the
+    # offset is the folded node's bias)
     def folds(n, **more):
-        return {"add": n, "div": n, "mul": 3 * n, "reshape": n, "sub": n, **more}
+        return {"div": n, "mul": 2 * n, "reshape": n, "sub": n, **more}
 
     return {
         "dml-mlp": (lambda: nn.build_mlp(2, cli.DML_ARCH_HIDDEN, 2, seed=4, batchnorm=True),
@@ -589,6 +589,47 @@ def test_library_network_runs_its_recorded_nodes(kind, mode):
     assert ops == Counter(nodes[mode])
 
 
+def structure_nets():
+    """(network factory, names of the biases it keeps) of each network kind
+    the library builds, and of one whose affine layer before a batch norm
+    is tapped: only the heads and the layers without a batch norm after
+    them keep a bias."""
+    library = library_nets()
+    kept = {"dml-mlp": ["layer12.bias"], "dml-mlp-512d": ["layer12.bias"], "mim-cnn": [],
+            "mnist-cnn": ["layer16.bias"], "tanh-mlp": ["layer6.bias"]}
+    nets = {kind: (library[kind][0], kept[kind]) for kind in library}
+    hidden = cli.TRAINING_DEFAULTS["train-mim"]["hidden"]
+    nets["mim-mlp"] = (lambda: nn.build_mlp(784, hidden, out_units=None, seed=1),
+                       ["layer0.bias", "layer2.bias", "layer4.bias"])
+    nets["probe-mlp"] = (lambda: nn.build_mlp(12, [16], 3, seed=2, batchnorm=False,
+                                              softmax_head=False), ["layer0.bias", "layer2.bias"])
+    nets["tapped-affine"] = (lambda: nn.Network(
+        [nn.DenseLayer(3, 5, seed=1), nn.BatchNormLayer(5), nn.ReluLayer(),
+         nn.DenseLayer(5, 4, seed=2), nn.BatchNormLayer(4), nn.ReluLayer()], taps=[0, 2, 5]),
+        ["layer0.bias"])
+    return nets
+
+
+# (parameter tensors, parameter values) of the benchmark and preset networks
+PARAMETER_TOTALS = {"dml-mlp-512d": (14, 688_802), "mim-cnn": (6, 74_688),
+                    "mnist-cnn": (14, 1_177_710)}
+
+
+@pytest.mark.parametrize("kind", sorted(structure_nets()))
+def test_only_layers_before_an_untapped_batch_norm_lose_their_bias(kind):
+    make, kept = structure_nets()[kind]
+    net = make()
+    params = net.parameters()
+    assert [name for name in params if name.endswith("bias")] == kept
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, (nn.DenseLayer, nn.Conv2dLayer)):
+            normed = (i not in net.taps and i + 1 < len(net.layers)
+                      and isinstance(net.layers[i + 1], nn.BatchNormLayer))
+            assert (layer.bias is None) == normed, i
+    if kind in PARAMETER_TOTALS:
+        assert (len(params), sum(p.data.size for p in params.values())) == PARAMETER_TOTALS[kind]
+
+
 class TestFirstLayerNode:
     """In train and batch mode layer 0 and the batch norm after it run as one
     ``affine_batch_norm`` node when the network input needs no gradient,
@@ -607,15 +648,6 @@ class TestFirstLayerNode:
             table[kind] = tuple(mode for mode in nn.MODES
                                 if tape_ops(T.tsum(make().forward(x, mode)))["affine_batch_norm"])
         assert table == self.FUSES
-
-    def test_bias_the_node_does_not_take_gets_zero_gradient(self):
-        # even after an eval backward, whose fold does take layer 0's bias
-        net = nn.build_mlp(2, [8], 2, seed=1, batchnorm=True)
-        rng = np.random.default_rng(35)
-        x, weights = Tensor(rng.standard_normal((12, 2))), rng.standard_normal((12, 2))
-        grads = [T.gradients(T.tsum(net.forward(x, mode) * weights), net.parameters())
-                 for mode in ("eval", "train")]
-        assert grads[0]["layer0.bias"].any() and not grads[1]["layer0.bias"].any()
 
     def test_tapped_batch_norm_runs_in_the_node_without_its_relu(self):
         def make():
@@ -699,14 +731,17 @@ class TestEvalFold:
         np.testing.assert_allclose(coef.data, norm.scale.data / den, rtol=1e-15, atol=0)
         np.testing.assert_allclose(offset.data, norm.shift.data - norm.running_mean * coef.data,
                                    rtol=1e-15, atol=0)
+        # the network takes the dense layer's bias into the running mean and
+        # gives the biased chain's eval map
         dense = nn.DenseLayer(4, 3, seed=3)
         dense.bias.data = rng.standard_normal(3)
         x = rng.standard_normal((5, 4))
         z = x @ dense.weight.data.T + dense.bias.data
         want = (z - norm.running_mean) / den * norm.scale.data + norm.shift.data
+        chain = norm.forward(Tensor(z), "eval").data
         folded = nn.Network([dense, norm]).forward(Tensor(x), "eval")
-        assert folded.op == "linear"
-        for got in (folded.data, norm.forward(Tensor(z), "eval").data):
+        assert folded.op == "linear" and dense.bias is None
+        for got in (folded.data, chain):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         maps = rng.standard_normal((2, 3, 2, 2))
         want = ((maps - norm.running_mean[:, None, None]) / den[:, None, None]
@@ -870,3 +905,63 @@ class TestCheckpointManifest:
             m["architecture"]["layers"][2]["type"] = "gelu"
         with pytest.raises(FormatError, match="gelu"):
             self._load_edited(saved, retype)
+
+
+class TestBiasedCheckpoint:
+    """An ``nb-checkpoint-v1`` file written when each layer before a batch
+    norm still had a bias lists those biases; it loads, with each bias
+    folded into its batch norm's running mean."""
+
+    @staticmethod
+    def _write(stem):
+        """A 2-D DML-style network with nonzero biases before its batch
+        norms, saved in that layout; returns the network, whose layers hold
+        those biases again, so only ``layer_by_layer`` runs it as saved."""
+        rng = np.random.default_rng(37)
+        net = with_norm_statistics(nn.build_mlp(2, [8, 6], 2, seed=9, batchnorm=True))
+        for i in (0, 3, 6):
+            net.layers[i].bias = Tensor(rng.standard_normal(net.layers[i].out_dim),
+                                        requires_grad=True)
+        entries = nn._entries(net.layers)
+        assert [name for name, _, _ in entries if name.endswith("bias")] == [
+            "layer0.bias", "layer3.bias", "layer6.bias"]
+        manifest = {"format": "nb-checkpoint-v1", "dtype": "<f8", "architecture": net.spec(),
+                    "entries": [{"name": name, "kind": kind, "shape": list(arr.shape)}
+                                for name, kind, arr in entries]}
+        stem.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        stem.with_suffix(".bin").write_bytes(b"".join(arr.astype("<f8").tobytes()
+                                                      for _, _, arr in entries))
+        return net
+
+    def test_loads_to_the_biased_networks_eval_map(self, tmp_path):
+        biased = self._write(tmp_path / "old")
+        x = Tensor(np.random.default_rng(38).standard_normal((12, 2)))
+        ref_out, ref_states = layer_by_layer(biased, x, "eval")
+        loaded = nn.load_checkpoint(tmp_path / "old")
+        assert [name for name in loaded.parameters() if name.endswith("bias")] == ["layer6.bias"]
+        for i in (0, 3):
+            assert loaded.layers[i + 1].running_mean.tobytes() == (
+                biased.layers[i + 1].running_mean - biased.layers[i].bias.data).tobytes()
+        out, states = loaded.forward_with_states(x, "eval")
+        assert_close(dict(enumerate([out.data, *(s.data for s in states)])),
+                     dict(enumerate([ref_out.data, *(s.data for s in ref_states)])), 1e-13)
+        jp, bp = nn.save_checkpoint(loaded, tmp_path / "new")
+        assert "layer0.bias" not in jp.read_text()
+        again = nn.load_checkpoint(tmp_path / "new")
+        assert [(name, a.tobytes()) for name, _, a in nn._entries(again.layers)] == \
+            [(name, a.tobytes()) for name, _, a in nn._entries(loaded.layers)]
+        nn.save_checkpoint(again, tmp_path / "again")
+        assert (tmp_path / "again.bin").read_bytes() == bp.read_bytes()
+        assert (tmp_path / "again.json").read_bytes() == jp.read_bytes()
+
+    def test_probe_and_export_grid_run_on_it(self, tmp_path, capsys):
+        self._write(tmp_path / "old")
+        data = tmp_path / "d.csv"
+        assert cli.main(["gen-data", "--kind", "moons", "--n", "30", "--seed", "3",
+                         "--out", str(data)]) == 0
+        assert cli.main(["probe", "--checkpoint", str(tmp_path / "old"), "--data", str(data),
+                         "--layer", "h1", "--epochs", "2", "--seed", "0"]) == 0
+        grid = tmp_path / "grid.csv"
+        assert cli.main(["export-grid", "--checkpoint", str(tmp_path / "old"), "--data",
+                         str(data), "--resolution", "6", "--out", str(grid)]) == 0
+        assert len(grid.read_text().splitlines()) == 37

@@ -106,16 +106,22 @@ class TestLinear:
         np.testing.assert_allclose(out.data, x @ w.T + b, rtol=0, atol=1e-13)
 
     @staticmethod
-    def _fd_case(x_grad, relu):
+    def _fd_case(x_grad, relu, bias=True):
         rng = np.random.default_rng(31)
         params = {"w": Tensor(rng.standard_normal((3, 5)), requires_grad=True),
                   "b": Tensor(rng.standard_normal(3), requires_grad=True)}
         x = Tensor(rng.standard_normal((7, 5)), requires_grad=x_grad)
         if x_grad:
             params["x"] = x
+        if not bias:
+            del params["b"]
         wgt = rng.standard_normal((7, 3))
-        fd_check(lambda p: T.tsum(T.linear(p.get("x", x), p["w"], p["b"], relu=relu) * wgt),
-                 params)
+
+        def forward(p):
+            return T.linear(p.get("x", x), p["w"], p.get("b"), relu=relu)
+
+        assert len(forward(params)._parents) == 2 + bias
+        fd_check(lambda p: T.tsum(forward(p) * wgt), params)
 
     @pytest.mark.parametrize("x_grad", [True, False])
     def test_gradient_vs_finite_differences(self, x_grad):
@@ -124,6 +130,17 @@ class TestLinear:
     @pytest.mark.parametrize("x_grad", [True, False])
     def test_relu_gradient_vs_finite_differences(self, x_grad):
         self._fd_case(x_grad, relu=True)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_no_bias_gradient_vs_finite_differences(self, x_grad):
+        self._fd_case(x_grad, relu=False, bias=False)
+
+    def test_no_bias_is_a_zero_bias(self):
+        rng = np.random.default_rng(33)
+        x, w = Tensor(rng.standard_normal((6, 4))), Tensor(rng.standard_normal((3, 4)))
+        out = T.linear(x, w, None)
+        assert out.op == "linear" and out._parents == (x, w)
+        assert np.array_equal(out.data, T.linear(x, w, np.zeros(3)).data)
 
     def test_relu_is_relu_of_linear(self):
         rng = np.random.default_rng(32)
@@ -550,9 +567,31 @@ class TestConv:
 
         fd_check(build, params, tol=1e-4)
 
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_no_bias_vs_finite_differences(self, x_grad):
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=x_grad)
+        params = {"w": Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)}
+        if x_grad:
+            params["x"] = x
+
+        def forward(p):
+            return T.conv2d(p.get("x", x), p["w"], None, stride=2, padding=1)
+
+        out = forward(params)
+        assert out.op == "conv2d" and out._parents == (x, params["w"])
+        zero = T.conv2d(x, params["w"], np.zeros(4), stride=2, padding=1)
+        assert np.array_equal(out.data, zero.data) and is_batch_last(out.data)
+        wgt = rng.standard_normal(out.shape)
+        fd_check(lambda p: T.tsum(forward(p) * wgt), params)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 2, 2))), Tensor(np.ones(3)))
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ShapeError, match=r"needs a \(3,\) bias"):
+            T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 2, 2))), Tensor(np.ones(2)))
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError):
@@ -701,9 +740,8 @@ class TestBatchNormRelu:
 
 class TestAffineBatchNorm:
     """``affine_batch_norm`` against the ``linear``/``conv2d`` -> ``batch_norm``
-    chain it replaces: values within 1e-13 and gradients within 1e-12 of the
-    largest |value|, and the same statistics within 1e-13 once the chain's
-    bias, which the node does not take, is added to the node's mean."""
+    chain it replaces, with no bias: values and statistics within 1e-13 and
+    gradients within 1e-12 of the largest |value|."""
 
     # (input shape, weight shape, conv geometry) per case
     CASES = {"dense": ((24, 3), (7, 3), {}),
@@ -715,8 +753,8 @@ class TestAffineBatchNorm:
         # input feature (channel) 1 is constant and channel 0's weights read
         # only it, so without padding channel 0's variance is under the
         # floor.  The floored gain, scale / sqrt(1e-5), magnifies last-bit
-        # noise in either form, so the constant, the weights and the bias of
-        # channel 0 are chosen so that both forms centre it exactly to 0.
+        # noise in either form, so the constant and the weights of channel 0
+        # are chosen so that both forms centre it exactly to 0.
         xs, ws, geometry = TestAffineBatchNorm.CASES[kind]
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(xs) + 0.3
@@ -724,23 +762,19 @@ class TestAffineBatchNorm:
         w = rng.standard_normal(ws)
         w[0] = 0.0
         w[0, 1] = 1.0
-        bias = rng.standard_normal(ws[0])
-        bias[0] = 0.0
-        params = {"weight": w, "bias": bias,
-                  "scale": rng.uniform(0.5, 2.0, ws[0]), "shift": rng.standard_normal(ws[0])}
+        params = {"weight": w, "scale": rng.uniform(0.5, 2.0, ws[0]),
+                  "shift": rng.standard_normal(ws[0])}
         return x, params, geometry
 
     def _run(self, kind, fused, relu):
         x, params, geometry = self._case(kind)
-        leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()
-                  if not (fused and k == "bias")}
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
         norm = (leaves["scale"], leaves["shift"], 1e-5)
         if fused:
             out, mean, var = T.affine_batch_norm(Tensor(x), leaves["weight"], *norm, relu=relu,
                                                  **geometry)
-            mean = mean + params["bias"]
         else:
-            args = (leaves["weight"], leaves["bias"])
+            args = (leaves["weight"], None)
             z = T.linear(Tensor(x), *args) if x.ndim == 2 else T.conv2d(Tensor(x), *args,
                                                                          **geometry)
             out, mean, var = T.batch_norm(z, *norm[:2], (0,) if x.ndim == 2 else (0, 2, 3),
@@ -774,7 +808,7 @@ class TestAffineBatchNorm:
         x, params, geometry = self._case(kind)
         rng = np.random.default_rng(50)
         x[:, 1] += rng.standard_normal(x[:, 1].shape)  # no floored channel
-        leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items() if k != "bias"}
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
         def forward(p):
             return T.affine_batch_norm(Tensor(x), p["weight"], p["scale"], p["shift"], 1e-5,
@@ -1039,6 +1073,7 @@ BACKWARD_OPS = {
     "tanh": lambda leaf: T.tanh(leaf((3, 4))),
     "linear": lambda leaf: T.linear(leaf((3, 4)), leaf((2, 4)), leaf((2,))),
     "linear_relu": lambda leaf: T.linear(leaf((3, 4)), leaf((2, 4)), leaf((2,)), relu=True),
+    "linear_no_bias": lambda leaf: T.linear(leaf((3, 4)), leaf((2, 4)), None),
     "reshape": lambda leaf: T.reshape(leaf((3, 4)), (4, 3)),
     "sum": lambda leaf: T.tsum(leaf((2, 3, 4)), axis=(0, 2)),
     "mean": lambda leaf: T.tmean(leaf((2, 3, 4)), axis=1),
@@ -1051,6 +1086,8 @@ BACKWARD_OPS = {
                                     stride=2, padding=1),
     "conv2d_relu": lambda leaf: T.conv2d(leaf((2, 3, 5, 5)), leaf((4, 3, 3, 3)), leaf((4,)),
                                          stride=2, padding=1, relu=True),
+    "conv2d_no_bias": lambda leaf: T.conv2d(leaf((2, 3, 5, 5)), leaf((4, 3, 3, 3)), None,
+                                            stride=2, padding=1),
     "batch_norm": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
                                             (0, 2, 3), 1e-5)[0],
     "batch_norm_relu": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
