@@ -9,7 +9,7 @@ and cross-checks the closed form against a brute-force joint-table oracle.
 
 import numpy as np
 
-from neuralbayes import (PosteriorBatch, Tensor, conditional_weights, density_ratio,
+from neuralbayes import (PosteriorBatch, Tensor, conditional_weights,
                          mi_closed_form, prior_estimate, prior_gradient_strength,
                          uniform_prior_penalty_v1, uniform_prior_penalty_v2)
 from neuralbayes import oracles
@@ -24,14 +24,12 @@ prior = prior_estimate(p)
 print("posterior rows:\n", np.round(p.values.data, 3))
 print("prior (column means):", np.round(prior.values.data, 3))
 
-ratio = density_ratio(p, prior)
-print("density ratios L_k/prior_k:\n", np.round(ratio.data, 3))
+f, fbar = conditional_weights(p, prior)
+print("density ratios L_k/prior_k:\n", np.round(f.data, 3))
 print("mixture identity sum_k ratio*prior per row:",
-      np.round((ratio.data * prior.values.data).sum(axis=1), 12))
-
-f1, f0 = conditional_weights(p, prior, k=0)
-print("state-0 conditional weights: mean f =", round(float(f1.data.mean()), 12),
-      " mean fbar =", round(float(f0.data.mean()), 12), "(both are exactly 1)")
+      np.round((f.data * prior.values.data).sum(axis=1), 12))
+print("state-0 conditional weights: mean f =", round(float(f.data[:, 0].mean()), 12),
+      " mean fbar =", round(float(fbar.data[:, 0].mean()), 12), "(both are exactly 1)")
 
 print("\n== closed-form mutual information vs. brute force ==")
 for b, k in [(8, 2), (32, 5), (64, 8)]:

@@ -8,7 +8,7 @@ reverse-mode tensor core (with a stop-gradient operator), reference
 architectures, brute-force verification oracles, and a CLI.
 """
 
-from .bayes import PosteriorBatch, PriorEstimate, conditional_weights, density_ratio, prior_estimate
+from .bayes import PosteriorBatch, PriorEstimate, conditional_weights, prior_estimate
 from .dml import DmlConfig, dml_binary_objective, dml_loss, make_dml_objective, smoothness_penalty
 from .mim import (MimConfig, collect_states, make_mim_objective,
                   mi_closed_form, mim_v1_loss, mim_v2_loss, prior_gradient_strength,
@@ -25,7 +25,7 @@ __all__ = [
     "AccumulationSchedule", "AdamState", "BatchNormLayer", "Conv2dLayer", "DenseLayer",
     "DmlConfig", "MimConfig", "Network", "PosteriorBatch", "PriorEstimate",
     "Tensor", "TrainLog", "adam_step", "build_cnn",
-    "build_mlp", "cluster_accuracy", "collect_states", "conditional_weights", "density_ratio",
+    "build_mlp", "cluster_accuracy", "collect_states", "conditional_weights",
     "dml_binary_objective", "dml_loss", "extract_features",
     "gradients", "linear_probe", "load_checkpoint", "make_dml_objective", "make_mim_objective",
     "mi_closed_form", "mim_v1_loss", "mim_v2_loss", "orthogonal_init", "predict_components",

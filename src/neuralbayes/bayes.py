@@ -1,9 +1,12 @@
 """Posterior/prior parameterization: everything a softmax head implies.
 
 A row-stochastic batch of soft assignments L(x) determines, in closed form,
-the class prior (its batch mean) and per-class conditional density weights
-relative to the data density.  The objectives in :mod:`neuralbayes.mim` and
-:mod:`neuralbayes.dml` are built entirely from these three quantities.
+the state prior (its batch mean, :func:`prior_estimate`) and the weights of
+each state's conditional and of its complement relative to the data density
+(:func:`conditional_weights`).  Those ratios exist only while every state
+prior lies strictly in (0, 1); :func:`check_interior` is the one place that
+rejects a degenerate prior.  The objectives in :mod:`neuralbayes.mim` and
+:mod:`neuralbayes.dml` are built from these quantities.
 """
 
 from __future__ import annotations
@@ -72,35 +75,30 @@ def prior_estimate(p: PosteriorBatch) -> PriorEstimate:
     return PriorEstimate(T.tmean(p.values, axis=0), sample_count=p.batch_size)
 
 
-def _check_interior(prior_value: float, what: str) -> None:
-    if not 0.0 < prior_value < 1.0:
-        raise DegeneratePriorError(
-            f"{what} is degenerate (prior {prior_value!r}); state priors must lie strictly in (0, 1)")
+def check_interior(prior) -> None:
+    """Raise ``DegeneratePriorError`` unless every entry of ``prior`` (a
+    state prior, or a K-vector of them) lies strictly in (0, 1), naming the
+    entry nearest 0 or 1.  Every path that divides by a prior or its
+    complement checks here."""
+    pv = np.atleast_1d(np.asarray(prior, dtype=np.float64))
+    margin = np.minimum(pv, 1.0 - pv)
+    bad = int(np.argmin(margin))
+    if not margin[bad] > 0.0:
+        raise DegeneratePriorError(f"prior entry {bad} = {float(pv[bad])!r} is degenerate; "
+                                   "every state prior must lie in (0, 1)")
 
 
-def conditional_weights(p: PosteriorBatch, prior: PriorEstimate, k: int) -> tuple[Tensor, Tensor]:
-    """Per-sample conditional density weights for state k versus the rest.
+def conditional_weights(p: PosteriorBatch, prior: PriorEstimate) -> tuple[Tensor, Tensor]:
+    """(B, K) conditional density weights of each state and of its complement.
 
-    Returns ``(f_k, fbar_k)`` with ``f_k = L_k / prior_k`` (the density ratio
-    of the state-k conditional to the data density on each atom) and
-    ``fbar_k = (1 - L_k) / (1 - prior_k)`` for the complement.  Both are exact
-    ratios: numeric guards are the caller's concern.
+    Returns ``(f, fbar)`` with ``f = L / prior``, the ratio p(x|z=k)/p(x) of
+    state k's conditional to the data density on each atom, and ``fbar =
+    (1 - L) / (1 - prior)``, that of the pooled other states.  Against the
+    batch-mean prior each column of either has batch mean 1, and ``f``
+    satisfies the mixture identity sum_k f[i, k] * prior[k] = 1 per row.
+    Both are exact ratios on the tape: numeric guards are the caller's
+    concern.
     """
-    _check_interior(float(prior.values.data[k]), f"state {k}")
-    lk = T.column(p.values, k)
-    pk = T.element(prior.values, k)
-    f_k = lk / pk
-    fbar_k = (1.0 - lk) / (1.0 - pk)
-    return f_k, fbar_k
-
-
-def density_ratio(p: PosteriorBatch, prior: PriorEstimate) -> Tensor:
-    """(B, K) matrix of ratios p(x|z=k)/p(x) = L_k(x)/prior_k.
-
-    Satisfies the mixture identity sum_k ratio[i, k] * prior[k] = 1 per row.
-    """
-    pv = prior.values.data
-    if np.min(pv) <= 0.0:
-        bad = int(np.argmin(pv))
-        raise DegeneratePriorError(f"prior entry {bad} is zero; density ratios are undefined")
-    return p.values / prior.values
+    check_interior(prior.values.data)
+    L, pk = p.values, prior.values
+    return L / pk, (1.0 - L) / (1.0 - pk)

@@ -239,11 +239,12 @@ def _dml_build(cfg: dict, ds: D.ManifoldDataset, shape: tuple, seed: int):
 
 def _dml_report(run) -> list[Path]:
     """Predicted labels, cluster accuracy, and the head's loss and objective
-    on up to 5000 points."""
+    on up to 5000 points, all from one ``extract_features`` pass of the head."""
     k = run.cfg["k"]
-    pred = train_mod.predict_components(run.net, run.points)
+    head = train_mod.extract_features(run.net, run.points, tap="out")
+    pred = head.argmax(axis=1)
     accuracy = train_mod.cluster_accuracy(pred, run.ds.components, k)
-    out_head = train_mod.extract_features(run.net, run.points[:5000], tap="out")
+    out_head = head[:5000]
     final_loss = float(dml_mod.dml_loss(PosteriorBatch(Tensor(out_head))).item())
     L = out_head[:, 0]
     final_obj = dml_mod.dml_binary_objective(L, float(L.mean())) if k == 2 else None

@@ -327,15 +327,30 @@ def _data_lines(rows: list[str]) -> list[tuple[int, str]]:
 
 
 def _unreadable_line(lines: list[tuple[int, str]], columns: int) -> str | None:
-    """What is wrong with the first data line that is not ``columns``
-    numbers, and its file line; ``None`` if every line parses."""
+    """What is wrong with the first data line that ``np.loadtxt`` cannot
+    read as ``columns`` numbers, and its file line; ``None`` if every line
+    parses.  Each field is judged by ``np.loadtxt`` itself, which rejects
+    some tokens Python's ``float`` reads (``1_0``, non-ASCII digits)."""
     for n, text in lines:
         fields = text.split(",")
         if len(fields) != columns:
             return f"line {n}: expected {columns} comma-separated values, got {len(fields)}"
-        for field in fields:
-            try:
-                float(field)
-            except ValueError:
-                return f"line {n}: {field.strip()!r} is not a number"
+        try:
+            np.loadtxt([text], delimiter=",")
+        except ValueError:
+            bad = next((f for f in fields if not _reads_as_number(f)), None)
+            if bad is not None:
+                return f"line {n}: {bad.strip()!r} is not a number"
     return None
+
+
+def _reads_as_number(field: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``field`` as a number (an empty field
+    would read as a blank line, so it is rejected first)."""
+    if not field:
+        return False
+    try:
+        np.loadtxt([field], delimiter=",")
+    except ValueError:
+        return False
+    return True

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import LOG_GUARD, PosteriorBatch
-from .errors import ConfigError, DegeneratePriorError, ShapeError
+from .bayes import LOG_GUARD, PosteriorBatch, check_interior, conditional_weights, prior_estimate
+from .errors import ConfigError, ShapeError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -61,8 +61,7 @@ def dml_binary_objective(labels, prior: float) -> float:
     follow the 0*log(0) = 0 convention exactly; no guards are applied.
     """
     L = _label_array(labels)
-    if not 0.0 < prior < 1.0:
-        raise DegeneratePriorError(f"prior must lie strictly in (0, 1), got {prior!r}")
+    check_interior(prior)
     f1 = L / prior
     f0 = (1.0 - L) / (1.0 - prior)
     denom = f1 + f0  # strictly positive: f1 and f0 cannot vanish together
@@ -77,30 +76,24 @@ def dml_binary_objective(labels, prior: float) -> float:
 
 def dml_loss(p: PosteriorBatch) -> Tensor:
     """Trainable loss for every K >= 2: 0.5 mean_{b,k}[f log(1 + fbar/f) +
-    fbar log(1 + f/fbar)] with f = v/prior + eps, fbar = (1-v)/(1-prior) + eps
-    and eps = :data:`neuralbayes.bayes.LOG_GUARD`.
+    fbar log(1 + f/fbar)], where ``f`` and ``fbar`` are
+    :func:`neuralbayes.bayes.conditional_weights` against the batch-mean
+    prior, each plus eps = :data:`neuralbayes.bayes.LOG_GUARD`.
 
     Equals log 2 minus the mean over states of the one-vs-rest JS objective,
     so it lies in [0, log 2] up to the guard; at K = 2 both columns give the
     same terms, so it is log 2 - :func:`dml_binary_objective` of column 0.
     The batch-mean prior stays live on the tape (this is why training needs
-    batches large enough for a faithful prior estimate).  The smoothness term
-    is added by the caller as beta * R_c.
+    batches large enough for a faithful prior estimate), and a state whose
+    prior reaches 0 or 1 raises ``DegeneratePriorError``.  The smoothness
+    term is added by the caller as beta * R_c.
     """
-    v = p.values
-    B, K = v.shape
-    if K < 2:
+    if p.num_states < 2:
         raise ShapeError("DML loss needs K >= 2 states")
-    if B < 2:
+    if p.batch_size < 2:
         raise ShapeError("DML loss needs a batch of at least 2")
-    prior = T.tmean(v, axis=0)
-    pv = prior.data
-    if np.min(pv) <= 0.0 or np.max(pv) >= 1.0:
-        bad = int(np.argmin(np.minimum(pv, 1.0 - pv)))
-        raise DegeneratePriorError(
-            f"prior entry {bad} = {pv[bad]!r} is degenerate; every state prior must lie in (0, 1)")
-    f = v / prior + LOG_GUARD
-    fbar = (1.0 - v) / (1.0 - prior) + LOG_GUARD
+    f, fbar = conditional_weights(p, prior_estimate(p))
+    f, fbar = f + LOG_GUARD, fbar + LOG_GUARD
     per_entry = f * T.log(fbar / f + 1.0) + fbar * T.log(f / fbar + 1.0)
     return T.tmean(per_entry) * 0.5
 
@@ -155,8 +148,7 @@ def implied_binary_atom_weights(labels, prior: float) -> tuple[np.ndarray, np.nd
     """Atom weights (w0, w1) of the two implied conditionals on a uniform
     batch: w0_i = (1 - L_i) / (B * (1 - prior)), w1_i = L_i / (B * prior)."""
     L = _label_array(labels)
-    if not 0.0 < prior < 1.0:
-        raise DegeneratePriorError(f"prior must lie strictly in (0, 1), got {prior!r}")
+    check_interior(prior)
     B = L.size
     return (1.0 - L) / (B * (1.0 - prior)), L / (B * prior)
 

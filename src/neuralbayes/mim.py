@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import dml
-from .bayes import LOG_GUARD, PosteriorBatch, PriorEstimate
-from .errors import ConfigError, DomainError
+from .bayes import LOG_GUARD, PosteriorBatch, PriorEstimate, check_interior, prior_estimate
+from .errors import ConfigError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -66,12 +66,13 @@ def _guarded_log(t: Tensor, eps: float) -> Tensor:
 def mi_closed_form(p: PosteriorBatch, eps: float = 0.0) -> Tensor:
     """Closed-form mutual information of the batch-empirical joint.
 
-    Computes mean_b sum_k L log((L + eps)/(prior + eps)) with the prior taken
-    as the batch mean.  The default guard of 0 keeps the value exact for
-    oracle comparisons; zero posterior entries contribute exactly zero.
+    Computes mean_b sum_k L log((L + eps)/(prior + eps)) with the prior
+    :func:`neuralbayes.bayes.prior_estimate`, the batch mean, live on the
+    tape.  The default guard of 0 keeps the value exact for oracle
+    comparisons; zero posterior entries contribute exactly zero.
     """
     v = p.values
-    prior = T.tmean(v, axis=0)
+    prior = prior_estimate(p).values
     terms = v * (_guarded_log(v, eps) - _guarded_log(prior, eps))
     return T.tmean(T.tsum(terms, axis=1))
 
@@ -110,10 +111,10 @@ def prior_gradient_strength(prior_k: float, K: int) -> tuple[float, float]:
     """Multipliers of d(prior_k)/d(theta) in the two penalty gradients.
 
     Returns ``(v1_coeff, v2_coeff)`` where v1 is log(p) (vanishes as p -> 1)
-    and v2 is -(1/K)(1/p - (K-1)/(1-p)) (diverges as p -> 1).
+    and v2 is -(1/K)(1/p - (K-1)/(1-p)) (diverges as p -> 1).  A prior
+    outside (0, 1) raises ``DegeneratePriorError``.
     """
-    if not 0.0 < prior_k < 1.0:
-        raise DomainError(f"prior must lie strictly in (0, 1), got {prior_k!r}")
+    check_interior(prior_k)
     v1 = math.log(prior_k)
     v2 = -(1.0 / K) * (1.0 / prior_k - (K - 1.0) / (1.0 - prior_k))
     return v1, v2

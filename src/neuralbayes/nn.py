@@ -338,7 +338,9 @@ class Network:
         absorbed by the pair rule; the dense or conv layer before it
         (``_before_batch_norm``) by the eval rule, and by the first-layer
         rule when it is layer 0, the network input (``input_grad``) needs no
-        gradient and ``_covariance_pays``."""
+        gradient and ``_covariance_pays``.  Such a layer has no bias, since
+        no path would use one: a bias set after the network was built raises
+        ``ConfigError``."""
         options, absorbed = {}, set()
         for i, (layer, after) in enumerate(zip(self.layers, self.layers[1:])):
             if (i not in self.taps and isinstance(layer, BatchNormLayer)
@@ -346,6 +348,9 @@ class Network:
                 options.setdefault(i, {})["relu"] = True
                 absorbed.add(i + 1)
         for i in _before_batch_norm(self.layers, self.taps):
+            if self.layers[i].bias is not None:
+                raise ConfigError(f"layer {i} feeds a batch norm, which cancels its bias; "
+                                  "it must have none")
             if mode == "eval" or (i == 0 and not input_grad and _covariance_pays(self.layers[0])):
                 options.setdefault(i + 1, {})["affine"] = self.layers[i]
                 absorbed.add(i)

@@ -424,29 +424,19 @@ def softmax(x, axis: int = 1) -> Tensor:
     return Tensor._from_op(s, (x,), "softmax", backward)
 
 
-def _select(x, index, op: str, ndim: int) -> Tensor:
-    """``x[index]`` of an ``ndim``-D tensor as a new array; the backward
-    scatters the gradient into zeros at ``index``."""
+def column(x, k: int) -> Tensor:
+    """Column ``k`` of a (B, K) tensor as a new (B,) array; the backward
+    scatters the gradient into zeros at that column."""
     x = _as_tensor(x)
-    if x.ndim != ndim:
-        raise ShapeError(f"{op} expects a {ndim}-D tensor, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"column expects a 2-D tensor, got shape {x.shape}")
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[index] = g
+        gx[:, k] = g
         _accum(x, gx)
 
-    return Tensor._from_op(np.array(x.data[index]), (x,), op, backward)
-
-
-def column(x, k: int) -> Tensor:
-    """Extract column ``k`` of a (B, K) tensor as a (B,) tensor."""
-    return _select(x, (slice(None), k), "column", 2)
-
-
-def element(x, k: int) -> Tensor:
-    """Extract element ``k`` of a 1-D tensor as a scalar tensor."""
-    return _select(x, k, "element", 1)
+    return Tensor._from_op(np.array(x.data[:, k]), (x,), "column", backward)
 
 
 def _batch_last(a: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Posterior/prior parameterization identities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbayes import bayes
+from neuralbayes import bayes, dml, mim
 from neuralbayes import tensor as T
 from neuralbayes.errors import DegeneratePriorError, ShapeError
 from neuralbayes.tensor import Tensor
@@ -55,81 +57,111 @@ class TestPriorEstimate:
 class TestConditionalWeights:
     def test_uniform_labels(self):
         p = bayes.PosteriorBatch(Tensor(np.tile([0.5, 0.5], (6, 1))))
-        f, fbar = bayes.conditional_weights(p, bayes.prior_estimate(p), 0)
+        f, fbar = bayes.conditional_weights(p, bayes.prior_estimate(p))
         np.testing.assert_allclose(f.data, 1.0, atol=1e-15)
         np.testing.assert_allclose(fbar.data, 1.0, atol=1e-15)
 
     def test_hand_case(self):
         p = bayes.PosteriorBatch(Tensor([[1.0, 0.0], [0.0, 1.0]]))
-        f, fbar = bayes.conditional_weights(p, bayes.prior_estimate(p), 0)
-        np.testing.assert_array_equal(f.data, [2.0, 0.0])
-        np.testing.assert_array_equal(fbar.data, [0.0, 2.0])
+        f, fbar = bayes.conditional_weights(p, bayes.prior_estimate(p))
+        np.testing.assert_array_equal(f.data, [[2.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(fbar.data, [[0.0, 2.0], [2.0, 0.0]])
 
     def test_batch_mean_of_f_is_one(self):
         p = random_posterior(32, 5, seed=2)
-        prior = bayes.prior_estimate(p)
-        for k in range(5):
-            f, fbar = bayes.conditional_weights(p, prior, k)
-            assert abs(float(f.data.mean()) - 1.0) <= 1e-12
-            assert abs(float(fbar.data.mean()) - 1.0) <= 1e-12
+        f, fbar = bayes.conditional_weights(p, bayes.prior_estimate(p))
+        np.testing.assert_allclose(f.data.mean(axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fbar.data.mean(axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_prior_weighted_average_identity(self):
         p = random_posterior(20, 3, seed=3)
         prior = bayes.prior_estimate(p)
-        for k in range(3):
-            f, fbar = bayes.conditional_weights(p, prior, k)
-            pk = float(prior.values.data[k])
-            val = pk * float(f.data.mean()) + (1 - pk) * float(fbar.data.mean())
-            assert abs(val - 1.0) <= 1e-12
+        f, fbar = bayes.conditional_weights(p, prior)
+        pk = prior.values.data
+        val = pk * f.data.mean(axis=0) + (1 - pk) * fbar.data.mean(axis=0)
+        np.testing.assert_allclose(val, 1.0, rtol=0, atol=1e-12)
 
     def test_ranges(self):
         p = random_posterior(50, 4, seed=4)
         prior = bayes.prior_estimate(p)
-        for k in range(4):
-            f, fbar = bayes.conditional_weights(p, prior, k)
-            pk = float(prior.values.data[k])
-            assert f.data.min() >= 0 and f.data.max() <= 1 / pk + 1e-12
-            assert fbar.data.min() >= 0 and fbar.data.max() <= 1 / (1 - pk) + 1e-12
+        f, fbar = bayes.conditional_weights(p, prior)
+        pk = prior.values.data
+        assert f.data.min() >= 0 and np.all(f.data.max(axis=0) <= 1 / pk + 1e-12)
+        assert fbar.data.min() >= 0 and np.all(fbar.data.max(axis=0) <= 1 / (1 - pk) + 1e-12)
 
     def test_degenerate_prior_rejected(self):
         p = bayes.PosteriorBatch(Tensor([[1.0, 0.0], [1.0, 0.0]]))
-        prior = bayes.prior_estimate(p)
         with pytest.raises(DegeneratePriorError):
-            bayes.conditional_weights(p, prior, 0)
-        with pytest.raises(DegeneratePriorError):
-            bayes.conditional_weights(p, prior, 1)
+            bayes.conditional_weights(p, bayes.prior_estimate(p))
 
 
 class TestDensityRatio:
+    """``f`` of ``conditional_weights`` is the ratio p(x|z=k)/p(x) = L_k(x)/prior_k."""
+
     def test_uniform_posterior_gives_ones(self):
         p = bayes.PosteriorBatch(Tensor(np.full((4, 3), 1 / 3)))
-        ratio = bayes.density_ratio(p, bayes.prior_estimate(p))
-        np.testing.assert_allclose(ratio.data, 1.0, atol=1e-12)
+        f, _ = bayes.conditional_weights(p, bayes.prior_estimate(p))
+        np.testing.assert_allclose(f.data, 1.0, atol=1e-12)
 
     def test_single_sample_batch_gives_ones(self):
         p = bayes.PosteriorBatch(Tensor([[0.2, 0.3, 0.5]]))
-        ratio = bayes.density_ratio(p, bayes.prior_estimate(p))
-        np.testing.assert_allclose(ratio.data, 1.0, atol=1e-12)
+        f, _ = bayes.conditional_weights(p, bayes.prior_estimate(p))
+        np.testing.assert_allclose(f.data, 1.0, atol=1e-12)
 
     def test_mixture_identity(self):
         p = random_posterior(24, 6, seed=5)
         prior = bayes.prior_estimate(p)
-        ratio = bayes.density_ratio(p, prior)
-        mixture = (ratio.data * prior.values.data).sum(axis=1)
+        f, _ = bayes.conditional_weights(p, prior)
+        mixture = (f.data * prior.values.data).sum(axis=1)
         np.testing.assert_allclose(mixture, 1.0, atol=1e-12)
 
     def test_zero_prior_rejected(self):
         p = bayes.PosteriorBatch(Tensor([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(DegeneratePriorError):
-            bayes.density_ratio(p, bayes.prior_estimate(p))
+            bayes.conditional_weights(p, bayes.prior_estimate(p))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 40), st.integers(2, 8), st.integers(0, 99_999))
     def test_mixture_identity_property(self, b, k, seed):
         p = random_posterior(b, k, seed)
         prior = bayes.prior_estimate(p)
-        mixture = (bayes.density_ratio(p, prior).data * prior.values.data).sum(axis=1)
+        f, _ = bayes.conditional_weights(p, prior)
+        mixture = (f.data * prior.values.data).sum(axis=1)
         np.testing.assert_allclose(mixture, 1.0, atol=1e-12)
+
+
+def _dead_state_head():
+    """A K = 3 head whose last state no sample takes."""
+    return bayes.PosteriorBatch(Tensor([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0]]))
+
+
+class TestCheckInterior:
+    """Every path that needs a prior strictly inside (0, 1) rejects one that
+    is not through ``bayes.check_interior``, with its one message."""
+
+    @pytest.mark.parametrize("call, entry, value", [
+        (lambda: dml.dml_loss(_dead_state_head()), 2, 0.0),
+        (lambda: bayes.conditional_weights(_dead_state_head(),
+                                           bayes.prior_estimate(_dead_state_head())), 2, 0.0),
+        (lambda: dml.dml_binary_objective(np.array([0.2, 0.8]), 0.0), 0, 0.0),
+        (lambda: dml.dml_binary_objective(np.array([0.2, 0.8]), 1.0), 0, 1.0),
+        (lambda: dml.implied_binary_atom_weights(np.array([0.2, 0.8]), 1.0), 0, 1.0),
+        (lambda: mim.prior_gradient_strength(0.0, 2), 0, 0.0),
+    ], ids=["dml_loss", "conditional_weights", "dml_binary_objective-0",
+            "dml_binary_objective-1", "implied_binary_atom_weights", "prior_gradient_strength"])
+    def test_degenerate_prior_has_one_error(self, call, entry, value):
+        message = (f"prior entry {entry} = {value!r} is degenerate; "
+                   "every state prior must lie in (0, 1)")
+        with pytest.raises(DegeneratePriorError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_nan_is_not_interior(self):
+        with pytest.raises(DegeneratePriorError, match="prior entry 1 = nan"):
+            bayes.check_interior([0.5, float("nan")])
+
+    def test_interior_passes(self):
+        bayes.check_interior([1e-300, 1.0 - 2.0 ** -53])
+        bayes.check_interior(0.5)
 
 
 class TestBayesConsistency:

@@ -267,6 +267,8 @@ class TestCsv:
     @pytest.mark.parametrize("line, match", [
         ("   ", "expected 3 comma-separated values, got 1"),
         ("1,abc,1", "'abc' is not a number"),
+        ("1,1_0,1", "'1_0' is not a number"),
+        ("1,\u0661,1", "'\u0661' is not a number"),
         ("1,1", "expected 3 comma-separated values, got 2"),
     ])
     def test_unreadable_line_names_its_file_line(self, tmp_path, line, match):

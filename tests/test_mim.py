@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from neuralbayes import bayes, dml, mim, nn, oracles
 from neuralbayes import tensor as T
-from neuralbayes.errors import ConfigError, DomainError, ShapeError
+from neuralbayes.errors import ConfigError, DegeneratePriorError, DomainError, ShapeError
 from neuralbayes.tensor import Tensor
 
 from conftest import CountingNet, assert_moved_once
@@ -163,9 +163,9 @@ class TestGradientStrength:
         assert abs(v1 + LOG2) <= 1e-12
 
     def test_boundary_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DegeneratePriorError):
             mim.prior_gradient_strength(0.0, 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DegeneratePriorError):
             mim.prior_gradient_strength(1.0, 2)
 
     def test_monotone_strength_near_one(self):

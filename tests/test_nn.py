@@ -630,6 +630,15 @@ def test_only_layers_before_an_untapped_batch_norm_lose_their_bias(kind):
         assert (len(params), sum(p.data.size for p in params.values())) == PARAMETER_TOTALS[kind]
 
 
+@pytest.mark.parametrize("mode", nn.MODES)
+def test_bias_set_before_a_batch_norm_after_build_is_rejected(mode):
+    # no forward would use it, yet it would be a listed, trained and saved parameter
+    net = nn.build_mlp(2, [4], 2, seed=1, batchnorm=True)
+    net.layers[0].bias = Tensor(np.full(4, 3.0), requires_grad=True)
+    with pytest.raises(ConfigError, match="^layer 0 feeds a batch norm"):
+        net.forward(Tensor(np.ones((3, 2))), mode)
+
+
 class TestFirstLayerNode:
     """In train and batch mode layer 0 and the batch norm after it run as one
     ``affine_batch_norm`` node when the network input needs no gradient,

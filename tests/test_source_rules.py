@@ -157,3 +157,49 @@ def test_every_export_resolves_once():
     counts = Counter(neuralbayes.__all__)
     assert [name for name, n in counts.items() if n > 1] == []
     assert [name for name in counts if not hasattr(neuralbayes, name)] == []
+
+
+def scopes_calling(tree: ast.AST, module: str, name: str) -> set[str]:
+    """Dotted names of the scopes that call ``name``, bare or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                found.add(".".join([module, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_degenerate_prior_error_raised_in_one_place():
+    """Only ``bayes.check_interior`` raises ``DegeneratePriorError``, so every
+    path that needs a prior inside (0, 1) checks it one way, with one message."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= scopes_calling(ast.parse(path.read_text()), path.stem, "DegeneratePriorError")
+    assert found == {"bayes.check_interior"}
+
+
+def test_call_rule_sees_bare_and_attribute_calls():
+    source = '''
+import errors
+
+def check(p):
+    if p <= 0:
+        raise DegeneratePriorError("p")
+
+class Loss:
+    def __call__(self, p):
+        raise errors.DegeneratePriorError("p")
+
+def typed(exc=DegeneratePriorError):
+    return exc
+'''
+    assert scopes_calling(ast.parse(source), "m", "DegeneratePriorError") == {
+        "m.check", "m.Loss.__call__"}

@@ -1079,7 +1079,6 @@ BACKWARD_OPS = {
     "mean": lambda leaf: T.tmean(leaf((2, 3, 4)), axis=1),
     "softmax": lambda leaf: T.softmax(leaf((2, 3, 2, 2)), axis=1),
     "column": lambda leaf: T.column(leaf((3, 4)), 1),
-    "element": lambda leaf: T.element(leaf((4,)), 2),
     "avg_pool2d": lambda leaf: T.avg_pool2d(leaf((2, 3, 5, 5)), 2, 2),
     "max_pool2d": lambda leaf: T.max_pool2d(leaf((2, 3, 5, 5)), 3, 1),
     "conv2d": lambda leaf: T.conv2d(leaf((2, 3, 5, 5)), leaf((4, 3, 3, 3)), leaf((4,)),
