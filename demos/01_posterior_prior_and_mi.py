@@ -19,7 +19,7 @@ rng = np.random.default_rng(0)
 
 print("== posterior batch and its implied quantities ==")
 logits = rng.standard_normal((6, 3))
-p = PosteriorBatch(softmax(Tensor(logits), axis=1))
+p = PosteriorBatch(softmax(Tensor(logits)))
 prior = prior_estimate(p)
 print("posterior rows:\n", np.round(p.values.data, 3))
 print("prior (column means):", np.round(prior.values.data, 3))
@@ -34,7 +34,7 @@ print("state-0 conditional weights: mean f =", round(float(f.data[:, 0].mean()),
 print("\n== closed-form mutual information vs. brute force ==")
 for b, k in [(8, 2), (32, 5), (64, 8)]:
     logits = rng.standard_normal((b, k))
-    batch = PosteriorBatch(softmax(Tensor(logits), axis=1))
+    batch = PosteriorBatch(softmax(Tensor(logits)))
     fast = mi_closed_form(batch).item()
     slow = oracles.brute_force_mi(batch.values.data)
     print(f"B={b:3d} K={k}: closed form {fast:.12f}  oracle {slow:.12f}  "

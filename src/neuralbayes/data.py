@@ -1,6 +1,7 @@
 """Synthetic manifold datasets, high-dimensional lifting, and file ingestion.
 
-Generators are deterministic per seed and post-check that the components they
+Generators are deterministic per seed, reject a negative or non-finite noise
+scale (and a non-finite moons gap), and post-check that the components they
 emit really are well separated (minimum inter-component distance above four
 noise standard deviations), since the labeling objective's optimality argument
 only holds for disjoint supports.
@@ -8,6 +9,7 @@ only holds for disjoint supports.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,7 +71,7 @@ def min_inter_component_distance(points: np.ndarray, components: np.ndarray) -> 
     + ...``.  Below 8 coordinates that is bit for bit numpy's sum over the
     last axis of the full (n_a, n_b, d) array; from 8 on numpy sums pairwise
     and may differ in the last bits.  The minimum is exact, so the result
-    does not depend on the block size.
+    does not depend on the block size.  A NaN coordinate makes it NaN.
     """
     best = np.inf
     ids = np.unique(components)
@@ -86,13 +88,20 @@ def min_inter_component_distance(points: np.ndarray, components: np.ndarray) -> 
                 for k in range(1, pb.shape[0]):
                     np.subtract.outer(block[:, k], pb[k], out=diff)
                     d2 += np.square(diff, out=diff)
-                best = min(best, float(np.sqrt(d2.min())))
-    return best
+                best = np.minimum(best, np.sqrt(d2.min()))   # NaN propagates
+    return float(best)
+
+
+def _check_noise(noise: float) -> None:
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise DatasetError(f"noise must be finite and >= 0, got {noise}")
 
 
 def _check_disjoint(points, components, noise, what: str) -> float:
+    """The components' minimum distance, which must exceed ``4 * noise``; a
+    NaN distance fails the check too."""
     dist = min_inter_component_distance(points, components)
-    if dist <= 4.0 * noise:
+    if not dist > 4.0 * noise:
         raise DatasetError(
             f"{what}: components are not well separated "
             f"(min distance {dist:.4f} <= 4 * noise = {4 * noise:.4f}); "
@@ -104,6 +113,9 @@ def make_two_moons(n_per: int, gap: float = 0.25, noise: float = 0.06, seed: int
     """Two interlocking crescent arcs separated by ``0.5 + gap`` before noise."""
     if n_per < 1:
         raise DatasetError("n_per must be at least 1")
+    if not math.isfinite(gap):
+        raise DatasetError(f"gap must be finite, got {gap}")
+    _check_noise(noise)
     rng = np.random.default_rng(seed)
     t0 = rng.uniform(0.0, np.pi, n_per)
     t1 = rng.uniform(0.0, np.pi, n_per)
@@ -124,6 +136,7 @@ def make_circles(n_per: int, radii: Sequence[float] = (1.0, 2.0), noise: float =
         raise DatasetError("n_per must be at least 1")
     if len(radii) < 2 or any(r <= 0 for r in radii):
         raise DatasetError("need at least two positive radii")
+    _check_noise(noise)
     rng = np.random.default_rng(seed)
     chunks, labels = [], []
     for c, r in enumerate(radii):
@@ -145,6 +158,7 @@ def make_blobs(k: int, n_per: int, noise: float = 0.3, seed: int = 0) -> Manifol
         raise DatasetError("n_per must be at least 1")
     if k < 2:
         raise DatasetError("need at least 2 blobs")
+    _check_noise(noise)
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
     rng = np.random.default_rng(seed)

@@ -29,7 +29,8 @@ LOG2 = math.log(2.0)
 class DmlConfig:
     """Partition count and smoothness weight.  The log guard is
     :data:`neuralbayes.bayes.LOG_GUARD` and the perturbation scale is
-    :data:`NOISE_SIGMA`."""
+    :data:`NOISE_SIGMA`.  Fewer than 2 partitions, or a negative or
+    non-finite ``beta``, is a ``ConfigError``."""
 
     partitions: int = 2
     beta: float = 0.0
@@ -37,8 +38,8 @@ class DmlConfig:
     def __post_init__(self):
         if self.partitions < 2:
             raise ConfigError("need at least 2 partitions")
-        if self.beta < 0.0:
-            raise ConfigError("beta must be nonnegative")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ConfigError(f"beta must be nonnegative and finite, got {self.beta}")
 
 
 def _label_array(labels) -> np.ndarray:

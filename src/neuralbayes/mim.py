@@ -33,7 +33,8 @@ class MimConfig:
     of 1, ``beta`` weights the smoothness penalty, and ``use_scales`` adds a
     2x2/stride-2 average-pooled copy of every spatial state.  The logs are
     guarded by :data:`neuralbayes.bayes.LOG_GUARD`, and the smoothness
-    perturbation has scale :data:`neuralbayes.dml.NOISE_SIGMA`.
+    perturbation has scale :data:`neuralbayes.dml.NOISE_SIGMA`.  A negative
+    or non-finite ``alpha`` or ``beta`` is a ``ConfigError``.
     """
 
     alpha: float = 0.0
@@ -41,8 +42,9 @@ class MimConfig:
     use_scales: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ConfigError("alpha and beta must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0.0 for v in (self.alpha, self.beta)):
+            raise ConfigError(f"alpha and beta must be nonnegative and finite, got "
+                              f"alpha={self.alpha}, beta={self.beta}")
 
 
 @dataclass(frozen=True)
@@ -53,27 +55,27 @@ class SoftmaxState:
     values: Tensor
 
 
-def _guarded_log(t: Tensor, eps: float) -> Tensor:
-    """log(t + eps) where entries that are exactly zero are masked to keep the
-    log defined; callers only ever multiply those entries by the zero they
-    came from, so the convention 0*log(0) = 0 holds exactly."""
+def _guarded_log(t: Tensor) -> Tensor:
+    """log(t) where entries that are exactly zero are masked to keep the log
+    defined; callers only ever multiply those entries by the zero they came
+    from, so the convention 0*log(0) = 0 holds exactly."""
     zero = t.data <= 0.0
     if zero.any():
         t = t + Tensor(zero.astype(np.float64))
-    return T.log(t + eps) if eps else T.log(t)
+    return T.log(t)
 
 
-def mi_closed_form(p: PosteriorBatch, eps: float = 0.0) -> Tensor:
+def mi_closed_form(p: PosteriorBatch) -> Tensor:
     """Closed-form mutual information of the batch-empirical joint.
 
-    Computes mean_b sum_k L log((L + eps)/(prior + eps)) with the prior
+    Computes mean_b sum_k L log(L / prior) with the prior
     :func:`neuralbayes.bayes.prior_estimate`, the batch mean, live on the
-    tape.  The default guard of 0 keeps the value exact for oracle
-    comparisons; zero posterior entries contribute exactly zero.
+    tape.  It has no guard, so the value is exact for oracle comparisons;
+    zero posterior entries contribute exactly zero.
     """
     v = p.values
     prior = prior_estimate(p).values
-    terms = v * (_guarded_log(v, eps) - _guarded_log(prior, eps))
+    terms = v * (_guarded_log(v) - _guarded_log(prior))
     return T.tmean(T.tsum(terms, axis=1))
 
 
@@ -88,23 +90,25 @@ def mim_v1_loss(p: PosteriorBatch, eps: float = LOG_GUARD) -> Tensor:
     return T.state_objective(p.values, "v1", eps)[0]
 
 
-def uniform_prior_penalty_v1(prior: PriorEstimate, eps: float = 0.0) -> Tensor:
-    """Negative entropy of the state prior: sum_k p_k log(p_k + eps)."""
+def uniform_prior_penalty_v1(prior: PriorEstimate) -> Tensor:
+    """Negative entropy of the state prior: sum_k p_k log p_k, unguarded,
+    with 0 log 0 = 0."""
     pv = prior.values
-    return T.tsum(pv * _guarded_log(pv, eps))
+    return T.tsum(pv * _guarded_log(pv))
 
 
-def uniform_prior_penalty_v2(prior: PriorEstimate, eps: float = 0.0) -> Tensor:
+def uniform_prior_penalty_v2(prior: PriorEstimate) -> Tensor:
     """Cross-entropy push toward the uniform prior.
 
-    -sum_k [ (1/K) log(p_k + eps) + ((K-1)/K) log(1 - p_k + eps) ], minimized
-    at p_k = 1/K and with gradients that blow up as any p_k approaches 1,
-    unlike the negative-entropy form whose gradients vanish there.  It is
-    the v2 penalty of :func:`neuralbayes.tensor.state_objective` on a
-    one-row batch, whose batch-mean prior is that row.
+    -sum_k [ (1/K) log p_k + ((K-1)/K) log(1 - p_k) ], unguarded, so a
+    prior entry at 0 or 1 is a ``DomainError``.  It is minimized at p_k =
+    1/K and its gradients blow up as any p_k approaches 1, unlike the
+    negative-entropy form whose gradients vanish there.  It is the v2
+    penalty of :func:`neuralbayes.tensor.state_objective` on a one-row
+    batch, whose batch-mean prior is that row.
     """
     pv = prior.values
-    return T.state_objective(T.reshape(pv, (1, pv.shape[0])), "v2", eps, mi_weight=0.0)[0]
+    return T.state_objective(T.reshape(pv, (1, pv.shape[0])), "v2", 0.0, mi_weight=0.0)[0]
 
 
 def prior_gradient_strength(prior_k: float, K: int) -> tuple[float, float]:
@@ -127,12 +131,12 @@ def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> tuple[SoftmaxSta
     copy, appended after all original states.  Dense (2-D) states have no
     spatial axes and are never pooled.
     """
-    collected = [SoftmaxState(f"h{i}", T.softmax(s, axis=1)) for i, s in enumerate(states)]
+    collected = [SoftmaxState(f"h{i}", T.softmax(s)) for i, s in enumerate(states)]
     if cfg.use_scales:
         for i, s in enumerate(states):
             if s.ndim == 4:
                 pooled = T.avg_pool2d(s, 2, 2)
-                collected.append(SoftmaxState(f"h{i}_pooled", T.softmax(pooled, axis=1)))
+                collected.append(SoftmaxState(f"h{i}_pooled", T.softmax(pooled)))
     return tuple(collected)
 
 

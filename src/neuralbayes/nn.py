@@ -61,9 +61,8 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import BN_VAR_FLOOR, Tensor
 
-BN_VAR_FLOOR = 1e-5
 MODES = ("train", "batch", "eval")
 
 
@@ -155,8 +154,8 @@ class BatchNormLayer(Layer):
     """Feature-wise normalization with running statistics.
 
     Train and batch mode normalize with batch statistics (variance floored
-    at 1e-5 so a constant feature yields zeros rather than a division
-    blow-up); train mode also moves the running stats toward them once.
+    at ``tensor.BN_VAR_FLOOR`` so a constant feature yields zeros rather
+    than a division blow-up); train mode also moves the running stats toward them once.
     Eval mode applies ``eval_map``, the affine map of the stored stats.
     Only train mode mutates anything.
     """
@@ -201,12 +200,11 @@ class BatchNormLayer(Layer):
         if x.shape[0] < 2:
             raise ShapeError(f"{mode}-mode batch norm needs a batch of at least 2")
         if affine is None:
-            axes = (0,) if x.ndim == 2 else (0, 2, 3)
-            out, mean, var = T.batch_norm(x, self.scale, self.shift, axes, BN_VAR_FLOOR, relu=relu)
+            out, mean, var = T.batch_norm(x, self.scale, self.shift, relu=relu)
         else:
             _, weight, geometry = _affine_op(affine)
-            out, mean, var = T.affine_batch_norm(x, weight, self.scale, self.shift, BN_VAR_FLOOR,
-                                                 relu=relu, **geometry)
+            out, mean, var = T.affine_batch_norm(x, weight, self.scale, self.shift, relu=relu,
+                                                 **geometry)
         if mode == "train":   # the unbiased batch variance moves the running one
             n = out.size // self.features
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
@@ -217,8 +215,8 @@ class BatchNormLayer(Layer):
     def eval_map(self) -> tuple[Tensor, Tensor]:
         """Eval mode as the per-channel map ``x * coef + offset``, both taped
         (features,) tensors of ``scale`` and ``shift``: ``coef = scale /
-        sqrt(max(running_var, floor))`` and ``offset = shift - running_mean
-        * coef``."""
+        sqrt(max(running_var, BN_VAR_FLOOR))`` and ``offset = shift -
+        running_mean * coef``."""
         coef = T.div(self.scale, np.sqrt(np.maximum(self.running_var, BN_VAR_FLOOR)))
         return coef, T.sub(self.shift, T.mul(self.running_mean, coef))
 
@@ -258,7 +256,7 @@ class SoftmaxLayer(Layer):
     TYPE = "softmax"
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        return T.softmax(x, axis=1)
+        return T.softmax(x)
 
 
 class MaxPool2dLayer(Layer):

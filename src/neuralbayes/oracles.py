@@ -1,9 +1,15 @@
 """Independent brute-force references used to cross-check the fast paths.
 
-Everything here is deliberately primitive: plain Python loops, ``math.log``,
-explicit skipping of zero entries.  None of it reuses the tensor engine's
-arithmetic beyond raw array storage, so agreement between these values and
-the library's vectorized implementations is evidence, not tautology.
+The references are deliberately primitive: plain Python loops, ``math.log``,
+explicit skipping of zero entries.  ``brute_force_mi``,
+``js_divergence_discrete`` and ``finite_diff_grad`` (which only calls the
+loss it is given) reuse none of the tensor engine's arithmetic, so agreement
+between their values and the library's vectorized implementations is
+evidence, not tautology.  ``gradient_equality_check`` pits one against the
+engine: its analytic side runs the tape (``mim_v1_loss`` and backward), as
+``random_check_case``'s gradient-strength filter ``_live_grad`` does, while
+its numeric side is ``finite_diff_grad`` of a numpy objective
+(``_live_mi_value``) on the network's forward values.
 """
 
 from __future__ import annotations
@@ -15,9 +21,12 @@ import numpy as np
 
 from . import nn
 from .bayes import PosteriorBatch
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .mim import mim_v1_loss
 from .tensor import Tensor, gradients, log, mul, neg, stop_gradient, tmean, tsum
+
+FD_STEP = 1e-5          # central-difference step of finite_diff_grad
+GRADCHECK_TOL = 1e-4    # criterion 2's tolerance on the max relative difference
 
 
 def brute_force_mi(posterior) -> float:
@@ -64,14 +73,12 @@ def js_divergence_discrete(w0, w1) -> float:
 def finite_diff_grad(
     loss_fn: Callable[[Mapping[str, np.ndarray]], float],
     params: Mapping[str, np.ndarray],
-    h: float = 1e-5,
 ) -> dict[str, np.ndarray]:
-    """Central-difference gradient of ``loss_fn`` w.r.t. every parameter entry.
+    """Central-difference gradient of ``loss_fn`` w.r.t. every parameter
+    entry, with step ``FD_STEP``.
 
     Each parameter is perturbed through a flat view of a C-ordered copy, so
     any memory layout of the inputs is perturbed entry by entry."""
-    if not h > 0:   # NaN too
-        raise ConfigError(f"finite-difference step must be positive, got {h}")
     work = {name: np.array(value, dtype=np.float64, order="C") for name, value in params.items()}
     grads: dict[str, np.ndarray] = {}
     for name, value in work.items():
@@ -80,14 +87,14 @@ def finite_diff_grad(
         gflat = g.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + FD_STEP
             hi = loss_fn(work)
-            flat[idx] = orig - h
+            flat[idx] = orig - FD_STEP
             lo = loss_fn(work)
             flat[idx] = orig
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise DomainError(f"loss is not finite when perturbing {name}[{idx}]")
-            gflat[idx] = (hi - lo) / (2.0 * h)
+            gflat[idx] = (hi - lo) / (2.0 * FD_STEP)
         grads[name] = g
     return grads
 
@@ -103,10 +110,10 @@ def gradient_equality_check(
     batch: np.ndarray,
     *,
     wrong_branch: bool = False,
-    h: float = 1e-5,
 ) -> float:
     """Compare the stop-gradient objective's analytic gradient with finite
-    differences of the fully live negative-MI objective on one batch.
+    differences (step ``FD_STEP``) of the fully live negative-MI objective
+    on one batch.
 
     The analytic side is the library's own :func:`neuralbayes.mim.mim_v1_loss`
     without a guard, which blocks backpropagation through the log's argument
@@ -139,7 +146,7 @@ def gradient_equality_check(
             for name, p in params.items():
                 p.data = originals[name]
 
-    numeric = finite_diff_grad(live_loss, {name: p.data for name, p in params.items()}, h=h)
+    numeric = finite_diff_grad(live_loss, {name: p.data for name, p in params.items()})
 
     worst = 0.0
     for name in params:
@@ -183,12 +190,14 @@ def _live_grad(net: "nn.Network", batch: np.ndarray) -> dict[str, np.ndarray]:
     return gradients(objective, params)
 
 
-def gradcheck_suite(seed: int, cases: int, *, wrong_branch: bool = False, tol: float = 1e-4) -> list[dict]:
-    """Run ``cases`` random gradient-equality checks; one result dict per case."""
+def gradcheck_suite(seed: int, cases: int, *, wrong_branch: bool = False) -> list[dict]:
+    """Run ``cases`` random gradient-equality checks; one result dict per
+    case, which passes when its max relative difference is at most
+    ``GRADCHECK_TOL``."""
     rng = np.random.default_rng(seed)
     results = []
     for case_id in range(cases):
         net, batch = random_check_case(rng)
         diff = gradient_equality_check(net, batch, wrong_branch=wrong_branch)
-        results.append({"case_id": case_id, "max_rel_diff": diff, "pass": bool(diff <= tol)})
+        results.append({"case_id": case_id, "max_rel_diff": diff, "pass": bool(diff <= GRADCHECK_TOL)})
     return results

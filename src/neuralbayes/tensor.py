@@ -58,6 +58,8 @@ from .errors import ConfigError, DomainError, ShapeError
 
 Axis = int | tuple[int, ...] | None
 
+BN_VAR_FLOOR = 1e-5   # batch norm's denominator is sqrt(max(var, BN_VAR_FLOOR))
+
 BackwardFn = Callable[[np.ndarray], None]
 
 _tape = threading.local()  # per thread: .off is True inside no_tape()
@@ -403,20 +405,20 @@ def tmean(x, axis: Axis = None) -> Tensor:
     return Tensor._from_op(x.data.mean(axis=axes), (x,), "mean", backward)
 
 
-def softmax(x, axis: int = 1) -> Tensor:
-    """Row-stochastic softmax along ``axis``, computed with max subtraction.
+def softmax(x) -> Tensor:
+    """Row-stochastic softmax along axis 1, the feature/channel axis,
+    computed with max subtraction.
 
     The forward and the backward each allocate one full-size buffer and work
     in it in place."""
     x = _as_tensor(x)
-    ax = axis % x.ndim
-    s = x.data - x.data.max(axis=ax, keepdims=True)
+    s = x.data - x.data.max(axis=1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=ax, keepdims=True)
+    s /= s.sum(axis=1, keepdims=True)
 
     def backward(g):
         gx = s * g
-        dot = gx.sum(axis=ax, keepdims=True)
+        dot = gx.sum(axis=1, keepdims=True)
         np.subtract(g, dot, out=gx)
         gx *= s
         _accum(x, gx)
@@ -626,17 +628,19 @@ def _channel_dot(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndar
     return np.einsum(f"{letters},{letters}->{kept}", a, b)
 
 
-def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
-               ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def batch_norm(x, scale, shift, relu: bool = False) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Batch normalization with batch statistics as one node: ``(x - mean) /
-    sqrt(max(var, floor))`` per channel, times ``scale`` plus ``shift``; with
-    ``relu=True``, clamped at 0 (a ReLU after the normalization).
+    sqrt(max(var, BN_VAR_FLOOR))`` per channel, times ``scale`` plus
+    ``shift``; with ``relu=True``, clamped at 0 (a ReLU after the
+    normalization).
 
-    Channels are the axes not in ``axes``; ``scale`` and ``shift`` have their
-    shape.  Mean and variance are the batch's own (the biased variance over
-    ``axes``) and the backward is the closed form through both; where ``var
-    <= floor`` the denominator is the constant ``sqrt(floor)`` and no
-    gradient flows through the variance.  Returns the output and the mean
+    ``x`` is (B, F) or (B, C, H, W), and its channels are axis 1: the
+    statistics run over the batch axis, and over the spatial axes too for a
+    4-D input.  ``scale`` and ``shift`` are (channels,).  Mean and variance
+    are the batch's own (the biased variance) and the backward is the closed
+    form through both; where ``var <= BN_VAR_FLOOR`` the denominator is the
+    constant ``sqrt(BN_VAR_FLOOR)`` and no gradient flows through the
+    variance.  Returns the output and the mean
     and variance it used (Ioffe & Szegedy, arXiv:1502.03167).  Eval mode,
     with running statistics, is not this node: it is an affine map per
     channel, folded into the layer before it (``nn.BatchNormLayer.eval_map``).
@@ -648,12 +652,14 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
     and the value is bitwise ``relu`` of the unfused output.
     """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    axes = _norm_axes(axes, x.ndim)
-    keep = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
-    channels = tuple(s for i, s in enumerate(x.shape) if i not in axes)
+    if x.ndim not in (2, 4):
+        raise ShapeError(f"batch_norm expects (B, F) or (B, C, H, W), got shape {x.shape}")
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    keep = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    channels = (x.shape[1],)
     if scale.shape != channels or shift.shape != channels:
-        raise ShapeError(f"batch_norm of {x.shape} over axes {axes} needs scale and shift of "
-                         f"shape {channels}, got {scale.shape} and {shift.shape}")
+        raise ShapeError(f"batch_norm of {x.shape} needs scale and shift of shape {channels}, "
+                         f"got {scale.shape} and {shift.shape}")
     count = math.prod(x.shape[a] for a in axes)  # elements per channel
     # full-size temporaries are few: each fresh one costs page faults.  The
     # output is formed in the centred input's buffer, in the input's memory
@@ -661,7 +667,7 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
     mean = x.data.mean(axis=axes)
     out_data = x.data - mean.reshape(keep)
     var = _channel_dot(out_data, out_data, axes) / count
-    den = np.sqrt(np.maximum(var, floor))
+    den = np.sqrt(np.maximum(var, BN_VAR_FLOOR))
     coef = (scale.data / den).reshape(keep)
     out_data *= coef
     out_data += shift.data.reshape(keep)
@@ -683,7 +689,7 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
         # the input's gradient is formed in the centred input's buffer: the
         # components that flow back through the batch mean and, where the
         # variance is above the floor, the batch variance are removed
-        through_var = np.where(var > floor, gscale, 0.0) / (count * den)
+        through_var = np.where(var > BN_VAR_FLOOR, gscale, 0.0) / (count * den)
         centred *= through_var.reshape(keep)
         np.subtract(g, centred, out=centred)
         centred -= (gshift / count).reshape(keep)
@@ -693,9 +699,8 @@ def batch_norm(x, scale, shift, axes: Axis, floor: float, relu: bool = False
     return Tensor._from_op(out_data, (x, scale, shift), "batch_norm", backward), mean, var
 
 
-def affine_batch_norm(x, weight, scale, shift, floor: float, stride: int = 1,
-                      padding: int = 0, relu: bool = False
-                      ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def affine_batch_norm(x, weight, scale, shift, stride: int = 1, padding: int = 0,
+                      relu: bool = False) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """``linear`` (2-D ``x`` and ``weight``) or ``conv2d`` (4-D, with
     ``stride`` and ``padding``) and then ``batch_norm`` over every axis but
     the channels, as one node, for an input that needs no gradient; with
@@ -711,8 +716,8 @@ def affine_batch_norm(x, weight, scale, shift, floor: float, stride: int = 1,
     shift in it.  The backward masks ``g`` with ``out > 0`` under the ReLU
     and forms ``G = g Pc^T`` and the sum of ``g`` in one GEMM; with ``wG``
     the per-channel dot of W and G, the shift's gradient is that sum, the
-    scale's ``wG / den``, and the weight's ``coef (G - [var > floor] wG /
-    den^2 W S)``.  Values match the ``linear``/``conv2d`` -> ``batch_norm``
+    scale's ``wG / den``, and the weight's ``coef (G - [var > BN_VAR_FLOOR]
+    wG / den^2 W S)``.  Values match the ``linear``/``conv2d`` -> ``batch_norm``
     chain to rounding, not bitwise.  Returns the node and the mean and
     variance it used, as ``batch_norm`` does.  The node keeps Pc (over a
     row of ones) and its output.
@@ -752,7 +757,7 @@ def affine_batch_norm(x, weight, scale, shift, floor: float, stride: int = 1,
     lifted[K] = 1.0
     wcov = wmat @ ((centred @ centred.T) / count)
     var = np.einsum("ck,ck->c", wcov, wmat)
-    den = np.sqrt(np.maximum(var, floor))
+    den = np.sqrt(np.maximum(var, BN_VAR_FLOOR))
     coef = scale.data / den
     a = np.hstack([wmat * coef[:, None], shift.data[:, None]])
     out = a @ lifted if order == "C" else (lifted.T @ a.T).T   # (out, N) in that order
@@ -768,7 +773,7 @@ def affine_batch_norm(x, weight, scale, shift, floor: float, stride: int = 1,
         wg = np.einsum("ck,ck->c", wmat, grad)
         _accum(scale, wg / den)
         _accum(shift, lifted_grad[:, K])
-        through_var = np.where(var > floor, wg, 0.0) / (den * den)
+        through_var = np.where(var > BN_VAR_FLOOR, wg, 0.0) / (den * den)
         grad -= through_var[:, None] * wcov
         grad *= coef[:, None]
         _accum(weight, grad.reshape(weight.shape))

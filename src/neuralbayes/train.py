@@ -331,7 +331,7 @@ _PROBE_HOLDOUT = 0.25
 
 
 def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    probs = T.softmax(logits, axis=1)
+    probs = T.softmax(logits)
     return T.neg(T.tmean(T.tsum(Tensor(onehot) * T.log(probs + _CE_GUARD), axis=1)))
 
 

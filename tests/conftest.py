@@ -97,7 +97,7 @@ def encoder_state_prior(net: nn.Network, points: np.ndarray, batch_size: int = 2
     n = points.shape[0]
     for start in range(0, n, batch_size):
         feats = train.extract_features(net, points[start:start + batch_size], tap="last")
-        post = T.softmax(Tensor(feats), axis=1).data
+        post = T.softmax(Tensor(feats)).data
         s = post.sum(axis=0)
         total = s if total is None else total + s
     return total / n

@@ -44,7 +44,7 @@ def test_criterion_1_mi_oracle_equivalence():
         b = int(rng.integers(1, 65))
         k = int(rng.integers(2, 9))
         logits = rng.standard_normal((b, k))
-        p = bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
+        p = bayes.PosteriorBatch(T.softmax(Tensor(logits)))
         got = mim.mi_closed_form(p).item()
         want = oracles.brute_force_mi(p.values.data)
         worst = max(worst, abs(got - want))

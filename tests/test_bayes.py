@@ -15,7 +15,7 @@ from neuralbayes.tensor import Tensor
 
 def random_posterior(b, k, seed):
     logits = np.random.default_rng(seed).standard_normal((b, k))
-    return bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
+    return bayes.PosteriorBatch(T.softmax(Tensor(logits)))
 
 
 class TestValidation:
@@ -48,7 +48,7 @@ class TestPriorEstimate:
 
     def test_differentiable(self):
         logits = Tensor(np.random.default_rng(1).standard_normal((4, 3)), requires_grad=True)
-        p = bayes.PosteriorBatch(T.softmax(logits, axis=1))
+        p = bayes.PosteriorBatch(T.softmax(logits))
         prior = bayes.prior_estimate(p)
         T.tsum(prior.values * prior.values).backward()
         assert logits.grad is not None and np.any(logits.grad != 0)

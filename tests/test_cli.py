@@ -44,6 +44,18 @@ class TestGenData:
         run(["gen-data", "--kind", "moons", "--n", "20", "--seed", "11", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("moons", ["--noise", "nan"], "noise must be finite and >= 0, got nan"),
+        ("circles", ["--noise", "nan"], "noise must be finite and >= 0, got nan"),
+        ("blobs", ["--noise", "nan"], "noise must be finite and >= 0, got nan"),
+        ("moons", ["--gap", "nan"], "gap must be finite, got nan")])
+    def test_nan_setting_exits_1_without_csv(self, tmp_path, capsys, kind, flags, message):
+        out = tmp_path / "d.csv"
+        assert run(["gen-data", "--kind", kind, "--n", "20", *flags, "--seed", "1",
+                    "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NB_SEED", "abc")
         out = tmp_path / "a.csv"
@@ -226,7 +238,9 @@ class TestTrainDml:
         ({"bs": 60}, "BS must be a multiple of MBS, got MBS=40, BS=60"),
         ({"lr": -1}, "learning rate must be finite and > 0, got -1.0"),
         ({"stop-split": 0.5, "patience": 0}, "patience must be at least 1"),
-        ({"beta": -1}, "beta must be nonnegative")])
+        ({"beta": -1}, "beta must be nonnegative"),
+        ({"beta": "nan"}, "beta must be nonnegative and finite, got nan"),
+        ({"beta": "inf"}, "beta must be nonnegative and finite, got inf")])
     def test_bad_last_sweep_entry_fails_before_the_first_run(self, tmp_path, tiny_run, capsys,
                                                              entry, message):
         data, _ = tiny_run
@@ -280,7 +294,9 @@ class TestTrainDml:
     @pytest.mark.parametrize("entry, message", [
         ({"beta": -1}, "alpha and beta must be nonnegative"),
         ({"alpha": -1}, "alpha and beta must be nonnegative"),
-        ({"hidden": [8, 0]}, "hidden width 0 is not a positive number of units")])
+        ({"hidden": [8, 0]}, "hidden width 0 is not a positive number of units"),
+        ({"beta": "nan"}, "got alpha=2.0, beta=nan"),
+        ({"alpha": "-inf"}, "got alpha=-inf, beta=4.0")])
     def test_bad_mim_setting_in_a_later_entry_fails_before_the_first_run(self, tmp_path, capsys,
                                                                         entry, message):
         data, cfg, sweep = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "sweep.json"
@@ -294,6 +310,18 @@ class TestTrainDml:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (out / "sweep000").exists()
+
+    @pytest.mark.parametrize("flags", [["--beta", "nan"], ["--alpha", "nan"]])
+    def test_nan_mim_weight_flag_exits_1_without_directory(self, tmp_path, capsys, flags):
+        data = tmp_path / "b.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--seed", "4",
+             "--out", str(data)])
+        out = tmp_path / "o"
+        code = run(["train-mim", "--data", str(data), "--mbs", "20", "--bs", "20", "--epochs", "1",
+                    "--hidden", "8", *flags, "--out-dir", str(out)])
+        assert code == 1
+        assert "alpha and beta must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_loads_the_data_once(self, tmp_path, tiny_run, monkeypatch):
         from neuralbayes import data as D
@@ -552,6 +580,44 @@ class TestProbeAndGrid:
         assert run(["export-grid", "--checkpoint", str(out_dir / "checkpoint"),
                     "--data", str(data), "--resolution", "10", "--out", str(grid)]) == 0
         assert len(grid.read_text().splitlines()) == 101
+
+    def test_export_grid_standardizes_raw_data_with_its_own_statistics(self, tmp_path):
+        # a CSV without metadata is raw: the grid spans the raw points and goes
+        # through the network standardized with their mean and std
+        from neuralbayes import data as D, nn, train
+        moons = D.make_two_moons(30, seed=8)
+        raw = D.ManifoldDataset(moons.points * 3.0 + 5.0, moons.components)
+        data, out_dir, grid = tmp_path / "raw.csv", tmp_path / "r", tmp_path / "g.csv"
+        D.save_csv(raw, data)
+        assert run(["train-dml", "--data", str(data), "--mbs", "20", "--bs", "20",
+                    "--epochs", "2", "--seed", "0", "--out-dir", str(out_dir)]) == 0
+        assert run(["export-grid", "--checkpoint", str(out_dir / "checkpoint"),
+                    "--data", str(data), "--resolution", "7", "--out", str(grid)]) == 0
+        rows = np.loadtxt(grid, delimiter=",", skiprows=1)
+        lo, hi = raw.points.min(axis=0), raw.points.max(axis=0)
+        gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 7), np.linspace(lo[1], hi[1], 7),
+                             indexing="ij")
+        xy = np.column_stack([gx.ravel(), gy.ravel()])
+        net = nn.load_checkpoint(out_dir / "checkpoint")
+        mean, std = raw.points.mean(axis=0), raw.points.std(axis=0)
+        want = train.extract_features(net, (xy - mean) / std, tap="out")
+        np.testing.assert_array_equal(rows[:, :2], xy)
+        np.testing.assert_array_equal(rows[:, 2], want.argmax(axis=1))
+        np.testing.assert_array_equal(rows[:, 3], want.max(axis=1))
+        unscaled = train.extract_features(net, xy, tap="out")
+        assert not np.array_equal(rows[:, 3], unscaled.max(axis=1))
+
+    def test_export_grid_on_3d_data_without_lift_exits_1(self, tiny_run, tmp_path, capsys):
+        from neuralbayes import data as D
+        _, out_dir = tiny_run
+        data, grid = tmp_path / "d3.csv", tmp_path / "g.csv"
+        points = np.random.default_rng(9).standard_normal((10, 3))
+        D.save_csv(D.ManifoldDataset(points, np.repeat([0, 1], 5)), data)
+        code = run(["export-grid", "--checkpoint", str(out_dir / "checkpoint"),
+                    "--data", str(data), "--out", str(grid)])
+        assert code == 1
+        assert "grid export needs 2-D data or stored lift metadata" in capsys.readouterr().err
+        assert not grid.exists()
 
 
 class TestGradcheckCommand:

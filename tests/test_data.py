@@ -35,6 +35,23 @@ class TestGenerators:
         with pytest.raises(DatasetError, match="not well separated"):
             D.make_two_moons(200, gap=0.0, noise=0.4, seed=0)
 
+    @pytest.mark.parametrize("make", [D.make_two_moons, D.make_circles,
+                                      lambda n, noise: D.make_blobs(3, n, noise=noise)])
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf, -0.1])
+    def test_noise_must_be_finite_and_nonnegative(self, make, noise):
+        with pytest.raises(DatasetError, match=f"noise must be finite and >= 0, got {noise}"):
+            make(20, noise=noise)
+
+    @pytest.mark.parametrize("gap", [np.nan, np.inf, -np.inf])
+    def test_moons_gap_must_be_finite(self, gap):
+        with pytest.raises(DatasetError, match=f"gap must be finite, got {gap}"):
+            D.make_two_moons(20, gap=gap)
+
+    def test_disjointness_postcheck_fails_on_nan_distance(self):
+        # a NaN radius makes NaN points, whose distance is no separation
+        with pytest.raises(DatasetError, match="not well separated"):
+            D.make_circles(20, radii=(1.0, np.nan), seed=0)
+
     def test_empty_component_rejected(self):
         with pytest.raises(DatasetError):
             D.make_two_moons(0, seed=0)

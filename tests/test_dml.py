@@ -110,7 +110,7 @@ class TestBinaryLoss:
 
     def test_gradient_flows(self):
         logits = Tensor(np.random.default_rng(0).standard_normal((16, 2)), requires_grad=True)
-        dml.dml_loss(bayes.PosteriorBatch(T.softmax(logits, axis=1))).backward()
+        dml.dml_loss(bayes.PosteriorBatch(T.softmax(logits))).backward()
         assert logits.grad is not None and np.abs(logits.grad).max() > 0
 
     def test_small_batch_rejected(self):
@@ -139,7 +139,7 @@ class TestMultiLoss:
         for seed in range(8):
             logits = Tensor(3.0 * np.random.default_rng(seed).standard_normal((20, 2)),
                             requires_grad=True)
-            v = T.softmax(logits, axis=1)
+            v = T.softmax(logits)
             assert_same_loss_and_gradient(dml.dml_loss(bayes.PosteriorBatch(v)),
                                           binary_chain_reference(T.column(v, 0)), logits)
 
@@ -147,7 +147,7 @@ class TestMultiLoss:
     @given(st.integers(2, 40), st.integers(2, 6), st.integers(0, 99_999))
     def test_range(self, b, k, seed):
         logits = np.random.default_rng(seed).standard_normal((b, k))
-        p = bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
+        p = bayes.PosteriorBatch(T.softmax(Tensor(logits)))
         v = dml.dml_loss(p).item()
         assert -1e-9 <= v <= LOG2 + 1e-3
 
@@ -288,6 +288,13 @@ class TestObjectiveClosure:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             dml.DmlConfig(partitions=1)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+    def test_beta_must_be_finite_and_nonnegative(self, beta):
+        # a NaN beta would fail the objective's `beta > 0` test and silently
+        # drop the smoothness term
+        with pytest.raises(ConfigError, match=f"beta must be nonnegative and finite, got {beta}"):
+            dml.DmlConfig(beta=beta)
 
 
 def three_forward_dml(cfg):

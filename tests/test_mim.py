@@ -20,7 +20,7 @@ LOG2 = math.log(2.0)
 
 def random_posterior(b, k, seed):
     logits = np.random.default_rng(seed).standard_normal((b, k))
-    return bayes.PosteriorBatch(T.softmax(Tensor(logits), axis=1))
+    return bayes.PosteriorBatch(T.softmax(Tensor(logits)))
 
 
 class TestClosedFormMI:
@@ -108,7 +108,7 @@ class TestPriorPenalties:
 
     def test_v1_peaked_value_near_zero(self):
         prior = bayes.PriorEstimate(Tensor([1.0, 0.0]), sample_count=10)
-        assert abs(mim.uniform_prior_penalty_v1(prior, eps=1e-7).item()) <= 1e-6
+        assert abs(mim.uniform_prior_penalty_v1(prior).item()) <= 1e-6
 
     def test_v1_gradient_equal_entries_at_uniform(self):
         values = Tensor(np.full(4, 0.25), requires_grad=True)
@@ -132,7 +132,8 @@ class TestPriorPenalties:
         prior = bayes.PriorEstimate(Tensor([1.0, 0.0]), sample_count=1)
         with pytest.raises(DomainError):
             mim.uniform_prior_penalty_v2(prior)
-        assert math.isfinite(mim.uniform_prior_penalty_v2(prior, eps=1e-7).item())
+        row = T.reshape(prior.values, (1, 2))
+        assert math.isfinite(T.state_objective(row, "v2", 1e-7, mi_weight=0.0)[0].item())
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 99_999))
@@ -267,15 +268,27 @@ class TestV2Loss:
         with pytest.raises(ConfigError):
             mim.MimConfig(alpha=-1.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field}={value}"):
+            mim.MimConfig(**{field: value})
+
+
+def guarded_log(t, eps):
+    """log(t + eps) with t's exact zeros read as 1, so their terms are
+    0*log(1 + eps) = 0, the masking state_objective applies."""
+    return T.log(t + Tensor((t.data <= 0.0).astype(np.float64)) + eps)
+
 
 def chain_state_terms(v, eps, form):
     """A state's MI term and prior penalty as the elementwise tape chain the
     loss was once built from (a test-only reference for state_objective)."""
-    mi = T.neg(T.tmean(T.tsum(v * mim._guarded_log(T.stop_gradient(v), eps), axis=1)))
+    mi = T.neg(T.tmean(T.tsum(v * guarded_log(T.stop_gradient(v), eps), axis=1)))
     prior = T.tmean(v, axis=0)
     K = prior.shape[0]
     if form == "v1":
-        penalty = T.tsum(prior * mim._guarded_log(T.stop_gradient(prior), eps), axis=0)
+        penalty = T.tsum(prior * guarded_log(T.stop_gradient(prior), eps), axis=0)
     else:
         a = T.tsum(T.log(prior + eps), axis=0)
         b = T.tsum(T.log((1.0 - prior) + eps), axis=0)

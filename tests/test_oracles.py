@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralbayes import nn, oracles
-from neuralbayes.errors import ConfigError, DomainError, ShapeError
+from neuralbayes.errors import DomainError, ShapeError
 
 LOG2 = math.log(2.0)
 
@@ -105,11 +105,6 @@ class TestFiniteDifferences:
 
         with pytest.raises(DomainError, match=r"t\[1\]"):
             oracles.finite_diff_grad(bad, {"t": np.array([0.0, 1.0])})
-
-    def test_positive_step_required(self):
-        for h in (0.0, -1e-5, math.nan):
-            with pytest.raises(ConfigError, match="finite-difference step must be positive"):
-                oracles.finite_diff_grad(lambda p: 0.0, {"t": np.zeros(1)}, h=h)
 
 
 class TestGradientEquality:

@@ -14,7 +14,8 @@ import pytest
 
 from conftest import (dead_unit_fraction, encoder_state_prior, make_synthetic_images,
                       probe_encoder, run_mim_encoder)
-from neuralbayes import bayes, data as D, mim, nn, train
+from neuralbayes import data as D, mim, nn, train
+from neuralbayes import tensor as T
 from neuralbayes.tensor import Tensor
 
 
@@ -41,9 +42,10 @@ class TestUniformPriorMechanism:
         for seed in (0, 1):
             priors = {alpha: encoder_state_prior(trained_pair[(seed, alpha)], corpus.points)
                       for alpha in (0.0, 4.0)}
-            penalties = {alpha: mim.uniform_prior_penalty_v2(
-                bayes.PriorEstimate(Tensor(p / p.sum()), corpus.size), eps=1e-9).item()
-                for alpha, p in priors.items()}
+            # the v2 penalty of each prior, guarded at 1e-9 against a dead state
+            penalties = {alpha: T.state_objective(Tensor(p[None] / p.sum()), "v2", 1e-9,
+                                                  mi_weight=0.0)[0].item()
+                         for alpha, p in priors.items()}
             assert penalties[4.0] < penalties[0.0], seed
             assert priors[4.0].max() < priors[0.0].max(), seed
             assert priors[4.0].min() > priors[0.0].min(), seed

@@ -14,7 +14,7 @@ from neuralbayes.errors import ConfigError, DomainError, ShapeError
 from neuralbayes.tensor import Tensor
 
 
-def fd_check(build, params, tol=1e-4, h=1e-5):
+def fd_check(build, params, tol=1e-4):
     """Compare analytic gradients of build(params) -> scalar Tensor with
     central finite differences, relative to max(1, |analytic|)."""
     analytic = T.gradients(build(params), params)
@@ -23,7 +23,7 @@ def fd_check(build, params, tol=1e-4, h=1e-5):
         frozen = {k: Tensor(v, requires_grad=True) for k, v in arrs.items()}
         return build(frozen).item()
 
-    numeric = oracles.finite_diff_grad(value, {k: p.data for k, p in params.items()}, h=h)
+    numeric = oracles.finite_diff_grad(value, {k: p.data for k, p in params.items()})
     for name in params:
         rel = np.abs(analytic[name] - numeric[name]) / np.maximum(1.0, np.abs(analytic[name]))
         assert rel.max() <= tol, f"{name}: rel err {rel.max():.3e}"
@@ -59,7 +59,7 @@ class TestElementwise:
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0], atol=1e-12)
         numeric = oracles.finite_diff_grad(
-            lambda p: float(p["x"][0] * np.log(p["x"][0])), {"x": np.array([1.0])}, h=1e-6)
+            lambda p: float(p["x"][0] * np.log(p["x"][0])), {"x": np.array([1.0])})
         np.testing.assert_allclose(x.grad, numeric["x"], atol=1e-6)
 
     def test_broadcast_leading_batch_axis(self):
@@ -198,37 +198,37 @@ class TestNoTape:
 
 class TestSoftmax:
     def test_uniform_row(self):
-        out = T.softmax(Tensor([[0.0, 0.0, 0.0]]), axis=1)
+        out = T.softmax(Tensor([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_extreme_logits_no_overflow(self):
-        out = T.softmax(Tensor([[1000.0, 0.0]]), axis=1)
+        out = T.softmax(Tensor([[1000.0, 0.0]]))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
-        out = T.softmax(Tensor(rng.standard_normal((16, 7))), axis=1)
+        out = T.softmax(Tensor(rng.standard_normal((16, 7))))
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal((4, 5))
-        a = T.softmax(Tensor(logits), axis=1).data
-        b = T.softmax(Tensor(logits + 7.3), axis=1).data
+        a = T.softmax(Tensor(logits)).data
+        b = T.softmax(Tensor(logits + 7.3)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_jacobian_vs_finite_differences(self):
         rng = np.random.default_rng(7)
         params = {"x": Tensor(rng.standard_normal((1, 4)), requires_grad=True)}
         w = rng.standard_normal((1, 4))
-        fd_check(lambda p: T.tsum(T.softmax(p["x"], axis=1) * w), params, tol=1e-5)
+        fd_check(lambda p: T.tsum(T.softmax(p["x"]) * w), params, tol=1e-5)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 10_000))
     def test_rows_sum_property(self, b, k, seed):
         logits = np.random.default_rng(seed).uniform(-30, 30, (b, k))
-        out = T.softmax(Tensor(logits), axis=1)
+        out = T.softmax(Tensor(logits))
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -667,13 +667,13 @@ class TestBatchNormOp:
     def test_scale_shape_checked(self):
         x = Tensor(np.ones((4, 3)))
         with pytest.raises(ShapeError):
-            T.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(3)), (0,), 1e-5)
+            T.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(3)))
 
     def test_returns_statistics_used(self):
         rng = np.random.default_rng(27)
         x = rng.standard_normal((5, 2, 3, 3))
         one, zero = Tensor(np.ones(2)), Tensor(np.zeros(2))
-        out, mean, var = T.batch_norm(Tensor(x), one, zero, (0, 2, 3), 1e-5)
+        out, mean, var = T.batch_norm(Tensor(x), one, zero)
         np.testing.assert_allclose(mean, x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
         np.testing.assert_allclose(var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
         assert out.op == "batch_norm"
@@ -701,9 +701,7 @@ class TestBatchNormRelu:
         x, scale, shift, weights = self._case(shape)
         leaves = {"x": Tensor(x, requires_grad=True), "scale": Tensor(scale, requires_grad=True),
                   "shift": Tensor(shift, requires_grad=True)}
-        axes = (0,) if len(shape) == 2 else (0, 2, 3)
-        out, mean, var = T.batch_norm(leaves["x"], leaves["scale"], leaves["shift"], axes,
-                                      1e-5, relu=fused)
+        out, mean, var = T.batch_norm(leaves["x"], leaves["scale"], leaves["shift"], relu=fused)
         if not fused:
             out = T.relu(out)
         grads = T.gradients(T.tsum(out * weights), leaves)
@@ -734,8 +732,8 @@ class TestBatchNormRelu:
                   "scale": Tensor(rng.standard_normal(3) + 1.0, requires_grad=True),
                   "shift": Tensor(rng.standard_normal(3) * 0.3, requires_grad=True)}
         weights = rng.standard_normal(x.shape)
-        fd_check(lambda p: T.tsum(T.batch_norm(p["x"], p["scale"], p["shift"], (0, 2, 3),
-                                               1e-5, relu=True)[0] * weights), params)
+        fd_check(lambda p: T.tsum(T.batch_norm(p["x"], p["scale"], p["shift"],
+                                               relu=True)[0] * weights), params)
 
 
 class TestAffineBatchNorm:
@@ -769,7 +767,7 @@ class TestAffineBatchNorm:
     def _run(self, kind, fused, relu):
         x, params, geometry = self._case(kind)
         leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
-        norm = (leaves["scale"], leaves["shift"], 1e-5)
+        norm = (leaves["scale"], leaves["shift"])
         if fused:
             out, mean, var = T.affine_batch_norm(Tensor(x), leaves["weight"], *norm, relu=relu,
                                                  **geometry)
@@ -777,8 +775,7 @@ class TestAffineBatchNorm:
             args = (leaves["weight"], None)
             z = T.linear(Tensor(x), *args) if x.ndim == 2 else T.conv2d(Tensor(x), *args,
                                                                          **geometry)
-            out, mean, var = T.batch_norm(z, *norm[:2], (0,) if x.ndim == 2 else (0, 2, 3),
-                                          1e-5, relu=relu)
+            out, mean, var = T.batch_norm(z, *norm, relu=relu)
         weights = np.random.default_rng(49).standard_normal(out.shape)
         return out, mean, var, T.gradients(T.tsum(out * weights), leaves)
 
@@ -811,7 +808,7 @@ class TestAffineBatchNorm:
         leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
         def forward(p):
-            return T.affine_batch_norm(Tensor(x), p["weight"], p["scale"], p["shift"], 1e-5,
+            return T.affine_batch_norm(Tensor(x), p["weight"], p["scale"], p["shift"],
                                        relu=True, **geometry)[0]
 
         weights = rng.standard_normal(forward(leaves).shape)
@@ -821,17 +818,17 @@ class TestAffineBatchNorm:
         x, params, _ = self._case("dense")
         with pytest.raises(ConfigError):
             T.affine_batch_norm(Tensor(x, requires_grad=True),
-                                *(Tensor(params[k]) for k in ("weight", "scale", "shift")), 1e-5)
+                                *(Tensor(params[k]) for k in ("weight", "scale", "shift")))
 
     def test_shapes_checked(self):
         x, params, _ = self._case("dense")
         w, scale, shift = (Tensor(params[k]) for k in ("weight", "scale", "shift"))
         with pytest.raises(ShapeError):
-            T.affine_batch_norm(Tensor(x[:, :2]), w, scale, shift, 1e-5)
+            T.affine_batch_norm(Tensor(x[:, :2]), w, scale, shift)
         with pytest.raises(ShapeError):
-            T.affine_batch_norm(Tensor(x), w, Tensor(params["scale"][:2]), shift, 1e-5)
+            T.affine_batch_norm(Tensor(x), w, Tensor(params["scale"][:2]), shift)
         with pytest.raises(ShapeError):
-            T.affine_batch_norm(Tensor(x), Tensor(np.ones((7, 3, 1, 1))), scale, shift, 1e-5)
+            T.affine_batch_norm(Tensor(x), Tensor(np.ones((7, 3, 1, 1))), scale, shift)
 
 
 def traced_bytes(build):
@@ -855,7 +852,7 @@ class TestTapeMemory:
         rng = np.random.default_rng(40)
         x = Tensor(batch_last(rng.standard_normal((32, 8, 10, 10))), requires_grad=True)
         scale, shift = _leaf(rng, (8,)), _leaf(rng, (8,))
-        (out, _, _), held = traced_bytes(lambda: T.batch_norm(x, scale, shift, (0, 2, 3), 1e-5))
+        (out, _, _), held = traced_bytes(lambda: T.batch_norm(x, scale, shift))
         assert out.requires_grad
         assert held < out.data.nbytes + x.data.nbytes // 2, held
 
@@ -865,7 +862,7 @@ class TestTapeMemory:
         x = Tensor(batch_last(rng.standard_normal((32, 8, 10, 10))), requires_grad=True)
         scale, shift = _leaf(rng, (8,)), _leaf(rng, (8,))
         (out, _, _), held = traced_bytes(
-            lambda: T.batch_norm(x, scale, shift, (0, 2, 3), 1e-5, relu=True))
+            lambda: T.batch_norm(x, scale, shift, relu=True))
         assert out.requires_grad
         assert held < out.data.nbytes + x.data.nbytes // 2, held
 
@@ -892,7 +889,7 @@ class TestTapeMemory:
         x = Tensor(rng.standard_normal((16, 1, 10, 10)))
         w, scale, shift = _leaf(rng, (32, 1, 3, 3)), _leaf(rng, (32,)), _leaf(rng, (32,))
         (out, _, _), held = traced_bytes(
-            lambda: T.affine_batch_norm(x, w, scale, shift, 1e-5, relu=True))
+            lambda: T.affine_batch_norm(x, w, scale, shift, relu=True))
         assert out.requires_grad
         lifted = 10 * out.data.nbytes // 32   # the 9 centred patch rows over a row of ones
         assert held < (out.data.nbytes + lifted) * 11 // 10, held
@@ -1024,7 +1021,7 @@ class TestBackward:
     def test_repeated_backward_bitwise_equal(self):
         rng = np.random.default_rng(14)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        loss = T.tsum(T.softmax(x, axis=1) * T.log(T.softmax(x, axis=1) + 1e-7))
+        loss = T.tsum(T.softmax(x) * T.log(T.softmax(x) + 1e-7))
         loss.backward()
         first = x.grad.copy()
         loss.backward()
@@ -1077,7 +1074,7 @@ BACKWARD_OPS = {
     "reshape": lambda leaf: T.reshape(leaf((3, 4)), (4, 3)),
     "sum": lambda leaf: T.tsum(leaf((2, 3, 4)), axis=(0, 2)),
     "mean": lambda leaf: T.tmean(leaf((2, 3, 4)), axis=1),
-    "softmax": lambda leaf: T.softmax(leaf((2, 3, 2, 2)), axis=1),
+    "softmax": lambda leaf: T.softmax(leaf((2, 3, 2, 2))),
     "column": lambda leaf: T.column(leaf((3, 4)), 1),
     "avg_pool2d": lambda leaf: T.avg_pool2d(leaf((2, 3, 5, 5)), 2, 2),
     "max_pool2d": lambda leaf: T.max_pool2d(leaf((2, 3, 5, 5)), 3, 1),
@@ -1087,14 +1084,13 @@ BACKWARD_OPS = {
                                          stride=2, padding=1, relu=True),
     "conv2d_no_bias": lambda leaf: T.conv2d(leaf((2, 3, 5, 5)), leaf((4, 3, 3, 3)), None,
                                             stride=2, padding=1),
-    "batch_norm": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
-                                            (0, 2, 3), 1e-5)[0],
+    "batch_norm": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)))[0],
     "batch_norm_relu": lambda leaf: T.batch_norm(leaf((4, 3, 2, 2)), leaf((3,)), leaf((3,)),
-                                                 (0, 2, 3), 1e-5, relu=True)[0],
+                                                 relu=True)[0],
     "affine_batch_norm": lambda leaf: T.affine_batch_norm(
-        Tensor(leaf((5, 2)).data), leaf((4, 2)), leaf((4,)), leaf((4,)), 1e-5)[0],
+        Tensor(leaf((5, 2)).data), leaf((4, 2)), leaf((4,)), leaf((4,)))[0],
     "affine_batch_norm_conv_relu": lambda leaf: T.affine_batch_norm(
-        Tensor(leaf((2, 2, 5, 5)).data), leaf((3, 2, 3, 3)), leaf((3,)), leaf((3,)), 1e-5,
+        Tensor(leaf((2, 2, 5, 5)).data), leaf((3, 2, 3, 3)), leaf((3,)), leaf((3,)),
         stride=2, padding=1, relu=True)[0],
     "state_objective": lambda leaf: T.state_objective(leaf((4, 3, 2, 2), positive=True), "v1",
                                                       1e-7, 0.5, 2.0)[0],
@@ -1162,7 +1158,7 @@ class TestDeterminism:
         for _ in range(2):
             x = Tensor(data, requires_grad=True)
             gram = T.linear(x, x, Tensor(np.zeros(8)))
-            loss = T.tmean(T.tsum(T.softmax(gram, axis=1), axis=1))
+            loss = T.tmean(T.tsum(T.softmax(gram), axis=1))
             loss.backward()
             runs.append((loss.item(), x.grad.copy()))
         assert runs[0][0] == runs[1][0]
