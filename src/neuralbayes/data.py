@@ -1,10 +1,11 @@
 """Synthetic manifold datasets, high-dimensional lifting, and file ingestion.
 
 Generators are deterministic per seed, reject a negative or non-finite noise
-scale (and a non-finite moons gap), and post-check that the components they
-emit really are well separated (minimum inter-component distance above four
-noise standard deviations), since the labeling objective's optimality argument
-only holds for disjoint supports.
+scale (and a non-finite moons gap or a non-positive or non-finite circle
+radius), and post-check that the components they emit really are well
+separated (minimum inter-component distance above four noise standard
+deviations), since the labeling objective's optimality argument only holds
+for disjoint supports.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def make_circles(n_per: int, radii: Sequence[float] = (1.0, 2.0), noise: float =
     """Concentric rings, one component per radius."""
     if n_per < 1:
         raise DatasetError("n_per must be at least 1")
-    if len(radii) < 2 or any(r <= 0 for r in radii):
-        raise DatasetError("need at least two positive radii")
+    if len(radii) < 2 or not all(math.isfinite(r) and r > 0 for r in radii):
+        raise DatasetError(f"need at least two positive finite radii, got {list(radii)}")
     _check_noise(noise)
     rng = np.random.default_rng(seed)
     chunks, labels = [], []
@@ -197,7 +198,7 @@ def lift_points(points: np.ndarray, lift_meta: dict) -> np.ndarray:
     dim, seed, base = lift_meta["dim"], lift_meta["seed"], lift_meta["base_dim"]
     if points.shape[1] != base:
         raise ShapeError(f"expected {base}-D points for this lift, got {points.shape[1]}-D")
-    base_rows = orthogonal_init(dim, dim, seed).data[:base].copy()  # frees the other rows
+    base_rows = orthogonal_init(dim, dim, seed)[:base].copy()  # frees the other rows
     return points @ base_rows
 
 
@@ -214,7 +215,7 @@ def unlift_points(points: np.ndarray, lift_meta: dict) -> np.ndarray:
     dim = lift_meta["dim"]
     if points.shape[1] != dim:
         raise ShapeError(f"expected {dim}-D points for this lift, got {points.shape[1]}-D")
-    rotation = orthogonal_init(dim, dim, lift_meta["seed"]).data
+    rotation = orthogonal_init(dim, dim, lift_meta["seed"])
     return (points @ rotation.T)[:, : lift_meta["base_dim"]]
 
 

@@ -87,7 +87,7 @@ def dml_loss(p: PosteriorBatch) -> Tensor:
     The batch-mean prior stays live on the tape (this is why training needs
     batches large enough for a faithful prior estimate), and a state whose
     prior reaches 0 or 1 raises ``DegeneratePriorError``.  The smoothness
-    term is added by the caller as beta * R_c.
+    term is added by :func:`smoothed_objective` as beta * R_c.
     """
     if p.num_states < 2:
         raise ShapeError("DML loss needs K >= 2 states")
@@ -145,47 +145,52 @@ def smoothness_penalty(net, batch, y0: Tensor, rng: np.random.Generator, *,
     return T.tmean(T.tsum(diff * diff, axis=1)) * (1.0 / zeta**2)
 
 
-def implied_binary_atom_weights(labels, prior: float) -> tuple[np.ndarray, np.ndarray]:
-    """Atom weights (w0, w1) of the two implied conditionals on a uniform
-    batch: w0_i = (1 - L_i) / (B * (1 - prior)), w1_i = L_i / (B * prior)."""
-    L = _label_array(labels)
-    check_interior(prior)
-    B = L.size
-    return (1.0 - L) / (B * (1.0 - prior)), L / (B * prior)
+def smoothed_objective(head_loss, target, beta: float):
+    """Build a training closure (net, batch, rng, mode="train") -> (loss, terms).
 
-
-def make_dml_objective(cfg: DmlConfig):
-    """Build a training closure (net, batch, rng) -> (loss, terms).
-
-    The network head must be a softmax with ``cfg.partitions`` outputs
-    (``ShapeError`` otherwise), and :func:`dml_loss` takes all of it.  For
-    two partitions the smoothness penalty's target is its first column, the
-    scalar label L.  One train-mode forward gives the JS term and the
-    smoothness penalty's clean output; the penalty adds one batch-mode
-    forward of the perturbed batch, so batch-norm running stats move once
-    per call.  ``mode="batch"`` runs the clean forward in batch mode too, so
-    the call moves nothing (holdout evaluation).
-
-    ``terms`` holds ``js_loss`` (the value of :func:`dml_loss`), ``smooth``
-    (beta * R_c, only when beta > 0) and ``total``, in that order.
+    One ``mode`` forward gives the output and every tapped state, from which
+    ``head_loss(out, states)`` returns the loss and its leading terms.  When
+    ``beta`` > 0 the closure adds beta * R_c, the :func:`smoothness_penalty`
+    of ``target(out, states)``: the clean target stays on this forward's
+    tape, and the penalty adds one batch-mode forward of the perturbed batch,
+    so batch-norm running stats move once per call.  ``mode="batch"`` runs
+    the clean forward in batch mode too, so the call moves nothing (holdout
+    evaluation).  ``terms`` ends with ``smooth`` (beta * R_c, only when
+    beta > 0) and ``total``.
     """
-    binary = cfg.partitions == 2
-
-    def head(out: Tensor) -> Tensor:
-        return T.column(out, 0) if binary else out
-
     def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
-        out = net.forward(xb, mode)
-        if out.shape[1:] != (cfg.partitions,):
-            raise ShapeError(f"head output {out.shape} is not (B, {cfg.partitions})")
-        total = dml_loss(PosteriorBatch(out))
-        terms = {"js_loss": total.item()}
-        if cfg.beta > 0.0:
-            rc = smoothness_penalty(lambda t: head(net.forward(t, "batch")), xb, head(out), rng)
-            smooth = rc * cfg.beta
+        out, states = net.forward_with_states(xb, mode)
+        total, terms = head_loss(out, states)
+        if beta > 0.0:
+            rc = smoothness_penalty(lambda t: target(*net.forward_with_states(t, "batch")),
+                                    xb, target(out, states), rng)
+            smooth = rc * beta
             total = total + smooth
             terms["smooth"] = smooth.item()
         terms["total"] = total.item()
         return total, terms
 
     return objective
+
+
+def make_dml_objective(cfg: DmlConfig):
+    """The :func:`smoothed_objective` of :func:`dml_loss` on the whole head.
+
+    The network head must be a softmax with ``cfg.partitions`` outputs
+    (``ShapeError`` otherwise).  For two partitions the smoothness target is
+    its first column, the scalar label L, else the whole head.  ``terms``
+    holds ``js_loss`` (the value of :func:`dml_loss`), ``smooth`` and
+    ``total``, in that order.
+    """
+    binary = cfg.partitions == 2
+
+    def head_loss(out: Tensor, states) -> tuple[Tensor, dict[str, float]]:
+        if out.shape[1:] != (cfg.partitions,):
+            raise ShapeError(f"head output {out.shape} is not (B, {cfg.partitions})")
+        loss = dml_loss(PosteriorBatch(out))
+        return loss, {"js_loss": loss.item()}
+
+    def target(out: Tensor, states) -> Tensor:
+        return T.column(out, 0) if binary else out
+
+    return smoothed_objective(head_loss, target, cfg.beta)

@@ -171,37 +171,16 @@ def _pooled_vector(s: Tensor) -> Tensor:
     return T.tmean(s, axis=(2, 3)) if s.ndim == 4 else s
 
 
-def pooled_final_state(net, x, mode: str) -> Tensor:
-    """The designated smoothness target: last tap of a ``mode`` forward,
-    pooled to 1x1 if spatial, flattened to (B, C)."""
-    _, states = net.forward_with_states(x, mode)
-    return _pooled_vector(states[-1])
-
-
 def make_mim_objective(cfg: MimConfig, *, v1: bool = False):
-    """Build a training closure (net, batch, rng) -> (loss, terms).
-
-    One train-mode forward gives every state and the smoothness penalty's
-    clean target; the penalty adds one batch-mode forward of the perturbed
-    batch, so batch-norm running stats move once per call.  ``mode="batch"``
-    runs the clean forward in batch mode too, so the call moves nothing
-    (holdout evaluation).
-
-    ``terms`` holds :func:`mim_v2_loss`'s ``mi`` and ``prior``, then
-    ``smooth`` (beta * R_c on the pooled final state, only when beta > 0)
-    and ``total``, in that order.
+    """The :func:`neuralbayes.dml.smoothed_objective` of :func:`mim_v2_loss`
+    over every collected state, whose smoothness target is the final tapped
+    state pooled to (B, C).  ``terms`` holds ``mi`` and ``prior``, then
+    ``smooth`` and ``total``, in that order.
     """
-    def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
-        _, states = net.forward_with_states(xb, mode)
-        total, terms = mim_v2_loss(collect_states(states, cfg), cfg,
-                                   prior_form="v1" if v1 else "v2")
-        if cfg.beta > 0.0:
-            rc = dml.smoothness_penalty(lambda t: pooled_final_state(net, t, "batch"),
-                                        xb, _pooled_vector(states[-1]), rng)
-            smooth = rc * cfg.beta
-            total = total + smooth
-            terms["smooth"] = smooth.item()
-        terms["total"] = total.item()
-        return total, terms
+    def head_loss(out: Tensor, states) -> tuple[Tensor, dict[str, float]]:
+        return mim_v2_loss(collect_states(states, cfg), cfg, prior_form="v1" if v1 else "v2")
 
-    return objective
+    def target(out: Tensor, states) -> Tensor:
+        return _pooled_vector(states[-1])
+
+    return dml.smoothed_objective(head_loss, target, cfg.beta)

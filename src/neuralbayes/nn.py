@@ -71,7 +71,7 @@ def _check_mode(mode) -> None:
         raise ConfigError(f"unknown forward mode {mode!r}; expected one of {MODES}")
 
 
-def orthogonal_init(rows: int, cols: int, seed: int) -> Tensor:
+def orthogonal_init(rows: int, cols: int, seed: int) -> np.ndarray:
     """Orthonormal (rows, cols) matrix, deterministic per seed.
 
     If rows <= cols the rows are orthonormal (W Wt = I), otherwise the columns
@@ -85,7 +85,7 @@ def orthogonal_init(rows: int, cols: int, seed: int) -> Tensor:
     q = q * np.sign(np.diag(r))  # fix the sign ambiguity so the result is unique
     if rows < cols:
         q = q.T
-    return Tensor(q[:rows, :cols].copy())
+    return q[:rows, :cols].copy()
 
 
 class Layer:
@@ -120,7 +120,7 @@ class DenseLayer(Layer):
         if seed is None:
             w = np.zeros((out_dim, in_dim))
         else:
-            w = orthogonal_init(out_dim, in_dim, seed).data
+            w = orthogonal_init(out_dim, in_dim, seed)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
@@ -142,7 +142,7 @@ class Conv2dLayer(Layer):
         if seed is None:
             w = np.zeros((out_channels, fan_in))
         else:
-            w = orthogonal_init(out_channels, fan_in, seed).data
+            w = orthogonal_init(out_channels, fan_in, seed)
         self.kernels = Tensor(w.reshape(out_channels, in_channels, kernel, kernel), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 

@@ -7,9 +7,10 @@ loss it is given) reuse none of the tensor engine's arithmetic, so agreement
 between their values and the library's vectorized implementations is
 evidence, not tautology.  ``gradient_equality_check`` pits one against the
 engine: its analytic side runs the tape (``mim_v1_loss`` and backward), as
-``random_check_case``'s gradient-strength filter ``_live_grad`` does, while
-its numeric side is ``finite_diff_grad`` of a numpy objective
-(``_live_mi_value``) on the network's forward values.
+``random_check_case``'s gradient-strength filter ``_live_grad`` does on the
+library's live ``mi_closed_form``, while its numeric side is
+``finite_diff_grad`` of a numpy objective (``_live_mi_value``) on the
+network's forward values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import nn
 from .bayes import PosteriorBatch
 from .errors import DomainError, ShapeError
-from .mim import mim_v1_loss
+from .mim import mi_closed_form, mim_v1_loss
 from .tensor import Tensor, gradients, log, mul, neg, stop_gradient, tmean, tsum
 
 FD_STEP = 1e-5          # central-difference step of finite_diff_grad
@@ -182,12 +183,10 @@ def random_check_case(rng: np.random.Generator) -> tuple["nn.Network", np.ndarra
 
 
 def _live_grad(net: "nn.Network", batch: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic gradient of the fully live negative-MI objective (sampler guard)."""
-    params = net.parameters()
-    posterior = net.forward(Tensor(batch), "eval")
-    prior = tmean(posterior, axis=0)
-    objective = neg(tmean(tsum(mul(posterior, log(posterior / prior)), axis=1)))
-    return gradients(objective, params)
+    """Analytic gradient of the fully live negative MI,
+    :func:`neuralbayes.mim.mi_closed_form` (sampler guard)."""
+    posterior = PosteriorBatch(net.forward(Tensor(batch), "eval"))
+    return gradients(neg(mi_closed_form(posterior)), net.parameters())
 
 
 def gradcheck_suite(seed: int, cases: int, *, wrong_branch: bool = False) -> list[dict]:

@@ -145,10 +145,9 @@ class TestCheckInterior:
                                            bayes.prior_estimate(_dead_state_head())), 2, 0.0),
         (lambda: dml.dml_binary_objective(np.array([0.2, 0.8]), 0.0), 0, 0.0),
         (lambda: dml.dml_binary_objective(np.array([0.2, 0.8]), 1.0), 0, 1.0),
-        (lambda: dml.implied_binary_atom_weights(np.array([0.2, 0.8]), 1.0), 0, 1.0),
         (lambda: mim.prior_gradient_strength(0.0, 2), 0, 0.0),
     ], ids=["dml_loss", "conditional_weights", "dml_binary_objective-0",
-            "dml_binary_objective-1", "implied_binary_atom_weights", "prior_gradient_strength"])
+            "dml_binary_objective-1", "prior_gradient_strength"])
     def test_degenerate_prior_has_one_error(self, call, entry, value):
         message = (f"prior entry {entry} = {value!r} is degenerate; "
                    "every state prior must lie in (0, 1)")

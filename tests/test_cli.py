@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, determinism, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ class TestTrainDml:
         assert f"error: {sweep} entry 1: a config must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()   # checked before the first entry runs
 
+    def test_sweep_must_be_a_list(self, tmp_path, tiny_run, capsys):
+        data, _ = tiny_run
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"epochs": 1}))
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "40",
+                    "--sweep", str(sweep), "--out-dir", str(out)])
+        assert code == 1
+        assert "error: --sweep expects a JSON list of config objects" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_applies_each_entry_over_config(self, tmp_path, tiny_run):
         data, _ = tiny_run
         base, sweep = tmp_path / "base.json", tmp_path / "sweep.json"
@@ -186,6 +198,35 @@ class TestTrainDml:
         assert code == 1
         assert (f"error: {data}: line 3: expected 3 comma-separated values, got 1"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_csv_rows_unlike_the_header_fail(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x0,x1,component\n0,0,0,1\n1,1,1,1\n")
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--mbs", "2", "--bs", "2",
+                    "--epochs", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert f"error: {data}: rows have 4 columns, header implies 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels, message", [
+        (b"abc", "header truncated at byte 3 (need 8)"),
+        (struct.pack(">II", 0x803, 4) + bytes(4), "bad magic 0x00000803 at byte 0 "
+                                                  "(expected 0x00000801)"),
+        (struct.pack(">II", 0x801, 4) + bytes(3), "expected 12 bytes, found 11")],
+        ids=["truncated", "magic", "size"])
+    def test_bad_idx_label_file_fails(self, tmp_path, capsys, labels, message):
+        from neuralbayes import data as D
+        D.write_idx(np.zeros((4, 4, 4), np.uint8), np.zeros(4, np.uint8),
+                    tmp_path / "i.idx", tmp_path / "good.idx")
+        (tmp_path / "l.idx").write_bytes(labels)
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(tmp_path / "i.idx"),
+                    "--labels", str(tmp_path / "l.idx"), "--mbs", "2", "--bs", "2",
+                    "--epochs", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert f"error: {tmp_path / 'l.idx'}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_schedule_fails(self, tmp_path, tiny_run):
@@ -568,6 +609,27 @@ class TestProbeAndGrid:
                     *extra])
         assert code == 1
         assert "checkpoint manifest" in capsys.readouterr().err
+
+    def test_checkpoint_manifest_not_json_exits_1(self, tiny_run, tmp_path, capsys):
+        data, out_dir = tiny_run
+        (tmp_path / "checkpoint.json").write_text("not json")
+        (tmp_path / "checkpoint.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
+        code = run(["probe", "--checkpoint", str(tmp_path / "checkpoint"), "--data", str(data),
+                    "--epochs", "1"])
+        assert code == 1
+        assert (f"error: checkpoint manifest {tmp_path / 'checkpoint.json'} is not valid JSON"
+                in capsys.readouterr().err)
+
+    def test_checkpoint_binary_with_trailing_bytes_exits_1(self, tiny_run, tmp_path, capsys):
+        data, out_dir = tiny_run
+        raw = (out_dir / "checkpoint.bin").read_bytes()
+        (tmp_path / "checkpoint.json").write_text((out_dir / "checkpoint.json").read_text())
+        (tmp_path / "checkpoint.bin").write_bytes(raw + b"abc")
+        code = run(["probe", "--checkpoint", str(tmp_path / "checkpoint"), "--data", str(data),
+                    "--epochs", "1"])
+        assert code == 1
+        assert (f"error: checkpoint binary has 3 trailing bytes at offset {len(raw)}"
+                in capsys.readouterr().err)
 
     def test_export_grid_handles_lifted_data(self, tmp_path):
         data = tmp_path / "lift.csv"

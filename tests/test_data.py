@@ -1,5 +1,6 @@
 """Dataset generation, lifting, normalization, and file-format contracts."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -48,9 +49,16 @@ class TestGenerators:
             D.make_two_moons(20, gap=gap)
 
     def test_disjointness_postcheck_fails_on_nan_distance(self):
-        # a NaN radius makes NaN points, whose distance is no separation
+        # a NaN coordinate makes a NaN distance, which is no separation
+        points = np.array([[0.0, 0.0], [np.nan, 3.0]])
         with pytest.raises(DatasetError, match="not well separated"):
-            D.make_circles(20, radii=(1.0, np.nan), seed=0)
+            D._check_disjoint(points, np.array([0, 1]), 0.06, "circles")
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0])
+    def test_circles_reject_a_bad_radius(self, radius):
+        with pytest.raises(DatasetError, match=re.escape(
+                f"need at least two positive finite radii, got [1.0, {radius}]")):
+            D.make_circles(20, radii=(1.0, radius), seed=0)
 
     def test_empty_component_rejected(self):
         with pytest.raises(DatasetError):
@@ -128,7 +136,7 @@ class TestLift:
 
     def test_rotation_is_orthogonal(self):
         from neuralbayes.nn import orthogonal_init
-        r = orthogonal_init(64, 64, 9).data
+        r = orthogonal_init(64, 64, 9)
         np.testing.assert_allclose(r.T @ r, np.eye(64), atol=1e-9)
 
     def test_round_trip_through_lift(self):
@@ -145,7 +153,7 @@ class TestLift:
         from neuralbayes.nn import orthogonal_init
         meta = {"dim": dim, "seed": 23, "base_dim": 2}
         points = np.random.default_rng(n).standard_normal((n, 2))
-        rotation = orthogonal_init(dim, dim, 23).data
+        rotation = orthogonal_init(dim, dim, 23)
         lifted = np.hstack([points, np.zeros((n, dim - 2))]) @ rotation
         np.testing.assert_array_equal(D.lift_points(points, meta), lifted)
         np.testing.assert_array_equal(D.unlift_points(lifted, meta), (lifted @ rotation.T)[:, :2])

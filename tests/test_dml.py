@@ -35,7 +35,9 @@ class TestBinaryObjective:
         for seed in range(15):
             L = random_labels(int(np.random.default_rng(seed).integers(2, 50)), seed)
             prior = float(L.mean())
-            w0, w1 = dml.implied_binary_atom_weights(L, prior)
+            p = bayes.PosteriorBatch(Tensor(np.column_stack([L, 1.0 - L])))
+            f, _ = bayes.conditional_weights(p, bayes.prior_estimate(p))
+            w1, w0 = (f.data / L.size).T
             want = oracles.js_divergence_discrete(w0, w1)
             got = dml.dml_binary_objective(L, prior)
             assert abs(got - want) <= 1e-10, seed

@@ -397,7 +397,7 @@ class TestStateObjective:
         loss, terms = mim.make_mim_objective(cfg, v1=v1)(net, xb, np.random.default_rng(8))
 
         _, states = ref_net.forward_with_states(xb, "train")
-        rc = dml.smoothness_penalty(lambda t: mim.pooled_final_state(ref_net, t, "batch"), xb,
+        rc = dml.smoothness_penalty(lambda t: pooled_final_state(ref_net, t, "batch"), xb,
                                     mim._pooled_vector(states[-1]), np.random.default_rng(8))
         ref, ref_parts = chain_mim_v2_loss(mim.collect_states(states, cfg), cfg, rc,
                                            "v1" if v1 else "v2")
@@ -432,6 +432,13 @@ def test_one_tape_node_per_state():
     assert not {"log", "stop_gradient", "neg"} & set(ops), ops
 
 
+def pooled_final_state(net, x, mode):
+    """The smoothness target of a fresh ``mode`` forward of ``x``: the last
+    tapped state, pooled to (B, C) (a test-only reference)."""
+    _, states = net.forward_with_states(x, mode)
+    return mim._pooled_vector(states[-1])
+
+
 def three_forward_mim(cfg):
     """The objective as written before it reused its clean forward: the
     smoothness target of the clean batch came from a second train-mode
@@ -442,7 +449,7 @@ def three_forward_mim(cfg):
         rc = None
         if cfg.beta > 0.0:
             def target(t):
-                return mim.pooled_final_state(net, t, "train")
+                return pooled_final_state(net, t, "train")
 
             rc = dml.smoothness_penalty(target, xb, target(xb), rng)
         loss = mim.mim_v2_loss(mim.collect_states(states, cfg), cfg)[0]

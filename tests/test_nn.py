@@ -21,30 +21,30 @@ ENCODER_ARCH = "C(200,3,1,0)-P(2,2,0,max)-C(500,3,1,0)-C(700,3,1,0)-P(2,2,0,max)
 class TestOrthogonalInit:
     def test_one_by_one_is_sign(self):
         for seed in range(6):
-            v = nn.orthogonal_init(1, 1, seed).data
+            v = nn.orthogonal_init(1, 1, seed)
             assert abs(abs(v[0, 0]) - 1.0) < 1e-12
 
     def test_square_orthonormal(self):
-        w = nn.orthogonal_init(4, 4, 7).data
+        w = nn.orthogonal_init(4, 4, 7)
         np.testing.assert_allclose(w.T @ w, np.eye(4), atol=1e-6)
 
     def test_wide_rows_orthonormal(self):
-        w = nn.orthogonal_init(3, 9, 2).data
+        w = nn.orthogonal_init(3, 9, 2)
         np.testing.assert_allclose(w @ w.T, np.eye(3), atol=1e-6)
 
     def test_tall_cols_orthonormal(self):
-        w = nn.orthogonal_init(9, 3, 2).data
+        w = nn.orthogonal_init(9, 3, 2)
         np.testing.assert_allclose(w.T @ w, np.eye(3), atol=1e-6)
 
     def test_singular_values_are_one(self):
-        s = np.linalg.svd(nn.orthogonal_init(6, 11, 1).data, compute_uv=False)
+        s = np.linalg.svd(nn.orthogonal_init(6, 11, 1), compute_uv=False)
         np.testing.assert_allclose(s, 1.0, atol=1e-6)
 
     def test_deterministic_per_seed(self):
-        a = nn.orthogonal_init(5, 5, 42).data
-        b = nn.orthogonal_init(5, 5, 42).data
+        a = nn.orthogonal_init(5, 5, 42)
+        b = nn.orthogonal_init(5, 5, 42)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, nn.orthogonal_init(5, 5, 43).data)
+        assert not np.array_equal(a, nn.orthogonal_init(5, 5, 43))
 
 
 class TestLayerGradients:

@@ -186,6 +186,15 @@ def test_degenerate_prior_error_raised_in_one_place():
     assert found == {"bayes.check_interior"}
 
 
+def test_smoothness_penalty_added_in_one_place():
+    """Only the closure of ``dml.smoothed_objective`` adds beta * R_c, so
+    both objectives forward the perturbed batch and log ``smooth`` one way."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= scopes_calling(ast.parse(path.read_text()), path.stem, "smoothness_penalty")
+    assert found == {"dml.smoothed_objective.objective"}
+
+
 def test_call_rule_sees_bare_and_attribute_calls():
     source = '''
 import errors
