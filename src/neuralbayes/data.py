@@ -237,38 +237,35 @@ def standardize(ds: ManifoldDataset) -> ManifoldDataset:
 
 # --- IDX binary ingestion (big-endian headers, uint8 payload) ---
 
+def _read_idx(path: Path, magic: int, dims: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The ``dims`` sizes and the flat uint8 payload of one IDX file whose
+    header is ``magic`` followed by those sizes, as big-endian uint32."""
+    raw = path.read_bytes()
+    header = 4 * (1 + dims)
+    if len(raw) < header:
+        raise FormatError(f"{path}: header truncated at byte {len(raw)} (need {header})")
+    found, *sizes = struct.unpack(f">{1 + dims}I", raw[:header])
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x} at byte 0 (expected 0x{magic:08x})")
+    expected = header + math.prod(sizes)
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)} "
+                          f"(payload starts at byte {header})")
+    return tuple(sizes), np.frombuffer(raw, dtype=np.uint8, offset=header)
+
+
 def load_idx(images_path: str | Path, labels_path: str | Path) -> ManifoldDataset:
     """Load an images/labels IDX pair as flat points scaled to [0, 1]."""
     images_path, labels_path = Path(images_path), Path(labels_path)
-    raw = images_path.read_bytes()
-    if len(raw) < 16:
-        raise FormatError(f"{images_path}: header truncated at byte {len(raw)} (need 16)")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"{images_path}: bad magic 0x{magic:08x} at byte 0 "
-                          f"(expected 0x{IDX_IMAGES_MAGIC:08x})")
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
-        raise FormatError(f"{images_path}: expected {expected} bytes, found {len(raw)} "
-                          f"(payload starts at byte 16)")
-    images = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-
-    lraw = labels_path.read_bytes()
-    if len(lraw) < 8:
-        raise FormatError(f"{labels_path}: header truncated at byte {len(lraw)} (need 8)")
-    lmagic, lcount = struct.unpack(">II", lraw[:8])
-    if lmagic != IDX_LABELS_MAGIC:
-        raise FormatError(f"{labels_path}: bad magic 0x{lmagic:08x} at byte 0 "
-                          f"(expected 0x{IDX_LABELS_MAGIC:08x})")
-    if len(lraw) != 8 + lcount:
-        raise FormatError(f"{labels_path}: expected {8 + lcount} bytes, found {len(lraw)}")
+    (count, rows, cols), images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    (lcount,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if lcount != count:
         raise FormatError(f"label count {lcount} != image count {count} "
                           f"({labels_path} vs {images_path})")
-    labels = np.frombuffer(lraw, dtype=np.uint8, offset=8).astype(np.int64)
     meta = {"kind": "idx", "images": str(images_path), "labels": str(labels_path),
             "rows": rows, "cols": cols}
-    return ManifoldDataset(images.astype(np.float64) / 255.0, labels, seed=0, meta=meta)
+    return ManifoldDataset(images.reshape(count, rows * cols).astype(np.float64) / 255.0,
+                           labels.astype(np.int64), seed=0, meta=meta)
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray,

@@ -851,18 +851,22 @@ def stop_gradient(x) -> Tensor:
 
 
 def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    """Backpropagate and return one gradient array per named parameter.
+    """Backpropagate and hand over one gradient array per named parameter.
 
-    Parameters unreachable from the loss get zero gradients of matching
-    shape: every parameter's ``.grad`` is cleared first, since ``backward``
-    resets only the nodes it visits.
+    This is the one owner of a parameter's ``.grad``.  Every parameter's
+    ``.grad`` is cleared first, since ``backward`` resets only the nodes it
+    visits, so parameters unreachable from the loss get zero gradients of
+    matching shape.  On the way out, an error in the backward included, no
+    parameter keeps a ``.grad``: the returned dict holds the only reference.
     """
     if loss.data.size != 1:
         raise ShapeError(f"gradients() requires a scalar loss, got shape {loss.shape}")
     for p in params.values():
         p.grad = None
-    loss.backward()
-    out: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    return out
+    try:
+        loss.backward()
+        return {name: p.grad if p.grad is not None else np.zeros_like(p.data)
+                for name, p in params.items()}
+    finally:
+        for p in params.values():
+            p.grad = None

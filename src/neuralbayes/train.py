@@ -202,11 +202,6 @@ def release_free_heap() -> None:
         _MALLOC_TRIM(0)
 
 
-def _release_grads(params: Mapping[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
 def _check_finite(loss: float, grads: Mapping[str, np.ndarray], step: int,
                   epoch: int, batch: int) -> None:
     # takes the loss value, not its tensor: a raised error's traceback keeps
@@ -240,10 +235,10 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     step (numbered as in the log), the epoch and mini-batch (from 0) and
     the parameter.
     One tape is alive at a time: each mini-batch's loss, and with it its
-    tape, is dropped once its gradients are checked, and no parameter keeps
-    a ``.grad`` past the mini-batch that made it, so the next forward sees
-    only the parameters, the Adam moments, the batch-norm running stats and
-    the log, and after training no parameter holds a ``.grad``.  The freed
+    tape, is dropped once its gradients are checked, and ``gradients``
+    leaves no ``.grad`` on any parameter, so the next forward sees only the
+    parameters, the window's summed gradients, the Adam moments, the
+    batch-norm running stats and the log.  The freed
     pages stay in the heap for the next step (``_keep_freed_heap``); that
     setting is process-wide and persists after the first call, because glibc
     cannot restore its dynamic thresholds.  On every exit, an error
@@ -262,45 +257,31 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     try:
         for epoch in range(sched.epochs):
             perm = rng.permutation(n)
-            accum: dict[str, np.ndarray] | None = None
-            window_terms: list[dict[str, float]] = []
-
-            def flush():
-                nonlocal accum, window_terms, step
-                n_terms = len(window_terms)
-                if not n_terms:
-                    return
-                if n_terms > 1:
-                    scale = 1.0 / n_terms
+            for first in range(0, batches, window):
+                accum, window_terms = {}, []
+                for b in range(first, min(first + window, batches)):
+                    idx = perm[b * sched.mbs:(b + 1) * sched.mbs]
+                    loss, terms = objective(net, Tensor(points[idx]), rng)
+                    grads = gradients(loss, params)
+                    _check_finite(loss.item(), grads, step + 1, epoch, b)
+                    loss = None   # the tape
+                    # held, not copied: backward never writes into a gradient
+                    accum = {name: accum[name] + g if accum else g for name, g in grads.items()}
+                    grads = None
+                    window_terms.append(terms)
+                count = len(window_terms)
+                if count > 1:
+                    scale = 1.0 / count
                     accum = {name: g * scale for name, g in accum.items()}
                 adam_step(params, accum, opt)
+                accum = None   # before the next forward or the epoch callback
                 step += 1
-                log.append(step, {name: sum(t[name] for t in window_terms) / n_terms
+                log.append(step, {name: sum(t[name] for t in window_terms) / count
                                   for name in window_terms[0]})
-                accum, window_terms = None, []
-
-            for b in range(batches):
-                idx = perm[b * sched.mbs:(b + 1) * sched.mbs]
-                loss, terms = objective(net, Tensor(points[idx]), rng)
-                grads = gradients(loss, params)
-                _check_finite(loss.item(), grads, step + 1, epoch, b)
-                loss = None   # the tape
-                _release_grads(params)   # ``grads`` holds them until they are summed
-                if accum is None:  # held, not copied: backward never writes into a gradient
-                    accum = dict(grads)
-                else:
-                    for name, g in grads.items():
-                        accum[name] = accum[name] + g
-                grads = None
-                window_terms.append(terms)
-                if len(window_terms) == window:
-                    flush()
-            flush()
             if epoch_callback is not None and epoch_callback(epoch, net):
                 break
     finally:
         loss = None   # a failed step's tape, so that its pages go back too
-        _release_grads(params)
         release_free_heap()
     return log
 
@@ -341,7 +322,9 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
 
     The features are frozen inputs: nothing propagates back into whatever
     produced them.  A seeded quarter of the rows is held out for scoring,
-    and the classifier trains on mini-batches of 128 of the rest.
+    and the classifier trains on mini-batches of 128 of the rest.  A
+    mini-batch whose loss or any gradient is not finite raises
+    ``DomainError``, as in ``train_objective``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -365,15 +348,16 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
     opt = AdamState.for_params(params, lr=lr)
     onehot = np.eye(classes)[labels]
 
-    def step(idx):  # the tape and the gradients die with this frame
+    def step(idx, epoch, b):  # the tape and the gradients die with this frame
         loss = softmax_cross_entropy(probe.forward(Tensor(features[idx]), "train"), onehot[idx])
-        adam_step(params, gradients(loss, params), opt)
-        _release_grads(params)
+        grads = gradients(loss, params)
+        _check_finite(loss.item(), grads, opt.step + 1, epoch, b)
+        adam_step(params, grads, opt)
 
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(train_idx.size)
         for b in range(train_idx.size // rows):
-            step(train_idx[order[b * rows:(b + 1) * rows]])
+            step(train_idx[order[b * rows:(b + 1) * rows]], epoch, b)
     logits = extract_features(probe, features[test_idx], tap="out")
     return float((logits.argmax(axis=1) == labels[test_idx]).mean())
 

@@ -571,6 +571,17 @@ class TestProbeAndGrid:
         assert code == 1
         assert "labels must be nonnegative" in capsys.readouterr().err
 
+    def test_probe_non_finite_loss_exit_1(self, tiny_run, capsys):
+        # 45 training rows make one mini-batch per epoch
+        data, out_dir = tiny_run
+        with np.errstate(all="ignore"):
+            code = run(["probe", "--checkpoint", str(out_dir / "checkpoint"),
+                        "--data", str(data), "--epochs", "3", "--lr", "1e300", "--seed", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: loss is nan at update step 2 (epoch 1, mini-batch 0)" in captured.err
+        assert "probe accuracy" not in captured.out
+
     def test_probe_unknown_tap_lists_options(self, tiny_run, capsys):
         data, out_dir = tiny_run
         code = run(["probe", "--checkpoint", str(out_dir / "checkpoint"),

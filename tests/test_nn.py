@@ -235,12 +235,20 @@ class TestForwardWithStates:
         assert out28.shape == (1, 1000, 2, 2)
 
     def test_cnn_with_global_pool_and_head(self):
-        arch = "C(8,3,1,0)-P(2,2,0,max)-C(12,3,1,0)-P(.,.,.,avg)-FC(10)"
-        net = nn.build_cnn(arch, (1, 12, 12), seed=3, batchnorm=True, softmax_head=True)
-        out, states = net.forward_with_states(Tensor(np.random.default_rng(12).standard_normal((2, 1, 12, 12))), "train")
-        assert out.shape == (2, 10)
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-        assert len(states) == 2
+        # (arch, each dense layer's (out, in), tap count); the second FC of
+        # the last arch takes the flat output of the first
+        cases = [("C(8,3,1,0)-P(2,2,0,max)-C(12,3,1,0)-P(.,.,.,avg)-FC(10)", [(10, 12)], 2),
+                 ("C(4,3,1,0)-P(2,2,0,max)-FC(8)-FC(3)", [(8, 100), (3, 8)], 1)]
+        x = Tensor(np.random.default_rng(12).standard_normal((2, 1, 12, 12)))
+        for arch, dense, taps in cases:
+            net = nn.build_cnn(arch, (1, 12, 12), seed=3, batchnorm=True, softmax_head=True)
+            assert sum(isinstance(layer, nn.FlattenLayer) for layer in net.layers) == 1, arch
+            assert [layer.weight.shape for layer in net.layers
+                    if isinstance(layer, nn.DenseLayer)] == dense, arch
+            out, states = net.forward_with_states(x, "train")
+            assert out.shape == (2, dense[-1][0])
+            np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+            assert len(states) == taps
 
     @pytest.mark.parametrize("mode", ["train", "batch", "eval"])
     def test_cnn_states_stored_batch_last(self, mode):

@@ -212,3 +212,58 @@ def typed(exc=DegeneratePriorError):
 '''
     assert scopes_calling(ast.parse(source), "m", "DegeneratePriorError") == {
         "m.check", "m.Loss.__call__"}
+
+
+def scopes_assigning(tree: ast.AST, module: str, attr: str) -> set[str]:
+    """Dotted names of the scopes that assign an ``attr`` attribute, alone,
+    in a tuple target or augmented."""
+    found = set()
+
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if any(isinstance(n, ast.Attribute) and n.attr == attr
+               for target in targets(node) for n in ast.walk(target)):
+            found.add(".".join([module, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_tape_assigns_gradients():
+    """Only ``tensor`` sets a ``.grad``: ``gradients`` hands each parameter's
+    gradient over and leaves none behind, so no caller clears them."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "tensor":
+            found |= scopes_assigning(ast.parse(path.read_text()), path.stem, "grad")
+    assert found == set()
+
+
+def test_assignment_rule_sees_plain_tuple_and_augmented_targets():
+    source = '''
+def release(params):
+    for p in params.values():
+        p.grad = None
+
+class Step:
+    def swap(self, a, g):
+        a.grad, self.count = g, 1
+
+def accumulate(t, g):
+    t.grad += g
+
+def read(p):
+    return p.grad is None
+'''
+    assert scopes_assigning(ast.parse(source), "m", "grad") == {
+        "m.release", "m.Step.swap", "m.accumulate"}

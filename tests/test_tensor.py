@@ -1008,6 +1008,28 @@ class TestBackward:
         np.testing.assert_array_equal(grads["a"], np.zeros(3))
         np.testing.assert_array_equal(grads["b"], np.full(3, 2.0))
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_gradients_leave_no_grad_on_any_parameter(self, fails):
+        # the head's linear node runs before the first one's, so a raise in
+        # the first layer's backward comes after the head's leaves got theirs
+        net = nn.build_mlp(2, [4], 2, seed=1, batchnorm=False)
+        params = net.parameters()
+        out = net.forward(Tensor(np.random.default_rng(15).standard_normal((5, 2))), "train")
+        loss = T.tsum(out * out)
+        if fails:
+            first = next(node for node in T._toposort(loss) if node.op == "linear")
+
+            def broken(g):
+                raise RuntimeError("backward failed")
+
+            first._backward = broken
+            with pytest.raises(RuntimeError, match="backward failed"):
+                T.gradients(loss, params)
+        else:
+            grads = T.gradients(loss, params)
+            assert all(np.abs(g).max() > 0 for g in grads.values())
+        assert [name for name, p in params.items() if p.grad is not None] == []
+
     def test_linear_outer_product_structure(self):
         rng = np.random.default_rng(13)
         params = {"w": Tensor(rng.standard_normal((3, 4)), requires_grad=True)}

@@ -386,6 +386,29 @@ class TestMemory:
         assert held == [[]] * 8
         assert all(p.grad is None for p in net.parameters().values())
 
+    @pytest.mark.parametrize("bs", [16, 32])
+    def test_no_update_gradient_alive_after_its_update(self, monkeypatch, bs):
+        # the arrays Adam was handed are gone by the next forward and by the
+        # epoch callback, which in a stopping-split run evaluates the holdout
+        inner = dml.make_dml_objective(dml.DmlConfig(partitions=2))
+        real_adam, used, alive = train.adam_step, [], []
+
+        def spy_adam(params, grads, state):
+            real_adam(params, grads, state)
+            used.extend(weakref.ref(g) for g in grads.values())
+
+        def count(*_):
+            alive.append(sum(ref() is not None for ref in used))
+
+        def objective(net, xb, rng):
+            count()
+            return inner(net, xb, rng)
+
+        monkeypatch.setattr(train, "adam_step", spy_adam)
+        self._train(objective, callback=count, bs=bs)
+        assert len(used) > 0
+        assert alive == [0] * len(alive)
+
     def test_failed_step_releases_heap_without_its_tape(self, monkeypatch):
         inner = poisoned(dml.make_dml_objective(dml.DmlConfig(partitions=2)), 3)
         tapes, alive = [], []
@@ -527,6 +550,15 @@ class TestLinearProbe:
         features = np.random.default_rng(12).standard_normal((8, 3))
         with pytest.raises(DomainError, match="nonnegative"):
             train.linear_probe(features, np.array(labels), epochs=1)
+
+    def test_non_finite_loss_fails_fast(self):
+        # 300 training rows make two mini-batches of 128 per epoch; a huge
+        # learning rate overflows the weights in the first update
+        rng = np.random.default_rng(13)
+        features, labels = rng.standard_normal((400, 3)), rng.integers(0, 2, 400)
+        with np.errstate(all="ignore"), pytest.raises(
+                DomainError, match=r"loss is nan at update step 2 \(epoch 0, mini-batch 1\)"):
+            train.linear_probe(features, labels, hidden_units=8, epochs=2, lr=1e300, seed=2)
 
     def test_one_row_leaves_no_training_rows(self):
         # the held-out quarter rounds up to one row, which is all of them
