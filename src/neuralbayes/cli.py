@@ -4,7 +4,12 @@ and grid export.
 A training command reads every setting from its flags, and parses a preset,
 a ``--config`` object and a ``--sweep`` entry as the same flags.  It persists
 the resolved settings and a MANIFEST.json with a sha256 per artifact; the
-same flags and seed reproduce every output byte.  Exit codes: 0 success, 1
+same flags and seed reproduce every output byte.  Each run, one per sweep
+entry, is planned once after the data loads: ``_plan`` makes every check
+that can fail before training and builds the objective and schedule that
+``_train`` then trains with.  Every run is planned, in sweep order, before
+the first one trains, so the first faulty run is the one reported and a
+failing command leaves no ``--out-dir``.  Exit codes: 0 success, 1
 verification or training failure or a malformed config, 2 usage error,
 including a config value that its flag rejects.
 """
@@ -83,10 +88,8 @@ def cmd_gen_data(args) -> int:
         ds = D.make_two_moons(args.n, gap=args.gap, noise=args.noise, seed=seed)
     elif kind == "circles":
         ds = D.make_circles(args.n, noise=args.noise, seed=seed)
-    elif kind == "blobs":
+    else:   # blobs, the last of the flag's choices
         ds = D.make_blobs(args.k, args.n, noise=args.noise, seed=seed)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
     # normalize in the base space, then lift: the smoothness perturbation
     # scale is calibrated for unit-variance data
     ds = D.standardize(ds)
@@ -117,8 +120,8 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
     near-equal groups, the statistic each training step computes, so its
     memory is one group's, and stops after ``--patience`` epochs without
     improvement.  The evaluation runs in batch mode and records no tape, so
-    it leaves the model's running statistics alone.  ``_check_settings``
-    has checked the fraction and the patience.
+    it leaves the model's running statistics alone.  ``_plan`` has checked
+    the fraction and the patience.
     """
     n_hold = _held_out(args.stop_split, points.shape[0])
     if n_hold == 0:
@@ -170,47 +173,6 @@ def _settings(run: argparse.Namespace) -> dict:
     return {key: getattr(run, key.replace("-", "_")) for key in TRAINING_DEFAULTS[run.command]}
 
 
-def _run_points(cfg: dict, ds: D.ManifoldDataset) -> np.ndarray:
-    """The network's input: (N, D) rows for an MLP, square images for a CNN."""
-    return _square_images(ds) if cfg["arch"] == "cnn" else ds.points
-
-
-def _train_command(args, ds, build, finish, **recorded) -> int:
-    """Read the settings from the parsed flags, build ``(net, objective) =
-    build(cfg, ds, input_shape, seed)`` on the standardized data (input
-    shape (D,) for an MLP, (1, S, S) for a CNN on square images) and train
-    with the schedule, Adam and the stopping split.  Only then is
-    ``--out-dir`` made, so a run that fails earlier leaves none.
-    ``finish(run)`` evaluates and writes the command's own artifacts,
-    returning their paths, so a failure there leaves no checkpoint; the
-    checkpoint, log, metrics, resolved config (plus ``recorded``) and
-    manifest come last."""
-    seed = _resolve_seed(args)
-    cfg = _settings(args)
-    points = _run_points(cfg, ds)
-    net, objective = build(cfg, ds, points.shape[1:], seed)
-    sched = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
-    opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
-                                         weight_decay=cfg["weight-decay"])
-    train_points, callback = _stopping_split(args, points, objective, seed, cfg["mbs"])
-    log = train_mod.train_objective(net, train_points, objective, sched, opt, seed=seed,
-                                    epoch_callback=callback)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run = argparse.Namespace(cfg=cfg, ds=ds, points=points, net=net, log=log, seed=seed,
-                             out_dir=out_dir)
-    paths = [*finish(run), *nn.save_checkpoint(net, out_dir / "checkpoint")]
-    log_path, metrics_path = out_dir / "train_log.jsonl", out_dir / "metrics.csv"
-    log.write_jsonl(log_path)
-    log.write_metrics_csv(metrics_path)
-    cfg_path = out_dir / "resolved_config.json"
-    cfg_path.write_text(json.dumps({**cfg, **recorded, "seed": seed, "command": args.command,
-                                    "data": str(args.data)}, indent=1, sort_keys=True) + "\n")
-    _write_manifest(out_dir, [*paths, log_path, metrics_path, cfg_path])
-    return 0
-
-
 def _dml_components(k: int, ds: D.ManifoldDataset) -> None:
     """The report scores the data's component ids against ``k`` states, so
     an id outside [0, k) fails before training."""
@@ -220,69 +182,110 @@ def _dml_components(k: int, ds: D.ManifoldDataset) -> None:
                           f"k = {k} states; every id must lie in [0, {k})")
 
 
-def _dml_config(cfg: dict) -> dml_mod.DmlConfig:
-    return dml_mod.DmlConfig(partitions=cfg["k"], beta=cfg["beta"])
-
-
-def _dml_build(cfg: dict, ds: D.ManifoldDataset, shape: tuple, seed: int):
-    k = cfg["k"]
-    _dml_components(k, ds)
-    print(f"smoothness weight beta={cfg['beta']} (useful sweep range: 0.5 to 6)")
-    if len(shape) == 3:
-        net = nn.build_cnn(MNIST_CNN_ARCH.format(k=k), shape, seed=seed, batchnorm=True,
-                           softmax_head=True)
+def _plan(run: argparse.Namespace, ds: D.ManifoldDataset) -> argparse.Namespace:
+    """A training run resolved against its data, with every check that can
+    fail before training, each through the code that owns it: the
+    ``--stop-split`` range, a CNN's square images, DML's component ids (ahead
+    of the objective's own checks, so ``--k 1`` names the ids that do not
+    fit), the objective, a MIM encoder's ``--cnn-arch`` tokens or
+    ``--hidden`` widths (the MLP built on a 1-D input), the schedule with
+    one full mini-batch in the rows the stopping split leaves, and Adam's
+    and the early stopper's settings.  ``_train`` trains with the plan's
+    objective and schedule."""
+    cfg = _settings(run)
+    if not 0.0 <= cfg["stop-split"] < 1.0:
+        raise ConfigError(f"--stop-split must lie in [0, 1), got {cfg['stop-split']}")
+    points = _square_images(ds) if cfg["arch"] == "cnn" else ds.points
+    if run.command == "train-dml":
+        _dml_components(cfg["k"], ds)
+        objective = dml_mod.make_dml_objective(
+            dml_mod.DmlConfig(partitions=cfg["k"], beta=cfg["beta"]))
     else:
-        net = nn.build_mlp(shape[0], DML_ARCH_HIDDEN, k, seed=seed,
-                           batchnorm=True, softmax_head=True)
-    return net, dml_mod.make_dml_objective(_dml_config(cfg))
+        objective = mim_mod.make_mim_objective(
+            mim_mod.MimConfig(alpha=cfg["alpha"], beta=cfg["beta"],
+                              use_scales=(cfg["scales"] == "on")), v1=run.v1)
+        if cfg["arch"] == "cnn":
+            nn.parse_cnn_arch(cfg["cnn-arch"])
+        else:
+            nn.build_mlp(1, cfg["hidden"], out_units=None, seed=0)
+    schedule = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
+    n = points.shape[0]
+    schedule.batches(n - _held_out(cfg["stop-split"], n))
+    train_mod.AdamState(lr=cfg["lr"], weight_decay=cfg["weight-decay"])
+    train_mod.holdout_early_stopper(lambda net: 0.0, cfg["patience"])
+    return argparse.Namespace(run=run, cfg=cfg, seed=_resolve_seed(run), points=points,
+                              objective=objective, schedule=schedule)
 
 
-def _dml_report(run) -> list[Path]:
+def _network(plan: argparse.Namespace) -> nn.Network:
+    """The run's network on the plan's input shape: (D,) rows for an MLP,
+    (1, S, S) images for a CNN."""
+    cfg, shape, seed = plan.cfg, plan.points.shape[1:], plan.seed
+    if plan.run.command == "train-dml":
+        if cfg["arch"] == "cnn":
+            return nn.build_cnn(MNIST_CNN_ARCH.format(k=cfg["k"]), shape, seed=seed,
+                                batchnorm=True, softmax_head=True)
+        return nn.build_mlp(shape[0], DML_ARCH_HIDDEN, cfg["k"], seed=seed,
+                            batchnorm=True, softmax_head=True)
+    if cfg["arch"] == "cnn":
+        return nn.build_cnn(cfg["cnn-arch"], shape, seed=seed, batchnorm=True)
+    return nn.build_mlp(shape[0], cfg["hidden"], out_units=None, seed=seed)
+
+
+def _train(plan: argparse.Namespace, ds: D.ManifoldDataset) -> None:
+    """Build the network and train it with the plan's objective and
+    schedule, Adam and the stopping split.  Only then is ``--out-dir`` made,
+    so a run that fails earlier leaves none.  ``train-dml``'s report comes
+    first, so a failure there leaves no checkpoint; the checkpoint, log,
+    metrics, resolved config and manifest come last."""
+    run, cfg, seed = plan.run, plan.cfg, plan.seed
+    if run.command == "train-dml":
+        print(f"smoothness weight beta={cfg['beta']} (useful sweep range: 0.5 to 6)")
+    net = _network(plan)
+    opt = train_mod.AdamState.for_params(net.parameters(), lr=cfg["lr"],
+                                         weight_decay=cfg["weight-decay"])
+    train_points, callback = _stopping_split(run, plan.points, plan.objective, seed, cfg["mbs"])
+    log = train_mod.train_objective(net, train_points, plan.objective, plan.schedule, opt,
+                                    seed=seed, epoch_callback=callback)
+
+    out_dir = Path(run.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if run.command == "train-dml":
+        paths, recorded = _dml_report(plan, ds, net, log, out_dir), {}
+    else:
+        print(f"trained {len(log.records)} updates; final total {log.records[-1]['total']:.6f}")
+        paths, recorded = [], {"v1": run.v1}
+    paths += nn.save_checkpoint(net, out_dir / "checkpoint")
+    log_path, metrics_path = out_dir / "train_log.jsonl", out_dir / "metrics.csv"
+    log.write_jsonl(log_path)
+    log.write_metrics_csv(metrics_path)
+    cfg_path = out_dir / "resolved_config.json"
+    cfg_path.write_text(json.dumps({**cfg, **recorded, "seed": seed, "command": run.command,
+                                    "data": str(run.data)}, indent=1, sort_keys=True) + "\n")
+    _write_manifest(out_dir, [*paths, log_path, metrics_path, cfg_path])
+
+
+def _dml_report(plan, ds, net, log, out_dir: Path) -> list[Path]:
     """Predicted labels, cluster accuracy, and the head's loss and objective
     on up to 5000 points, all from one ``extract_features`` pass of the head."""
-    k = run.cfg["k"]
-    head = train_mod.extract_features(run.net, run.points, tap="out")
+    k = plan.cfg["k"]
+    head = train_mod.extract_features(net, plan.points, tap="out")
     pred = head.argmax(axis=1)
-    accuracy = train_mod.cluster_accuracy(pred, run.ds.components, k)
+    accuracy = train_mod.cluster_accuracy(pred, ds.components, k)
     out_head = head[:5000]
     final_loss = float(dml_mod.dml_loss(PosteriorBatch(Tensor(out_head))).item())
     L = out_head[:, 0]
     final_obj = dml_mod.dml_binary_objective(L, float(L.mean())) if k == 2 else None
-    labels_path = run.out_dir / "predicted_labels.csv"
+    labels_path = out_dir / "predicted_labels.csv"
     labels_path.write_text("\n".join(["index,predicted,truth"] +
                                      [f"{i},{p},{t}" for i, (p, t) in
-                                      enumerate(zip(pred, run.ds.components))]) + "\n")
+                                      enumerate(zip(pred, ds.components))]) + "\n")
     report = {"cluster_accuracy": accuracy, "final_loss": final_loss,
-              "final_objective": final_obj, "updates": len(run.log.records), "seed": run.seed}
-    report_path = run.out_dir / "report.json"
+              "final_objective": final_obj, "updates": len(log.records), "seed": plan.seed}
+    report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"cluster accuracy {accuracy:.4f}; loss {final_loss:.6f}; objective {final_obj}")
     return [labels_path, report_path]
-
-
-def cmd_train_dml(args, ds) -> int:
-    return _train_command(args, ds, _dml_build, _dml_report)
-
-
-def _mim_config(cfg: dict) -> mim_mod.MimConfig:
-    return mim_mod.MimConfig(alpha=cfg["alpha"], beta=cfg["beta"],
-                             use_scales=(cfg["scales"] == "on"))
-
-
-def cmd_train_mim(args, ds) -> int:
-    def build(cfg, ds, shape, seed):
-        if len(shape) == 3:
-            net = nn.build_cnn(cfg["cnn-arch"], shape, seed=seed, batchnorm=True)
-        else:
-            net = nn.build_mlp(shape[0], cfg["hidden"], out_units=None, seed=seed)
-        return net, mim_mod.make_mim_objective(_mim_config(cfg), v1=args.v1)
-
-    def summary(run):
-        print(f"trained {len(run.log.records)} updates; "
-              f"final total {run.log.records[-1]['total']:.6f}")
-        return []
-
-    return _train_command(args, ds, build, summary, v1=args.v1)
 
 
 # --- probe ---
@@ -367,42 +370,6 @@ def _config_flags(obj, where: str, known: dict) -> list[str]:
     return tokens
 
 
-def _check_settings(run: argparse.Namespace) -> None:
-    """Every check that reads only a run's flags, which ``main`` runs on
-    every run before the first trains: the ``--stop-split`` range, a MIM
-    encoder's ``--cnn-arch`` tokens (``nn.parse_cnn_arch``) or ``--hidden``
-    widths, and the MIM objective's, the schedule's, Adam's and the early
-    stopper's own checks, run by building them (the MLP on a 1-D input)."""
-    if not 0.0 <= run.stop_split < 1.0:
-        raise ConfigError(f"--stop-split must lie in [0, 1), got {run.stop_split}")
-    if run.command == "train-mim":
-        _mim_config(_settings(run))
-        if run.arch == "cnn":
-            nn.parse_cnn_arch(run.cnn_arch)
-        else:
-            nn.build_mlp(1, run.hidden, out_units=None, seed=0)
-    train_mod.holdout_early_stopper(lambda net: 0.0, run.patience)
-    train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
-    train_mod.AdamState(lr=run.lr, weight_decay=run.weight_decay)
-
-
-def _check_data(run: argparse.Namespace, ds: D.ManifoldDataset) -> None:
-    """Every check that also needs the data, which ``main`` runs on every
-    run before the first trains, each through the code that owns it: a
-    CNN's square images, DML's component ids, and one full mini-batch in
-    the rows that the stopping split leaves for training.  The DML
-    objective's own checks run here by building it, after the component
-    ids, as ``_dml_build`` runs them, so ``--k 1`` names the ids that do
-    not fit."""
-    cfg = _settings(run)
-    n = _run_points(cfg, ds).shape[0]
-    if run.command == "train-dml":
-        _dml_components(cfg["k"], ds)
-        _dml_config(cfg)
-    schedule = train_mod.AccumulationSchedule(mbs=run.mbs, bs=run.bs, epochs=run.epochs)
-    schedule.batches(n - _held_out(run.stop_split, n))
-
-
 def _training_runs(parser, args, argv: list[str]) -> list[argparse.Namespace]:
     """Each run of a training command, parsed before any starts: the preset,
     the ``--config`` object and one ``--sweep`` entry go ahead of the command
@@ -418,12 +385,14 @@ def _training_runs(parser, args, argv: list[str]) -> list[argparse.Namespace]:
     entries = json.loads(Path(args.sweep).read_text())
     if not isinstance(entries, list):
         raise ConfigError("--sweep expects a JSON list of config objects")
+    if not entries:
+        raise ConfigError(f"--sweep {args.sweep} lists no configs; it needs at least one")
     return [parser.parse_args([*head, *_config_flags(entry, f"{args.sweep} entry {i}", known),
                                *argv[1:], f"--out-dir={Path(args.out_dir) / f'sweep{i:03d}'}"])
             for i, entry in enumerate(entries)]
 
 
-def _training_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
+def _training_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
     """A training command's parser with the flags both commands share; every
     setting's default comes from ``TRAINING_DEFAULTS``."""
     t = sub.add_parser(name, help=summary)
@@ -441,8 +410,8 @@ def _training_parser(sub, name: str, summary: str, func) -> argparse.ArgumentPar
     t.add_argument("--patience", type=int,
                    help="epochs without holdout improvement before stopping")
     t.add_argument("--sweep", help="JSON list of configs, run sequentially")
-    t.set_defaults(func=func, **{key.replace("-", "_"): value
-                                 for key, value in TRAINING_DEFAULTS[name].items()})
+    t.set_defaults(**{key.replace("-", "_"): value
+                      for key, value in TRAINING_DEFAULTS[name].items()})
     return t
 
 
@@ -471,12 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    t = _training_parser(sub, "train-dml", "train the manifold-labeling objective", cmd_train_dml)
+    t = _training_parser(sub, "train-dml", "train the manifold-labeling objective")
     t.add_argument("--k", type=int)
     t.add_argument("--preset", choices=list(PRESETS), default="default")
 
-    m = _training_parser(sub, "train-mim", "train the information-maximization objective",
-                         cmd_train_mim)
+    m = _training_parser(sub, "train-mim", "train the information-maximization objective")
     m.add_argument("--alpha", type=float)
     m.add_argument("--scales", choices=["on", "off"])
     m.add_argument("--hidden", type=int, nargs="+", help="MLP hidden widths")
@@ -510,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--labels", default=None)
-    e.add_argument("--resolution", type=int, default=200)
+    e.add_argument("--resolution", type=_positive_int, default=200)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_export_grid)
 
@@ -525,12 +493,11 @@ def main(argv=None) -> int:
         if args.command not in TRAINING_DEFAULTS:
             return args.func(args)
         runs = _training_runs(parser, args, argv)
-        for run in runs:
-            _check_settings(run)
         ds = _load_standardized(args)   # every run reads the same --data and --labels
-        for run in runs:
-            _check_data(run, ds)
-        return max(run.func(run, ds) for run in runs)
+        plans = [_plan(run, ds) for run in runs]   # every check, before the first run trains
+        for plan in plans:
+            _train(plan, ds)
+        return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -558,14 +558,24 @@ def save_checkpoint(net: Network, stem: str | Path) -> tuple[Path, Path]:
     return json_path, bin_path
 
 
-def _layer_from_spec(spec: dict) -> Layer:
-    """Rebuild a layer from its spec without its seeded init (the stored arrays
-    overwrite it), then put back the recorded seed so re-saves are
-    byte-identical."""
+# the layer arguments that need not be JSON integers: a batch norm's momentum,
+# an average pool's flag, and the seed, which a loaded layer only records
+_NON_INTEGER_ARGS = frozenset({"momentum", "spatial_all", "seed"})
+
+
+def _layer_from_spec(index: int, spec: dict) -> Layer:
+    """Rebuild layer ``index`` from its spec without its seeded init (the
+    stored arrays overwrite it), then put back the recorded seed so re-saves
+    are byte-identical.  An integer argument that is not a JSON integer is
+    a ``FormatError`` naming the layer."""
     cls = _LAYER_TYPES.get(spec["type"])
     if cls is None:
         raise FormatError(f"unknown layer type {spec['type']!r} in checkpoint")
     args = {name: spec[name] for name in cls.ARGS}
+    for name, value in args.items():
+        if name not in _NON_INTEGER_ARGS and type(value) is not int:
+            raise FormatError(f"checkpoint layer {index} ({cls.TYPE}) needs an integer "
+                              f"{name}, got {value!r}")
     if "seed" not in args:
         return cls(**args)
     layer = cls(**{**args, "seed": None})
@@ -577,6 +587,7 @@ def load_checkpoint(stem: str | Path) -> Network:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     The manifest is checked against the network its architecture builds:
+    every tap and integer layer argument must be a JSON integer, and
     every entry's name, kind and shape must be the one ``save_checkpoint``
     would write there, and the binary must hold exactly their bytes; anything
     else raises ``FormatError``.  An older file also lists the bias of each
@@ -594,7 +605,11 @@ def load_checkpoint(stem: str | Path) -> Network:
         raise FormatError(f"unsupported checkpoint format {fmt!r}")
     try:
         arch = manifest["architecture"]
-        layers, taps = [_layer_from_spec(spec) for spec in arch["layers"]], arch["taps"]
+        layers = [_layer_from_spec(i, spec) for i, spec in enumerate(arch["layers"])]
+        taps = arch["taps"]
+        for tap in taps:
+            if type(tap) is not int:
+                raise FormatError(f"checkpoint tap {tap!r} is not an integer layer index")
         listed = [(e["name"], e["kind"], tuple(e["shape"])) for e in manifest["entries"]]
         dropped = {f"layer{i}.bias" for i in _before_batch_norm(layers, taps)}
     except (KeyError, TypeError) as exc:

@@ -144,6 +144,38 @@ class TestTrainDml:
         assert "error: --sweep expects a JSON list of config objects" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_sweep_is_config_error_before_the_data_loads(self, tmp_path, capsys):
+        sweep = tmp_path / "empty.json"
+        sweep.write_text("[]")
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(tmp_path / "missing.csv"), "--mbs", "40",
+                    "--bs", "40", "--epochs", "1", "--sweep", str(sweep), "--out-dir", str(out)])
+        assert code == 1
+        assert (f"error: --sweep {sweep} lists no configs; it needs at least one"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_first_faulty_sweep_entry_is_reported(self, tmp_path, tiny_run, capsys):
+        # each run is planned in sweep order: entry 0's ids fail before entry 1's rate
+        data, _ = tiny_run
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"k": 1}, {"lr": -1}]))
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--mbs", "40", "--bs", "40",
+                    "--epochs", "1", "--sweep", str(sweep), "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "every id must lie in [0, 1)" in err and "learning rate" not in err
+        assert not out.exists()
+
+    def test_missing_data_is_reported_before_a_bad_setting(self, tmp_path, capsys):
+        data, out = tmp_path / "missing.csv", tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), "--lr", "-1", "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(data) in err and "learning rate" not in err
+        assert not out.exists()
+
     def test_sweep_applies_each_entry_over_config(self, tmp_path, tiny_run):
         data, _ = tiny_run
         base, sweep = tmp_path / "base.json", tmp_path / "sweep.json"
@@ -608,6 +640,18 @@ class TestProbeAndGrid:
         assert lines[0] == "x,y,argmax_label,max_prob"
         assert len(lines) == 401
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_export_grid_without_resolution_is_usage_error(self, tiny_run, tmp_path, capsys,
+                                                          resolution):
+        data, out_dir = tiny_run
+        grid = tmp_path / "grid.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["export-grid", "--checkpoint", str(out_dir / "checkpoint"), "--data", str(data),
+                 "--resolution", resolution, "--out", str(grid)])
+        assert exc.value.code == 2
+        assert f"must be a positive integer, got {resolution}" in capsys.readouterr().err
+        assert not grid.exists()
+
     @pytest.mark.parametrize("command", ["probe", "export-grid"])
     def test_malformed_checkpoint_exits_1(self, tiny_run, tmp_path, capsys, command):
         data, out_dir = tiny_run
@@ -620,6 +664,30 @@ class TestProbeAndGrid:
                     *extra])
         assert code == 1
         assert "checkpoint manifest" in capsys.readouterr().err
+        # a tap, or an integer layer argument, that is not a JSON integer
+        from neuralbayes import nn
+        cnn = nn.build_cnn(cli.TRAINING_DEFAULTS["train-mim"]["cnn-arch"], (1, 8, 8), seed=0)
+        nn.save_checkpoint(cnn, tmp_path / "cnn")
+
+        def pool_kernel(m):
+            assert m["architecture"]["layers"][3]["type"] == "maxpool"
+            m["architecture"]["layers"][3]["kernel"] = "2"
+
+        for stem, edit, message in [
+                (out_dir / "checkpoint", lambda m: m["architecture"].update(taps=["a"]),
+                 "checkpoint tap 'a' is not an integer layer index"),
+                (out_dir / "checkpoint", lambda m: m["architecture"].update(taps=[2.5]),
+                 "checkpoint tap 2.5 is not an integer layer index"),
+                (tmp_path / "cnn", pool_kernel,
+                 "checkpoint layer 3 (maxpool) needs an integer kernel, got '2'")]:
+            manifest = json.loads(stem.with_suffix(".json").read_text())
+            edit(manifest)
+            (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
+            (tmp_path / "checkpoint.bin").write_bytes(stem.with_suffix(".bin").read_bytes())
+            code = run([command, "--checkpoint", str(tmp_path / "checkpoint"),
+                        "--data", str(data), *extra])
+            assert code == 1
+            assert f"error: {message}" in capsys.readouterr().err
 
     def test_checkpoint_manifest_not_json_exits_1(self, tiny_run, tmp_path, capsys):
         data, out_dir = tiny_run
@@ -710,6 +778,12 @@ class TestGradcheckCommand:
         assert f"must be a positive integer, got {cases}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_goes_to_stdout_without_out(self, capsys):
+        code = run(["gradcheck", "--seed", "3", "--cases", "1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is True and len(payload["results"]) == 1
+
     def test_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["gradcheck", "--seed", "3", "--cases", "2", "--out", str(a)])
@@ -794,6 +868,17 @@ class TestGradcheckCommand:
                     "--config", str(_write_cfg(tmp_path, cfg))])
         assert code == 1
         assert "'P(2,2,0)' takes 4 arguments, got 3" in capsys.readouterr().err
+        for arch, message in [("C(4,3,1,0", "malformed architecture token 'C(4,3,1,0'"),
+                              ("C(4,3,1,0)-P(.,.,.,max)",
+                               "global pooling is only defined for avg mode"),
+                              ("C(4,3,1,0)-P(2,2,0,min)", "unknown pool mode 'min'")]:
+            cfg = {"arch": "cnn", "cnn-arch": arch}
+            code = run(["train-mim", "--data", str(data), "--mbs", "20", "--bs", "20",
+                        "--epochs", "1", "--seed", "0", "--out-dir", str(out_dir),
+                        "--config", str(_write_cfg(tmp_path, cfg))])
+            assert code == 1
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out_dir.exists()
 
     def test_train_dml_mnist_cnn_preset_on_idx_images(self, tmp_path):
         # the preset scores k = 10 clusters, beyond any permutation search

@@ -923,6 +923,17 @@ class TestCheckpointManifest:
         with pytest.raises(FormatError, match="gelu"):
             self._load_edited(saved, retype)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a["layers"][0].update(in_dim=3.0),
+         "checkpoint layer 0 (dense) needs an integer in_dim, got 3.0"),
+        (lambda a: a["layers"][1].update(features=True),
+         "checkpoint layer 1 (batchnorm) needs an integer features, got True")],
+        ids=["float-in-dim", "bool-features"])
+    def test_mistyped_layer_argument_rejected(self, saved, edit, message):
+        # mistyped taps and a CNN's pool kernel: test_cli's malformed-checkpoint test
+        with pytest.raises(FormatError, match=re.escape(message)):
+            self._load_edited(saved, lambda m: edit(m["architecture"]))
+
 
 class TestBiasedCheckpoint:
     """An ``nb-checkpoint-v1`` file written when each layer before a batch

@@ -92,6 +92,8 @@ class TestSchedule:
             train.AccumulationSchedule(mbs=4, bs=2, epochs=1)
         with pytest.raises(ConfigError):
             train.AccumulationSchedule(mbs=4, bs=10, epochs=1)  # not a multiple
+        with pytest.raises(ConfigError, match="epochs must be at least 1"):
+            train.AccumulationSchedule(mbs=4, bs=4, epochs=0)
         train.AccumulationSchedule(mbs=4, bs=12, epochs=1)
 
     def test_dataset_must_fill_one_minibatch(self):
