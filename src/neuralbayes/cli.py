@@ -157,13 +157,28 @@ def _load_standardized(args) -> D.ManifoldDataset:
     return ds if ds.meta.get("standardized") else D.standardize(ds)
 
 
-def _square_images(ds: D.ManifoldDataset) -> np.ndarray:
-    """The points as (N, 1, S, S) single-channel images, the input of a CNN."""
-    side = math.isqrt(ds.dim)
-    if side * side != ds.dim:
-        raise ConfigError(f"arch cnn needs square images; dimension {ds.dim} is not a "
+def _square_images(rows: np.ndarray, needs: str) -> np.ndarray:
+    """The rows as (N, 1, S, S) single-channel images, the input of a CNN;
+    ``needs`` names what needs them."""
+    dim = rows.shape[1]
+    side = math.isqrt(dim)
+    if side * side != dim:
+        raise ConfigError(f"{needs} needs square images; dimension {dim} is not a "
                           f"perfect square")
-    return ds.points.reshape(ds.size, 1, side, side)
+    return rows.reshape(len(rows), 1, side, side)
+
+
+def _checkpoint_input(net: nn.Network, rows: np.ndarray) -> np.ndarray:
+    """``rows`` as the input of a loaded network's layer 0, checked before
+    any forward: rows of a dense layer's ``in_dim``, or a conv layer's
+    square single-channel images."""
+    first, dim = net.layers[0], rows.shape[1]
+    if isinstance(first, nn.Conv2dLayer):
+        return _square_images(rows, "the checkpoint's conv layer 0")
+    if isinstance(first, nn.DenseLayer) and first.in_dim != dim:
+        raise ConfigError(f"the checkpoint's dense layer 0 needs {first.in_dim}-D rows; "
+                          f"the data are {dim}-D")
+    return rows
 
 
 # --- train-dml, train-mim ---
@@ -195,7 +210,7 @@ def _plan(run: argparse.Namespace, ds: D.ManifoldDataset) -> argparse.Namespace:
     cfg = _settings(run)
     if not 0.0 <= cfg["stop-split"] < 1.0:
         raise ConfigError(f"--stop-split must lie in [0, 1), got {cfg['stop-split']}")
-    points = _square_images(ds) if cfg["arch"] == "cnn" else ds.points
+    points = _square_images(ds.points, "arch cnn") if cfg["arch"] == "cnn" else ds.points
     if run.command == "train-dml":
         _dml_components(cfg["k"], ds)
         objective = dml_mod.make_dml_objective(
@@ -294,7 +309,7 @@ def cmd_probe(args) -> int:
     seed = _resolve_seed(args)
     net = nn.load_checkpoint(args.checkpoint)
     ds = _load_standardized(args)
-    points = _square_images(ds) if isinstance(net.layers[0], nn.Conv2dLayer) else ds.points
+    points = _checkpoint_input(net, ds.points)
     features = train_mod.extract_features(net, points, tap=args.layer,
                                           bn_train_mode=(args.bn_mode == "train"))
     accuracy = train_mod.linear_probe(features, ds.components, hidden_units=args.hidden,
@@ -346,7 +361,7 @@ def cmd_export_grid(args) -> int:
         stats = D.standardize(ds)
         lifted = (lifted - stats.mean) / stats.std
 
-    out = train_mod.extract_features(net, lifted, tap="out")
+    out = train_mod.extract_features(net, _checkpoint_input(net, lifted), tap="out")
     rows = ["x,y,argmax_label,max_prob"]
     for (x, y), lab, pr in zip(grid, out.argmax(axis=1), out.max(axis=1)):
         rows.append(f"{x:.17g},{y:.17g},{lab},{pr:.17g}")
@@ -370,6 +385,15 @@ def _config_flags(obj, where: str, known: dict) -> list[str]:
     return tokens
 
 
+def _read_json(flag: str, path: str):
+    """The JSON value in the file that ``flag`` names; a file that cannot be
+    read or parsed is a ``ConfigError`` naming the flag and the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{flag} {path} is not readable JSON: {exc}") from exc
+
+
 def _training_runs(parser, args, argv: list[str]) -> list[argparse.Namespace]:
     """Each run of a training command, parsed before any starts: the preset,
     the ``--config`` object and one ``--sweep`` entry go ahead of the command
@@ -379,10 +403,10 @@ def _training_runs(parser, args, argv: list[str]) -> list[argparse.Namespace]:
     preset = PRESETS[getattr(args, "preset", "default")]   # only train-dml has --preset
     head = [args.command, *_config_flags(preset, "preset", known)]
     if args.config is not None:
-        head += _config_flags(json.loads(Path(args.config).read_text()), args.config, known)
+        head += _config_flags(_read_json("--config", args.config), args.config, known)
     if args.sweep is None:
         return [parser.parse_args([*head, *argv[1:]])]
-    entries = json.loads(Path(args.sweep).read_text())
+    entries = _read_json("--sweep", args.sweep)
     if not isinstance(entries, list):
         raise ConfigError("--sweep expects a JSON list of config objects")
     if not entries:
@@ -457,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--layer", default="last", help="tap name: h0.., last, or out")
-    p.add_argument("--hidden", type=int, default=200)
+    p.add_argument("--hidden", type=_positive_int, default=200)
     p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--bn-mode", choices=["train", "eval"], default="eval",

@@ -52,6 +52,8 @@ change no layer, spec, parameter, tap or checkpoint.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import json
 from pathlib import Path
@@ -71,17 +73,73 @@ def _check_mode(mode) -> None:
         raise ConfigError(f"unknown forward mode {mode!r}; expected one of {MODES}")
 
 
+# (getter, setter) symbol pairs of OpenBLAS's thread count, newest build first
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    loaded from its ``numpy.libs`` directory, or None where there is none."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))   # the already-loaded library, not a second copy
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_threads()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the caller's
+    count, also when the block raises; without OpenBLAS, run it as is."""
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _OPENBLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def orthogonal_init(rows: int, cols: int, seed: int) -> np.ndarray:
     """Orthonormal (rows, cols) matrix, deterministic per seed.
 
     If rows <= cols the rows are orthonormal (W Wt = I), otherwise the columns
     are (Wt W = I); all singular values are exactly 1 up to float rounding.
+
+    The QR factorization runs with OpenBLAS on one thread, and the caller's
+    thread count comes back afterwards.  On a 2-core AVX-512 Xeon a second
+    thread made every factorization the library builds slower (576 x 128:
+    16-19 ms on two threads against 7-8 ms on one; 1800 x 500: 129-151
+    against 107-110 ms); one thread only loses from about 2048 x 2048
+    (1114-1216 against 1309-1384 ms), which no preset or default builds.
+    One thread also fixes the bits: OpenBLAS splits a large factorization
+    differently on one thread than on several, so the init no longer
+    depends on the host's thread count.  Where numpy loaded no OpenBLAS the
+    QR runs on whatever threads its BLAS uses, as before.
     """
     if rows < 1 or cols < 1:
         raise ShapeError("orthogonal_init needs positive dimensions")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(a)
+    with _one_blas_thread():
+        q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))  # fix the sign ambiguity so the result is unique
     if rows < cols:
         q = q.T

@@ -144,6 +144,18 @@ class TestTrainDml:
         assert "error: --sweep expects a JSON list of config objects" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--sweep"])
+    def test_unreadable_json_names_its_flag_and_path(self, tmp_path, tiny_run, capsys, flag):
+        data, _ = tiny_run
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        out = tmp_path / "o"
+        code = run(["train-dml", "--data", str(data), flag, str(bad), "--out-dir", str(out)])
+        assert code == 1
+        assert (f"error: {flag} {bad} is not readable JSON: Expecting property name"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_empty_sweep_is_config_error_before_the_data_loads(self, tmp_path, capsys):
         sweep = tmp_path / "empty.json"
         sweep.write_text("[]")
@@ -629,6 +641,53 @@ class TestProbeAndGrid:
                  "--epochs", epochs])
         assert exc.value.code == 2
         assert f"must be a positive integer, got {epochs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hidden", ["0", "-1"])
+    def test_probe_without_hidden_units_is_usage_error(self, tiny_run, capsys, hidden):
+        data, out_dir = tiny_run
+        with pytest.raises(SystemExit) as exc:
+            run(["probe", "--checkpoint", str(out_dir / "checkpoint"), "--data", str(data),
+                 "--hidden", hidden])
+        assert exc.value.code == 2
+        assert f"must be a positive integer, got {hidden}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["probe", "export-grid"])
+    def test_data_narrower_than_the_dense_checkpoint_exit_1(self, tiny_run, tmp_path, capsys,
+                                                            command):
+        data, _ = tiny_run
+        wide = tmp_path / "wide.csv"
+        run(["gen-data", "--kind", "moons", "--n", "30", "--dim", "64", "--seed", "5",
+             "--out", str(wide)])
+        assert run(["train-dml", "--data", str(wide), "--mbs", "30", "--bs", "30",
+                    "--epochs", "1", "--seed", "1", "--out-dir", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        grid = tmp_path / "grid.csv"
+        outputs = {"probe": [], "export-grid": ["--out", str(grid)]}[command]
+        code = run([command, "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                    "--data", str(data), *outputs])
+        assert code == 1
+        assert ("error: the checkpoint's dense layer 0 needs 64-D rows; the data are 2-D"
+                in capsys.readouterr().err)
+        assert not grid.exists()
+
+    def test_export_grid_on_cnn_checkpoint_exits_1(self, tiny_run, tmp_path, capsys):
+        moons, _ = tiny_run
+        data = tmp_path / "d.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--dim", "64",
+             "--seed", "4", "--out", str(data)])
+        out_dir = tmp_path / "cnn"
+        cfg = {"arch": "cnn", "cnn-arch": "C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)"}
+        assert run(["train-mim", "--data", str(data), "--mbs", "20", "--bs", "20",
+                    "--epochs", "1", "--beta", "0.5", "--seed", "0", "--out-dir", str(out_dir),
+                    "--config", str(_write_cfg(tmp_path, cfg))]) == 0
+        capsys.readouterr()
+        grid = tmp_path / "grid.csv"
+        code = run(["export-grid", "--checkpoint", str(out_dir / "checkpoint"),
+                    "--data", str(moons), "--out", str(grid)])
+        assert code == 1
+        assert ("error: the checkpoint's conv layer 0 needs square images; dimension 2 is "
+                "not a perfect square" in capsys.readouterr().err)
+        assert not grid.exists()
 
     def test_export_grid_rows(self, tiny_run, tmp_path):
         data, out_dir = tiny_run

@@ -2,8 +2,12 @@
 
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,56 @@ class TestOrthogonalInit:
         b = nn.orthogonal_init(5, 5, 42)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, nn.orthogonal_init(5, 5, 43))
+
+
+needs_openblas = pytest.mark.skipif(nn._OPENBLAS_THREADS is None,
+                                    reason="numpy loaded no OpenBLAS with a thread-count setter")
+
+# sha256 of the inits that OpenBLAS splits differently on one thread than on two
+INIT_HASHES = """
+import hashlib
+from neuralbayes import nn
+for rows, cols in [(200, 900), (500, 1800), (500, 784)]:
+    print(hashlib.sha256(nn.orthogonal_init(rows, cols, 3).tobytes()).hexdigest())
+"""
+
+
+@needs_openblas
+class TestOrthogonalInitThreads:
+    def test_qr_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
+        get, _ = nn._OPENBLAS_THREADS
+        before, seen, qr = get(), [], np.linalg.qr
+
+        def counting_qr(a):
+            seen.append(get())
+            return qr(a)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        nn.orthogonal_init(64, 9, 0)
+        assert seen == [1] and get() == before
+
+    def test_count_is_restored_when_the_qr_raises(self, monkeypatch):
+        get, _ = nn._OPENBLAS_THREADS
+        before = get()
+
+        def failing_qr(a):
+            raise np.linalg.LinAlgError("factorization failed")
+
+        monkeypatch.setattr(np.linalg, "qr", failing_qr)
+        with pytest.raises(np.linalg.LinAlgError):
+            nn.orthogonal_init(64, 9, 0)
+        assert get() == before
+
+    def test_init_bits_do_not_depend_on_the_thread_count(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", INIT_HASHES], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == 3 and outputs[0] == outputs[1]
 
 
 class TestLayerGradients:

@@ -195,6 +195,15 @@ def test_smoothness_penalty_added_in_one_place():
     assert found == {"dml.smoothed_objective.objective"}
 
 
+def test_qr_factorizes_in_one_place():
+    """Only ``nn.orthogonal_init`` calls a QR, so every factorization runs
+    on its one OpenBLAS thread and gives the same bits on any host."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= scopes_calling(ast.parse(path.read_text()), path.stem, "qr")
+    assert found == {"nn.orthogonal_init"}
+
+
 def test_call_rule_sees_bare_and_attribute_calls():
     source = '''
 import errors
