@@ -142,14 +142,38 @@ def _stopping_split(args, points: np.ndarray, objective, seed: int, mbs: int):
 
 
 def _load_dataset(args) -> D.ManifoldDataset:
+    """The ``--data`` points: IDX images with ``--labels``, else a CSV with
+    the metadata of its ``.meta.json`` sidecar, when there is one."""
     data_path = Path(args.data)
     if args.labels:
         return D.load_idx(data_path, Path(args.labels))
-    meta = {}
-    mp = _meta_path(data_path)
-    if mp.exists():
-        meta = json.loads(mp.read_text())
-    return D.load_csv(data_path, meta=meta)
+    ds, sidecar = D.load_csv(data_path), _meta_path(data_path)
+    if sidecar.exists():
+        ds.meta = _sidecar(sidecar, ds.dim)
+    return ds
+
+
+def _sidecar(path: Path, dim: int) -> dict:
+    """The sidecar ``path`` of a ``dim``-column CSV: a JSON object whose
+    ``standardized``, when present, is a boolean, and whose ``lift``, when
+    present, is an object of integer ``dim`` (the CSV's), ``seed`` >= 0 and
+    ``base_dim`` in [1, dim].  Anything else is a ``ConfigError`` naming it."""
+    meta = _read_json("--data sidecar", path)
+    if not isinstance(meta, dict):
+        raise ConfigError(f"--data sidecar {path} must hold a JSON object, got "
+                          f"{type(meta).__name__}")
+    if type(meta.get("standardized", False)) is not bool:
+        raise ConfigError(f"--data sidecar {path}: standardized must be true or false, got "
+                          f"{meta['standardized']!r}")
+    if "lift" not in meta:
+        return meta
+    lift = meta["lift"]
+    keys = ("dim", "seed", "base_dim")
+    ints = isinstance(lift, dict) and all(type(lift.get(key)) is int for key in keys)
+    if not (ints and lift["dim"] == dim and lift["seed"] >= 0 and 1 <= lift["base_dim"] <= dim):
+        raise ConfigError(f"--data sidecar {path}: lift must be an object of integer dim = {dim}, "
+                          f"seed >= 0 and base_dim in [1, {dim}], got {lift!r}")
+    return meta
 
 
 def _load_standardized(args) -> D.ManifoldDataset:
@@ -203,7 +227,7 @@ def _plan(run: argparse.Namespace, ds: D.ManifoldDataset) -> argparse.Namespace:
     ``--stop-split`` range, a CNN's square images, DML's component ids (ahead
     of the objective's own checks, so ``--k 1`` names the ids that do not
     fit), the objective, a MIM encoder's ``--cnn-arch`` tokens or
-    ``--hidden`` widths (the MLP built on a 1-D input), the schedule with
+    ``--hidden`` widths (without building the MLP), the schedule with
     one full mini-batch in the rows the stopping split leaves, and Adam's
     and the early stopper's settings.  ``_train`` trains with the plan's
     objective and schedule."""
@@ -222,7 +246,7 @@ def _plan(run: argparse.Namespace, ds: D.ManifoldDataset) -> argparse.Namespace:
         if cfg["arch"] == "cnn":
             nn.parse_cnn_arch(cfg["cnn-arch"])
         else:
-            nn.build_mlp(1, cfg["hidden"], out_units=None, seed=0)
+            nn.check_widths(cfg["hidden"])
     schedule = train_mod.AccumulationSchedule(mbs=cfg["mbs"], bs=cfg["bs"], epochs=cfg["epochs"])
     n = points.shape[0]
     schedule.batches(n - _held_out(cfg["stop-split"], n))
@@ -347,9 +371,9 @@ def cmd_export_grid(args) -> int:
     net = nn.load_checkpoint(args.checkpoint)
     ds = _load_dataset(args)
     lift_meta = ds.meta.get("lift")
-    if ds.dim != 2 and lift_meta is None:
-        raise ConfigError("grid export needs 2-D data or stored lift metadata")
-    base = ds.points if ds.dim == 2 else D.unlift_points(ds.points, lift_meta)
+    if (ds.dim if lift_meta is None else lift_meta["base_dim"]) != 2:
+        raise ConfigError("grid export needs 2-D data or stored lift metadata from 2-D data")
+    base = ds.points if lift_meta is None else D.unlift_points(ds.points, lift_meta)
     lo, hi = base.min(axis=0), base.max(axis=0)
     r = args.resolution
     xs = np.linspace(lo[0], hi[0], r)
@@ -385,12 +409,13 @@ def _config_flags(obj, where: str, known: dict) -> list[str]:
     return tokens
 
 
-def _read_json(flag: str, path: str):
+def _read_json(flag: str, path: str | Path):
     """The JSON value in the file that ``flag`` names; a file that cannot be
-    read or parsed is a ``ConfigError`` naming the flag and the path."""
+    read or parsed, or nests too deep to parse, is a ``ConfigError`` naming
+    the flag and the path."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{flag} {path} is not readable JSON: {exc}") from exc
 
 

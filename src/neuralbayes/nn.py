@@ -430,7 +430,7 @@ class Network:
         return [f"h{j}" for j in range(len(self.taps))]
 
     def spec(self) -> dict:
-        return {"layers": [l.spec() for l in self.layers], "taps": list(self.taps)}
+        return _manifest(self.layers, self.taps)["architecture"]
 
 
 def _before_batch_norm(layers: Sequence[Layer], taps: Sequence[int]) -> list[int]:
@@ -456,6 +456,13 @@ def _child_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
+def check_widths(hidden: Sequence[int]) -> None:
+    """``build_mlp``'s check of its hidden widths, which builds nothing."""
+    for width in hidden:
+        if width < 1:
+            raise ConfigError(f"hidden width {width} is not a positive number of units")
+
+
 def build_mlp(in_dim: int, hidden: Sequence[int], out_units: int | None, seed: int,
               batchnorm: bool = False, softmax_head: bool = True,
               activation: str = "relu") -> Network:
@@ -468,9 +475,7 @@ def build_mlp(in_dim: int, hidden: Sequence[int], out_units: int | None, seed: i
     act = {"relu": ReluLayer, "tanh": TanhLayer}
     if activation not in act:
         raise ConfigError(f"unknown activation {activation!r}")
-    for width in hidden:
-        if width < 1:
-            raise ConfigError(f"hidden width {width} is not a positive number of units")
+    check_widths(hidden)
     seeds = _child_seeds(seed, len(hidden) + 1)
     layers, taps = [], []
     prev = in_dim
@@ -589,7 +594,7 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
 
 # --- checkpoint format: <stem>.json manifest + <stem>.bin little-endian float64 ---
 
-CHECKPOINT_FORMAT = "nb-checkpoint-v1"
+CHECKPOINT_FORMAT, CHECKPOINT_DTYPE = "nb-checkpoint-v1", "<f8"
 
 
 def _entries(layers: Sequence[Layer]) -> list[tuple[str, str, np.ndarray]]:
@@ -601,18 +606,20 @@ def _entries(layers: Sequence[Layer]) -> list[tuple[str, str, np.ndarray]]:
     return entries
 
 
+def _manifest(layers: Sequence[Layer], taps: Sequence[int], skip=frozenset()) -> dict:
+    """The one spelling of a checkpoint manifest; its entries skip ``skip``'s names."""
+    return {"format": CHECKPOINT_FORMAT, "dtype": CHECKPOINT_DTYPE,
+            "architecture": {"layers": [layer.spec() for layer in layers], "taps": list(taps)},
+            "entries": [{"name": name, "kind": kind, "shape": list(arr.shape)}
+                        for name, kind, arr in _entries(layers) if name not in skip]}
+
+
 def save_checkpoint(net: Network, stem: str | Path) -> tuple[Path, Path]:
-    """Write ``<stem>.json`` + ``<stem>.bin``; the round trip is bit-exact."""
-    stem = Path(stem)
-    entries = _entries(net.layers)
-    manifest = {"format": CHECKPOINT_FORMAT, "dtype": "<f8", "architecture": net.spec(),
-                "entries": [{"name": name, "kind": kind, "shape": list(arr.shape)}
-                            for name, kind, arr in entries]}
-    json_path = stem.with_suffix(".json")
-    bin_path = stem.with_suffix(".bin")
-    json_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    bin_path.write_bytes(b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                                  for _, _, arr in entries))
+    """Write ``<stem>.json`` (its ``_manifest``) and ``<stem>.bin``; the round trip is bit-exact."""
+    json_path, bin_path = Path(stem).with_suffix(".json"), Path(stem).with_suffix(".bin")
+    json_path.write_text(json.dumps(_manifest(net.layers, net.taps), indent=1, sort_keys=True))
+    bin_path.write_bytes(b"".join(np.ascontiguousarray(arr, dtype=CHECKPOINT_DTYPE).tobytes()
+                                  for _, _, arr in _entries(net.layers)))
     return json_path, bin_path
 
 
@@ -621,19 +628,24 @@ def save_checkpoint(net: Network, stem: str | Path) -> tuple[Path, Path]:
 _NON_INTEGER_ARGS = frozenset({"momentum", "spatial_all", "seed"})
 
 
-def _layer_from_spec(index: int, spec: dict) -> Layer:
+def _layer_from_spec(index: int, spec: dict, stored: int) -> Layer:
     """Rebuild layer ``index`` from its spec without its seeded init (the
     stored arrays overwrite it), then put back the recorded seed so re-saves
-    are byte-identical.  An integer argument that is not a JSON integer is
-    a ``FormatError`` naming the layer."""
+    are byte-identical.  Before any allocation, each integer argument must be
+    a JSON integer >= 0, and one that sizes an array at most ``stored``, the
+    number of values the binary stores; else a ``FormatError``."""
     cls = _LAYER_TYPES.get(spec["type"])
     if cls is None:
         raise FormatError(f"unknown layer type {spec['type']!r} in checkpoint")
     args = {name: spec[name] for name in cls.ARGS}
-    for name, value in args.items():
-        if name not in _NON_INTEGER_ARGS and type(value) is not int:
+    for name, value in ((n, v) for n, v in args.items() if n not in _NON_INTEGER_ARGS):
+        if type(value) is not int:
             raise FormatError(f"checkpoint layer {index} ({cls.TYPE}) needs an integer "
                               f"{name}, got {value!r}")
+        sized = cls.PARAMS + cls.BUFFERS and name not in ("stride", "padding")
+        if value < 0 or sized and value > stored:
+            raise FormatError(f"checkpoint layer {index} ({cls.TYPE}) has {name} {value}: "
+                              f"negative, or a size beyond the {stored} values the binary stores")
     if "seed" not in args:
         return cls(**args)
     layer = cls(**{**args, "seed": None})
@@ -642,58 +654,46 @@ def _layer_from_spec(index: int, spec: dict) -> Layer:
 
 
 def load_checkpoint(stem: str | Path) -> Network:
-    """Read a checkpoint written by :func:`save_checkpoint`.
-
-    The manifest is checked against the network its architecture builds:
-    every tap and integer layer argument must be a JSON integer, and
-    every entry's name, kind and shape must be the one ``save_checkpoint``
-    would write there, and the binary must hold exactly their bytes; anything
-    else raises ``FormatError``.  An older file also lists the bias of each
-    layer before a batch norm: ``Network`` folds it into the running mean.
-    """
-    stem = Path(stem)
-    json_path = stem if stem.suffix == ".json" else stem.with_suffix(".json")
-    bin_path = json_path.with_suffix(".bin")
+    """Read a checkpoint written by :func:`save_checkpoint`: only the writer's
+    manifest loads.  Its ``format``, ``dtype`` (so only ``"<f8"``) and
+    entries must equal, as JSON values, the ``_manifest`` of the layers its
+    architecture rebuilds, or that of a file from before layers feeding a
+    batch norm lost their bias (``Network`` folds each into the running
+    mean); the binary must hold just the entries' values.  Extra keys in a
+    layer spec are ignored; anything else raises ``FormatError``."""
+    json_path, bin_path = Path(stem).with_suffix(".json"), Path(stem).with_suffix(".bin")
+    nbytes = bin_path.stat().st_size
     try:
         manifest = json.loads(json_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"checkpoint manifest {json_path} is not valid JSON: {exc}") from exc
-    fmt = manifest.get("format") if isinstance(manifest, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise FormatError(f"unsupported checkpoint format {fmt!r}")
-    try:
         arch = manifest["architecture"]
-        layers = [_layer_from_spec(i, spec) for i, spec in enumerate(arch["layers"])]
+        layers = [_layer_from_spec(i, spec, nbytes // 8) for i, spec in enumerate(arch["layers"])]
         taps = arch["taps"]
-        for tap in taps:
-            if type(tap) is not int:
-                raise FormatError(f"checkpoint tap {tap!r} is not an integer layer index")
-        listed = [(e["name"], e["kind"], tuple(e["shape"])) for e in manifest["entries"]]
-        dropped = {f"layer{i}.bias" for i in _before_batch_norm(layers, taps)}
-    except (KeyError, TypeError) as exc:
+        bad = ([t for t in taps if type(t) is not int or not 0 <= t < len(layers)]
+               if type(taps) is list else [taps])
+        if bad:
+            raise FormatError(f"checkpoint tap {bad[0]!r} is not an integer layer index")
+        listed = list(manifest["entries"])
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:   # too deep
+        raise FormatError(f"checkpoint manifest {json_path} is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError, ConfigError) as exc:   # a spec no layer takes
         raise FormatError(f"checkpoint manifest {json_path} is malformed: "
                           f"{type(exc).__name__} {exc}") from exc
-    legacy = any(name in dropped for name, _, _ in listed)
-    expected = [(n, k, a.shape) for n, k, a in _entries(layers) if legacy or n not in dropped]
-    for i, (got, want) in enumerate(itertools.zip_longest(listed, expected)):
-        if got != want:
-            raise FormatError(f"checkpoint entry {i} is {got}; the architecture needs {want}")
-    raw = bin_path.read_bytes()
-    offset = 0
-    for name, kind, shape in expected:
-        n = int(np.prod(shape)) if shape else 1
-        nbytes = n * 8
-        if offset + nbytes > len(raw):
-            raise FormatError(
-                f"checkpoint binary truncated at byte {len(raw)}: entry {name} "
-                f"needs bytes [{offset}, {offset + nbytes})")
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
-        offset += nbytes
-        index, attr = name[len("layer"):].split(".", 1)
-        if kind == "param":
-            getattr(layers[int(index)], attr).data = arr
-        else:
-            setattr(layers[int(index)], attr, arr)
-    if offset != len(raw):
-        raise FormatError(f"checkpoint binary has {len(raw) - offset} trailing bytes at offset {offset}")
+    dropped = {f"layer{i}.bias" for i in _before_batch_norm(layers, taps)}
+    skip = () if len(listed) == len(_entries(layers)) else dropped   # all listed: biased layout
+    want = _manifest(layers, taps, skip)
+    for key in ("format", "dtype"):
+        if manifest.get(key) != want[key]:
+            raise FormatError(f"checkpoint {key} is {manifest.get(key)!r}, not {want[key]!r}")
+    for i, (got, expected) in enumerate(itertools.zip_longest(listed, want["entries"])):
+        if json.dumps(got, sort_keys=True) != json.dumps(expected, sort_keys=True):   # true != 1
+            raise FormatError(f"checkpoint entry {i} is {got}; the architecture needs {expected}")
+    arrays = [arr for name, _, arr in _entries(layers) if name not in skip]
+    need = 8 * sum(arr.size for arr in arrays)
+    if nbytes < need:
+        raise FormatError(f"checkpoint binary truncated at byte {nbytes} of {need}")
+    if nbytes > need:
+        raise FormatError(f"checkpoint binary has {nbytes - need} trailing bytes at offset {need}")
+    values = np.fromfile(bin_path, dtype=CHECKPOINT_DTYPE)
+    for arr, start in zip(arrays, np.cumsum([0] + [arr.size for arr in arrays])):
+        arr[...] = values[start:start + arr.size].reshape(arr.shape)
     return Network(layers, taps)

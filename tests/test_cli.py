@@ -396,6 +396,27 @@ class TestTrainDml:
         assert message in capsys.readouterr().err
         assert not (out / "sweep000").exists()
 
+    def test_plan_checks_hidden_widths_without_building_a_network(self, tmp_path, monkeypatch):
+        from neuralbayes import nn
+        from neuralbayes.errors import ConfigError
+        data = tmp_path / "d.csv"
+        run(["gen-data", "--kind", "blobs", "--k", "3", "--n", "20", "--seed", "4",
+             "--out", str(data)])
+        parser = cli.build_parser()
+        argv = ["train-mim", "--data", str(data), "--mbs", "20", "--bs", "20",
+                "--out-dir", str(tmp_path / "o")]
+        (mim_run,) = cli._training_runs(parser, parser.parse_args(argv), argv)
+        ds = cli._load_standardized(mim_run)
+
+        def no_init(*args):
+            raise AssertionError("_plan initialized a layer")
+
+        monkeypatch.setattr(nn, "orthogonal_init", no_init)
+        assert cli._plan(mim_run, ds).cfg["hidden"] == [500, 500, 500]
+        mim_run.hidden = [8, 0]
+        with pytest.raises(ConfigError, match="hidden width 0 is not a positive number of units"):
+            cli._plan(mim_run, ds)
+
     @pytest.mark.parametrize("flags", [["--beta", "nan"], ["--alpha", "nan"]])
     def test_nan_mim_weight_flag_exits_1_without_directory(self, tmp_path, capsys, flags):
         data = tmp_path / "b.csv"
@@ -737,6 +758,8 @@ class TestProbeAndGrid:
                  "checkpoint tap 'a' is not an integer layer index"),
                 (out_dir / "checkpoint", lambda m: m["architecture"].update(taps=[2.5]),
                  "checkpoint tap 2.5 is not an integer layer index"),
+                (out_dir / "checkpoint", lambda m: m["architecture"].update(taps=[99]),
+                 "checkpoint tap 99 is not an integer layer index"),
                 (tmp_path / "cnn", pool_kernel,
                  "checkpoint layer 3 (maxpool) needs an integer kernel, got '2'")]:
             manifest = json.loads(stem.with_suffix(".json").read_text())
@@ -818,6 +841,36 @@ class TestProbeAndGrid:
         assert code == 1
         assert "grid export needs 2-D data or stored lift metadata" in capsys.readouterr().err
         assert not grid.exists()
+
+    def test_export_grid_needs_a_lift_from_2d(self, tmp_path, capsys):
+        from neuralbayes import nn
+        data, grid = tmp_path / "d.csv", tmp_path / "g.csv"
+        run(["gen-data", "--kind", "moons", "--n", "10", "--dim", "3", "--seed", "2",
+             "--out", str(data)])
+        meta = json.loads(data.with_suffix(".meta.json").read_text())
+        meta["lift"]["base_dim"] = 1
+        data.with_suffix(".meta.json").write_text(json.dumps(meta))
+        nn.save_checkpoint(nn.build_mlp(3, [4], 2, seed=0, batchnorm=True), tmp_path / "c")
+        code = run(["export-grid", "--checkpoint", str(tmp_path / "c"), "--data", str(data),
+                    "--out", str(grid)])
+        assert code == 1
+        assert "stored lift metadata from 2-D data" in capsys.readouterr().err
+        assert not grid.exists()
+
+    def test_export_grid_unlifts_data_lifted_to_2d(self, tmp_path):
+        # a lift to 2-D is a rotation: the grid spans the base points, not the rotated ones
+        from neuralbayes import data as D, nn
+        data, grid = tmp_path / "d.csv", tmp_path / "g.csv"
+        run(["gen-data", "--kind", "moons", "--n", "10", "--dim", "2", "--seed", "2",
+             "--out", str(data)])
+        nn.save_checkpoint(nn.build_mlp(2, [4], 2, seed=0, batchnorm=True), tmp_path / "c")
+        assert run(["export-grid", "--checkpoint", str(tmp_path / "c"), "--data", str(data),
+                    "--resolution", "3", "--out", str(grid)]) == 0
+        rows = np.loadtxt(grid, delimiter=",", skiprows=1)
+        meta = json.loads(data.with_suffix(".meta.json").read_text())
+        base = D.unlift_points(D.load_csv(data).points, meta["lift"])
+        np.testing.assert_array_equal(rows[:, :2].min(axis=0), base.min(axis=0))
+        np.testing.assert_array_equal(rows[:, :2].max(axis=0), base.max(axis=0))
 
 
 class TestGradcheckCommand:

@@ -981,8 +981,12 @@ class TestCheckpointManifest:
         (lambda a: a["layers"][0].update(in_dim=3.0),
          "checkpoint layer 0 (dense) needs an integer in_dim, got 3.0"),
         (lambda a: a["layers"][1].update(features=True),
-         "checkpoint layer 1 (batchnorm) needs an integer features, got True")],
-        ids=["float-in-dim", "bool-features"])
+         "checkpoint layer 1 (batchnorm) needs an integer features, got True"),
+        (lambda a: a["layers"][0].update(in_dim=10**12),   # rejected before any allocation
+         "checkpoint layer 0 (dense) has in_dim 1000000000000: negative, or a size beyond the"),
+        (lambda a: a["layers"][1].update(momentum=2.5),
+         "is malformed: ConfigError batch-norm momentum must lie in (0, 1)")],
+        ids=["float-in-dim", "bool-features", "huge-in-dim", "momentum-out-of-range"])
     def test_mistyped_layer_argument_rejected(self, saved, edit, message):
         # mistyped taps and a CNN's pool kernel: test_cli's malformed-checkpoint test
         with pytest.raises(FormatError, match=re.escape(message)):
@@ -1004,15 +1008,9 @@ class TestBiasedCheckpoint:
         for i in (0, 3, 6):
             net.layers[i].bias = Tensor(rng.standard_normal(net.layers[i].out_dim),
                                         requires_grad=True)
-        entries = nn._entries(net.layers)
-        assert [name for name, _, _ in entries if name.endswith("bias")] == [
+        assert [name for name, _, _ in nn._entries(net.layers) if name.endswith("bias")] == [
             "layer0.bias", "layer3.bias", "layer6.bias"]
-        manifest = {"format": "nb-checkpoint-v1", "dtype": "<f8", "architecture": net.spec(),
-                    "entries": [{"name": name, "kind": kind, "shape": list(arr.shape)}
-                                for name, kind, arr in entries]}
-        stem.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-        stem.with_suffix(".bin").write_bytes(b"".join(arr.astype("<f8").tobytes()
-                                                      for _, _, arr in entries))
+        nn.save_checkpoint(net, stem)   # the writer lists every bias the layers hold
         return net
 
     def test_loads_to_the_biased_networks_eval_map(self, tmp_path):

@@ -9,11 +9,16 @@ directory OUTDIR, runs a fixed set of small commands in-process through
 ``mnist-cnn`` preset on IDX images), ``train-mim`` (an MLP, a CNN with
 multi-scale states, a v1 CNN at BS = 2 MBS), ``probe`` in both batch-norm
 modes and on a DML tap, ``export-grid`` and ``gradcheck`` with and without
-the negative control.  It prints each command with its exit code, stdout
-and stderr, then one ``sha256  path`` line per file in OUTDIR.  Every path
-is relative to OUTDIR, so the same checkout prints the same lines into any
-directory, and two checkouts that compute the same bytes print the same
-lines:
+the negative control.  Its first line is the scope of the promise: numpy's
+version, its BLAS library and version, and that library's thread count,
+since OpenBLAS sums some products in another order on one thread than on
+several.  It reads numpy alone, through the benchmark's ``blas_info``,
+never the checkout, so every checkout prints the same first line in one
+shell, and no file in OUTDIR records it.  Then it prints each command with
+its exit code, stdout and stderr, and one ``sha256  path`` line per file
+in OUTDIR.  Every path is relative to OUTDIR, so the same checkout prints
+the same lines into any directory, and two checkouts that compute the same
+bytes print the same lines:
 
     python tools/fixed_runs.py OLD old-runs > old.txt
     python tools/fixed_runs.py NEW new-runs > new.txt
@@ -34,6 +39,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.run import blas_info  # noqa: E402
 
 DML = ["train-dml", "--seed", "1"]
 MIM = ["train-mim", "--seed", "2"]
@@ -70,6 +78,13 @@ COMMANDS = [
     ["gradcheck", "--seed", "2024", "--cases", "2", "--negative-control",
      "--out", "gradcheck_negative.json"],
 ]
+
+
+def scope() -> str:
+    """numpy's version, its BLAS and the BLAS's thread count, as one line;
+    the benchmark's ``blas_info`` reads the last two from numpy alone."""
+    blas, threads = blas_info()
+    return f"# numpy {np.__version__}; blas {blas}; blas threads {threads}"
 
 
 def _write_inputs(data) -> None:
@@ -118,7 +133,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tools/fixed_runs.py CHECKOUT OUTDIR", file=sys.stderr)
         return 2
-    print("\n".join(fixed_runs(Path(argv[0]), Path(argv[1]))))
+    print("\n".join([scope(), *fixed_runs(Path(argv[0]), Path(argv[1]))]))
     return 0
 
 
