@@ -102,7 +102,7 @@ def dml_loss(p: PosteriorBatch) -> Tensor:
 NOISE_SIGMA = 0.1   # perturbation scale, calibrated for unit-variance data
 
 
-def smoothness_penalty(net, batch, y0: Tensor, rng: np.random.Generator, *,
+def smoothness_penalty(net, batch, y0, rng: np.random.Generator, *,
                        noise: np.ndarray | None = None, zeta: float | None = None) -> Tensor:
     """Finite-difference smoothness of ``net`` under data-spanned perturbations.
 
@@ -112,10 +112,13 @@ def smoothness_penalty(net, batch, y0: Tensor, rng: np.random.Generator, *,
     |zeta| < 1e-4, which would blow up the 1/zeta^2 normalization).  Returns
     (1/B) sum_i ||y0_i - net(x_i + zeta * dhat_i)||^2 / zeta^2.
 
-    ``y0`` is the clean output net(batch), which the caller's objective has
-    already computed (and keeps on its tape), so only the perturbed batch is
-    forwarded here.  ``net`` is any callable Tensor -> Tensor whose output is
-    (B, d) or (B,), with ``y0``'s shape.
+    ``y0`` is the clean output net(batch), which the caller's objective
+    computes (and keeps on its tape), so only the perturbed batch is
+    forwarded here.  It is a tensor, or a function that computes it: then
+    the perturbation is drawn first, and inside ``tensor.lanes()`` the
+    perturbed forward runs on the second lane while ``y0()`` runs here.
+    ``net`` is any callable Tensor -> Tensor whose output is (B, d) or (B,),
+    with ``y0``'s shape.
     ``noise`` and ``zeta`` override the random draws (used by tests that
     check the arithmetic against direct evaluation).
     """
@@ -136,7 +139,11 @@ def smoothness_penalty(net, batch, y0: Tensor, rng: np.random.Generator, *,
         zeta = float(rng.normal(0.0, NOISE_SIGMA))
         while abs(zeta) < 1e-4:  # would blow up the 1/zeta^2 normalization
             zeta = float(rng.normal(0.0, NOISE_SIGMA))
-    y1 = net(Tensor((flat + zeta * dhat).reshape(xb.shape)))
+    perturbed = Tensor((flat + zeta * dhat).reshape(xb.shape))
+    if callable(y0):
+        y0, y1 = T._both(y0, lambda: net(perturbed))
+    else:
+        y1 = net(perturbed)
     if y0.shape != y1.shape:
         raise ShapeError(f"clean output {y0.shape} does not match the perturbed output {y1.shape}")
     diff = y0 - y1
@@ -157,13 +164,31 @@ def smoothed_objective(head_loss, target, beta: float):
     the clean forward in batch mode too, so the call moves nothing (holdout
     evaluation).  ``terms`` ends with ``smooth`` (beta * R_c, only when
     beta > 0) and ``total``.
+
+    The closure runs inside ``tensor.lanes()``: the perturbation is drawn
+    first, so the rng is read in the same order, and the perturbed forward
+    runs on the second lane while the clean forward and ``head_loss`` run
+    here.  The values are those of running them one after the other.
+    Inside ``no_tape()`` they do run one after the other: a holdout
+    evaluation's peak memory is then one forward's, where two overlapping
+    forwards would hold up to both (on a 16-64-64-2 MLP at 100 rows, 337 KB
+    against up to 548 KB, depending on how they happened to overlap).
     """
+    @T.lanes()
     def objective(net, xb: Tensor, rng: np.random.Generator, mode: str = "train"):
-        out, states = net.forward_with_states(xb, mode)
-        total, terms = head_loss(out, states)
-        if beta > 0.0:
+        if beta <= 0.0:
+            total, terms = head_loss(*net.forward_with_states(xb, mode))
+        else:
+            head = []
+
+            def clean() -> Tensor:
+                out, states = net.forward_with_states(xb, mode)
+                head.extend(head_loss(out, states))
+                return target(out, states)
+
             rc = smoothness_penalty(lambda t: target(*net.forward_with_states(t, "batch")),
-                                    xb, target(out, states), rng)
+                                    xb, clean if T._taping() else clean(), rng)
+            total, terms = head
             smooth = rc * beta
             total = total + smooth
             terms["smooth"] = smooth.item()

@@ -52,8 +52,6 @@ change no layer, spec, parameter, tap or checkpoint.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import itertools
 import json
 from pathlib import Path
@@ -73,59 +71,15 @@ def _check_mode(mode) -> None:
         raise ConfigError(f"unknown forward mode {mode!r}; expected one of {MODES}")
 
 
-# (getter, setter) symbol pairs of OpenBLAS's thread count, newest build first
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_threads():
-    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
-    loaded from its ``numpy.libs`` directory, or None where there is none."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))   # the already-loaded library, not a second copy
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
-
-
-_OPENBLAS_THREADS = _openblas_threads()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore the caller's
-    count, also when the block raises; without OpenBLAS, run it as is."""
-    if _OPENBLAS_THREADS is None:
-        yield
-        return
-    get, set_ = _OPENBLAS_THREADS
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def orthogonal_init(rows: int, cols: int, seed: int) -> np.ndarray:
     """Orthonormal (rows, cols) matrix, deterministic per seed.
 
     If rows <= cols the rows are orthonormal (W Wt = I), otherwise the columns
     are (Wt W = I); all singular values are exactly 1 up to float rounding.
 
-    The QR factorization runs with OpenBLAS on one thread, and the caller's
-    thread count comes back afterwards.  On a 2-core AVX-512 Xeon a second
-    thread made every factorization the library builds slower (576 x 128:
+    The QR factorization runs with OpenBLAS on one thread (``tensor.lanes``),
+    and the caller's thread count comes back afterwards.  On a 2-core
+    AVX-512 Xeon a second thread made every factorization the library builds slower (576 x 128:
     16-19 ms on two threads against 7-8 ms on one; 1800 x 500: 129-151
     against 107-110 ms); one thread only loses from about 2048 x 2048
     (1114-1216 against 1309-1384 ms), which no preset or default builds.
@@ -138,7 +92,7 @@ def orthogonal_init(rows: int, cols: int, seed: int) -> np.ndarray:
         raise ShapeError("orthogonal_init needs positive dimensions")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
-    with _one_blas_thread():
+    with T.lanes():
         q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))  # fix the sign ambiguity so the result is unique
     if rows < cols:
@@ -187,13 +141,19 @@ class DenseLayer(Layer):
 
 
 class Conv2dLayer(Layer):
-    """2-D convolution with (out, in, k, k) kernels, orthogonal across the fan-in."""
+    """2-D convolution with (out, in, k, k) kernels, orthogonal across the fan-in.
+
+    A padding as large as the kernel is a ``ConfigError``: it would only add
+    output rows and columns that see nothing but zeros, and a checkpoint's
+    padding sizes no stored array, so nothing else bounds it."""
 
     TYPE, ARGS = "conv", ("in_channels", "out_channels", "kernel", "stride", "padding", "seed")
     PARAMS = ("kernels", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, seed: int | None = 0):
+        if padding >= kernel:
+            raise ConfigError(f"conv padding {padding} must be smaller than its kernel {kernel}")
         self.in_channels, self.out_channels = in_channels, out_channels
         self.kernel, self.stride, self.padding, self.seed = kernel, stride, padding, seed
         fan_in = in_channels * kernel * kernel
@@ -528,7 +488,10 @@ def parse_cnn_arch(arch: str) -> list[tuple[str, tuple]]:
     for tok in (t.strip() for t in arch.split("-") if t.strip()):
         kind, args = _parse_token(tok)
         if kind != "P":
-            parsed.append((kind, tuple(_int_args(tok, args))))
+            ints = _int_args(tok, args)
+            if kind == "C" and ints[3] >= ints[1]:
+                raise ConfigError(f"conv padding must be smaller than its kernel, got {tok!r}")
+            parsed.append((kind, tuple(ints)))
             continue
         mode = args[3]
         if args[0] == ".":
@@ -553,7 +516,8 @@ def build_cnn(arch: str, input_shape: tuple[int, int, int], seed: int,
     block (conv + optional batch norm + ReLU, tapped after the ReLU),
     ``P(kernel,stride,padding,max|avg)`` for pooling (``P(.,.,.,avg)`` pools
     the whole spatial field to 1x1; pool padding must be 0, anything else
-    raises ``ConfigError``), and ``FC(n)`` for flatten + dense.  A token
+    raises ``ConfigError``, as does a conv padding as large as its kernel),
+    and ``FC(n)`` for flatten + dense.  A token
     with the wrong number of arguments or a non-integer one raises a
     ``ConfigError`` that names it (``parse_cnn_arch``).
     ``input_shape`` is (channels, height, width); FC input sizes are resolved

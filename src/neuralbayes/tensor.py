@@ -32,6 +32,12 @@ Conventions:
     transcendental per entry,
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
+  * inside ``lanes()`` OpenBLAS runs on one thread, and the library's
+    independent work (the two branches of a backward, the perturbed forward
+    beside the clean one, evaluation chunks) runs on two lanes: the caller
+    and one worker thread.  A node folds its incoming gradients in one fixed
+    order, so the values do not depend on the lanes or on the BLAS thread
+    count,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
     only read frees every intermediate as soon as the next op has used it,
   * backward closures only read their incoming gradient, which may be a
@@ -48,8 +54,13 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import os
+import queue
 import threading
+from concurrent.futures import Future
+from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -63,6 +74,122 @@ BN_VAR_FLOOR = 1e-5   # batch norm's denominator is sqrt(max(var, BN_VAR_FLOOR))
 BackwardFn = Callable[[np.ndarray], None]
 
 _tape = threading.local()  # per thread: .off is True inside no_tape()
+# per thread: .held inside lanes(), .second on the worker, .walk and .rank in a backward
+_lane = threading.local()
+
+# (getter, setter) symbol pairs of OpenBLAS's thread count, newest build first
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    loaded from its ``numpy.libs`` directory, or None where there is none."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))   # the already-loaded library, not a second copy
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_threads()
+# two lanes where two CPUs are usable and OpenBLAS can be held at one thread
+_LANES = 2 if (_OPENBLAS_THREADS is not None and hasattr(os, "sched_getaffinity")
+               and len(os.sched_getaffinity(0)) >= 2) else 1
+_worker: tuple[int, queue.SimpleQueue] | None = None   # (pid, task queue) of the second lane
+_worker_lock = threading.Lock()
+_hold = [0, None]   # blocks inside lanes() in this process, and the count before the first
+_hold_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def lanes() -> Iterator[None]:
+    """Run the block with OpenBLAS on one thread and the second lane open,
+    then restore the caller's thread count, also when the block raises.
+
+    On a 2-core Xeon a second OpenBLAS thread speeds a 400-wide float64 GEMM
+    only 1.2-1.7x and then spins on the other core: after one 400^3
+    product, a 200 ms sleep used 136 ms of CPU.  Inside this block the
+    library spends that core on its own independent work instead, on two
+    lanes, the caller and one worker thread (``_both``).  One thread also
+    fixes the bits: OpenBLAS sums some products in another order on one
+    thread than on several.  Where fewer than two CPUs are usable, or numpy
+    loaded no OpenBLAS whose thread count can be set, there is one lane and
+    everything runs on the caller, in order; without such an OpenBLAS the
+    thread count is left alone.  The count is process-wide, so the first
+    block to enter, in any thread, sets it and the last to leave restores
+    it.
+    """
+    held = getattr(_lane, "held", False)
+    with _hold_lock:
+        if _hold[0] == 0 and _OPENBLAS_THREADS is not None:
+            _hold[1] = _OPENBLAS_THREADS[0]()
+            _OPENBLAS_THREADS[1](1)
+        _hold[0] += 1
+    _lane.held = True
+    try:
+        yield
+    finally:
+        _lane.held = held
+        with _hold_lock:
+            _hold[0] -= 1
+            if _hold[0] == 0 and _OPENBLAS_THREADS is not None:
+                _OPENBLAS_THREADS[1](_hold[1])
+
+
+def _both(first: Callable, second: Callable) -> tuple:
+    """``(first(), second())``: inside ``lanes()`` with two lanes, ``second``
+    runs on the worker while ``first`` runs here, else after ``first``.
+
+    The worker runs ``second`` in this thread's ``no_tape()`` state, and it
+    has finished, or failed, before this returns, also when ``first``
+    raises.  An error on either lane reaches the caller as it was raised,
+    ``first``'s before ``second``'s.  Work submitted from the worker runs
+    there, in order: a lane never waits on itself.
+    """
+    if _LANES < 2 or not getattr(_lane, "held", False) or getattr(_lane, "second", False):
+        return first(), second()
+    done = Future()
+    _second_lane().put((done, second, getattr(_tape, "off", False)))
+    try:
+        result = first()
+    finally:
+        done.exception()   # waits for the worker, whatever happened here
+    return result, done.result()
+
+
+def _second_lane() -> queue.SimpleQueue:
+    """The worker's task queue.  The worker starts on first use, and again
+    in a forked child, which has no copy of its parent's threads."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), name="neuralbayes-lane",
+                             daemon=True).start()
+            _worker = (os.getpid(), tasks)
+        return _worker[1]
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    _lane.second = True
+    while True:
+        done, task, _tape.off = tasks.get()
+        try:
+            done.set_result(task())
+        except BaseException as exc:   # handed to the caller, which re-raises it
+            done.set_exception(exc)
+        done = task = None   # an idle worker keeps no tape alive
 
 
 @contextlib.contextmanager
@@ -79,6 +206,11 @@ def no_tape() -> Iterator[None]:
         yield
     finally:
         _tape.off = previous
+
+
+def _taping() -> bool:
+    """Whether ops in this thread record a tape (outside ``no_tape()``)."""
+    return not getattr(_tape, "off", False)
 
 
 class Tensor:
@@ -169,24 +301,137 @@ class Tensor:
         the same record are deterministic and bitwise equal.  A non-leaf
         node's gradient is dropped once its backward has pushed it to the
         parents, so afterwards only leaves hold a ``.grad``.
+
+        The tape runs as a ready-queue walk (``_Walk``) inside ``lanes()``:
+        a node runs once every node that consumes it has run, on whichever
+        lane is free, so independent branches run side by side on two
+        lanes.  Each node folds its incoming gradients in one order, that of
+        its consumers' descending rank in the tape's topological order, so
+        the values are bitwise those of one lane, which visits the nodes in
+        that order and folds each gradient as it arrives.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             return
-        order = _toposort(self)
-        for node in order:
-            node.grad = None
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node.grad is not None:
-                node._backward(node.grad)
-                if node._parents:
-                    node.grad = None
+        with lanes():
+            walk = _Walk(self)
+            _both(walk.run, walk.run)
 
 
 def _noop(_g: np.ndarray) -> None:
     return None
+
+
+class _Walk:
+    """One backward pass as a ready-queue walk that one or two lanes share.
+
+    Nodes are named by their rank in ``_toposort``'s order; a node's
+    consumers are the nodes that list it as a parent.  A node is ready once
+    all its consumers have run, and a lane takes the highest-ranked ready
+    node that is admissible, so one lane visits the nodes in descending
+    rank.  A node's gradient is the sum of its consumers' contributions
+    folded in descending consumer rank: a contribution whose turn has come
+    folds at once, and one that arrives early waits until the consumers
+    above it have folded.  At most one consumer per node may run early (a
+    node is admissible only if, for each parent, it is that parent's next
+    consumer or no other consumer of it runs early), so a node holds at most
+    one early contribution beside its running sum, never one array per
+    consumer.
+    """
+
+    def __init__(self, root: Tensor):
+        self.order = order = _toposort(root)
+        self.rank = rank = {id(node): i for i, node in enumerate(order)}
+        # each node's distinct parents on the walk, and its consumers, highest first
+        self.parents = [list(dict.fromkeys(rank[id(p)] for p in node._parents
+                                           if p.requires_grad)) for node in order]
+        self.consumers = [[] for _ in order]
+        for c in reversed(range(len(order))):
+            for p in self.parents[c]:
+                self.consumers[p].append(c)
+        self.turn = [0] * len(order)          # index of the consumer whose turn it is
+        self.early = [None] * len(order)      # (rank, contributions) of an early consumer
+        self.waiting = [len(c) for c in self.consumers]
+        self.finished = [False] * len(order)
+        self.ready = [len(order) - 1]        # the root
+        self.left = len(order)
+        self.failed = False
+        self.cond = threading.Condition()
+        for node in order:
+            node.grad = None
+        root.grad = np.ones_like(root.data)
+
+    def run(self) -> None:
+        """Run admissible nodes until none is left or a lane has failed."""
+        _lane.walk = self
+        try:
+            while (c := self._take()) is not None:
+                node = self.order[c]
+                _lane.rank = c
+                try:
+                    if node.grad is not None:
+                        node._backward(node.grad)
+                        if node._parents:
+                            node.grad = None
+                except BaseException:
+                    with self.cond:
+                        self.failed = True
+                        self.cond.notify_all()
+                    raise
+                self._finish(c)
+        finally:
+            _lane.walk = None
+
+    def _in_turn(self, p: int, c: int) -> bool:
+        return self.consumers[p][self.turn[p]] == c
+
+    def _take(self) -> int | None:
+        with self.cond:
+            while not (self.failed or self.left == 0):
+                for c in sorted(self.ready, reverse=True):
+                    if all(self._in_turn(p, c) or self.early[p] is None for p in self.parents[c]):
+                        self.ready.remove(c)
+                        for p in self.parents[c]:
+                            if not self._in_turn(p, c):
+                                self.early[p] = (c, [])
+                        return c
+                self.cond.wait()
+            return None
+
+    def deliver(self, t: Tensor, g: np.ndarray) -> None:
+        """A contribution to ``t`` from the node this lane runs."""
+        p = self.rank[id(t)]
+        with self.cond:
+            if self._in_turn(p, _lane.rank):
+                t.grad = g if t.grad is None else t.grad + g
+            else:
+                self.early[p][1].append(g)
+
+    def _finish(self, c: int) -> None:
+        with self.cond:
+            self.finished[c] = True
+            for p in self.parents[c]:
+                if self._in_turn(p, c):
+                    self._pass_turn(p)
+                self.waiting[p] -= 1
+                if self.waiting[p] == 0:
+                    self.ready.append(p)
+            self.left -= 1
+            self.cond.notify_all()
+
+    def _pass_turn(self, p: int) -> None:
+        """Give ``p``'s turn to its next consumer, folding what that one sent early."""
+        self.turn[p] += 1
+        early = self.early[p]
+        if early is None or not self._in_turn(p, early[0]):
+            return
+        node = self.order[p]
+        for g in early[1]:
+            node.grad = g if node.grad is None else node.grad + g
+        self.early[p] = None
+        if self.finished[early[0]]:
+            self.turn[p] += 1
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -216,7 +461,11 @@ def _as_tensor(value) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    walk = getattr(_lane, "walk", None)
+    if walk is not None:
+        walk.deliver(t, g)
+    else:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -858,6 +1107,9 @@ def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarra
     visits, so parameters unreachable from the loss get zero gradients of
     matching shape.  On the way out, an error in the backward included, no
     parameter keeps a ``.grad``: the returned dict holds the only reference.
+    The backward runs inside ``lanes()``, so the gradients are bitwise the
+    same on one lane or two and at any BLAS thread count; an error on
+    either lane reaches the caller as it was raised.
     """
     if loss.data.size != 1:
         raise ShapeError(f"gradients() requires a scalar loss, got shape {loss.shape}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -56,6 +57,7 @@ class AdamState:
         return state
 
 
+@T.lanes()
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
               state: AdamState) -> None:
     """One bias-corrected Adam update; swaps fresh buffers into the leaves.
@@ -63,34 +65,51 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
     The moments are updated in place (they belong to ``state`` alone); the
     arithmetic is m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
     p - (lr mhat) / (sqrt(vhat) + eps) - (lr wd) p, operation for operation.
+    Every gradient's shape is checked before any parameter moves.  The
+    update runs inside ``tensor.lanes()``, with the parameters split over
+    the two lanes by size (each parameter's arithmetic is unchanged): on
+    the 4x400 MLP of the 512-D moons benchmark it took 8.0-8.4 ms on one
+    lane and 4.2-4.3 ms on two (2-core Xeon).
     """
+    for name, p in params.items():
+        if grads[name].shape != p.data.shape:
+            raise ShapeError(f"gradient shape {grads[name].shape} != parameter shape "
+                             f"{p.data.shape} ({name})")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} ({name})")
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        step = (1.0 - b1) * g
-        m += step
-        v *= b2
-        np.multiply(1.0 - b2, g, out=step)
-        step *= g
-        v += step
-        np.divide(m, c1, out=step)
-        step *= state.lr
-        vhat = v / c2
-        np.sqrt(vhat, out=vhat)
-        vhat += ADAM_EPS
-        step /= vhat
-        new = p.data - step
-        if state.weight_decay > 0.0:
-            np.multiply(state.lr * state.weight_decay, p.data, out=step)
-            new -= step
-        p.data = new
+
+    def update(names: list[str]) -> None:
+        for name in names:
+            p, g = params[name], grads[name]
+            m, v = state.m[name], state.v[name]
+            m *= b1
+            step = (1.0 - b1) * g
+            m += step
+            v *= b2
+            np.multiply(1.0 - b2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, c1, out=step)
+            step *= state.lr
+            vhat = v / c2
+            np.sqrt(vhat, out=vhat)
+            vhat += ADAM_EPS
+            step /= vhat
+            new = p.data - step
+            if state.weight_decay > 0.0:
+                np.multiply(state.lr * state.weight_decay, p.data, out=step)
+                new -= step
+            p.data = new
+
+    # largest first, each onto the lane with fewer entries so far
+    shares, entries = ([], []), [0, 0]
+    for name in sorted(params, key=lambda k: -params[k].data.size):
+        lane = entries.index(min(entries))
+        shares[lane].append(name)
+        entries[lane] += params[name].data.size
+    T._both(lambda: update(shares[0]), lambda: update(shares[1]))
 
 
 @dataclass
@@ -164,7 +183,7 @@ def _libc(name: str, argtypes: list):
 _MALLOC_TRIM = _libc("malloc_trim", [ctypes.c_size_t])   # glibc only
 # mallopt's parameter numbers are glibc's (<malloc.h>), so only where glibc is
 _MALLOPT = _libc("mallopt", [ctypes.c_int, ctypes.c_int]) if _MALLOC_TRIM else None
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _KEPT_MMAP_THRESHOLD = 32 * 2**20   # glibc's 64-bit cap for its dynamic threshold
 _KEPT_TRIM_THRESHOLD = 2**30        # far above one step's freed tape
 
@@ -177,13 +196,20 @@ def _keep_freed_heap() -> None:
     so a step that frees its whole tape hands the pages back and the next
     step faults every one of them in again.  This fixes the mmap threshold at
     32 MiB, where glibc's dynamic one stops climbing, and the trim threshold
-    at 1 GiB.  The setting is process-wide and stays after training: glibc
-    cannot restore its dynamic thresholds.  ``release_free_heap`` still
-    returns every free page.  A no-op where the C library is not glibc.
+    at 1 GiB.  It also caps glibc at one arena, so the second lane's worker
+    thread (``tensor.lanes``) allocates from the same heap and reuses the
+    pages the loop keeps, where an arena of its own would fault in its own
+    copy: on the 16x16 MIM CNN benchmark (2-core Xeon, two 20 s runs each)
+    the peak RSS was 208.1-208.2 MB with the cap and 252.8-253.7 MB
+    without, at a step p50 of 47.2-47.4 against 44.6-46.0 ms.  The
+    setting is process-wide and stays after training: glibc cannot restore
+    its dynamic thresholds.  ``release_free_heap`` still returns every free
+    page.  A no-op where the C library is not glibc.
     """
     if _MALLOPT is not None:
         _MALLOPT(_M_MMAP_THRESHOLD, _KEPT_MMAP_THRESHOLD)
         _MALLOPT(_M_TRIM_THRESHOLD, _KEPT_TRIM_THRESHOLD)
+        _MALLOPT(_M_ARENA_MAX, 1)
 
 
 def release_free_heap() -> None:
@@ -214,6 +240,7 @@ def _check_finite(loss: float, grads: Mapping[str, np.ndarray], step: int,
             raise DomainError(f"gradient of {name} is not finite at {where}")
 
 
+@T.lanes()
 def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
                     sched: AccumulationSchedule, opt: AdamState, seed: int,
                     epoch_callback: Callable[[int, Network], bool | None] | None = None) -> TrainLog:
@@ -244,6 +271,11 @@ def train_objective(net: Network, points: np.ndarray, objective: ObjectiveFn,
     cannot restore its dynamic thresholds.  On every exit, an error
     included, the free pages are handed back (``release_free_heap``), so the
     caller's resident set is its live arrays.
+    The whole loop, the epoch callback included, runs inside
+    ``tensor.lanes()``: OpenBLAS stays on one thread, so the run gives the
+    same bits at any BLAS thread count, and each step's independent work
+    runs on two lanes where the host has two CPUs (see ``gradients`` and
+    ``dml.smoothed_objective``).
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -316,6 +348,7 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
     return T.neg(T.tmean(T.tsum(Tensor(onehot) * T.log(probs + _CE_GUARD), axis=1)))
 
 
+@T.lanes()
 def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 200,
                  epochs: int = 30, lr: float = 1e-3, seed: int = 0) -> float:
     """Accuracy of a one-hidden-layer classifier on held-out features.
@@ -324,7 +357,8 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
     produced them.  A seeded quarter of the rows is held out for scoring,
     and the classifier trains on mini-batches of 128 of the rest.  A
     mini-batch whose loss or any gradient is not finite raises
-    ``DomainError``, as in ``train_objective``.
+    ``DomainError``, as in ``train_objective``.  It runs inside
+    ``tensor.lanes()``, as ``train_objective`` does.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -371,39 +405,46 @@ def near_equal_edges(n: int, size: int) -> list[int]:
     return [i * n // groups for i in range(groups + 1)]
 
 
-_EVAL_CHUNK_BYTES = _KEPT_MMAP_THRESHOLD // 2   # so each chunk's arrays reuse kept heap pages
+# so the two lanes' chunks together fit in the heap pages one chunk of 16 MiB kept
+_EVAL_CHUNK_BYTES = _KEPT_MMAP_THRESHOLD // 4
 _BN_GROUP_ROWS = 1000
 
 
+@T.lanes()
 def extract_features(net: Network, points: np.ndarray, tap: str = "last",
                      bn_train_mode: bool = False) -> np.ndarray:
     """Frozen hidden-state features at a named tap ('h0'.., 'last', or 'out').
 
     The library's one read-only forward loop: every forward here records no
     tape and nothing in the network mutates.  The result is a C-ordered
-    (N, D) array, filled chunk by chunk.
+    (N, D) array, filled chunk by chunk.  The whole body, the one-row sizing
+    forward included, runs inside ``tensor.lanes()``: OpenBLAS stays on one
+    thread, and the two lanes each forward the next chunk until none is
+    left, each chunk's rows at their own place in the result.
 
     By default batch norm normalizes with its running statistics ("eval"
     mode), folded into the dense or conv node before it (see ``nn``; the
     values match a layer-by-layer forward up to last bits).  Rows are then
     independent, so the chunk size only bounds memory: each chunk holds
-    ``max(1, 16 MiB // (8 * widest))`` rows, where
+    ``max(1, min(8 MiB // (8 * widest), ceil(N / 2)))`` rows, where
     ``widest`` is the largest per-row size (in float64 entries) of the
-    input, any tapped state or the output, read from a one-row forward.
-    16 MiB is half of the 32 MiB mmap threshold that ``_keep_freed_heap``
-    fixes: glibc serves smaller arrays from its heap, so each chunk reuses
-    the pages the previous one freed, where a larger array is a fresh mmap
-    whose every page faults in on every call.  On the benchmark's 16x16 MIM
-    CNN encoder (widest state 64x14x14) a chunk is 167 rows, and the traced
-    peak beside the result is 63.0 MiB at both 500 and 2000 rows.  A 4x400
-    MLP takes 5242 rows per chunk on 2-D input and 4096 on 512-D.  Other
-    chunk sizes move only last bits (at most 7.9e-16 relative on that
-    encoder after one training epoch).
+    input, any tapped state or the output, read from a one-row forward, so
+    N >= 2 rows make at least two chunks.  Two chunks in flight hold what
+    one 16 MiB chunk held: half of the 32 MiB mmap threshold that
+    ``_keep_freed_heap`` fixes.  glibc serves smaller arrays from its heap,
+    so each chunk reuses the pages an earlier one freed, where a larger
+    array is a fresh mmap whose every page faults in on every call.  On the
+    benchmark's 16x16 MIM CNN encoder (widest state 64x14x14) a chunk is 83
+    rows, and the traced peak beside the result is 63.4 MiB at 500 rows.  A
+    4x400 MLP takes up to 2621 rows per chunk on 2-D input and 2048 on
+    512-D.  Other chunk sizes move only last bits (at most 7.9e-16 relative
+    on that encoder after one training epoch).
 
     With ``bn_train_mode`` batch norm normalizes with each group's own
     statistics ("batch" mode): the rows are split into
     ``near_equal_edges(N, _BN_GROUP_ROWS)``, ceil(N / 1000) near-equal
-    groups with no group of a single row.
+    groups with no group of a single row, which the lanes share the same
+    way.
     """
     names = net.tap_names()
     if tap == "last":
@@ -413,22 +454,32 @@ def extract_features(net: Network, points: np.ndarray, tap: str = "last",
     n = points.shape[0]
     if n == 0:
         raise ShapeError("cannot extract features of an empty point set")
-    features = None
     with T.no_tape():
         if bn_train_mode:
             mode, edges = "batch", near_equal_edges(n, _BN_GROUP_ROWS)
         else:
             out, states = net.forward_with_states(Tensor(points[:1]), "eval")
             widest = max(a[0].size for a in (points, out.data, *(s.data for s in states)))
-            chunk = max(1, _EVAL_CHUNK_BYTES // (8 * widest))
+            chunk = max(1, min(_EVAL_CHUNK_BYTES // (8 * widest), -(-n // 2)))
             mode, edges = "eval", [*range(0, n, chunk), n]
-        for start, stop in zip(edges, edges[1:]):
-            out, states = net.forward_with_states(Tensor(points[start:stop]), mode)
-            h = out if tap == "out" else states[names.index(tap)]
-            flat = h.data.reshape(h.shape[0], -1)
-            if features is None:
-                features = np.empty((n, flat.shape[1]))
-            features[start:stop] = flat
+        chunks, lock, features = list(zip(edges, edges[1:])), threading.Lock(), None
+
+        def forward_chunks(net) -> None:   # each lane takes the next chunk until none is left
+            nonlocal features
+            while True:
+                with lock:
+                    if not chunks:
+                        return
+                    start, stop = chunks.pop(0)
+                out, states = net.forward_with_states(Tensor(points[start:stop]), mode)
+                h = out if tap == "out" else states[names.index(tap)]
+                flat = h.data.reshape(h.shape[0], -1)
+                with lock:
+                    if features is None:
+                        features = np.empty((n, flat.shape[1]))
+                features[start:stop] = flat
+
+        T._both(lambda: forward_chunks(net), lambda: forward_chunks(net))
     return features
 
 
@@ -436,10 +487,10 @@ def predict_components(net: Network, points: np.ndarray) -> np.ndarray:
     """Hard labels from the network head: the argmax over states (0.5
     threshold for a two-column head) of ``extract_features(net, points,
     tap="out")``, so eval-mode forwards that record no tape, with each batch
-    norm folded into the node before it, in chunks of ``max(1, 16 MiB //
-    (8 * widest))`` rows that reuse kept heap pages.  A
-    4x400 MLP's 2000 rows are one chunk (up to 5242 rows on 2-D input, 4096
-    on 512-D), so the benchmark's DML predictions are one forward.
+    norm folded into the node before it, in chunks of ``max(1, min(8 MiB //
+    (8 * widest), ceil(N / 2)))`` rows that reuse kept heap pages, on two
+    lanes.  A 4x400 MLP's 2000 rows are two chunks of 1000, so the
+    benchmark's DML predictions are two forwards, one per lane.
     """
     return extract_features(net, points, tap="out").argmax(axis=1)
 

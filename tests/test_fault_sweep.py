@@ -95,6 +95,19 @@ def test_checkpoint_sweep_exits_0_or_1(tmp_path, moons, capsys, network):
             assert code == 1, (path, value)
 
 
+def test_conv_padding_cannot_size_an_allocation(tmp_path, moons, capsys):
+    """A padding as large as the kernel is refused when the checkpoint
+    loads: 10**5 used to pad 64-D rows into a 298 GiB array."""
+    build, dim, _ = NETWORKS["cnn"]
+    json_path, _ = nn.save_checkpoint(build(), tmp_path / "ckpt")
+    manifest = json.loads(json_path.read_text())
+    manifest["architecture"]["layers"][0]["padding"] = 10**5
+    json_path.write_text(json.dumps(manifest))
+    code, err = run(["probe", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(moons(dim)),
+                     "--hidden", "2", "--epochs", "1", "--seed", "0"], capsys)
+    assert code == 1 and "conv padding 100000 must be smaller than its kernel 3" in err, err
+
+
 def breaks_a_rule(path, value) -> bool:
     """Whether a sidecar with ``path`` set to ``value`` breaks a rule of
     ``cli._sidecar``: only the lift's seed may take another integer (10**12),

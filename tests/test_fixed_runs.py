@@ -1,6 +1,7 @@
 """``tools/fixed_runs.py``: the same flags and seeds reproduce every output
 byte, every stdout and every exit code of every command."""
 
+import os
 import re
 import subprocess
 import sys
@@ -9,9 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _fixed_runs(outdir: Path) -> list[str]:
+def _fixed_runs(outdir: Path, **env: str) -> list[str]:
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "fixed_runs.py"), str(ROOT),
-                           str(outdir)], capture_output=True, text=True, check=True)
+                           str(outdir)], capture_output=True, text=True, check=True,
+                          env={**os.environ, **env})
     return done.stdout.splitlines()
 
 
@@ -24,3 +26,9 @@ def test_two_fixed_runs_print_the_same_lines(tmp_path):
     files = {m[1] for m in map(re.compile(r"[0-9a-f]{64}  (.+)").fullmatch, first) if m}
     assert {"dml2/MANIFEST.json", "dmlsweep/sweep001/MANIFEST.json", "mimv1/checkpoint.bin",
             "grid.csv", "gradcheck.json"} <= files
+
+
+def test_lines_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the first line is provenance: it names the thread count
+    one, two = (_fixed_runs(tmp_path / n, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert len(one) > 100 and one[1:] == two[1:]

@@ -51,7 +51,7 @@ class TestOrthogonalInit:
         assert not np.array_equal(a, nn.orthogonal_init(5, 5, 43))
 
 
-needs_openblas = pytest.mark.skipif(nn._OPENBLAS_THREADS is None,
+needs_openblas = pytest.mark.skipif(T._OPENBLAS_THREADS is None,
                                     reason="numpy loaded no OpenBLAS with a thread-count setter")
 
 # sha256 of the inits that OpenBLAS splits differently on one thread than on two
@@ -66,7 +66,7 @@ for rows, cols in [(200, 900), (500, 1800), (500, 784)]:
 @needs_openblas
 class TestOrthogonalInitThreads:
     def test_qr_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
-        get, _ = nn._OPENBLAS_THREADS
+        get, _ = T._OPENBLAS_THREADS
         before, seen, qr = get(), [], np.linalg.qr
 
         def counting_qr(a):
@@ -78,7 +78,7 @@ class TestOrthogonalInitThreads:
         assert seen == [1] and get() == before
 
     def test_count_is_restored_when_the_qr_raises(self, monkeypatch):
-        get, _ = nn._OPENBLAS_THREADS
+        get, _ = T._OPENBLAS_THREADS
         before = get()
 
         def failing_qr(a):

@@ -527,9 +527,10 @@ class TestLinearProbe:
         for name, b in net.buffers().items():
             assert b.tobytes() == before[name].tobytes(), name
         mode = "batch" if bn_train_mode else "eval"
-        # chunk by chunk, as the extraction batches them: eval mode fits the 12
-        # rows in one chunk; batch mode takes ceil(12 / 5) = 3 groups of 4
-        edges = [0, 4, 8, 12] if bn_train_mode else [0, 12]
+        # chunk by chunk, as the extraction batches them: eval mode splits the
+        # 12 rows into two chunks of 6, one per lane; batch mode takes
+        # ceil(12 / 5) = 3 groups of 4
+        edges = [0, 4, 8, 12] if bn_train_mode else [0, 6, 12]
         want = []
         for s, e in zip(edges, edges[1:]):
             h = net.forward_with_states(Tensor(points[s:e]), mode)[1][-1].data
@@ -573,29 +574,50 @@ MIM_CNN_ARCH = "C(64,3,1,0)-P(2,2,0,max)-C(128,3,1,0)"   # train-mim's default c
 
 
 def forward_rows(monkeypatch, net, points, **kwargs):
-    """``extract_features``'s result and the row count of every forward it ran."""
-    rows, real = [], net.forward_with_states
+    """``extract_features``'s result and the row count of every forward it
+    ran, in the order of the rows they read: each forward's input is a view
+    of ``points``, and the sizing forward, which reads the first row, comes
+    before any chunk (the sort is stable)."""
+    calls, real = [], net.forward_with_states
+    base, row_bytes = points.__array_interface__["data"][0], points[0].nbytes
 
     def spy(x, mode):
-        rows.append(x.shape[0])
+        calls.append(((x.data.__array_interface__["data"][0] - base) // row_bytes, x.shape[0]))
         return real(x, mode)
 
     monkeypatch.setattr(net, "forward_with_states", spy)
-    return train.extract_features(net, points, **kwargs), rows
+    feats = train.extract_features(net, points, **kwargs)
+    return feats, [rows for _, rows in sorted(calls, key=lambda call: call[0])]
+
+
+def chunk_by_chunk(net, points, rows, mode="eval", tap=-1):
+    """The features of forwards of ``rows`` rows at a time, in order, on
+    OpenBLAS's one thread, as ``extract_features`` runs them."""
+    edges = np.cumsum([0, *rows])
+    want = []
+    with T.lanes():
+        for s, e in zip(edges, edges[1:]):
+            out, states = net.forward_with_states(Tensor(points[s:e]), mode)
+            h = out if tap is None else states[tap]
+            want.append(h.data.reshape(h.shape[0], -1))
+    return np.vstack(want)
 
 
 class TestEvalChunks:
-    """Eval-mode chunks of max(1, 16 MiB // (8 * widest)) rows, with widest
-    read from a one-row forward; batch-mode statistics groups of near-equal
-    size."""
+    """Eval-mode chunks of max(1, min(8 MiB // (8 * widest), ceil(N / 2)))
+    rows, with widest read from a one-row forward, so two lanes' chunks
+    together hold what one 16 MiB chunk held, and N >= 2 rows make at least
+    two chunks; batch-mode statistics groups of near-equal size."""
 
-    def test_mim_cnn_encoder_takes_167_rows(self, monkeypatch):
+    def test_mim_cnn_encoder_takes_83_rows(self, monkeypatch):
         net = nn.build_cnn(MIM_CNN_ARCH, (1, 16, 16), seed=2, batchnorm=True)
         points = np.random.default_rng(20).standard_normal((500, 1, 16, 16))
-        _, rows = forward_rows(monkeypatch, net, points)
-        assert rows == [1, 167, 167, 166]   # widest: the 64x14x14 first state
+        feats, rows = forward_rows(monkeypatch, net, points)
+        assert rows == [1] + [83] * 6 + [2]   # widest: the 64x14x14 first state
+        monkeypatch.undo()
+        assert np.array_equal(feats, chunk_by_chunk(net, points, rows[1:]))
 
-    def test_dml_mlp_predicts_2000_rows_in_one_forward(self, monkeypatch):
+    def test_dml_mlp_predicts_2000_rows_in_two_chunks(self, monkeypatch):
         net = nn.build_mlp(512, [400] * 4, 2, seed=3, batchnorm=True, softmax_head=True)
         rng = np.random.default_rng(21)
         for layer in net.layers:
@@ -603,12 +625,21 @@ class TestEvalChunks:
                 layer.running_mean = rng.standard_normal(layer.features)
                 layer.running_var = rng.uniform(0.5, 2.0, layer.features)
         points = rng.standard_normal((2000, 512))
-        with T.no_tape():
-            whole = net.forward(Tensor(points), "eval").data
+        want = chunk_by_chunk(net, points, [1000, 1000], tap=None)
         pred = train.predict_components(net, points)
-        assert pred.tobytes() == whole.argmax(axis=1).tobytes()
-        _, rows = forward_rows(monkeypatch, net, points, tap="out")
-        assert rows == [1, 2000]
+        assert pred.tobytes() == want.argmax(axis=1).tobytes()
+        feats, rows = forward_rows(monkeypatch, net, points, tap="out")
+        assert rows == [1, 1000, 1000] and np.array_equal(feats, want)
+
+    @pytest.mark.parametrize("n, want", [(1, [1, 1]), (2, [1, 1, 1]), (5, [1, 3, 2]),
+                                         (7, [1, 4, 3])])
+    def test_two_rows_make_two_chunks(self, monkeypatch, n, want):
+        net = nn.build_mlp(3, [6], 2, seed=4, batchnorm=True)
+        points = np.random.default_rng(25).standard_normal((n, 3))
+        feats, rows = forward_rows(monkeypatch, net, points, tap="h0")
+        assert rows == want
+        monkeypatch.undo()
+        assert np.array_equal(feats, chunk_by_chunk(net, points, rows[1:], tap=0))
 
     def test_peak_memory_does_not_grow_with_rows(self):
         net = nn.build_cnn(MIM_CNN_ARCH, (1, 16, 16), seed=2, batchnorm=True)

@@ -9,12 +9,14 @@ directory OUTDIR, runs a fixed set of small commands in-process through
 ``mnist-cnn`` preset on IDX images), ``train-mim`` (an MLP, a CNN with
 multi-scale states, a v1 CNN at BS = 2 MBS), ``probe`` in both batch-norm
 modes and on a DML tap, ``export-grid`` and ``gradcheck`` with and without
-the negative control.  Its first line is the scope of the promise: numpy's
-version, its BLAS library and version, and that library's thread count,
-since OpenBLAS sums some products in another order on one thread than on
-several.  It reads numpy alone, through the benchmark's ``blas_info``,
-never the checkout, so every checkout prints the same first line in one
-shell, and no file in OUTDIR records it.  Then it prints each command with
+the negative control.  Its first line is provenance: numpy's version, its
+BLAS library and version, and that library's thread count in this shell.
+It is not the scope of the promise: the library computes with OpenBLAS
+held at one thread, so the lines after it are the same at any thread
+count (checkouts from before that held it only for their inits).  It
+reads numpy alone, through the benchmark's ``blas_info``, never the
+checkout, so every checkout prints the same first line in one shell, and
+no file in OUTDIR records it.  Then it prints each command with
 its exit code, stdout and stderr, and one ``sha256  path`` line per file
 in OUTDIR.  Every path is relative to OUTDIR, so the same checkout prints
 the same lines into any directory, and two checkouts that compute the same
@@ -81,8 +83,9 @@ COMMANDS = [
 
 
 def scope() -> str:
-    """numpy's version, its BLAS and the BLAS's thread count, as one line;
-    the benchmark's ``blas_info`` reads the last two from numpy alone."""
+    """numpy's version, its BLAS and the BLAS's thread count, as one line of
+    provenance; the benchmark's ``blas_info`` reads the last two from numpy
+    alone."""
     blas, threads = blas_info()
     return f"# numpy {np.__version__}; blas {blas}; blas threads {threads}"
 
