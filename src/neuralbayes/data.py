@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DatasetError, FormatError, ShapeError
 from .nn import orthogonal_init
+from .tensor import lanes
 
 STD_FLOOR = 1e-8
 DISTANCE_BLOCK_BYTES = 1 << 22   # the separation check's (rows, n_b) squared-distance block
@@ -216,7 +217,8 @@ def unlift_points(points: np.ndarray, lift_meta: dict) -> np.ndarray:
     if points.shape[1] != dim:
         raise ShapeError(f"expected {dim}-D points for this lift, got {points.shape[1]}-D")
     rotation = orthogonal_init(dim, dim, lift_meta["seed"])
-    return (points @ rotation.T)[:, : lift_meta["base_dim"]]
+    with lanes():   # one BLAS thread: at K = 400 or 1000 two threads sum in another order
+        return (points @ rotation.T)[:, : lift_meta["base_dim"]]
 
 
 def standardize(ds: ManifoldDataset) -> ManifoldDataset:

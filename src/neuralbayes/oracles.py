@@ -24,7 +24,7 @@ from . import nn
 from .bayes import PosteriorBatch
 from .errors import DomainError, ShapeError
 from .mim import mi_closed_form, mim_v1_loss
-from .tensor import Tensor, gradients, log, mul, neg, stop_gradient, tmean, tsum
+from .tensor import Tensor, gradients, lanes, log, mul, neg, stop_gradient, tmean, tsum
 
 FD_STEP = 1e-5          # central-difference step of finite_diff_grad
 GRADCHECK_TOL = 1e-4    # criterion 2's tolerance on the max relative difference
@@ -106,6 +106,7 @@ def _live_mi_value(posterior: np.ndarray) -> float:
     return float((posterior * (np.log(posterior) - np.log(prior))).sum(axis=1).mean())
 
 
+@lanes()
 def gradient_equality_check(
     net: "nn.Network",
     batch: np.ndarray,
@@ -121,6 +122,7 @@ def gradient_equality_check(
     (the posterior/prior ratio); with ``wrong_branch=True`` the *live* factor
     is blocked instead, which breaks the equality and serves as a negative
     control.  Returns the max elementwise difference relative to max(1, |g|).
+    Both sides run inside ``tensor.lanes()``, on one BLAS thread.
     """
     params = net.parameters()
     x = Tensor(np.asarray(batch, dtype=np.float64))
@@ -157,6 +159,7 @@ def gradient_equality_check(
     return worst
 
 
+@lanes()
 def random_check_case(rng: np.random.Generator) -> tuple["nn.Network", np.ndarray]:
     """Sample a small random MLP-with-softmax-head and a matching batch.
 

@@ -35,9 +35,9 @@ Conventions:
   * inside ``lanes()`` OpenBLAS runs on one thread, and the library's
     independent work (the two branches of a backward, the perturbed forward
     beside the clean one, evaluation chunks) runs on two lanes: the caller
-    and one worker thread.  A node folds its incoming gradients in one fixed
-    order, so the values do not depend on the lanes or on the BLAS thread
-    count,
+    and one worker thread.  A node gathers its incoming gradients and sums
+    them when it runs, in one fixed order, so the values do not depend on
+    the lanes or on the BLAS thread count,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
     only read frees every intermediate as soon as the next op has used it,
   * backward closures only read their incoming gradient, which may be a
@@ -305,10 +305,9 @@ class Tensor:
         The tape runs as a ready-queue walk (``_Walk``) inside ``lanes()``:
         a node runs once every node that consumes it has run, on whichever
         lane is free, so independent branches run side by side on two
-        lanes.  Each node folds its incoming gradients in one order, that of
-        its consumers' descending rank in the tape's topological order, so
-        the values are bitwise those of one lane, which visits the nodes in
-        that order and folds each gradient as it arrives.
+        lanes.  A running node first sums what its consumers sent it, in
+        their descending rank in the tape's topological order, so the values
+        are bitwise those of one lane, which visits the nodes in that order.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -327,33 +326,26 @@ class _Walk:
     """One backward pass as a ready-queue walk that one or two lanes share.
 
     Nodes are named by their rank in ``_toposort``'s order; a node's
-    consumers are the nodes that list it as a parent.  A node is ready once
-    all its consumers have run, and a lane takes the highest-ranked ready
-    node that is admissible, so one lane visits the nodes in descending
-    rank.  A node's gradient is the sum of its consumers' contributions
-    folded in descending consumer rank: a contribution whose turn has come
-    folds at once, and one that arrives early waits until the consumers
-    above it have folded.  At most one consumer per node may run early (a
-    node is admissible only if, for each parent, it is that parent's next
-    consumer or no other consumer of it runs early), so a node holds at most
-    one early contribution beside its running sum, never one array per
-    consumer.
+    consumers are the nodes that list it as a parent.  A node gathers what
+    its consumers send it and is ready once they have all run; a lane takes
+    the highest-ranked ready node, so one lane visits the nodes in
+    descending rank.  A running node first folds what it gathered in
+    descending consumer rank, each consumer's arrays in the order it sent
+    them: the order in which one lane would fold them as they arrived.  So
+    a node holds every array sent to it until it runs.
     """
 
     def __init__(self, root: Tensor):
         self.order = order = _toposort(root)
         self.rank = rank = {id(node): i for i, node in enumerate(order)}
-        # each node's distinct parents on the walk, and its consumers, highest first
+        # each node's distinct parents on the walk, and its consumers that have not run
         self.parents = [list(dict.fromkeys(rank[id(p)] for p in node._parents
                                            if p.requires_grad)) for node in order]
-        self.consumers = [[] for _ in order]
-        for c in reversed(range(len(order))):
-            for p in self.parents[c]:
-                self.consumers[p].append(c)
-        self.turn = [0] * len(order)          # index of the consumer whose turn it is
-        self.early = [None] * len(order)      # (rank, contributions) of an early consumer
-        self.waiting = [len(c) for c in self.consumers]
-        self.finished = [False] * len(order)
+        self.waiting = [0] * len(order)
+        for ps in self.parents:
+            for p in ps:
+                self.waiting[p] += 1
+        self.sent = [[] for _ in order]      # (consumer rank, contribution) per node
         self.ready = [len(order) - 1]        # the root
         self.left = len(order)
         self.failed = False
@@ -363,13 +355,14 @@ class _Walk:
         root.grad = np.ones_like(root.data)
 
     def run(self) -> None:
-        """Run admissible nodes until none is left or a lane has failed."""
+        """Run ready nodes until none is left or a lane has failed."""
         _lane.walk = self
         try:
             while (c := self._take()) is not None:
                 node = self.order[c]
                 _lane.rank = c
                 try:
+                    self._fold(c)
                     if node.grad is not None:
                         node._backward(node.grad)
                         if node._parents:
@@ -383,55 +376,37 @@ class _Walk:
         finally:
             _lane.walk = None
 
-    def _in_turn(self, p: int, c: int) -> bool:
-        return self.consumers[p][self.turn[p]] == c
-
     def _take(self) -> int | None:
         with self.cond:
             while not (self.failed or self.left == 0):
-                for c in sorted(self.ready, reverse=True):
-                    if all(self._in_turn(p, c) or self.early[p] is None for p in self.parents[c]):
-                        self.ready.remove(c)
-                        for p in self.parents[c]:
-                            if not self._in_turn(p, c):
-                                self.early[p] = (c, [])
-                        return c
+                if self.ready:
+                    c = max(self.ready)
+                    self.ready.remove(c)
+                    return c
                 self.cond.wait()
             return None
 
     def deliver(self, t: Tensor, g: np.ndarray) -> None:
-        """A contribution to ``t`` from the node this lane runs."""
-        p = self.rank[id(t)]
-        with self.cond:
-            if self._in_turn(p, _lane.rank):
-                t.grad = g if t.grad is None else t.grad + g
-            else:
-                self.early[p][1].append(g)
+        """A contribution to ``t`` from the node this lane runs (``append`` needs no lock)."""
+        self.sent[self.rank[id(t)]].append((_lane.rank, g))
+
+    def _fold(self, c: int) -> None:
+        """Sum what ``c`` gathered into its gradient, dropping each array once added."""
+        sent, self.sent[c] = self.sent[c], None
+        sent.sort(key=lambda s: -s[0])   # stable: a consumer's arrays keep their order
+        node = self.order[c]
+        for i, (_, g) in enumerate(sent):
+            sent[i] = None
+            node.grad = g if node.grad is None else node.grad + g
 
     def _finish(self, c: int) -> None:
         with self.cond:
-            self.finished[c] = True
             for p in self.parents[c]:
-                if self._in_turn(p, c):
-                    self._pass_turn(p)
                 self.waiting[p] -= 1
                 if self.waiting[p] == 0:
                     self.ready.append(p)
             self.left -= 1
             self.cond.notify_all()
-
-    def _pass_turn(self, p: int) -> None:
-        """Give ``p``'s turn to its next consumer, folding what that one sent early."""
-        self.turn[p] += 1
-        early = self.early[p]
-        if early is None or not self._in_turn(p, early[0]):
-            return
-        node = self.order[p]
-        for g in early[1]:
-            node.grad = g if node.grad is None else node.grad + g
-        self.early[p] = None
-        if self.finished[early[0]]:
-            self.turn[p] += 1
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -355,10 +355,12 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
 
     The features are frozen inputs: nothing propagates back into whatever
     produced them.  A seeded quarter of the rows is held out for scoring,
-    and the classifier trains on mini-batches of 128 of the rest.  A
-    mini-batch whose loss or any gradient is not finite raises
-    ``DomainError``, as in ``train_objective``.  It runs inside
-    ``tensor.lanes()``, as ``train_objective`` does.
+    and the classifier trains on mini-batches of 128 of the rest.  The
+    labels are any nonnegative class ids; the head has one output per
+    distinct id, in increasing order.  A mini-batch whose loss or any
+    gradient is not finite raises ``DomainError``, as in
+    ``train_objective``.  It runs inside ``tensor.lanes()``, as
+    ``train_objective`` does.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -371,7 +373,8 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, hidden_units: int = 2
         raise ConfigError(f"holdout {_PROBE_HOLDOUT} of {n} rows leaves no training rows")
     if labels.min() < 0:
         raise DomainError(f"labels must be nonnegative class ids, got {int(labels.min())}")
-    classes = int(labels.max()) + 1
+    ids, labels = np.unique(labels, return_inverse=True)   # one class per distinct id
+    classes = ids.size
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]

@@ -636,6 +636,23 @@ class TestProbeAndGrid:
         assert code == 1
         assert "labels must be nonnegative" in capsys.readouterr().err
 
+    def test_probe_on_huge_class_ids_prints_the_accuracy_of_their_ranks(self, tiny_run,
+                                                                        tmp_path, capsys):
+        # one head output per distinct id: 7 and 10**12 act as 0 and 1
+        data, out_dir = tiny_run
+        rows = data.read_text().splitlines()
+        huge = tmp_path / "huge.csv"
+        relabel = {"0": "7", "1": "1000000000000"}
+        points = (r.rsplit(",", 1) for r in rows[1:])
+        huge.write_text("\n".join([rows[0], *(f"{x},{relabel[c]}" for x, c in points)]) + "\n")
+        probe = ["probe", "--checkpoint", str(out_dir / "checkpoint"), "--epochs", "2",
+                 "--seed", "0", "--data"]
+        capsys.readouterr()
+        assert run([*probe, str(data)]) == 0
+        want = capsys.readouterr().out
+        assert run([*probe, str(huge)]) == 0
+        assert capsys.readouterr().out == want and "probe accuracy" in want
+
     def test_probe_non_finite_loss_exit_1(self, tiny_run, capsys):
         # 45 training rows make one mini-batch per epoch
         data, out_dir = tiny_run

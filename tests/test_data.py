@@ -1,8 +1,12 @@
 """Dataset generation, lifting, normalization, and file-format contracts."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,15 @@ class TestGenerators:
         assert ds.meta["min_inter_component_distance"] > 0.2
 
 
+# sha256 of 2,000 moons lifted to 400-D and unlifted
+UNLIFT_HASH = """
+import hashlib
+from neuralbayes import data as D
+lifted = D.lift_and_rotate(D.make_two_moons(2000, seed=1), 400, seed=2)
+print(hashlib.sha256(D.unlift_points(lifted.points, lifted.meta["lift"]).tobytes()).hexdigest())
+"""
+
+
 class TestLift:
     def test_requires_growth(self):
         ds = D.make_two_moons(20, seed=0)
@@ -157,6 +170,19 @@ class TestLift:
         lifted = np.hstack([points, np.zeros((n, dim - 2))]) @ rotation
         np.testing.assert_array_equal(D.lift_points(points, meta), lifted)
         np.testing.assert_array_equal(D.unlift_points(lifted, meta), (lifted @ rotation.T)[:, :2])
+
+    def test_unlift_bits_do_not_depend_on_the_thread_count(self):
+        # at 400-D the (2000, 400) x (400, 400) product sums in another
+        # order on two OpenBLAS threads than on one
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", UNLIFT_HASH], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            hashes.append(done.stdout)
+        assert len(hashes[0].strip()) == 64 and hashes[0] == hashes[1]
 
     def test_unlift_checks_the_width(self):
         meta = {"dim": 16, "seed": 0, "base_dim": 2}

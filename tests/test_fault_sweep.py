@@ -5,7 +5,8 @@ Every field of a checkpoint manifest and of a dataset's ``.meta.json``
 sidecar is set, in a fixed order, to each value of ``VALUES`` or deleted,
 and a command runs on the result through ``cli.main``.  Each run must exit
 0 or 1 and no exception may escape; the sweeps also pin the mutations that
-must fail with an ``error:`` line.
+must fail with an ``error:`` line.  A last sweep sets a dataset's component
+ids, which ``probe`` reads as class ids.
 """
 
 import copy
@@ -106,6 +107,29 @@ def test_conv_padding_cannot_size_an_allocation(tmp_path, moons, capsys):
     code, err = run(["probe", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(moons(dim)),
                      "--hidden", "2", "--epochs", "1", "--seed", "0"], capsys)
     assert code == 1 and "conv padding 100000 must be smaller than its kernel 3" in err, err
+
+
+# each run's component ids, repeated down the rows
+COMPONENT_IDS = {"10**12": [10**12, 0], "2**62": [0, 2**62], "gapped": [3, 40, 41],
+                 "single": [5], "negative": [0, -1]}
+
+
+def test_component_id_sweep_exits_0_or_1(tmp_path, moons, capsys):
+    """``probe`` on huge, gapped, single and negative class ids.  No id
+    sizes an allocation: the probe's head has one output per distinct id."""
+    nn.save_checkpoint(nn.build_mlp(2, [4], 2, seed=0, batchnorm=True), tmp_path / "ckpt")
+    header, *rows = moons(2).read_text().splitlines()
+    codes = {}
+    for name, ids in COMPONENT_IDS.items():
+        data = tmp_path / f"ids-{name}.csv"
+        data.write_text("\n".join([header, *(f"{row.rsplit(',', 1)[0]},{ids[i % len(ids)]}"
+                                             for i, row in enumerate(rows))]) + "\n")
+        codes[name], err = run(["probe", "--checkpoint", str(tmp_path / "ckpt"), "--data",
+                                str(data), "--hidden", "2", "--epochs", "1", "--seed", "0"],
+                               capsys)
+        assert codes[name] in (0, 1), name
+        assert (codes[name] == 1) == ("error: labels must be nonnegative" in err), (name, err)
+    assert codes == {**dict.fromkeys(COMPONENT_IDS, 0), "negative": 1}
 
 
 def breaks_a_rule(path, value) -> bool:

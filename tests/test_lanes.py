@@ -119,18 +119,30 @@ def test_an_early_contribution_waits_for_its_turn(lanes):
     assert c_sent.is_set()
 
 
-def test_one_early_consumer_per_node(lanes):
-    """While h1, ``p``'s first consumer, runs, h2 may run early beside it,
-    but c may not run too: ``p`` would hold two early contributions."""
-    c_ran, seen = threading.Event(), []
+def test_consumers_that_run_lowest_rank_first_fold_in_rank_order(monkeypatch):
+    """``p``'s consumers lo < mid < hi in rank send 1, -1e16 and 1e16, and
+    events make them run lo, mid, hi on two lanes: ``b``, mid's consumer and
+    through ``g`` hi's, waits on one lane until lo has sent on the other,
+    and hi waits until mid has sent.  Folded as they arrive the sum would be
+    1 - 1e16 + 1e16 = 0; folded in descending rank it is 1."""
+    monkeypatch.setattr(T, "_LANES", 2)
+    lo_sent, mid_sent, waited = threading.Event(), threading.Event(), []
+
+    def wait(event):
+        return lambda: waited.append(event.wait(timeout=20))
+
     x = Tensor(np.zeros(1), requires_grad=True)
     p = pushing([x], [None])
-    c = pushing([p], [1.0], after=c_ran.set)
-    h2 = pushing([p], [2.0])
-    h1 = pushing([p], [4.0], before=lambda: seen.append(c_ran.wait(timeout=0.5 * (lanes - 1))))
-    root = pushing([c, h2, h1], [1.0, 1.0, 1.0])
-    assert T.gradients(root, {"x": x})["x"].tolist() == [7.0]
-    assert seen == [False] and c_ran.is_set()
+    lo = pushing([p], [1.0], after=lo_sent.set)
+    mid = pushing([p], [-1e16], after=mid_sent.set)
+    hi = pushing([p], [1e16], before=wait(mid_sent))
+    g = pushing([hi], [1.0])
+    b = pushing([mid, g], [1.0, 1.0], before=wait(lo_sent))
+    root = pushing([lo, b], [1.0, 1.0])
+    order = T._toposort(root)
+    assert [order.index(n) for n in (hi, mid, lo)] == [4, 3, 2]
+    assert T.gradients(root, {"x": x})["x"].tolist() == [1.0]
+    assert waited == [True, True]
 
 
 def benchmark_step(kind: str):
@@ -186,6 +198,14 @@ def test_independent_branches_run_side_by_side(lanes):
     else:
         grads = T.gradients(loss, params)
         assert grads["a"].tolist() == [1.0] * 3 and grads["b"].tolist() == [1.0] * 3
+
+
+def test_two_consumers_of_a_shared_leaf_run_side_by_side(monkeypatch):
+    monkeypatch.setattr(T, "_LANES", 2)
+    barrier = threading.Barrier(2, timeout=20)
+    a = Tensor(np.ones(3), requires_grad=True)
+    loss = T.tsum(barrier_node(a, barrier)) + T.tsum(barrier_node(a, barrier) * 2.0)
+    assert T.gradients(loss, {"a": a})["a"].tolist() == [3.0] * 3
 
 
 @pytest.mark.parametrize("thread", ["MainThread", WORKER])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralbayes import nn, oracles
+from neuralbayes import tensor as T
 from neuralbayes.errors import DomainError, ShapeError
 
 LOG2 = math.log(2.0)
@@ -126,6 +127,31 @@ class TestGradientEquality:
         oracles.gradient_equality_check(net, batch)
         for name, p in net.parameters().items():
             assert np.array_equal(p.data, before[name])
+
+    @pytest.mark.skipif(T._OPENBLAS_THREADS is None,
+                        reason="numpy loaded no OpenBLAS with a thread-count setter")
+    def test_every_forward_runs_on_one_blas_thread(self, monkeypatch):
+        """The sampler's forwards and the check's analytic and
+        finite-difference forwards, under a caller that set two threads."""
+        get, set_ = T._OPENBLAS_THREADS
+        forward, seen = nn.Network.forward, []
+
+        def spying(net, x, mode="eval"):
+            seen.append(get())
+            return forward(net, x, mode)
+
+        monkeypatch.setattr(nn.Network, "forward", spying)
+        before = get()
+        set_(2)
+        try:
+            net, batch = oracles.random_check_case(np.random.default_rng(6))
+            sampled = len(seen)
+            oracles.gradient_equality_check(net, batch)
+            assert get() == 2
+        finally:
+            set_(before)
+        fd = 2 * sum(p.data.size for p in net.parameters().values())
+        assert sampled >= 1 and len(seen) == sampled + 1 + fd and set(seen) == {1}
 
     def test_suite_shape(self):
         results = oracles.gradcheck_suite(seed=0, cases=3)
