@@ -115,8 +115,11 @@ def smoothness_penalty(net, batch, y0, rng: np.random.Generator, *,
     ``y0`` is the clean output net(batch), which the caller's objective
     computes (and keeps on its tape), so only the perturbed batch is
     forwarded here.  It is a tensor, or a function that computes it: then
-    the perturbation is drawn first, and inside ``tensor.lanes()`` the
-    perturbed forward runs on the second lane while ``y0()`` runs here.
+    ``v`` and zeta are drawn here first, so the generator is read in the
+    same order, and inside ``tensor.lanes()`` the second lane builds the
+    perturbed batch (the X v product, the norms, the tensor) and forwards
+    it while ``y0()`` runs here.  A collapsed direction is a ``ShapeError``
+    from whichever lane builds the batch, raised to the caller.
     ``net`` is any callable Tensor -> Tensor whose output is (B, d) or (B,),
     with ``y0``'s shape.
     ``noise`` and ``zeta`` override the random draws (used by tests that
@@ -130,20 +133,20 @@ def smoothness_penalty(net, batch, y0, rng: np.random.Generator, *,
     B = xb.shape[0]
     flat = xb.reshape(B, -1)  # direction algebra treats samples as vectors
     v = rng.standard_normal((B, B)) if noise is None else np.asarray(noise, dtype=np.float64)
-    delta = flat.T @ v  # column i spans the batch: X v_i
-    norms = np.linalg.norm(delta, axis=0)
-    if np.min(norms) <= 0.0:
-        raise ShapeError("a perturbation direction collapsed to zero")
-    dhat = (delta / norms).T  # (B, n), unit rows
     if zeta is None:
         zeta = float(rng.normal(0.0, NOISE_SIGMA))
         while abs(zeta) < 1e-4:  # would blow up the 1/zeta^2 normalization
             zeta = float(rng.normal(0.0, NOISE_SIGMA))
-    perturbed = Tensor((flat + zeta * dhat).reshape(xb.shape))
-    if callable(y0):
-        y0, y1 = T._both(y0, lambda: net(perturbed))
-    else:
-        y1 = net(perturbed)
+
+    def perturbed() -> Tensor:
+        delta = flat.T @ v  # column i spans the batch: X v_i
+        norms = np.linalg.norm(delta, axis=0)
+        if np.min(norms) <= 0.0:
+            raise ShapeError("a perturbation direction collapsed to zero")
+        dhat = (delta / norms).T  # (B, n), unit rows
+        return net(Tensor((flat + zeta * dhat).reshape(xb.shape)))
+
+    y0, y1 = T._both(y0, perturbed) if callable(y0) else (y0, perturbed())
     if y0.shape != y1.shape:
         raise ShapeError(f"clean output {y0.shape} does not match the perturbed output {y1.shape}")
     diff = y0 - y1
@@ -165,10 +168,12 @@ def smoothed_objective(head_loss, target, beta: float):
     evaluation).  ``terms`` ends with ``smooth`` (beta * R_c, only when
     beta > 0) and ``total``.
 
-    The closure runs inside ``tensor.lanes()``: the perturbation is drawn
-    first, so the rng is read in the same order, and the perturbed forward
-    runs on the second lane while the clean forward and ``head_loss`` run
-    here.  The values are those of running them one after the other.
+    The closure runs inside ``tensor.lanes()``: the perturbation's draws
+    come first, so the rng is read in the same order, then the second lane
+    builds the perturbed batch and forwards it while the clean forward and
+    ``head_loss`` run here (``head_loss`` may hand part of its own work to
+    the second lane, which takes it once the perturbed forward is done).
+    The values are those of running them one after the other.
     Inside ``no_tape()`` they do run one after the other: a holdout
     evaluation's peak memory is then one forward's, where two overlapping
     forwards would hold up to both (on a 16-64-64-2 MLP at 100 rows, 337 KB

@@ -124,6 +124,18 @@ def prior_gradient_strength(prior_k: float, K: int) -> tuple[float, float]:
     return v1, v2
 
 
+def _state_builders(states: Sequence[Tensor], cfg: MimConfig):
+    """``(state_id, entries, build)`` of every collected state, in
+    :func:`collect_states` order: ``build()`` softmaxes the state (its
+    average-pooled copy, for a pooled one), and ``entries`` is the size of
+    that softmax, about a quarter of the state's for a pooled copy."""
+    builders = [(f"h{i}", s.size, lambda s=s: T.softmax(s)) for i, s in enumerate(states)]
+    if cfg.use_scales:
+        builders += [(f"h{i}_pooled", s.size // 4, lambda s=s: T.softmax(T.avg_pool2d(s, 2, 2)))
+                     for i, s in enumerate(states) if s.ndim == 4]
+    return builders
+
+
 def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> tuple[SoftmaxState, ...]:
     """Softmax every tapped state along its feature/channel axis.
 
@@ -131,13 +143,23 @@ def collect_states(states: Sequence[Tensor], cfg: MimConfig) -> tuple[SoftmaxSta
     copy, appended after all original states.  Dense (2-D) states have no
     spatial axes and are never pooled.
     """
-    collected = [SoftmaxState(f"h{i}", T.softmax(s)) for i, s in enumerate(states)]
-    if cfg.use_scales:
-        for i, s in enumerate(states):
-            if s.ndim == 4:
-                pooled = T.avg_pool2d(s, 2, 2)
-                collected.append(SoftmaxState(f"h{i}_pooled", T.softmax(pooled)))
-    return tuple(collected)
+    return tuple(SoftmaxState(name, build()) for name, _, build in _state_builders(states, cfg))
+
+
+def _weights(n: int, cfg: MimConfig) -> tuple[float, float]:
+    """The MI and prior weights of each of ``n`` states' nodes."""
+    if n == 0:
+        raise ConfigError("state collection is empty")
+    return 1.0 / n, (1.0 + cfg.alpha) / n
+
+
+def _summed(parts, mi_weight: float, prior_weight: float) -> tuple[Tensor, dict[str, float]]:
+    """The loss and terms of the states' ``(node, mi, prior)``, in state order."""
+    total = parts[0][0]
+    for node, _, _ in parts[1:]:
+        total = total + node
+    return total, {"mi": sum(mi for _, mi, _ in parts) * mi_weight,
+                   "prior": sum(rp for _, _, rp in parts) * prior_weight}
 
 
 def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig,
@@ -152,18 +174,9 @@ def mim_v2_loss(sc: Sequence[SoftmaxState], cfg: MimConfig,
     ``prior_form='v1'`` swaps in the negative-entropy penalty for side-by-side
     comparisons; everything else stays identical.
     """
-    if len(sc) == 0:
-        raise ConfigError("state collection is empty")
-    n = len(sc)
-    mi_weight, prior_weight = 1.0 / n, (1.0 + cfg.alpha) / n
-    total, mis, rps = None, [], []
-    for st in sc:
-        node, mi, rp = T.state_objective(st.values, prior_form, LOG_GUARD, mi_weight,
-                                         prior_weight)
-        total = node if total is None else total + node
-        mis.append(mi)
-        rps.append(rp)
-    return total, {"mi": sum(mis) * mi_weight, "prior": sum(rps) * prior_weight}
+    mi_weight, prior_weight = _weights(len(sc), cfg)
+    return _summed([T.state_objective(st.values, prior_form, LOG_GUARD, mi_weight, prior_weight)
+                    for st in sc], mi_weight, prior_weight)
 
 
 def _pooled_vector(s: Tensor) -> Tensor:
@@ -176,9 +189,34 @@ def make_mim_objective(cfg: MimConfig, *, v1: bool = False):
     over every collected state, whose smoothness target is the final tapped
     state pooled to (B, C).  ``terms`` holds ``mi`` and ``prior``, then
     ``smooth`` and ``total``, in that order.
+
+    The head builds each state's softmax (after its pooling, for a pooled
+    copy) and its ``state_objective`` node on the two lanes, the states split
+    by the size of their softmax; the nodes are then summed, and ``mi`` and
+    ``prior`` accumulated, in :func:`collect_states` order, so the values
+    are those of :func:`mim_v2_loss`.  Inside ``no_tape()`` (holdout
+    evaluation) the head runs on the caller, state by state, as the two
+    forwards of ``smoothed_objective`` do there.
     """
+    prior_form = "v1" if v1 else "v2"
+
     def head_loss(out: Tensor, states) -> tuple[Tensor, dict[str, float]]:
-        return mim_v2_loss(collect_states(states, cfg), cfg, prior_form="v1" if v1 else "v2")
+        builders = _state_builders(states, cfg)
+        mi_weight, prior_weight = _weights(len(builders), cfg)
+
+        def build(share) -> list:
+            return [T.state_objective(builders[i][2](), prior_form, LOG_GUARD, mi_weight,
+                                      prior_weight) for i in share]
+
+        if not T._taping():
+            return _summed(build(range(len(builders))), mi_weight, prior_weight)
+        shares = T._halves([entries for _, entries, _ in builders])
+        parts = [None] * len(builders)
+        for share, built in zip(shares, T._both(lambda: build(shares[0]),
+                                                lambda: build(shares[1]))):
+            for i, part in zip(share, built):
+                parts[i] = part
+        return _summed(parts, mi_weight, prior_weight)
 
     def target(out: Tensor, states) -> Tensor:
         return _pooled_vector(states[-1])

@@ -33,11 +33,12 @@ Conventions:
   * ``backward()`` frees each non-leaf node's gradient as soon as that
     node's backward has run; only leaves keep ``.grad``,
   * inside ``lanes()`` OpenBLAS runs on one thread, and the library's
-    independent work (the two branches of a backward, the perturbed forward
-    beside the clean one, evaluation chunks) runs on two lanes: the caller
-    and one worker thread.  A node gathers its incoming gradients and sums
-    them when it runs, in one fixed order, so the values do not depend on
-    the lanes or on the BLAS thread count,
+    independent work (the branches of a backward, taken longest remaining
+    path first; the perturbed forward beside the clean one; MIM's states;
+    evaluation chunks; Adam's parameters) runs on two lanes: the caller and
+    one worker thread.  A node gathers its incoming gradients and sums them
+    when it runs, in one fixed order, so the values do not depend on the
+    lanes, on the order the nodes ran in or on the BLAS thread count,
   * inside ``no_tape()`` ops record no parents, so a forward whose output is
     only read frees every intermediate as soon as the next op has used it,
   * backward closures only read their incoming gradient, which may be a
@@ -166,6 +167,17 @@ def _both(first: Callable, second: Callable) -> tuple:
     finally:
         done.exception()   # waits for the worker, whatever happened here
     return result, done.result()
+
+
+def _halves(sizes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The indices of ``sizes`` split over the two lanes: largest first, each
+    onto the lane with the smaller total so far (the first on a tie)."""
+    shares, totals = ([], []), [0, 0]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        lane = totals.index(min(totals))
+        shares[lane].append(i)
+        totals[lane] += sizes[i]
+    return shares
 
 
 def _second_lane() -> queue.SimpleQueue:
@@ -305,9 +317,12 @@ class Tensor:
         The tape runs as a ready-queue walk (``_Walk``) inside ``lanes()``:
         a node runs once every node that consumes it has run, on whichever
         lane is free, so independent branches run side by side on two
-        lanes.  A running node first sums what its consumers sent it, in
-        their descending rank in the tape's topological order, so the values
-        are bitwise those of one lane, which visits the nodes in that order.
+        lanes.  Pick order: a free lane takes a ready leaf, else the ready
+        node with the longest remaining path to the leaves.  Fold order: a
+        running node first sums what its consumers sent it, in their
+        descending rank in the tape's topological order, whatever order they
+        ran in, so the values are bitwise those of the serial loop over that
+        order.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -327,12 +342,23 @@ class _Walk:
 
     Nodes are named by their rank in ``_toposort``'s order; a node's
     consumers are the nodes that list it as a parent.  A node gathers what
-    its consumers send it and is ready once they have all run; a lane takes
-    the highest-ranked ready node, so one lane visits the nodes in
-    descending rank.  A running node first folds what it gathered in
-    descending consumer rank, each consumer's arrays in the order it sent
-    them: the order in which one lane would fold them as they arrived.  So
-    a node holds every array sent to it until it runs.
+    its consumers send it and is ready once they have all run.
+
+    Pick order: a lane takes a ready leaf first, since a leaf only folds
+    and so frees the arrays it gathered at once.  Otherwise it takes the
+    ready node with the longest remaining path, the largest sum of costs
+    along any chain from it down to a leaf, and the higher rank of two equal
+    paths (highest level first, Adam, Chandy & Dickson, CACM 1974).  A
+    node's cost is the number of entries of its own array and its parents',
+    which its backward reads or writes; the paths are computed once per
+    walk.  So the lane that frees up takes the chain that would otherwise
+    finish last, not a short branch.
+
+    Fold order: a running node first folds what it gathered in descending
+    consumer rank, each consumer's arrays in the order it sent them, and it
+    holds every array sent to it until it runs.  The fold order does not
+    depend on the pick order, so the gradients are bitwise those of one
+    lane taking the nodes in descending rank and folding as they arrive.
     """
 
     def __init__(self, root: Tensor):
@@ -342,9 +368,12 @@ class _Walk:
         self.parents = [list(dict.fromkeys(rank[id(p)] for p in node._parents
                                            if p.requires_grad)) for node in order]
         self.waiting = [0] * len(order)
-        for ps in self.parents:
+        self.path = [0] * len(order)   # longest remaining path, parents before consumers
+        for c, (node, ps) in enumerate(zip(order, self.parents)):
             for p in ps:
                 self.waiting[p] += 1
+            cost = node.data.size + sum(p.data.size for p in node._parents)
+            self.path[c] = cost + max((self.path[p] for p in ps), default=0)
         self.sent = [[] for _ in order]      # (consumer rank, contribution) per node
         self.ready = [len(order) - 1]        # the root
         self.left = len(order)
@@ -380,11 +409,14 @@ class _Walk:
         with self.cond:
             while not (self.failed or self.left == 0):
                 if self.ready:
-                    c = max(self.ready)
+                    c = max(self.ready, key=self._key)
                     self.ready.remove(c)
                     return c
                 self.cond.wait()
             return None
+
+    def _key(self, c: int) -> tuple[bool, int, int]:
+        return not self.parents[c], self.path[c], c
 
     def deliver(self, t: Tensor, g: np.ndarray) -> None:
         """A contribution to ``t`` from the node this lane runs (``append`` needs no lock)."""

@@ -103,12 +103,9 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
                 new -= step
             p.data = new
 
-    # largest first, each onto the lane with fewer entries so far
-    shares, entries = ([], []), [0, 0]
-    for name in sorted(params, key=lambda k: -params[k].data.size):
-        lane = entries.index(min(entries))
-        shares[lane].append(name)
-        entries[lane] += params[name].data.size
+    names = list(params)
+    shares = [[names[i] for i in share]
+              for share in T._halves([params[k].data.size for k in names])]
     T._both(lambda: update(shares[0]), lambda: update(shares[1]))
 
 

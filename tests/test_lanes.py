@@ -1,6 +1,7 @@
-"""Two lanes give one lane's bits: the backward walk, the perturbed forward
-beside the clean one, errors on either lane, ``no_tape()`` on both, nested
-lane work, a forked child, and setup that starts no worker."""
+"""Two lanes give one lane's bits: the backward walk and its pick order,
+the perturbed forward beside the clean one, the MIM head split over the
+lanes, errors on either lane, ``no_tape()`` on both, nested lane work, a
+forked child, and setup that starts no worker."""
 
 import multiprocessing
 import subprocess
@@ -168,6 +169,111 @@ def test_two_lanes_give_one_lanes_first_step_of_a_benchmark_model(kind):
     loss2, terms2, grads2, stats2 = on_lanes(2, lambda: benchmark_step(kind))
     assert loss1.tobytes() == loss2.tobytes() and terms1 == terms2
     assert same_bits(grads1, grads2) and same_bits(stats1, stats2)
+
+
+@pytest.mark.parametrize("kind", ["dml", "mim"])
+def test_pick_order_moves_no_bit_of_a_benchmark_model(monkeypatch, kind):
+    """The walk picks by longest remaining path; picking by rank alone, as
+    one lane visits the tape, gives the same first step bit for bit."""
+    monkeypatch.setattr(T, "_LANES", 2)
+    loss1, terms1, grads1, stats1 = benchmark_step(kind)
+    monkeypatch.setattr(T._Walk, "_key", lambda self, c: c)
+    loss2, terms2, grads2, stats2 = benchmark_step(kind)
+    assert loss1.tobytes() == loss2.tobytes() and terms1 == terms2
+    assert same_bits(grads1, grads2) and same_bits(stats1, stats2)
+
+
+def test_the_long_chain_is_taken_before_a_higher_ranked_short_branch(monkeypatch):
+    """The root's consumers-to-be are a chain of three nodes and, ranked
+    above it, one node that only pushes to a leaf.  One lane takes the
+    chain's head and the next link before the short branch, where picking
+    by rank alone would take the short branch first."""
+    monkeypatch.setattr(T, "_LANES", 1)
+
+    def walk_order():
+        taken = []
+
+        def node(parents, name):
+            return pushing(parents, [None] * len(parents), before=lambda: taken.append(name))
+
+        x, y = (Tensor(np.zeros(1), requires_grad=True) for _ in range(2))
+        c3 = node([node([node([x], "c1")], "c2")], "c3")
+        short = node([y], "short")
+        root = node([c3, short], "root")
+        order = T._toposort(root)
+        assert order.index(short) == len(order) - 2 > order.index(c3)
+        grads = T.gradients(root, {"x": x, "y": y})
+        assert grads["x"].tolist() == grads["y"].tolist() == [1.0]
+        return taken
+
+    assert walk_order()[:3] == ["root", "c3", "c2"]
+    monkeypatch.setattr(T._Walk, "_key", lambda self, c: c)
+    assert walk_order()[:2] == ["root", "short"]
+
+
+def record_threads(monkeypatch, *names):
+    """Wrap the ``tensor`` functions ``names`` to record the thread of each call."""
+    threads = {name: [] for name in names}
+    for name in names:
+        def wrapped(*args, _run=getattr(T, name), _name=name, **kwargs):
+            threads[_name].append(threading.current_thread().name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(T, name, wrapped)
+    return threads
+
+
+def test_mim_head_builds_its_states_on_both_lanes(monkeypatch):
+    def step():
+        threads = record_threads(monkeypatch, "state_objective")
+        loss, terms, grads, _ = benchmark_step("mim")
+        monkeypatch.undo()
+        return threads["state_objective"], loss, terms, grads
+
+    built_one, loss1, terms1, grads1 = on_lanes(1, step)
+    built_two, loss2, terms2, grads2 = on_lanes(2, step)
+    assert built_one == ["MainThread"] * 4
+    assert sorted(set(built_two)) == ["MainThread", WORKER] and len(built_two) == 4
+    assert list(terms1) == ["mi", "prior", "smooth", "total"]
+    assert [terms1[k] for k in terms1] == [terms2[k] for k in terms2]
+    assert loss1.tobytes() == loss2.tobytes() and same_bits(grads1, grads2)
+
+
+def test_mim_head_runs_on_the_caller_inside_no_tape(monkeypatch):
+    monkeypatch.setattr(T, "_LANES", 2)
+    net = nn.build_cnn("C(4,3,1,0)-P(2,2,0,max)-C(6,3,1,0)", (1, 8, 8), seed=3)
+    objective = mim.make_mim_objective(mim.MimConfig(alpha=2.0, beta=4.0, use_scales=True))
+    x = Tensor(np.random.default_rng(67).standard_normal((6, 1, 8, 8)))
+    threads = record_threads(monkeypatch, "softmax", "avg_pool2d", "state_objective")
+    with T.no_tape():
+        objective(net, x, np.random.default_rng(0), mode="batch")
+    assert [len(threads[k]) for k in threads] == [4, 2, 4]
+    assert {t for built in threads.values() for t in built} == {"MainThread"}
+
+
+def test_collapsed_perturbation_on_the_second_lane_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(T, "_LANES", 2)
+    net = nn.build_mlp(3, [5], 2, seed=1, batchnorm=True, softmax_head=True)
+    x = Tensor(np.random.default_rng(68).standard_normal((8, 3)))
+    forward = lambda t: net.forward_with_states(t, "batch")[0]   # noqa: E731
+    with T.lanes(), pytest.raises(ShapeError, match="collapsed to zero"):
+        dml.smoothness_penalty(forward, x, lambda: forward(x), np.random.default_rng(0),
+                               noise=np.zeros((8, 8)))
+    objective = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=1.0))
+    loss, _ = objective(net, x, np.random.default_rng(0))   # the next step runs
+    grads = T.gradients(loss, net.parameters())
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+
+def test_dml_objective_reads_the_generator_as_one_lane_does():
+    def state_after(count):
+        net = nn.build_mlp(3, [5], 2, seed=1, batchnorm=True, softmax_head=True)
+        objective = dml.make_dml_objective(dml.DmlConfig(partitions=2, beta=1.0))
+        x = Tensor(np.random.default_rng(69).standard_normal((8, 3)))
+        rng = np.random.default_rng(0)
+        loss, _ = on_lanes(count, lambda: objective(net, x, rng))
+        return loss.data.tobytes(), rng.bit_generator.state
+
+    assert state_after(1) == state_after(2)
 
 
 def barrier_node(parent: Tensor, barrier: threading.Barrier, raise_on: str | None = None):

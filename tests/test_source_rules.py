@@ -276,3 +276,54 @@ def read(p):
 '''
     assert scopes_assigning(ast.parse(source), "m", "grad") == {
         "m.release", "m.Step.swap", "m.accumulate"}
+
+
+def scopes_naming(tree: ast.AST, module: str, name: str) -> set[str]:
+    """Dotted names of the scopes that read ``name``, bare or as an attribute,
+    whether they call it or pass it on."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            found.add(".".join([module, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+# The only scopes that hand work to the second lane.  During a backward walk
+# both lanes are running it, so a ``_both`` from an op's ``backward`` closure
+# would queue its task behind the walk on the busy worker and wait forever.
+LANE_SPLITS = {"tensor.Tensor.backward", "dml.smoothness_penalty",
+               "mim.make_mim_objective.head_loss", "train.adam_step",
+               "train.extract_features"}
+
+
+def test_work_goes_to_the_second_lane_from_a_few_places_only():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= scopes_naming(ast.parse(path.read_text()), path.stem, "_both")
+    assert found == LANE_SPLITS
+    assert [s for s in found if s.endswith(".backward") and s != "tensor.Tensor.backward"] == []
+
+
+def test_lane_rule_sees_calls_aliases_and_backward_closures():
+    source = '''
+def relu(x):
+    def backward(g):
+        T._both(lambda: g, lambda: g)
+    return backward
+
+def split(tasks):
+    both = _both
+    return both(*tasks)
+
+def _both(first, second):
+    return first(), second()
+'''
+    assert scopes_naming(ast.parse(source), "m", "_both") == {"m.relu.backward", "m.split"}
